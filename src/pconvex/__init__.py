@@ -9,7 +9,7 @@ The package is organized in layers:
 * :mod:`pconvex.convexity` — p-plurisubharmonicity graders for matrices,
   scalar fields, and boundaries, plus curvature-term bounds.
 * :mod:`pconvex.fieldexpr` — a tiny expression language for scalar fields
-  with exact first/second derivatives (2-jets).
+  with exact first/second derivatives (2-jets), evaluated in batches.
 * :mod:`pconvex.weights` — weight construction: convex reparametrizations,
   convexification against a defect, integrability tails, the scaled
   squared-distance weight, and the exponent/stiffness search for

@@ -558,7 +558,7 @@ def _task_check_psh(exp: ExperimentConfig, rng):
 def _task_boundary_convexity(exp: ExperimentConfig, rng):
     per_axis = exp.opt_int("per_axis", 48)
     pts = _interior_lattice(exp, per_axis, 0.0)
-    vals = np.array([abs(exp.r.value(x)) for x in pts])
+    vals = np.abs(exp.r.jets(pts, order=0))
     collar = exp.opt_number("collar", 0.05) * float(vals.max())
     shell = pts[vals <= collar]
     if shell.shape[0] == 0:

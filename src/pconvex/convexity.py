@@ -19,14 +19,15 @@ bound hypotheses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateGradient, PreconditionError
+from .errors import DegenerateGradient
 from .exterior import PointForm, dim_forms, index_list, index_rank
+from .fieldexpr import field_jets
 
 __all__ = [
     "min_p_trace",
@@ -44,15 +45,20 @@ __all__ = [
 ]
 
 
-def min_p_trace(theta: np.ndarray, p: int) -> float:
-    """Smallest sum of ``p`` eigenvalues of the symmetric matrix ``theta``."""
+def min_p_trace(theta: np.ndarray, p: int):
+    """Smallest sum of ``p`` eigenvalues of the symmetric matrix ``theta``.
+
+    A stack of matrices ``(m, n, n)`` gives one sum per matrix, ``(m,)``.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    n = theta.shape[0]
-    if theta.shape != (n, n):
+    n = theta.shape[-1]
+    if theta.ndim not in (2, 3) or theta.shape[-2] != n:
         raise ValueError(f"theta must be square, got {theta.shape}")
     if not 1 <= p <= n:
         raise ValueError(f"p must be in [1, {n}], got {p}")
     w = np.linalg.eigvalsh(theta)
+    if theta.ndim == 3:
+        return w[:, :p].sum(axis=1)
     return float(w[:p].sum())
 
 
@@ -133,7 +139,14 @@ class FieldRegionReport:
         raise ValueError(f"mode must be 'strict' or 'semi', got {mode!r}")
 
 
-_RANKING = {"strict": 2, "semi": 1, "fail": 0}
+def _region_report(p: int, pts: np.ndarray, traces: np.ndarray,
+                   strict_tol: float, semi_tol: float) -> FieldRegionReport:
+    """The sampled report; its verdict is that of the smallest trace."""
+    worst = int(np.argmin(traces))
+    return FieldRegionReport(p=p, points=pts, traces=traces,
+                             verdict=_classify(traces[worst], strict_tol,
+                                               semi_tol),
+                             worst_index=worst)
 
 
 def field_p_psh_report(hessian_at: Callable[[np.ndarray], np.ndarray],
@@ -142,28 +155,21 @@ def field_p_psh_report(hessian_at: Callable[[np.ndarray], np.ndarray],
                        semi_tol: float = 1e-12) -> FieldRegionReport:
     """Sampled p-plurisubharmonicity report for a scalar field.
 
-    ``hessian_at`` maps a point to the field's Hessian there (objects with an
-    ``eval_jet2`` method are accepted directly).  The global verdict is the
-    worst per-sample verdict; the worst sample is recorded.
+    ``hessian_at`` maps a point to the field's Hessian there; fields (anything
+    :func:`~pconvex.fieldexpr.field_jets` differentiates) are accepted
+    directly and evaluated over all samples in one call.  The global
+    verdict is the worst per-sample verdict, that of the smallest trace;
+    the worst sample is recorded.
     """
-    hess = getattr(hessian_at, "eval_jet2", None)
-    if hess is not None:
-        def hessian_fn(x):
-            return hessian_at.eval_jet2(x).hess
-    else:
-        hessian_fn = hessian_at
     pts = np.atleast_2d(np.asarray(list(samples), dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("need at least one sample point")
-    traces = np.empty(pts.shape[0])
-    verdicts = []
-    for i, x in enumerate(pts):
-        traces[i] = min_p_trace(hessian_fn(x), p)
-        verdicts.append(_classify(traces[i], strict_tol, semi_tol))
-    worst = int(np.argmin(traces))
-    overall = min(verdicts, key=_RANKING.__getitem__)
-    return FieldRegionReport(p=p, points=pts, traces=traces,
-                             verdict=overall, worst_index=worst)
+    if hasattr(hessian_at, "jets") or hasattr(hessian_at, "eval_jet2"):
+        hess = field_jets(hessian_at, pts)[2]
+    else:
+        hess = np.array([hessian_at(x) for x in pts])
+    traces = min_p_trace(hess, p)
+    return _region_report(p, pts, traces, strict_tol, semi_tol)
 
 
 def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
@@ -187,23 +193,17 @@ def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
     n = pts.shape[1]
     if not 1 <= p <= n - 1:
         raise ValueError(f"p must be in [1, {n - 1}] for tangential p-planes, got {p}")
-    traces = np.empty(pts.shape[0])
-    verdicts = []
-    for i, x in enumerate(pts):
-        jet = defining_field.eval_jet2(x)
-        grad = jet.grad
-        gnorm = float(np.linalg.norm(grad))
+    _, grads, hess = field_jets(defining_field, pts)
+    gnorms = np.linalg.norm(grads, axis=1)
+    blocks = []
+    for x, grad, gnorm, h in zip(pts, grads, gnorms, hess):
         if gnorm <= grad_tol:
             raise DegenerateGradient(
                 f"|grad r| = {gnorm:.3e} <= {grad_tol:.1e} at boundary sample {x}")
         tangent = scipy.linalg.null_space(grad[None, :] / gnorm)   # (n, n-1), orthonormal
-        block = tangent.T @ jet.hess @ tangent
-        traces[i] = min_p_trace(block, p)
-        verdicts.append(_classify(traces[i], strict_tol, semi_tol))
-    worst = int(np.argmin(traces))
-    overall = min(verdicts, key=_RANKING.__getitem__)
-    return FieldRegionReport(p=p, points=pts, traces=traces,
-                             verdict=overall, worst_index=worst)
+        blocks.append(tangent.T @ h @ tangent)
+    traces = min_p_trace(np.array(blocks), p)
+    return _region_report(p, pts, traces, strict_tol, semi_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,18 @@ holds by construction and every coboundary row finds its columns.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from .errors import DomainError, EmptyDomain, SupportError
-from .exterior import PointForm, dim_forms, index_list, pairing_quadratic
+from .exterior import PointForm, index_list, pairing_quadratic
+from .fieldexpr import field_jets, row_blocks
 
 __all__ = [
     "GridDomain",
@@ -87,17 +89,10 @@ class GridDomain:
     def n(self) -> int:
         return len(self.box)
 
-    def vertex_coords(self, idx) -> np.ndarray:
-        return np.array([lo + i * s for (lo, _), i, s
-                         in zip(self.box, idx, self.spacings)])
-
     def node_axes(self):
         """Per-axis node coordinates (counts[i] + 1 points)."""
         return [np.linspace(lo, hi, m + 1)
                 for (lo, hi), m in zip(self.box, self.counts)]
-
-    def contains(self, x) -> bool:
-        return self.r is None or float(self.r.value(np.asarray(x))) < 0.0
 
 
 Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]
@@ -112,7 +107,7 @@ class CubicalComplex:
         self.index = tuple({c: i for i, c in enumerate(lvl)} for lvl in cells)
         self._cob = coboundaries
         self.inclusion_rule = inclusion_rule
-        self._bary = {}
+        self._layouts = {}
 
     @property
     def n(self) -> int:
@@ -125,25 +120,30 @@ class CubicalComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** p * len(lvl) for p, lvl in enumerate(self.cells))
 
-    def barycenter(self, cell: Cell) -> np.ndarray:
-        anchor, axes = cell
-        x = self.dom.vertex_coords(anchor)
-        for a in axes:
-            x[a] += 0.5 * self.dom.spacings[a]
-        return x
+    def _layout(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Anchors and spanned-axis masks of the p-cells, both ``(m, n)``.
+
+        Cached; anchors use the smallest integer type that holds a vertex
+        index, so geometry derived from them is cheap to keep around.
+        """
+        if p not in self._layouts:
+            cells = self.cells[p]
+            spans = {axes: [a in axes for a in range(self.n)]
+                     for axes in itertools.combinations(range(self.n), p)}
+            self._layouts[p] = (
+                np.array([c[0] for c in cells],
+                         dtype=np.min_scalar_type(max(self.dom.counts))
+                         ).reshape(len(cells), self.n),
+                np.array([spans[c[1]] for c in cells],
+                         dtype=bool).reshape(len(cells), self.n))
+        return self._layouts[p]
 
     def barycenters(self, p: int) -> np.ndarray:
-        if p not in self._bary:
-            self._bary[p] = np.array(
-                [self.barycenter(c) for c in self.cells[p]]).reshape(
-                    len(self.cells[p]), self.n)
-        return self._bary[p]
-
-    def cell_volume(self, cell: Cell) -> float:
-        vol = 1.0
-        for a in cell[1]:
-            vol *= self.dom.spacings[a]
-        return vol
+        """Barycenters of the p-cells, ``(num_cells(p), n)``, in cell order."""
+        anchors, spanned = self._layout(p)
+        lo = np.array([lo for lo, _ in self.dom.box])
+        s = np.array(self.dom.spacings)
+        return lo + anchors * s + np.where(spanned, 0.5 * s, 0.0)
 
 
 def build_complex(dom: GridDomain) -> CubicalComplex:
@@ -151,42 +151,38 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
 
     A vertex enters iff it lies in the domain; a higher cell enters iff its
     barycenter does *and* both facets along every spanned axis entered.
+    ``r`` is evaluated once over the vertex grid and once per
+    axes-combination over the barycenters whose facets all entered.
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
     n = dom.n
+    nodes = [lo + np.arange(m + 1) * s
+             for (lo, _), m, s in zip(dom.box, dom.counts, dom.spacings)]
+    mids = [x[:-1] + 0.5 * s for x, s in zip(nodes, dom.spacings)]
+    present = {}        # axes -> boolean anchor grid of the cells included
     levels = []
-    vertices = []
-    for idx in itertools.product(*(range(c + 1) for c in dom.counts)):
-        if dom.contains(dom.vertex_coords(idx)):
-            vertices.append((idx, ()))
-    if not vertices:
-        raise EmptyDomain("no grid vertex satisfies r < 0")
-    levels.append(tuple(vertices))
-
-    prev_set = {c for c in vertices}
-    for p in range(1, n + 1):
+    for p in range(n + 1):
         lvl = []
         for axes in itertools.combinations(range(n), p):
-            ranges = [range(dom.counts[i]) if i in axes
-                      else range(dom.counts[i] + 1) for i in range(n)]
-            for anchor in itertools.product(*ranges):
-                ok = True
-                for a in axes:
-                    sub = tuple(b for b in axes if b != a)
-                    front = tuple(v + (1 if i == a else 0)
-                                  for i, v in enumerate(anchor))
-                    if (anchor, sub) not in prev_set or (front, sub) not in prev_set:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                bary = dom.vertex_coords(anchor)
-                for a in axes:
-                    bary[a] += 0.5 * dom.spacings[a]
-                if dom.contains(bary):
-                    lvl.append((anchor, axes))
+            ok = np.ones([m if i in axes else m + 1
+                          for i, m in enumerate(dom.counts)], dtype=bool)
+            for a in axes:
+                facets = present[tuple(b for b in axes if b != a)]
+                ok &= (facets[(slice(None),) * a + (slice(None, -1),)]
+                       & facets[(slice(None),) * a + (slice(1, None),)])
+            anchors = np.argwhere(ok)
+            if dom.r is not None:
+                bary = np.stack(
+                    [(mids if i in axes else nodes)[i][anchors[:, i]]
+                     for i in range(n)], axis=1)
+                anchors = anchors[field_jets(dom.r, bary, order=0) < 0.0]
+            grid = np.zeros_like(ok)
+            grid[tuple(anchors.T)] = True
+            present[axes] = grid
+            lvl.extend((a, axes) for a in zip(*anchors.T.tolist()))
+        if not lvl and p == 0:
+            raise EmptyDomain("no grid vertex satisfies r < 0")
         levels.append(tuple(lvl))
-        prev_set = set(lvl)
 
     cells = tuple(levels)
     index = tuple({c: i for i, c in enumerate(lvl)} for lvl in cells)
@@ -248,19 +244,8 @@ class WeightedMass:
     p: int
     diag: np.ndarray
 
-    def matvec(self, values: np.ndarray) -> np.ndarray:
-        return self.diag * values
-
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         return float(np.dot(a, self.diag * b))
-
-
-def _field_value(f, x: np.ndarray) -> float:
-    if isinstance(f, numbers.Real):
-        return float(f)
-    if hasattr(f, "value"):
-        return float(f.value(x))
-    return float(f(x))
 
 
 def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
@@ -274,22 +259,22 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     """
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
-    dom = cx.dom
-    diag = np.empty(cx.num_cells(p))
-    for i, cell in enumerate(cx.cells[p]):
-        anchor, axes = cell
-        factor = 1.0
-        for a in range(dom.n):
-            s = dom.spacings[a]
-            if a in axes:
-                factor /= s
-            else:
-                factor *= s if 0 < anchor[a] < dom.counts[a] else 0.5 * s
-        with np.errstate(over="ignore"):
-            diag[i] = np.exp(-_field_value(phi, cx.barycenter(cell))) * factor
-    if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-        raise DomainError("weight produced a non-positive or overflowed "
-                          "mass entry")
+    anchors, spanned = cx._layout(p)
+    factor = np.ones(len(anchors))
+    for a, (s, m) in enumerate(zip(cx.dom.spacings, cx.dom.counts)):
+        inner = (0 < anchors[:, a]) & (anchors[:, a] < m)
+        factor = np.where(spanned[:, a], factor / s,
+                          factor * np.where(inner, s, 0.5 * s))
+    bary = cx.barycenters(p)
+    with np.errstate(over="ignore"):
+        diag = np.exp(-field_jets(phi, bary, order=0)) * factor
+    bad = np.flatnonzero(~np.isfinite(diag) | (diag <= 0))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(
+            "weight produced a non-positive or overflowed mass entry: "
+            f"{'underflowed to 0' if diag[i] == 0 else 'overflowed'} at the "
+            f"barycenter {np.round(bary[i], 6).tolist()} of {p}-cell {i}")
     return WeightedMass(p, diag)
 
 
@@ -312,10 +297,12 @@ def weighted_adjoint(cx: CubicalComplex, phi, p: int) -> sp.csr_matrix:
 def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:
     """Midpoint-rule cochain of an analytic p-form.
 
-    ``coeffs`` lists one evaluator (number, ``.value`` object, or callable)
-    per increasing multi-index in lexicographic order — the ordering of
+    ``coeffs`` lists one evaluator (number, field, ``.value`` object, or
+    callable; see :func:`pconvex.fieldexpr.field_jets`) per increasing
+    multi-index in lexicographic order — the ordering of
     :func:`pconvex.exterior.index_list`.  A p-cell spanning axes ``S``
-    receives ``coeff_S(barycenter) · prod(spacings[S])``.
+    receives ``coeff_S(barycenter) · prod(spacings[S])``; each coefficient
+    is evaluated over all of its cells in one call.
     """
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
@@ -324,11 +311,14 @@ def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:
         raise ValueError(
             f"need {len(order)} coefficients for degree {p} in dimension "
             f"{cx.n}, got {len(coeffs)}")
-    by_axes = {tuple(i - 1 for i in I): f for I, f in zip(order, coeffs)}
-    values = np.empty(cx.num_cells(p))
-    for i, cell in enumerate(cx.cells[p]):
-        f = by_axes[cell[1]]
-        values[i] = _field_value(f, cx.barycenter(cell)) * cx.cell_volume(cell)
+    rank = {tuple(i - 1 for i in I): k for k, I in enumerate(order)}
+    component = np.array([rank[cell[1]] for cell in cx.cells[p]], dtype=int)
+    bary = cx.barycenters(p)
+    values = np.empty(component.size)
+    for k, (I, f) in enumerate(zip(order, coeffs)):
+        rows = component == k
+        vol = math.prod(cx.dom.spacings[i - 1] for i in I)
+        values[rows] = field_jets(f, bary[rows], order=0) * vol
     return Cochain(p, values)
 
 
@@ -352,19 +342,6 @@ class EnergyIdentityReport:
     rhs_gradient_term: float
     rhs_quadform_term: float
     residual: float
-
-
-def _weight_jets(phi, pts_shape, X):
-    """Values and gradients of the weight over the node grid."""
-    n = X.shape[-1]
-    if isinstance(phi, numbers.Real):
-        return np.full(pts_shape, float(phi)), np.zeros(pts_shape + (n,))
-    v = np.empty(pts_shape)
-    g = np.empty(pts_shape + (n,))
-    for idx in np.ndindex(pts_shape):
-        jet = phi.eval_jet2(X[idx])
-        v[idx], g[idx] = jet.value, jet.grad
-    return v, g
 
 
 def _insertion_sign(j: int, rest: Tuple[int, ...]) -> int:
@@ -395,12 +372,10 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
 
     axes = dom.node_axes()
     shape = tuple(a.size for a in axes)
-    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-
+    X = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     G = np.empty((len(order),) + shape)
     for k, f in enumerate(coeffs):
-        for idx in np.ndindex(shape):
-            G[k][idx] = _field_value(f, X[idx])
+        G[k] = field_jets(f, X, order=0).reshape(shape)
 
     gmax = np.abs(G).max()
     report_zero = EnergyIdentityReport(0.0, 0.0, 0.0, 0.0)
@@ -410,9 +385,7 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     if dom.r is None:
         inside = np.ones(shape, dtype=bool)
     else:
-        inside = np.empty(shape, dtype=bool)
-        for idx in np.ndindex(shape):
-            inside[idx] = float(dom.r.value(X[idx])) < 0.0
+        inside = field_jets(dom.r, X, order=0).reshape(shape) < 0.0
     safe = ndi.binary_erosion(inside, iterations=2, border_value=0)
     unsafe_mag = np.abs(G[:, ~safe]).max() if (~safe).any() else 0.0
     if unsafe_mag > 1e-12 * gmax:
@@ -423,9 +396,27 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     spac = dom.spacings
     dG = {I: [np.gradient(G[k], spac[a], axis=a) for a in range(n)]
           for k, I in enumerate(order)}
-    phi_v, phi_g = _weight_jets(phi, shape, X)
-    weight = np.exp(-phi_v)
     vol = float(np.prod(spac))
+
+    # weight values and gradients at every node; the Hessian term of the
+    # identity is summed over the form's support block by block
+    support = np.any(G != 0.0, axis=0).reshape(-1)
+    G_nodes = G.reshape(len(order), -1)
+    phi_v = np.empty(X.shape[0])
+    phi_g = np.empty(X.shape)
+    rhs_quad = 0.0
+    for rows in row_blocks(X.shape[0]):
+        v, g, hess = field_jets(phi, X[rows])
+        phi_v[rows], phi_g[rows] = v, g
+        if isinstance(phi, numbers.Real):
+            continue
+        w = np.exp(-v)
+        for i in np.flatnonzero(support[rows]):
+            form = PointForm(n, p, G_nodes[:, rows.start + i])
+            rhs_quad += pairing_quadratic(hess[i], form) * w[i]
+    rhs_quad *= vol
+    phi_g = phi_g.reshape(shape + (n,))
+    weight = np.exp(-phi_v).reshape(shape)
 
     # exterior derivative coefficients, degree p+1
     d_coeffs = {J: np.zeros(shape) for J in index_list(n, p + 1)} \
@@ -453,16 +444,6 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
 
     grad_sq = sum(dv * dv for partials in dG.values() for dv in partials)
     rhs_grad = float(np.sum(grad_sq * weight)) * vol
-
-    rhs_quad = 0.0
-    support = np.any(G != 0.0, axis=0)
-    if not isinstance(phi, numbers.Real):
-        for idx in np.argwhere(support):
-            idx = tuple(idx)
-            form = PointForm(n, p, G[(slice(None),) + idx])
-            hess = phi.eval_jet2(X[idx]).hess
-            rhs_quad += pairing_quadratic(hess, form) * weight[idx]
-        rhs_quad *= vol
 
     rhs = rhs_grad + rhs_quad
     denom = abs(lhs) + abs(rhs)

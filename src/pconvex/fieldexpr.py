@@ -16,17 +16,27 @@ the tree node-for-node (for parser-produced trees; hand-built negative
 literals serialize through the unary-minus sugar and so re-parse to the
 sugared tree).
 
-Evaluation is second-order forward mode: every node maps to a
-:class:`Jet2` — value, gradient, dense symmetric Hessian — so Hessians are
-exact, not differenced.  Integer powers are expanded by repeated
-multiplication (valid for negative bases); everything else routes through
-``exp``/``log`` with strict domain checks that surface as
-:class:`~pconvex.errors.DomainError`.
+Evaluation is batched second-order forward mode.  :meth:`ScalarFieldExpr.jets`
+takes points ``X`` of shape ``(m, n)`` and returns values ``(m,)``,
+gradients ``(m, n)`` and dense symmetric Hessians ``(m, n, n)`` (or the
+values alone), so Hessians are exact, not differenced.  One interpreter
+walks the tree once per block of :data:`BLOCK_ROWS` rows, carrying numpy
+arrays.  Integer powers are expanded by repeated multiplication (valid for
+negative bases); everything else routes through ``exp``/``log`` with strict
+domain checks that surface as :class:`~pconvex.errors.DomainError` naming
+the first offending point in row order.  ``value(x)`` and ``eval_jet2(x)``
+are one-row wrappers over the same interpreter.
+
+:func:`field_jets` is the single coercion point for weight-like inputs:
+``None``, numbers, anything with a batched ``jets`` method, and — one row
+at a time, hence much slower — foreign objects that expose only
+``eval_jet2``/``value`` and plain callables.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import warnings
 from dataclasses import dataclass
@@ -43,6 +53,9 @@ __all__ = [
     "BinOp",
     "Call",
     "ScalarFieldExpr",
+    "BatchedField",
+    "field_jets",
+    "row_blocks",
     "parse",
     "to_text",
     "compose_df",
@@ -51,17 +64,10 @@ __all__ = [
 _FUNCS = ("exp", "log", "sqrt")
 _MAX_INT_POW = 512
 
+#: Rows interpreted per block.  Temporaries scale with the block, not the
+#: point set, so evaluating 10^5 points costs a few MiB of memory at most.
+BLOCK_ROWS = 1024
 
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        raise DomainError(f"exp overflow at argument {v!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# second-order jets
-# ---------------------------------------------------------------------------
 
 @dataclass
 class Jet2:
@@ -71,101 +77,15 @@ class Jet2:
     grad: np.ndarray
     hess: np.ndarray
 
-    @classmethod
-    def constant(cls, c: float, n: int) -> "Jet2":
-        return cls(float(c), np.zeros(n), np.zeros((n, n)))
 
-    @classmethod
-    def variable(cls, value: float, index: int, n: int) -> "Jet2":
-        """The jet of the coordinate x_index (1-based) at the given value."""
-        g = np.zeros(n)
-        g[index - 1] = 1.0
-        return cls(float(value), g, np.zeros((n, n)))
+def row_blocks(m: int):
+    """Slices covering ``range(m)`` in consecutive blocks of BLOCK_ROWS."""
+    return [slice(s, s + BLOCK_ROWS) for s in range(0, m, BLOCK_ROWS)]
 
-    @property
-    def n(self) -> int:
-        return self.grad.shape[0]
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
-            return other
-        return Jet2.constant(float(other), self.n)
-
-    def __add__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
-
-    def __rsub__(self, other) -> "Jet2":
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        outer = np.outer(self.grad, o.grad)
-        return Jet2(self.value * o.value,
-                    self.value * o.grad + o.value * self.grad,
-                    self.value * o.hess + o.value * self.hess + outer + outer.T)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Jet2":
-        o = self._coerce(other)
-        if o.value == 0.0:
-            raise DomainError("division by zero")
-        q = self.value / o.value
-        gq = (self.grad - q * o.grad) / o.value
-        cross = np.outer(gq, o.grad)
-        hq = (self.hess - cross - cross.T - q * o.hess) / o.value
-        return Jet2(q, gq, hq)
-
-    def __rtruediv__(self, other) -> "Jet2":
-        return self._coerce(other).__truediv__(self)
-
-    def __neg__(self) -> "Jet2":
-        return Jet2(-self.value, -self.grad, -self.hess)
-
-    def exp(self) -> "Jet2":
-        e = _exp(self.value)
-        return Jet2(e, e * self.grad, e * (self.hess + np.outer(self.grad, self.grad)))
-
-    def log(self) -> "Jet2":
-        if self.value <= 0.0:
-            raise DomainError(f"log of non-positive value {self.value!r}")
-        v = self.value
-        return Jet2(math.log(v), self.grad / v,
-                    self.hess / v - np.outer(self.grad, self.grad) / v**2)
-
-    def sqrt(self) -> "Jet2":
-        if self.value <= 0.0:
-            raise DomainError(f"sqrt of non-positive value {self.value!r} "
-                              "(jets are singular at 0)")
-        s = math.sqrt(self.value)
-        return Jet2(s, self.grad / (2.0 * s),
-                    self.hess / (2.0 * s) - np.outer(self.grad, self.grad) / (4.0 * s**3))
-
-    def powi(self, k: int) -> "Jet2":
-        """Integer power by repeated multiplication (negative bases allowed)."""
-        if k == 0:
-            return Jet2.constant(1.0, self.n)
-        if k < 0:
-            if self.value == 0.0:
-                raise DomainError("zero base with negative exponent")
-            return Jet2.constant(1.0, self.n) / self.powi(-k)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
-    def pow_general(self, other: "Jet2") -> "Jet2":
-        if self.value <= 0.0:
-            raise DomainError(
-                f"fractional/variable power of non-positive base {self.value!r}")
-        return (other * self.log()).exp()
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise outer products of two ``(m, n)`` stacks."""
+    return a[:, :, None] * b[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +315,170 @@ def to_text(obj: Union[Node, "ScalarFieldExpr"]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the public field type
+# the batched interpreter
 # ---------------------------------------------------------------------------
 
+class _Block:
+    """One block of rows under interpretation.
+
+    A jet is a ``(value, grad, hess)`` triple of arrays shaped ``(m,)``,
+    ``(m, k)`` and ``(m, k, k)``: ``k = n`` for 2-jets and ``k = 0`` for
+    values alone, where the derivative arithmetic runs on empty arrays.  A
+    row that leaves the domain is recorded rather than raised at once, so
+    that the error can name the first bad row whichever node it failed at;
+    the rows that follow it carry NaN harmlessly.
+    """
+
+    def __init__(self, X: np.ndarray, order: int):
+        self.X = X
+        self.k = X.shape[1] if order else 0
+        self.bad = np.zeros(X.shape[0], dtype=bool)
+        self.faults = []          # (rows first failing here, message, operand)
+
+    def fault(self, mask, message: str, operand=None) -> None:
+        new = mask & ~self.bad
+        if new.any():
+            self.bad |= new
+            self.faults.append((new, message, operand))
+
+    def raise_first(self) -> None:
+        i = int(np.argmax(self.bad))
+        for rows, message, operand in self.faults:
+            if rows[i]:
+                if operand is not None:
+                    message = message.format(float(operand[i]))
+                raise DomainError(f"{message} at x = {self.X[i].tolist()}")
+
+    def const(self, c: float):
+        m, k = self.X.shape[0], self.k
+        return np.full(m, c), np.zeros((m, k)), np.zeros((m, k, k))
+
+    def run(self, node: Node):
+        if isinstance(node, Num):
+            return self.const(node.value)
+        if isinstance(node, Var):
+            _, g, h = self.const(0.0)
+            g[:, node.index - 1:node.index] = 1.0     # a no-op when k = 0
+            return self.X[:, node.index - 1], g, h
+        if isinstance(node, Call):
+            return getattr(self, node.fn)(self.run(node.arg))
+        left = self.run(node.left)
+        if node.op == "^":
+            if (isinstance(node.right, Num)
+                    and float(node.right.value).is_integer()
+                    and abs(node.right.value) <= _MAX_INT_POW):
+                return self.powi(left, int(node.right.value))
+            right = self.run(node.right)
+            self.fault(left[0] <= 0.0,
+                       "fractional/variable power of non-positive base {!r}",
+                       left[0])
+            return self.exp(self.mul(right, self.log(left)))
+        right = self.run(node.right)
+        if node.op in "+-":
+            op = np.add if node.op == "+" else np.subtract
+            return tuple(op(u, w) for u, w in zip(left, right))
+        if node.op == "*":
+            return self.mul(left, right)
+        return self.div(left, right)
+
+    def mul(self, a, b):
+        (av, ag, ah), (bv, bg, bh) = a, b
+        outer = _outer(ag, bg)
+        return (av * bv, av[:, None] * bg + bv[:, None] * ag,
+                av[:, None, None] * bh + bv[:, None, None] * ah
+                + outer + outer.transpose(0, 2, 1))
+
+    def div(self, a, b):
+        (av, ag, ah), (bv, bg, bh) = a, b
+        self.fault(bv == 0.0, "division by zero")
+        q = av / bv
+        gq = (ag - q[:, None] * bg) / bv[:, None]
+        cross = _outer(gq, bg)
+        return q, gq, ((ah - cross - cross.transpose(0, 2, 1)
+                        - q[:, None, None] * bh) / bv[:, None, None])
+
+    def powi(self, a, k: int):
+        """Integer power by repeated multiplication (negative bases allowed)."""
+        if k == 0:
+            return self.const(1.0)
+        if k < 0:
+            self.fault(a[0] == 0.0, "zero base with negative exponent")
+            return self.div(self.const(1.0), self.powi(a, -k))
+        out = a
+        for _ in range(k - 1):
+            out = self.mul(out, a)
+        return out
+
+    def exp(self, a):
+        av, ag, ah = a
+        e = np.exp(av)
+        self.fault(np.isinf(e) & np.isfinite(av),
+                   "exp overflow at argument {!r}", av)
+        return e, e[:, None] * ag, e[:, None, None] * (ah + _outer(ag, ag))
+
+    def log(self, a):
+        av, ag, ah = a
+        self.fault(av <= 0.0, "log of non-positive value {!r}", av)
+        return (np.log(av), ag / av[:, None],
+                ah / av[:, None, None]
+                - _outer(ag, ag) / (av**2)[:, None, None])
+
+    def sqrt(self, a):
+        av, ag, ah = a
+        self.fault(av <= 0.0, "sqrt of non-positive value {!r} "
+                   "(jets are singular at 0)", av)
+        s = np.sqrt(av)
+        return (s, ag / (2.0 * s)[:, None],
+                ah / (2.0 * s)[:, None, None]
+                - _outer(ag, ag) / (4.0 * s**3)[:, None, None])
+
+
+def _interpret(root: Node, X: np.ndarray, order: int):
+    block = _Block(X, order)
+    with np.errstate(all="ignore"):
+        v, g, h = block.run(root)
+        finite = (np.isfinite(v) & np.isfinite(g).all(axis=1)
+                  & np.isfinite(h).all(axis=(1, 2)))
+    block.fault(~finite, "evaluation produced a non-finite "
+                + ("jet" if order else "value"))
+    if block.bad.any():
+        block.raise_first()
+    return (v, g, h) if order else v
+
+
+# ---------------------------------------------------------------------------
+# the public field type and the one coercion helper
+# ---------------------------------------------------------------------------
+
+def _one_row(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"point has shape {x.shape}, expected a flat vector")
+    return x[None, :]
+
+
+class BatchedField:
+    """Point access for a field whose ``jets(X, order)`` is batched.
+
+    ``value(x)`` and ``eval_jet2(x)`` evaluate one point as a batch of one
+    row.  That costs far more per point than one batched call over many
+    points, so code inside the package never loops over them.
+    """
+
+    def eval_jet2(self, x) -> Jet2:
+        """Exact value/gradient/Hessian at the single point ``x``."""
+        v, g, h = self.jets(_one_row(x))
+        return Jet2(float(v[0]), g[0], h[0])
+
+    def value(self, x) -> float:
+        """Value at the single point ``x`` (same domain rules as the jet)."""
+        return float(self.jets(_one_row(x), order=0)[0])
+
+    __call__ = value
+
+
 @dataclass(frozen=True)
-class ScalarFieldExpr:
+class ScalarFieldExpr(BatchedField):
     """An immutable scalar field over R^n defined by an expression tree."""
 
     root: Node
@@ -411,98 +490,67 @@ class ScalarFieldExpr:
             raise UnknownVariable(
                 f"expression uses x{used} but n = {self.n}", 0)
 
-    def eval_jet2(self, x) -> Jet2:
-        """Exact value/gradient/Hessian at ``x`` (forward-mode 2-jets)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        jet = _eval_jet(self.root, x, self.n)
-        if not (math.isfinite(jet.value) and np.isfinite(jet.grad).all()
-                and np.isfinite(jet.hess).all()):
-            raise DomainError("evaluation produced a non-finite jet")
-        return jet
+    def jets(self, X, order: int = 2):
+        """Exact 2-jets at the rows of ``X`` (shape ``(m, n)``).
 
-    def value(self, x) -> float:
-        """Value-only evaluation (same domain rules, no derivative work)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"point has shape {x.shape}, expected ({self.n},)")
-        v = _eval_value(self.root, x)
-        if not math.isfinite(v):
-            raise DomainError("evaluation produced a non-finite value")
-        return v
+        Returns values ``(m,)``, gradients ``(m, n)`` and Hessians
+        ``(m, n, n)``; with ``order=0`` the values alone, which skips the
+        derivative work and checks only that values are finite.  A row
+        outside the field's domain raises
+        :class:`~pconvex.errors.DomainError` naming the first such point.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.n:
+            raise ValueError(
+                f"points have shape {X.shape}, expected (m, {self.n})")
+        parts = [_interpret(self.root, X[rows], order)
+                 for rows in row_blocks(max(X.shape[0], 1))]
+        if not order:
+            return np.concatenate(parts)
+        return tuple(np.concatenate(p) for p in zip(*parts))
 
-    __call__ = value
+    # Also bound in this class's own namespace: the benchmark's tracer
+    # (bench/spans.py) wraps these three names through vars(ScalarFieldExpr).
+    eval_jet2 = BatchedField.eval_jet2
+    value = BatchedField.value
+    __call__ = BatchedField.value
 
     def to_text(self) -> str:
         return to_text(self.root)
 
 
-def _eval_jet(node: Node, x: np.ndarray, n: int) -> Jet2:
-    if isinstance(node, Num):
-        return Jet2.constant(node.value, n)
-    if isinstance(node, Var):
-        return Jet2.variable(x[node.index - 1], node.index, n)
-    if isinstance(node, Call):
-        arg = _eval_jet(node.arg, x, n)
-        return getattr(arg, node.fn)()
-    left = _eval_jet(node.left, x, n)
-    if node.op == "^":
-        if isinstance(node.right, Num) and float(node.right.value).is_integer() \
-                and abs(node.right.value) <= _MAX_INT_POW:
-            return left.powi(int(node.right.value))
-        return left.pow_general(_eval_jet(node.right, x, n))
-    right = _eval_jet(node.right, x, n)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    return left / right
+def field_jets(w, X, order: int = 2):
+    """Values (``order=0``) or 2-jets of a weight-like input at the rows of
+    ``X``, in the layout of :meth:`ScalarFieldExpr.jets`.
 
-
-def _eval_value(node: Node, x: np.ndarray) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return float(x[node.index - 1])
-    if isinstance(node, Call):
-        v = _eval_value(node.arg, x)
-        if node.fn == "exp":
-            return _exp(v)
-        if v <= 0.0:
-            raise DomainError(f"{node.fn} of non-positive value {v!r}")
-        return math.log(v) if node.fn == "log" else math.sqrt(v)
-    a = _eval_value(node.left, x)
-    if node.op == "^":
-        if isinstance(node.right, Num) and float(node.right.value).is_integer() \
-                and abs(node.right.value) <= _MAX_INT_POW:
-            k = int(node.right.value)
-            if k < 0 and a == 0.0:
-                raise DomainError("zero base with negative exponent")
-            if k == 0:
-                return 1.0
-            # repeated multiplication, matching the jet path bit-for-bit
-            out = a
-            for _ in range(abs(k) - 1):
-                out *= a
-            return out if k > 0 else 1.0 / out
-        b = _eval_value(node.right, x)
-        if a <= 0.0:
-            raise DomainError(f"fractional/variable power of non-positive base {a!r}")
-        # exp(b log a), matching the jet path bit-for-bit
-        return _exp(b * math.log(a))
-    b = _eval_value(node.right, x)
-    if node.op == "+":
-        return a + b
-    if node.op == "-":
-        return a - b
-    if node.op == "*":
-        return a * b
-    if b == 0.0:
-        raise DomainError("division by zero")
-    return a / b
+    ``None`` is the zero weight and a real number a constant one.  Objects
+    with a batched ``jets`` method (fields, piecewise and combined weights)
+    are evaluated in one call.  Anything else is evaluated one row at a
+    time: foreign objects through ``eval_jet2`` (jets) or ``value``, plain
+    callables (values only) through a call.  That per-point fallback is
+    much slower and exists only for inputs from outside the package.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    m, n = X.shape
+    if w is None or isinstance(w, numbers.Real):
+        v = np.full(m, 0.0 if w is None else float(w))
+        return v if not order else (v, np.zeros((m, n)), np.zeros((m, n, n)))
+    if hasattr(w, "jets"):
+        return w.jets(X, order)
+    if not order:
+        fn = getattr(w, "value", w)
+        if not callable(fn):
+            raise TypeError("weight must be a number, a callable, or a "
+                            f"scalar field; got {type(w).__name__}")
+        return np.fromiter((float(fn(x)) for x in X), dtype=np.float64,
+                           count=m)
+    if not hasattr(w, "eval_jet2"):
+        raise TypeError("weight must be a real constant or expose jets or "
+                        f"eval_jet2; got {type(w).__name__}")
+    jets = [w.eval_jet2(x) for x in X]
+    return (np.array([float(j.value) for j in jets]).reshape(m),
+            np.array([j.grad for j in jets]).reshape(m, n),
+            np.array([j.hess for j in jets]).reshape(m, n, n))
 
 
 # ---------------------------------------------------------------------------

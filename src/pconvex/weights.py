@@ -25,16 +25,15 @@ Weights are immutable once built and cheap to evaluate anywhere.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .convexity import field_p_psh_report, min_p_trace
 from .errors import EmptyDomain, InfeasibleOnGrid, PreconditionError
-from .fieldexpr import Jet2, ScalarFieldExpr, parse
+from .fieldexpr import BatchedField, ScalarFieldExpr, field_jets, parse
 
 __all__ = [
     "ScalarMap",
@@ -59,7 +58,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class ScalarMap:
-    """A C² map R -> R exposed through value/d1/d2 evaluators."""
+    """A C² map R -> R exposed through value/d1/d2 evaluators.
+
+    Each evaluator takes a number or an array and applies elementwise.
+    """
 
     def value(self, t: float) -> float:
         raise NotImplementedError
@@ -107,42 +109,40 @@ class SmoothRamp(ScalarMap):
         piece = widths * (levels[:-1] + levels[1:]) / 2.0
         self._cum = np.concatenate([[0.0], np.cumsum(piece)])
 
-    def _locate(self, t: float) -> int:
-        return int(np.searchsorted(self.knots, t, side="right")) - 1
-
-    def value(self, t: float) -> float:
+    def _locate(self, t):
+        """Piece index (-1 left of the knots, ``size - 1`` right of them),
+        the nearest inner piece, its width and the local coordinate."""
+        t = np.asarray(t, dtype=np.float64)
         k = self.knots
-        i = self._locate(t)
-        if i < 0:
-            return self.anchor + self.levels[0] * (t - k[0])
-        if i >= k.size - 1:
-            return self.anchor + self._cum[-1] + self.levels[-1] * (t - k[-1])
-        width = k[i + 1] - k[i]
-        u = (t - k[i]) / width
-        dl = self.levels[i + 1] - self.levels[i]
-        return (self.anchor + self._cum[i]
-                + width * (self.levels[i] * u + dl * (u**3 - 0.5 * u**4)))
+        i = np.searchsorted(k, t, side="right") - 1
+        j = np.clip(i, 0, k.size - 2)
+        width = k[j + 1] - k[j]
+        u = np.clip((t - k[j]) / width, 0.0, 1.0)
+        return t, (i < 0, i >= k.size - 1), j, width, u
 
-    def d1(self, t: float) -> float:
-        k = self.knots
-        i = self._locate(t)
-        if i < 0:
-            return float(self.levels[0])
-        if i >= k.size - 1:
-            return float(self.levels[-1])
-        u = (t - k[i]) / (k[i + 1] - k[i])
-        dl = self.levels[i + 1] - self.levels[i]
-        return float(self.levels[i] + dl * (3.0 * u**2 - 2.0 * u**3))
+    def value(self, t):
+        t, (left, right), j, width, u = self._locate(t)
+        k, lv = self.knots, self.levels
+        dl = lv[j + 1] - lv[j]
+        return np.select(
+            [left, right],
+            [self.anchor + lv[0] * (t - k[0]),
+             self.anchor + self._cum[-1] + lv[-1] * (t - k[-1])],
+            self.anchor + self._cum[j]
+            + width * (lv[j] * u + dl * (u**3 - 0.5 * u**4)))[()]
 
-    def d2(self, t: float) -> float:
-        k = self.knots
-        i = self._locate(t)
-        if i < 0 or i >= k.size - 1:
-            return 0.0
-        width = k[i + 1] - k[i]
-        u = (t - k[i]) / width
-        dl = self.levels[i + 1] - self.levels[i]
-        return float(dl * 6.0 * u * (1.0 - u) / width)
+    def d1(self, t):
+        _, (left, right), j, _, u = self._locate(t)
+        lv = self.levels
+        return np.select([left, right], [lv[0], lv[-1]],
+                         lv[j] + (lv[j + 1] - lv[j])
+                         * (3.0 * u**2 - 2.0 * u**3))[()]
+
+    def d2(self, t):
+        _, (left, right), j, width, u = self._locate(t)
+        dl = self.levels[j + 1] - self.levels[j]
+        return np.where(left | right, 0.0,
+                        dl * 6.0 * u * (1.0 - u) / width)[()]
 
     def check_points(self) -> np.ndarray:
         span = self.knots[-1] - self.knots[0]
@@ -159,14 +159,14 @@ class CubicHinge(ScalarMap):
             raise ValueError(f"hinge strength must be >= 1, got {strength}")
         self.strength = strength
 
-    def value(self, t: float) -> float:
-        return self.strength * max(t, 0.0) ** 3
+    def value(self, t):
+        return self.strength * np.maximum(t, 0.0) ** 3
 
-    def d1(self, t: float) -> float:
-        return 3.0 * self.strength * max(t, 0.0) ** 2
+    def d1(self, t):
+        return 3.0 * self.strength * np.maximum(t, 0.0) ** 2
 
-    def d2(self, t: float) -> float:
-        return 6.0 * self.strength * max(t, 0.0)
+    def d2(self, t):
+        return 6.0 * self.strength * np.maximum(t, 0.0)
 
     def check_points(self) -> np.ndarray:
         return np.linspace(-2.0, 4.0, 201)
@@ -183,13 +183,13 @@ class IdentityPlus(ScalarMap):
     def __init__(self, inner: ScalarMap):
         self.inner = inner
 
-    def value(self, t: float) -> float:
+    def value(self, t):
         return t + self.inner.value(t)
 
-    def d1(self, t: float) -> float:
+    def d1(self, t):
         return 1.0 + self.inner.d1(t)
 
-    def d2(self, t: float) -> float:
+    def d2(self, t):
         return self.inner.d2(t)
 
     def check_points(self) -> np.ndarray:
@@ -201,7 +201,7 @@ class IdentityPlus(ScalarMap):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PiecewiseWeight:
+class PiecewiseWeight(BatchedField):
     """A scalar field composed with a chain of convex C² scalar maps.
 
     ``modifiers`` apply innermost-first.  Construction spot-checks each
@@ -210,14 +210,13 @@ class PiecewiseWeight:
     relies on the reparametrizations being convex.
     """
 
-    base: object                     # anything with eval_jet2 / value / n
+    base: object                     # a field, or anything field_jets takes
     modifiers: Tuple[ScalarMap, ...] = ()
     first_shell_exempt: bool = False
 
     def __post_init__(self):
         for m in self.modifiers:
-            pts = m.check_points()
-            worst = min(m.d2(float(t)) for t in pts)
+            worst = float(np.min(m.d2(m.check_points())))
             if worst < -1e-12:
                 raise PreconditionError(
                     f"modifier {type(m).__name__} has negative second "
@@ -227,23 +226,21 @@ class PiecewiseWeight:
     def n(self) -> int:
         return self.base.n
 
-    def eval_jet2(self, x) -> Jet2:
-        jet = self.base.eval_jet2(x)
-        v, g, h = jet.value, jet.grad, jet.hess
+    def jets(self, X, order: int = 2):
+        """Batched 2-jets (or values, ``order=0``) by the chain rule."""
+        if not order:
+            v = field_jets(self.base, X, 0)
+            for m in self.modifiers:
+                v = m.value(v)
+            return v
+        v, g, h = field_jets(self.base, X)
         for m in self.modifiers:
             d1, d2 = m.d1(v), m.d2(v)
-            h = d1 * h + d2 * np.outer(g, g)
-            g = d1 * g
+            h = (d1[:, None, None] * h
+                 + d2[:, None, None] * np.einsum("mi,mj->mij", g, g))
+            g = d1[:, None] * g
             v = m.value(v)
-        return Jet2(v, g, h)
-
-    def value(self, x) -> float:
-        v = self.base.value(x)
-        for m in self.modifiers:
-            v = m.value(v)
-        return v
-
-    __call__ = value
+        return v, g, h
 
     def with_modifier(self, extra: ScalarMap, **kw) -> "PiecewiseWeight":
         return PiecewiseWeight(self.base, self.modifiers + (extra,), **kw)
@@ -253,17 +250,6 @@ def _as_weight(phi) -> PiecewiseWeight:
     if isinstance(phi, PiecewiseWeight):
         return phi
     return PiecewiseWeight(phi)
-
-
-def _as_scalar_field(omega, n: int) -> Callable[[np.ndarray], float]:
-    if isinstance(omega, numbers.Real):
-        w = float(omega)
-        return lambda x: w
-    if hasattr(omega, "value"):
-        return lambda x: float(omega.value(x))
-    if callable(omega):
-        return lambda x: float(omega(x))
-    raise TypeError("omega must be a number, a callable, or a scalar field")
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +286,23 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float],
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
         raise ValueError("need at least one sample point")
-    omega_f = _as_scalar_field(omega, phi_w.n)
     n_shells = sublevels.size - 1
 
-    shell_of = np.empty(samples.shape[0], dtype=int)
+    v, _, hess = phi_w.jets(samples)
+    om_vals = field_jets(omega, samples, order=0)
+    shell_of = np.clip(np.searchsorted(sublevels, v, side="right") - 1,
+                       0, n_shells - 1)
+    checked = (shell_of > 0) if exempt_first_shell else np.ones(v.size, bool)
+    lam = min_p_trace(hess, p)
+    bad = np.flatnonzero(checked & (lam <= 0.0))
+    if bad.size:
+        i = bad[0]
+        raise PreconditionError(
+            f"base field is not strictly p-psh at sample "
+            f"{samples[i].tolist()} (minimal p-trace {lam[i]:.3e})")
     needs = np.zeros(n_shells)
-    om_vals = np.empty(samples.shape[0])
-    for i, x in enumerate(samples):
-        jet = phi_w.eval_jet2(x)
-        nu = int(np.clip(np.searchsorted(sublevels, jet.value, side="right") - 1,
-                         0, n_shells - 1))
-        shell_of[i] = nu
-        om_vals[i] = omega_f(x)
-        if exempt_first_shell and nu == 0:
-            continue
-        lam = min_p_trace(jet.hess, p)
-        if lam <= 0.0:
-            raise PreconditionError(
-                f"base field is not strictly p-psh at sample {x.tolist()} "
-                f"(minimal p-trace {lam:.3e})")
-        needs[nu] = max(needs[nu], p * max(0.0, -om_vals[i]) / lam)
+    np.maximum.at(needs, shell_of[checked],
+                  p * np.maximum(0.0, -om_vals[checked]) / lam[checked])
 
     levels = np.empty(sublevels.size)
     running = 0.0
@@ -331,14 +314,13 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float],
     ramp = SmoothRamp(sublevels, levels, anchor=float(sublevels[0]))
     out = phi_w.with_modifier(ramp, first_shell_exempt=exempt_first_shell)
 
-    for i, x in enumerate(samples):
-        if exempt_first_shell and shell_of[i] == 0:
-            continue
-        trace = min_p_trace(out.eval_jet2(x).hess, p)
-        if trace + om_vals[i] <= 0.0:
-            raise RuntimeError(
-                f"convexification failed verification at {x.tolist()}: "
-                f"p-trace {trace:.6g} + omega {om_vals[i]:.6g} <= 0")
+    trace = min_p_trace(out.jets(samples)[2], p)
+    failed = np.flatnonzero(checked & (trace + om_vals <= 0.0))
+    if failed.size:
+        i = failed[0]
+        raise RuntimeError(
+            f"convexification failed verification at {samples[i].tolist()}: "
+            f"p-trace {trace[i]:.6g} + omega {om_vals[i]:.6g} <= 0")
     return out
 
 
@@ -467,13 +449,6 @@ def _df_core(r_jets, phi_jets, K: float, eta: float):
     return core, norm
 
 
-def _stack_jets(fieldobj, samples):
-    jets = [fieldobj.eval_jet2(x) for x in samples]
-    return (np.array([j.value for j in jets]),
-            np.array([j.grad for j in jets]),
-            np.array([j.hess for j in jets]))
-
-
 def df_search(r, phi, interior_samples, p: int,
               K_grid: Sequence[float], eta_grid: Sequence[float]) -> DFResult:
     """Search a (stiffness, exponent) grid for a strictly p-psh composite.
@@ -506,22 +481,19 @@ def df_search(r, phi, interior_samples, p: int,
         raise PreconditionError(
             f"weight field is not strictly p-psh on the samples "
             f"(worst p-trace {report.min_trace:.3e} at {report.worst_point})")
-    r_vals = np.array([r.value(x) for x in samples])
-    if np.any(r_vals >= 0):
-        bad = samples[int(np.argmax(r_vals))]
+    r_jets = field_jets(r, samples)
+    if np.any(r_jets[0] >= 0):
+        bad = samples[int(np.argmax(r_jets[0]))]
         raise PreconditionError(
             f"defining function is non-negative at sample {bad.tolist()}")
-
-    r_jets = _stack_jets(r, samples)
-    phi_jets = _stack_jets(phi, samples)
+    phi_jets = field_jets(phi, samples)
 
     best = None           # (score, K, eta, traces)
     feasible = []
     for K in sorted(K_grid):
         for eta in sorted(eta_grid):
             core, norm = _df_core(r_jets, phi_jets, K, eta)
-            eig = np.linalg.eigvalsh(core)
-            traces = eig[:, :p].sum(axis=1) / norm
+            traces = min_p_trace(core, p) / norm
             score = float(traces.min())
             if score > 0:
                 feasible.append((K, eta))
@@ -590,9 +562,9 @@ def stiffness_floor(r, phi, samples, p: int,
     if not 0 < collar_fraction < 1:
         raise ValueError("collar_fraction must lie in (0, 1)")
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    r_jets = [r.eval_jet2(x) for x in samples]
-    phi_jets = [phi.eval_jet2(x) for x in samples]
-    depth = np.array([-j.value for j in r_jets])
+    r_val, r_g, r_h = field_jets(r, samples)
+    _, phi_g, phi_h = field_jets(phi, samples)
+    depth = -r_val
     if np.any(depth <= 0):
         raise PreconditionError("all samples must lie strictly inside")
     eps = collar_fraction * depth.max()
@@ -603,15 +575,15 @@ def stiffness_floor(r, phi, samples, p: int,
             "need samples on both sides of the collar split; "
             "sample more densely or adjust collar_fraction")
 
-    sigma = min(min_p_trace(j.hess, p) for j in phi_jets)
+    sigma = float(min_p_trace(phi_h, p).min())
     if sigma <= 0:
         raise PreconditionError(
             f"weight field is not strictly p-psh on the samples "
             f"(modulus {sigma:.3e})")
-    phi_grad_sq = max(float(j.grad @ j.grad) for j in phi_jets)
+    phi_grad_sq = float(np.einsum("mi,mi->m", phi_g, phi_g).max())
 
-    r_grad = np.array([np.linalg.norm(j.grad) for j in r_jets])
-    r_hess = np.array([np.linalg.norm(j.hess, 2) for j in r_jets])
+    r_grad = np.linalg.norm(r_g, axis=1)
+    r_hess = np.linalg.norm(r_h, 2, axis=(1, 2))
     grad_floor = float(r_grad[collar].min())
     if grad_floor <= 0:
         raise PreconditionError("defining function has a critical point "
@@ -620,7 +592,7 @@ def stiffness_floor(r, phi, samples, p: int,
     shear = hess_bound / grad_floor**2
     mixed = hess_bound / (2.0 * grad_floor)
 
-    phi_grad = np.array([np.linalg.norm(j.grad) for j in phi_jets])
+    phi_grad = np.linalg.norm(phi_g, axis=1)
     rem = (depth * p * r_hess + r_grad**2 + 2.0 * depth * r_grad * phi_grad)
     interior_defect = float(rem[interior].max())
 
@@ -653,7 +625,7 @@ def lattice_samples(r, box, per_axis: int = 24,
             for i in range(lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    keep = np.array([r.value(x) < -min_depth for x in pts])
+    keep = field_jets(r, pts, order=0) < -min_depth
     if not keep.any():
         raise EmptyDomain("no lattice point lies inside the domain")
     return pts[keep]

@@ -49,14 +49,21 @@ def test_min_p_trace_frozen():
 
 def test_min_p_trace_equals_bruteforce_over_subsets():
     import itertools
+
+    def brute(th, p):
+        w = np.linalg.eigvalsh(th)
+        return min(sum(w[list(S)]) for S in itertools.combinations(range(len(w)), p))
+
     rng = np.random.default_rng(40)
     for _ in range(200):
         n = int(rng.integers(2, 6))
         th = sym(rng, n)
-        w = np.linalg.eigvalsh(th)
+        stack = np.stack([th, -th, sym(rng, n)])
         for p in range(1, n + 1):
-            brute = min(sum(w[list(S)]) for S in itertools.combinations(range(n), p))
-            assert C.min_p_trace(th, p) == pytest.approx(brute, abs=1e-10)
+            assert C.min_p_trace(th, p) == pytest.approx(brute(th, p), abs=1e-10)
+            stacked = C.min_p_trace(stack, p)
+            assert stacked.shape == (3,)
+            assert stacked == pytest.approx([brute(m, p) for m in stack], abs=1e-10)
 
 
 @settings(max_examples=80, deadline=None)

@@ -113,9 +113,14 @@ class TestBuildComplex:
 
     def test_included_barycenters_satisfy_r(self):
         cx = annulus_complex(0.15)
+        lo = np.array([a for a, _ in cx.dom.box])
+        s = np.array(cx.dom.spacings)
         for p in range(cx.n + 1):
-            for cell in cx.cells[p]:
-                assert ANNULUS_R.value(cx.barycenter(cell)) < 0.0
+            for (anchor, axes), x in zip(cx.cells[p], cx.barycenters(p)):
+                spanned = np.isin(np.arange(cx.n), axes)
+                assert np.allclose(x, lo + (np.array(anchor) + 0.5 * spanned)
+                                   * s, rtol=0, atol=1e-14)
+                assert ANNULUS_R.value(x) < 0.0
 
     def test_coboundary_composition_vanishes(self):
         cx3 = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 0.25))
@@ -220,6 +225,13 @@ class TestMass:
         cx = D.build_complex(D.GridDomain(((0.0, 1.0),), 0.25))
         with pytest.raises(DomainError):
             D.mass(cx, -800.0, 0)
+        for phi, what, where in ((-800.0, "overflowed", "[0.0]"),
+                                 (800.0, "underflowed to 0", "[0.0]"),
+                                 (parse("800*x1^2", n=1), "underflowed to 0",
+                                  "[1.0]")):
+            with pytest.raises(DomainError) as exc:
+                D.mass(cx, phi, 0)
+            assert what in str(exc.value) and where in str(exc.value)
 
     def test_degree_bounds(self):
         cx = box_complex()

@@ -170,6 +170,28 @@ def test_domain_errors():
         FE.parse("exp(x1)").value([1000.0])
 
 
+@pytest.mark.parametrize("text, bad, expect", [
+    ("log(x1)+x2", [-1.0, 0.0], "log of non-positive"),
+    ("sqrt(x1)*x2", [0.0, 1.0], "sqrt of non-positive"),
+    ("x2/x1", [0.0, 2.0], "division by zero"),
+    ("exp(x1)-x2", [1000.0, 0.0], "exp overflow"),
+    # the first bad row fails at the division, a later one at the log node
+    # that the interpreter visits first: the error still names the first row
+    ("log(x1+2)+1/x2", [0.5, 0.0], "division by zero"),
+])
+def test_batch_domain_error_names_first_bad_row(text, bad, expect):
+    f = FE.parse(text, n=2)
+    X = np.random.default_rng(8).uniform(0.5, 1.5, size=(2500, 2))
+    X[1700] = bad                     # in the second block of rows
+    X[2200] = [-3.0, 0.0]             # a later bad row for several cases
+    for order in (2, 0):
+        with pytest.raises(DomainError) as exc:
+            f.jets(X, order=order)
+        assert expect in str(exc.value)
+        assert str([float(v) for v in bad]) in str(exc.value)
+    assert np.array_equal(f.jets(X[:1700], order=0), f.jets(X[:1700])[0])
+
+
 def test_point_shape_checked():
     f = FE.parse("x1+x2")
     with pytest.raises(ValueError):
@@ -208,10 +230,12 @@ def test_jets_match_sympy():
     rng = np.random.default_rng(20240811)
     for text, n, kind in CASES:
         f = FE.parse(text, n=n)
-        for _ in range(10):
-            x = _sample(kind, n, rng)
+        X = np.array([_sample(kind, n, rng) for _ in range(10)])
+        vals, grads, hessians = f.jets(X)          # one batched call
+        for x, v, g_row, h_row in zip(X, vals, grads, hessians):
             val, g, h = sympy_jet(f, x)
             assert_jet_close(f.eval_jet2(x), val, g, h, 5e-13)
+            assert_jet_close(FE.Jet2(v, g_row, h_row), val, g, h, 5e-13)
 
 
 def test_jets_match_finite_differences():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pconvex.discrete as D
+import pconvex.fieldexpr as FE
 import pconvex.solver as S
 from pconvex.errors import (CohomologyObstruction, GapAmbiguous,
                             MembershipError, NotClosed, PreconditionError,
@@ -470,3 +471,34 @@ class TestPrekopa:
         with pytest.raises(TailError):
             S.prekopa_check(parse("x1^2+x2^2", n=2), self.XS,
                             [(-2.0, 2.0)])
+
+
+# ---------------------------------------------------------------------------
+# batched field evaluation
+# ---------------------------------------------------------------------------
+
+def test_consumers_never_evaluate_fields_one_point_at_a_time(monkeypatch):
+    # every consumer hands its whole point set to ScalarFieldExpr.jets; the
+    # one-point wrappers exist only for callers outside the package
+    def refuse(self, x):
+        raise AssertionError("per-point field evaluation")
+
+    for name in ("value", "eval_jet2", "__call__"):
+        monkeypatch.setattr(FE.ScalarFieldExpr, name, refuse)
+
+    r = parse("(x1-0.5)^2+(x2-0.5)^2-0.2", n=2)
+    cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16, r=r))
+    assert cx.num_cells(2) > 0
+    cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
+    f = S.closed_form_from_potential(cx, 1, [pot])
+    psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
+    omega = parse("0.3+0.05*x1", n=2)
+    tilt = TestNonPshReport.PSI_L
+    reports = [S.hormander_report(cx, f, PHI2, 1),
+               S.berndtsson_report(cx, f, PHI2, psi, 0.3, 1),
+               S.nonpsh_report(cx, f, PHI2, tilt, omega, 0.4, 1),
+               S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3, 1)]
+    assert all(rep.passed for rep in reports)
+    rep = D.energy_identity_residual(
+        [pot, 0.0], PHI2, D.GridDomain(UNIT2, 1 / 16, r=r), 1)
+    assert rep.residual < 0.1

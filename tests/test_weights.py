@@ -97,6 +97,16 @@ class TestSmoothRamp:
         assert all(m.d2(float(t)) >= 0.0 for t in ts)
         d1s = [m.d1(float(t)) for t in ts]
         assert all(b >= a - 1e-12 for a, b in zip(d1s, d1s[1:]))
+        # on an array the maps act elementwise; numpy's vectorized power may
+        # round its last bit differently from the scalar one
+        for fmap in (m, W.IdentityPlus(W.CubicHinge(1.0 + levels[0]))):
+            for name in ("value", "d1", "d2"):
+                batch = getattr(fmap, name)(ts)
+                single = np.array([getattr(fmap, name)(float(t)) for t in ts])
+                eps = 4 * np.finfo(float).eps
+                np.testing.assert_allclose(
+                    batch, single, rtol=eps,
+                    atol=eps * (1.0 + np.abs(single).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +551,8 @@ class TestDFSearch:
         samples = disk_samples(per_axis=11)
         K, eta = 2.0, 0.3
         rho = compose_df(DISK, PHI2, K, eta)
-        core, norm = W._df_core(W._stack_jets(DISK, samples),
-                                W._stack_jets(PHI2, samples), K, eta)
+        core, norm = W._df_core(DISK.jets(samples), PHI2.jets(samples),
+                                K, eta)
         assert np.all(norm > 0.0)
         for i, x in enumerate(samples):
             jet = rho.eval_jet2(x)
@@ -555,7 +565,7 @@ class TestDFSearch:
         samples = disk_samples(per_axis=13)
         K_grid, eta_grid = [0.5, 1.0, 3.0], [0.1, 0.25, 0.4]
         res = W.df_search(DISK, PHI2, samples, 1, K_grid, eta_grid)
-        rj, pj = W._stack_jets(DISK, samples), W._stack_jets(PHI2, samples)
+        rj, pj = DISK.jets(samples), PHI2.jets(samples)
         best = None
         for K in sorted(K_grid):
             for eta in sorted(eta_grid):
