@@ -10,11 +10,16 @@ Two layers deliberately coexist:
   used by :func:`energy_identity_residual` to verify the weighted energy
   identity, whose pointwise Hessian term has no exact cochain analogue.
 
-Cells are pairs ``(anchor, axes)``: the anchor is an integer vertex
-multi-index and ``axes`` the strictly increasing tuple of axis numbers
-(0-based) along which the cell extends.  A cell enters the complex iff its
-barycenter lies in the domain and all of its facets entered — so closure
-holds by construction and every coboundary row finds its columns.
+A cell is an integer vertex multi-index, its anchor, together with the
+strictly increasing tuple ``axes`` of axis numbers (0-based) along which it
+extends.  The complex stores them as arrays: per degree the anchors and
+spanned-axis masks, one row per cell, and per axes combination an id grid
+holding each present cell's row.  Rows are ordered by axes combination in
+``itertools.combinations`` order, then by anchor in C order, so the cells
+spanning one combination are one contiguous block.  A cell enters the
+complex iff its barycenter lies in the domain and all of its facets
+entered — so closure holds by construction and every coboundary row finds
+its columns.
 """
 
 from __future__ import annotations
@@ -95,55 +100,50 @@ class GridDomain:
                 for (lo, hi), m in zip(self.box, self.counts)]
 
 
-Cell = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-
 class CubicalComplex:
-    """Cells, index maps, and verified coboundaries of a gridded domain."""
+    """Cells and verified coboundaries of a gridded domain, as arrays.
 
-    def __init__(self, dom: GridDomain, cells, coboundaries, inclusion_rule):
+    ``anchors[p]`` and ``spanned[p]`` are the ``(num_cells(p), n)`` anchors
+    and spanned-axis masks of the p-cells, in cell order.  ``ids[axes]`` is
+    an integer grid over the anchors of the cells spanning ``axes``: the
+    cell's row where it is present and -1 where it is not.
+    """
+
+    def __init__(self, dom: GridDomain, anchors, spanned, ids, coboundaries,
+                 inclusion_rule):
         self.dom = dom
-        self.cells: Tuple[Tuple[Cell, ...], ...] = cells
-        self.index = tuple({c: i for i, c in enumerate(lvl)} for lvl in cells)
+        self.anchors: Tuple[np.ndarray, ...] = anchors
+        self.spanned: Tuple[np.ndarray, ...] = spanned
+        self.ids = ids
         self._cob = coboundaries
         self.inclusion_rule = inclusion_rule
-        self._layouts = {}
 
     @property
     def n(self) -> int:
         return self.dom.n
 
     def num_cells(self, p: int) -> int:
-        return len(self.cells[p])
+        return len(self.anchors[p])
 
     @property
     def euler_characteristic(self) -> int:
-        return sum((-1) ** p * len(lvl) for p, lvl in enumerate(self.cells))
+        return sum((-1) ** p * len(a) for p, a in enumerate(self.anchors))
 
-    def _layout(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Anchors and spanned-axis masks of the p-cells, both ``(m, n)``.
-
-        Cached; anchors use the smallest integer type that holds a vertex
-        index, so geometry derived from them is cheap to keep around.
-        """
-        if p not in self._layouts:
-            cells = self.cells[p]
-            spans = {axes: [a in axes for a in range(self.n)]
-                     for axes in itertools.combinations(range(self.n), p)}
-            self._layouts[p] = (
-                np.array([c[0] for c in cells],
-                         dtype=np.min_scalar_type(max(self.dom.counts))
-                         ).reshape(len(cells), self.n),
-                np.array([spans[c[1]] for c in cells],
-                         dtype=bool).reshape(len(cells), self.n))
-        return self._layouts[p]
+    def blocks(self, p: int):
+        """``(axes, rows)`` per axes combination in cell order: the p-cells
+        spanning ``axes`` are the contiguous rows ``rows``."""
+        start = 0
+        for axes in itertools.combinations(range(self.n), p):
+            stop = start + int(np.count_nonzero(self.ids[axes] >= 0))
+            yield axes, slice(start, stop)
+            start = stop
 
     def barycenters(self, p: int) -> np.ndarray:
         """Barycenters of the p-cells, ``(num_cells(p), n)``, in cell order."""
-        anchors, spanned = self._layout(p)
         lo = np.array([lo for lo, _ in self.dom.box])
         s = np.array(self.dom.spacings)
-        return lo + anchors * s + np.where(spanned, 0.5 * s, 0.0)
+        return lo + self.anchors[p] * s + np.where(self.spanned[p], 0.5 * s,
+                                                   0.0)
 
 
 def build_complex(dom: GridDomain) -> CubicalComplex:
@@ -152,64 +152,68 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     A vertex enters iff it lies in the domain; a higher cell enters iff its
     barycenter does *and* both facets along every spanned axis entered.
     ``r`` is evaluated once over the vertex grid and once per
-    axes-combination over the barycenters whose facets all entered.
+    axes-combination over the barycenters whose facets all entered.  Cells
+    are ordered by axes combination (``itertools.combinations`` order), then
+    by anchor in C order.  The coboundary rows of the cells spanning
+    ``axes`` are looked up in the facet id grids shifted along each axis.
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
-    n = dom.n
+    n, counts = dom.n, dom.counts
     nodes = [lo + np.arange(m + 1) * s
-             for (lo, _), m, s in zip(dom.box, dom.counts, dom.spacings)]
+             for (lo, _), m, s in zip(dom.box, counts, dom.spacings)]
     mids = [x[:-1] + 0.5 * s for x, s in zip(nodes, dom.spacings)]
-    present = {}        # axes -> boolean anchor grid of the cells included
-    levels = []
+    small = np.min_scalar_type(max(counts))
+    ids, anchors, spanned, cob = {}, [], [], []
     for p in range(n + 1):
-        lvl = []
+        found_p, spanned_p, rows, cols, data = [], [], [], [], []
+        start = 0
         for axes in itertools.combinations(range(n), p):
-            ok = np.ones([m if i in axes else m + 1
-                          for i, m in enumerate(dom.counts)], dtype=bool)
-            for a in axes:
-                facets = present[tuple(b for b in axes if b != a)]
-                ok &= (facets[(slice(None),) * a + (slice(None, -1),)]
-                       & facets[(slice(None),) * a + (slice(1, None),)])
-            anchors = np.argwhere(ok)
+            shape = [m if i in axes else m + 1 for i, m in enumerate(counts)]
+            ok = np.ones(shape, dtype=bool)
+            faces = []
+            for j, a in enumerate(axes):
+                facet = ids[axes[:j] + axes[j + 1:]]
+                back = facet[(slice(None),) * a + (slice(None, -1),)]
+                front = facet[(slice(None),) * a + (slice(1, None),)]
+                ok &= (back >= 0) & (front >= 0)
+                faces.append((1 if j % 2 == 0 else -1, back, front))
+            found = np.argwhere(ok)
             if dom.r is not None:
                 bary = np.stack(
-                    [(mids if i in axes else nodes)[i][anchors[:, i]]
+                    [(mids if i in axes else nodes)[i][found[:, i]]
                      for i in range(n)], axis=1)
-                anchors = anchors[field_jets(dom.r, bary, order=0) < 0.0]
-            grid = np.zeros_like(ok)
-            grid[tuple(anchors.T)] = True
-            present[axes] = grid
-            lvl.extend((a, axes) for a in zip(*anchors.T.tolist()))
-        if not lvl and p == 0:
+                found = found[field_jets(dom.r, bary, order=0) < 0.0]
+            at = tuple(found.T)
+            row = np.arange(start, start + len(found))
+            ids[axes] = np.full(shape, -1, dtype=np.intp)
+            ids[axes][at] = row
+            start += len(found)
+            found_p.append(found.astype(small))
+            spanned_p.append(np.broadcast_to(np.isin(np.arange(n), axes),
+                                             found.shape))
+            for sign, back, front in faces:
+                rows += [row, row]
+                cols += [front[at], back[at]]
+                data += [np.full(len(row), sign, dtype=np.int64),
+                         np.full(len(row), -sign, dtype=np.int64)]
+        if start == 0 and p == 0:
             raise EmptyDomain("no grid vertex satisfies r < 0")
-        levels.append(tuple(lvl))
+        anchors.append(np.concatenate(found_p))
+        spanned.append(np.concatenate(spanned_p))
+        if p:
+            cob.append(sp.csr_matrix(
+                (np.concatenate(data),
+                 (np.concatenate(rows), np.concatenate(cols))),
+                shape=(start, len(anchors[p - 1]))))
 
-    cells = tuple(levels)
-    index = tuple({c: i for i, c in enumerate(lvl)} for lvl in cells)
-    cob = tuple(_assemble_coboundary(cells, index, p) for p in range(n))
     for p in range(n - 1):
         prod = cob[p + 1] @ cob[p]
         if prod.nnz and np.any(prod.data != 0):
             raise AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
     rule = ("all cells of the box" if dom.r is None
             else "barycenter satisfies r < 0, closed under facets")
-    return CubicalComplex(dom, cells, cob, rule)
-
-
-def _assemble_coboundary(cells, index, p: int) -> sp.csr_matrix:
-    rows, cols, data = [], [], []
-    for row, (anchor, axes) in enumerate(cells[p + 1]):
-        for j, a in enumerate(axes):
-            sub = tuple(b for b in axes if b != a)
-            front = tuple(v + (1 if i == a else 0)
-                          for i, v in enumerate(anchor))
-            sign = 1 if j % 2 == 0 else -1
-            rows.extend((row, row))
-            cols.extend((index[p][(front, sub)], index[p][(anchor, sub)]))
-            data.extend((sign, -sign))
-    return sp.csr_matrix(
-        (np.array(data, dtype=np.int64), (rows, cols)),
-        shape=(len(cells[p + 1]), len(cells[p])))
+    return CubicalComplex(dom, tuple(anchors), tuple(spanned), ids,
+                          tuple(cob), rule)
 
 
 def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
@@ -225,7 +229,8 @@ def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class Cochain:
-    """Values over the p-cells, one per cell, ordered like ``cx.cells[p]``."""
+    """Values over the p-cells, one per cell, in the complex's row order
+    (``cx.anchors[p]``)."""
 
     p: int
     values: np.ndarray
@@ -259,7 +264,7 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     """
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
-    anchors, spanned = cx._layout(p)
+    anchors, spanned = cx.anchors[p], cx.spanned[p]
     factor = np.ones(len(anchors))
     for a, (s, m) in enumerate(zip(cx.dom.spacings, cx.dom.counts)):
         inner = (0 < anchors[:, a]) & (anchors[:, a] < m)
@@ -311,13 +316,10 @@ def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:
         raise ValueError(
             f"need {len(order)} coefficients for degree {p} in dimension "
             f"{cx.n}, got {len(coeffs)}")
-    rank = {tuple(i - 1 for i in I): k for k, I in enumerate(order)}
-    component = np.array([rank[cell[1]] for cell in cx.cells[p]], dtype=int)
     bary = cx.barycenters(p)
-    values = np.empty(component.size)
-    for k, (I, f) in enumerate(zip(order, coeffs)):
-        rows = component == k
-        vol = math.prod(cx.dom.spacings[i - 1] for i in I)
+    values = np.empty(len(bary))
+    for (axes, rows), f in zip(cx.blocks(p), coeffs):
+        vol = math.prod(cx.dom.spacings[a] for a in axes)
         values[rows] = field_jets(f, bary[rows], order=0) * vol
     return Cochain(p, values)
 

@@ -15,7 +15,6 @@ of convex densities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -29,7 +28,7 @@ from .discrete import (Cochain, CubicalComplex, coboundary, mass,
                        sample_cochain, weighted_adjoint)
 from .errors import (CohomologyObstruction, GapAmbiguous, MembershipError,
                      NoConvergence, NotClosed, PreconditionError, TailError)
-from .exterior import PointForm, index_list, pairing_quadratic, quadform_pinv
+from .exterior import PointForm, pairing_quadratic, quadform_pinv
 from .fieldexpr import BatchedField, field_jets, row_blocks
 
 __all__ = [
@@ -256,6 +255,10 @@ def monotonicity_check(potential_coeffs, p: int, *,
         raise ValueError("pass exactly one of domains= or weights=")
     if domains is not None:
         inner, outer = domains
+        if inner.n != outer.n:
+            raise PreconditionError(
+                f"inner complex is {inner.n}-dimensional but the outer "
+                f"complex is {outer.n}-dimensional")
         for lo, hi, lo2, hi2 in (ax + ax2 for ax, ax2 in
                                  zip(inner.dom.box, outer.dom.box)):
             if lo < lo2 - 1e-12 or hi > hi2 + 1e-12:
@@ -301,27 +304,21 @@ def _node_components(cx: CubicalComplex, f: Cochain) -> np.ndarray:
     accurate, and nodes are the only locations where every component of
     the form is available simultaneously.
     """
-    n, p = cx.n, f.p
-    comps = index_list(n, p)
-    rank = {idx: k for k, idx in enumerate(comps)}
-    node_index = cx.index[0]
-    G = np.zeros((cx.num_cells(0), len(comps)))
+    p = f.p
+    G = np.zeros((cx.num_cells(0), math.comb(cx.n, p)))
     hits = np.zeros_like(G)
-    corners = list(itertools.product((0, 1), repeat=p))
-    for i, (anchor, axes) in enumerate(cx.cells[p]):
-        vol = 1.0
-        for a in axes:
-            vol *= cx.dom.spacings[a]
-        coeff = f.values[i] / vol
-        k = rank[tuple(a + 1 for a in axes)]
+    # corners from (1, …, 1) down to (0, …, 0): each node then adds its
+    # cells by increasing row, the order of a per-cell loop
+    corners = list(np.ndindex((2,) * p))[::-1]
+    for k, (axes, rows) in enumerate(cx.blocks(p)):
+        anchors = cx.anchors[p][rows]
+        coeff = f.values[rows] / math.prod(cx.dom.spacings[a] for a in axes)
         for pick in corners:
-            node = list(anchor)
-            for j, a in enumerate(axes):
-                node[a] += pick[j]
-            jdx = node_index.get((tuple(node), ()))
-            if jdx is not None:
-                G[jdx, k] += coeff
-                hits[jdx, k] += 1.0
+            offset = np.zeros(cx.n, dtype=np.intp)
+            offset[list(axes)] = pick
+            node = cx.ids[()][tuple((anchors + offset).T)]
+            np.add.at(G[:, k], node, coeff)
+            np.add.at(hits[:, k], node, 1.0)
     np.divide(G, hits, out=G, where=hits > 0)
     return G
 
@@ -392,14 +389,6 @@ def _modified_norm(cx: CubicalComplex, u: np.ndarray, weight,
     return float(np.dot(u, md * modifier(cx.barycenters(p)) * u))
 
 
-def _support_nodes(cx: CubicalComplex, f: Cochain) -> np.ndarray:
-    G = _node_components(cx, f)
-    g_max = float(np.abs(G).max()) if G.size else 0.0
-    if g_max == 0.0:
-        return np.zeros(cx.num_cells(0), dtype=bool)
-    return np.abs(G).max(axis=1) > 1e-12 * g_max
-
-
 # ---------------------------------------------------------------------------
 # precondition checks shared by the reports
 # ---------------------------------------------------------------------------
@@ -466,7 +455,8 @@ def _check_omega_range(cx: CubicalComplex, omega, p: int,
 
 def _check_omega_on_support(cx: CubicalComplex, f: Cochain, omega,
                             alpha: float) -> None:
-    X = cx.barycenters(0)[_support_nodes(cx, f)]
+    mag = np.abs(_node_components(cx, f)).max(axis=1)
+    X = cx.barycenters(0)[mag > 1e-12 * mag.max()]
     om = field_jets(omega, X, order=0)
     bad = np.flatnonzero(om > alpha + 1e-12)
     if bad.size:

@@ -141,3 +141,86 @@ def dense_min_norm(D: np.ndarray, msrc: np.ndarray, f: np.ndarray) -> np.ndarray
     B = D / root[None, :]
     w, *_ = np.linalg.lstsq(B, f, rcond=None)
     return w / root
+
+
+def _facets(anchor, axes):
+    """The facets of a cell ``(anchor, axes)``: for each spanned axis in
+    order, the back facet at ``anchor`` and the front one a step along it."""
+    out = []
+    for a in axes:
+        sub = tuple(b for b in axes if b != a)
+        out += [(anchor, sub),
+                (tuple(v + (i == a) for i, v in enumerate(anchor)), sub)]
+    return out
+
+
+def reference_complex(dom):
+    """Per-cell reference of ``build_complex``: tuple cells, dict indices
+    and coboundaries, built one cell at a time.
+
+    Cells are pairs ``(anchor, axes)``, listed by axes combination, then by
+    anchor in C order.  A cell is listed iff every facet was listed and its
+    barycenter satisfies ``r < 0``, with ``r`` evaluated at one point at a
+    time.  Returns ``(cells, index, cob)``: per degree the list of cells and
+    the dict from cell to row, and per degree p the coboundary matrix from
+    p-cells to (p+1)-cells, its columns looked up in the dicts.
+    """
+    import scipy.sparse as sp
+
+    n, s = dom.n, dom.spacings
+    lo = [a for a, _ in dom.box]
+    cells, index = [], []
+    for p in range(n + 1):
+        lvl = []
+        for axes in itertools.combinations(range(n), p):
+            ranges = [range(m if i in axes else m + 1)
+                      for i, m in enumerate(dom.counts)]
+            for anchor in itertools.product(*ranges):
+                if not all(f in index[p - 1] for f in _facets(anchor, axes)):
+                    continue
+                x = np.array([lo[i] + anchor[i] * s[i]
+                              + (0.5 * s[i] if i in axes else 0.0)
+                              for i in range(n)])
+                if dom.r is None or dom.r.value(x) < 0.0:
+                    lvl.append((anchor, axes))
+        cells.append(lvl)
+        index.append({c: i for i, c in enumerate(lvl)})
+    cob = []
+    for p in range(n):
+        rows, cols, data = [], [], []
+        for row, cell in enumerate(cells[p + 1]):
+            facets = _facets(*cell)
+            for j, (back, front) in enumerate(zip(facets[::2], facets[1::2])):
+                sign = 1 if j % 2 == 0 else -1
+                rows += [row, row]
+                cols += [index[p][front], index[p][back]]
+                data += [sign, -sign]
+        cob.append(sp.csr_matrix(
+            (np.array(data, dtype=np.int64), (rows, cols)),
+            shape=(len(cells[p + 1]), len(cells[p]))))
+    return cells, index, cob
+
+
+def reference_node_components(dom, cells, index, p: int,
+                              values: np.ndarray) -> np.ndarray:
+    """Per-node lex-ordered components of a p-cochain on the cells of
+    :func:`reference_complex`: each cell's value over its spanned volume is
+    averaged onto its corner nodes, one cell and one corner at a time."""
+    rank = {axes: k for k, axes in
+            enumerate(itertools.combinations(range(dom.n), p))}
+    G = np.zeros((len(cells[0]), len(rank)))
+    hits = np.zeros_like(G)
+    for i, (anchor, axes) in enumerate(cells[p]):
+        vol = 1.0
+        for a in axes:
+            vol *= dom.spacings[a]
+        k = rank[axes]
+        for pick in itertools.product((0, 1), repeat=p):
+            node = list(anchor)
+            for j, a in enumerate(axes):
+                node[a] += pick[j]
+            row = index[0][(tuple(node), ())]
+            G[row, k] += values[i] / vol
+            hits[row, k] += 1.0
+    np.divide(G, hits, out=G, where=hits > 0)
+    return G

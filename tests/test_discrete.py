@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from pconvex import discrete as D
 from pconvex.errors import DomainError, EmptyDomain, SupportError
 from pconvex.fieldexpr import parse
+from pconvex.solver import _node_components
 
 import oracles as O
 
@@ -102,25 +103,63 @@ class TestBuildComplex:
     def test_closure_every_facet_present(self):
         cx = annulus_complex(0.15)
         for p in range(1, cx.n + 1):
-            lower = cx.index[p - 1]
-            for anchor, axes in cx.cells[p]:
-                for a in axes:
-                    sub = tuple(b for b in axes if b != a)
-                    front = tuple(v + (1 if i == a else 0)
-                                  for i, v in enumerate(anchor))
-                    assert (anchor, sub) in lower
-                    assert (front, sub) in lower
+            for axes, rows in cx.blocks(p):
+                anchors = cx.anchors[p][rows].astype(int)
+                for j, a in enumerate(axes):
+                    sub = axes[:j] + axes[j + 1:]
+                    for corner in (anchors, anchors + np.eye(cx.n, dtype=int)[a]):
+                        facet = cx.ids[sub][tuple(corner.T)]
+                        assert (facet >= 0).all()
+                        assert (cx.anchors[p - 1][facet] == corner).all()
+                        assert (cx.spanned[p - 1][facet]
+                                == np.isin(np.arange(cx.n), sub)).all()
 
     def test_included_barycenters_satisfy_r(self):
         cx = annulus_complex(0.15)
         lo = np.array([a for a, _ in cx.dom.box])
         s = np.array(cx.dom.spacings)
         for p in range(cx.n + 1):
-            for (anchor, axes), x in zip(cx.cells[p], cx.barycenters(p)):
+            bary = cx.barycenters(p)
+            for axes, rows in cx.blocks(p):
                 spanned = np.isin(np.arange(cx.n), axes)
-                assert np.allclose(x, lo + (np.array(anchor) + 0.5 * spanned)
+                assert (cx.spanned[p][rows] == spanned).all()
+                assert np.allclose(bary[rows],
+                                   lo + (cx.anchors[p][rows] + 0.5 * spanned)
                                    * s, rtol=0, atol=1e-14)
-                assert ANNULUS_R.value(x) < 0.0
+                for x in bary[rows]:
+                    assert ANNULUS_R.value(x) < 0.0
+
+    @given(st.integers(1, 3), st.sampled_from(["box", "ball", "annulus"]),
+           st.integers(2, 9), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_cell_reference(self, n, shape, per_axis, seed):
+        sq = "+".join(f"x{i}^2" for i in range(1, n + 1))
+        r = {"box": None, "ball": parse(f"{sq}-1", n=n),
+             "annulus": parse(f"({sq}-0.25)*({sq}-1)", n=n)}[shape]
+        dom = D.GridDomain(((-1.2, 1.2),) * n, 2.4 / per_axis, r=r)
+        cells, index, cob = O.reference_complex(dom)
+        if not cells[0]:
+            with pytest.raises(EmptyDomain):
+                D.build_complex(dom)
+            return
+        cx = D.build_complex(dom)
+        rng = np.random.default_rng(seed)
+        for p in range(n + 1):
+            assert cx.anchors[p].tolist() == [list(a) for a, _ in cells[p]]
+            assert cx.spanned[p].tolist() == [
+                [i in axes for i in range(n)] for _, axes in cells[p]]
+            for axes, rows in cx.blocks(p):
+                grid = cx.ids[axes]
+                assert np.count_nonzero(grid >= 0) == rows.stop - rows.start
+                assert (grid[tuple(cx.anchors[p][rows].T)]
+                        == np.arange(rows.start, rows.stop)).all()
+            if p < n:
+                d = D.coboundary(cx, p)
+                assert d.shape == cob[p].shape and (d != cob[p]).nnz == 0
+            values = rng.standard_normal(len(cells[p]))
+            G = _node_components(cx, D.Cochain(p, values))
+            ref = O.reference_node_components(dom, cells, index, p, values)
+            assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_coboundary_composition_vanishes(self):
         cx3 = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 0.25))

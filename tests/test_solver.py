@@ -150,6 +150,11 @@ class TestMonotonicity:
         rec = S.monotonicity_check([pot], 1, domains=(cx32, cx32), phi=PHI2)
         assert rec.satisfied and rec.margin == 0.0
 
+    def test_mismatched_dimensions_rejected(self, cx32):
+        outer = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 0.25))
+        with pytest.raises(PreconditionError, match="2-dim.*3-dim"):
+            S.monotonicity_check([pot], 1, domains=(cx32, outer))
+
     def test_constant_weight_shift_scales_by_exp(self, cx32):
         hi = S.CombinedWeight(PHI2, 1.0, 1.0)
         rec = S.monotonicity_check([pot], 1, weights=(PHI2, hi), cx=cx32)
