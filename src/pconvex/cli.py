@@ -53,7 +53,7 @@ from .errors import (CohomologyObstruction, ConfigError, DegenerateGradient,
                      DomainError, EmptyDomain, GapAmbiguous, MembershipError,
                      NoConvergence, NotClosed, ParseError, PreconditionError,
                      SupportError, TailError)
-from .fieldexpr import compose_df, parse
+from .fieldexpr import BatchedField, compose_df, parse
 
 __all__ = ["ExperimentConfig", "load_config", "run", "list_builtins", "main"]
 
@@ -178,20 +178,30 @@ def _quadratic_expr(center: np.ndarray) -> str:
     return "+".join(terms)
 
 
+@dataclass(frozen=True)
+class _Bump(BatchedField):
+    """``prod_i (max(0, (x_i - lo)(hi - x_i)) / w²)⁴`` with ``w = (hi-lo)/2``;
+    values only, all rows at once."""
+
+    lo: float
+    hi: float
+
+    def jets(self, X, order: int = 2):
+        if order:
+            raise TypeError("bump is a plain field: it has values but no "
+                            "2-jets, so it cannot serve as a weight")
+        w = (self.hi - self.lo) / 2.0
+        u = np.asarray(X, dtype=np.float64)
+        return np.prod((np.maximum(0.0, (u - self.lo) * (self.hi - u))
+                        / w ** 2) ** 4, axis=1)
+
+
 def _bi_bump(ctx: "_Context", args, kwargs):
     b = _bind("bump", [("lo", "0.25"), ("hi", "0.75")], args, kwargs)
     lo, hi = _number(b["lo"]), _number(b["hi"])
     if hi <= lo:
         raise ConfigError(f"bump: need lo < hi, got {lo} >= {hi}")
-    w = (hi - lo) / 2.0
-
-    def f(x):
-        out = 1.0
-        for u in np.asarray(x, dtype=np.float64):
-            out *= (max(0.0, (u - lo) * (hi - u)) / w ** 2) ** 4
-        return out
-
-    return f
+    return _Bump(lo, hi)
 
 
 def _bi_cor42(ctx: "_Context", args, kwargs):

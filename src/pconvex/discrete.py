@@ -35,7 +35,7 @@ import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from .errors import DomainError, EmptyDomain, SupportError
-from .exterior import PointForm, index_list, pairing_quadratic
+from .exterior import index_list, induced_pairings
 from .fieldexpr import field_jets, row_blocks
 
 __all__ = [
@@ -412,10 +412,9 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
         phi_v[rows], phi_g[rows] = v, g
         if isinstance(phi, numbers.Real):
             continue
-        w = np.exp(-v)
-        for i in np.flatnonzero(support[rows]):
-            form = PointForm(n, p, G_nodes[:, rows.start + i])
-            rhs_quad += pairing_quadratic(hess[i], form) * w[i]
+        on = np.flatnonzero(support[rows])
+        quad = induced_pairings(hess[on], G_nodes[:, rows.start + on].T, p)
+        rhs_quad += float(np.dot(quad, np.exp(-v[on])))
     rhs_quad *= vol
     phi_g = phi_g.reshape(shape + (n,))
     weight = np.exp(-phi_v).reshape(shape)

@@ -16,14 +16,16 @@ class PreconditionError(ValueError):
 class MembershipError(ValueError):
     """A form lies outside the image of the operator beyond tolerance.
 
-    Carries the offending residual so callers can report diagnostics.
+    Carries the offending residual so callers can report diagnostics, and
+    for a stacked check the row of the first form that failed.
     """
 
     def __init__(self, message: str, residual: float = float("nan"),
-                 rel_residual: float = float("nan")):
+                 rel_residual: float = float("nan"), row: int = 0):
         super().__init__(message)
         self.residual = residual
         self.rel_residual = rel_residual
+        self.row = row
 
 
 class DegenerateGradient(PreconditionError):

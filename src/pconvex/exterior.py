@@ -14,7 +14,8 @@ matrix ``theta``::
 vector).  Its quadratic form, spectrum, pseudo-inverse, and the two
 inequality checks built from them live here.  Everything is dense numpy at
 small ``n`` (the package targets n <= 12; C(12,6) = 924 keeps all tables
-tiny).
+tiny).  The induced matrices, pairings and pseudo-inverses also come for
+stacks of matrices, of which the one-point functions are one-row calls.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import MembershipError, PreconditionError
 
@@ -44,6 +46,9 @@ __all__ = [
     "quadform_eigen",
     "FormSpectrum",
     "quadform_pinv",
+    "induced_matrices",
+    "induced_pairings",
+    "induced_pinv",
     "inverse_bound_check",
     "InverseBoundReport",
     "rank_one_image_check",
@@ -130,10 +135,11 @@ def _insertion_table(n: int, p: int):
 
 
 def _lift(n: int, p: int, coeffs: np.ndarray) -> np.ndarray:
-    """Matrix G with G[j-1, rK] = g_{jK} (coefficient with j prepended)."""
+    """Matrix G with G[j-1, rK] = g_{jK} (coefficient with j prepended);
+    a stack of them for coefficient rows ``(m, C(n, p))``."""
     pos, sgn = _insertion_table(n, p)
     safe = np.where(pos >= 0, pos, 0)
-    return np.where(pos >= 0, sgn * coeffs[safe], 0.0)
+    return np.where(pos >= 0, sgn * coeffs[..., safe], 0.0)
 
 
 @dataclass(eq=False)
@@ -281,15 +287,21 @@ def interior(v: np.ndarray, g: PointForm) -> PointForm:
     return PointForm(g.n, g.p - 1, v @ G)
 
 
-def _check_sym(theta: np.ndarray, n: Optional[int] = None) -> np.ndarray:
+def _check_sym(theta: np.ndarray, n: Optional[int] = None,
+               ndim: int = 2) -> np.ndarray:
+    """Check one theta (``ndim=2``) or a stack of them (``ndim=3``) and
+    return it symmetrised."""
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
+    if theta.ndim != ndim or theta.shape[-1] != theta.shape[-2]:
         raise ValueError(f"theta must be square, got shape {theta.shape}")
-    if n is not None and theta.shape[0] != n:
-        raise ValueError(f"theta is {theta.shape[0]}x{theta.shape[0]}, expected {n}x{n}")
-    if not np.allclose(theta, theta.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(theta).max())):
+    k = theta.shape[-1]
+    if n is not None and k != n:
+        raise ValueError(f"theta is {k}x{k}, expected {n}x{n}")
+    flip = np.swapaxes(theta, -1, -2)
+    tol = 1e-12 * (1.0 + np.abs(theta).max(axis=(-2, -1), keepdims=True))
+    if not np.isclose(theta, flip, rtol=0.0, atol=tol).all():
         raise ValueError("theta must be symmetric")
-    return 0.5 * (theta + theta.T)
+    return 0.5 * (theta + flip)
 
 
 def quadform_action(theta: np.ndarray, g: PointForm) -> PointForm:
@@ -298,17 +310,7 @@ def quadform_action(theta: np.ndarray, g: PointForm) -> PointForm:
     This realizes ``sum_{j,k} theta[j,k] omega^k ^ (e_j _| g)`` and is
     self-adjoint for the Euclidean pairing.
     """
-    theta = _check_sym(theta, g.n)
-    if g.p == 0:
-        return PointForm.zero(g.n, 0)
-    n, p = g.n, g.p
-    G = _lift(n, p, g.coeffs)          # G[j, K] = g_{jK}
-    H = theta @ G                      # H[k, K] = sum_j theta_{kj} g_{jK}
-    pos, sgn = _insertion_table(n, p)
-    out = np.zeros(dim_forms(n, p))
-    valid = pos >= 0
-    np.add.at(out, pos[valid], (sgn * H)[valid])
-    return PointForm(n, p, out)
+    return PointForm(g.n, g.p, quadform_matrix(theta, g.n, g.p) @ g.coeffs)
 
 
 def pairing_quadratic(theta: np.ndarray, g: PointForm) -> float:
@@ -317,23 +319,102 @@ def pairing_quadratic(theta: np.ndarray, g: PointForm) -> float:
     Independent route from :func:`quadform_action` followed by
     :meth:`PointForm.inner`; the two agree identically and tests pin that.
     """
-    theta = _check_sym(theta, g.n)
-    if g.p == 0:
-        return 0.0
-    G = _lift(g.n, g.p, g.coeffs)
-    return float(np.einsum("jk,jK,kK->", theta, G, G))
+    theta = _check_sym(theta, g.n)[None]
+    return float(induced_pairings(theta, g.coeffs[None], g.p)[0])
 
 
 def quadform_matrix(theta: np.ndarray, n: int, p: int) -> np.ndarray:
     """Dense matrix of the induced operator on p-forms (C(n,p) square)."""
-    theta = _check_sym(theta, n)
-    m = dim_forms(n, p)
-    out = np.zeros((m, m))
-    for r in range(m):
-        e = np.zeros(m)
-        e[r] = 1.0
-        out[:, r] = quadform_action(theta, PointForm(n, p, e)).coeffs
-    return out
+    return induced_matrices(_check_sym(theta, n)[None], p)[0]
+
+
+def quadform_pinv(theta: np.ndarray, f: PointForm, *,
+                  kernel_tol: float = 1e-12,
+                  membership_tol: float = 1e-8) -> PointForm:
+    """Pseudo-inverse of the induced operator applied to ``f``.
+
+    Requires ``f`` to lie in the image up to ``membership_tol`` (relative);
+    otherwise :class:`MembershipError` reports the out-of-image residual.
+    Eigenvalues below ``kernel_tol`` times the spectral radius are treated
+    as kernel.
+    """
+    theta = _check_sym(theta, f.n)
+    x = induced_pinv(theta[None], f.coeffs[None], f.p, kernel_tol=kernel_tol,
+                     membership_tol=membership_tol)
+    return PointForm(f.n, f.p, x[0])
+
+
+# The same operators for a stack ``thetas`` (m, n, n) and coefficient rows
+# (m, C(n, p)), one form per matrix; the functions above are one-row calls.
+
+@lru_cache(maxsize=None)
+def _induced_scatter(n: int, p: int) -> sp.csr_matrix:
+    """Sparse map from theta's n² entries (row-major) to the C(n,p)²
+    entries of its induced matrix: entry ``(pos[k,K], pos[j,K])`` gains
+    ``sgn[k,K] sgn[j,K] theta[k,j]`` for each (p-1)-index K avoiding j, k."""
+    pos, sgn = _insertion_table(n, p)
+    d = dim_forms(n, p)
+    k, j, K = np.nonzero((pos[:, None, :] >= 0) & (pos[None, :, :] >= 0))
+    return sp.csr_matrix(
+        (sgn[k, K] * sgn[j, K], (pos[k, K] * d + pos[j, K], k * n + j)),
+        shape=(d * d, n * n))
+
+
+def induced_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
+    """Induced operators on p-forms, shape ``(m, C(n,p), C(n,p))``."""
+    thetas = _check_sym(thetas, ndim=3)
+    m, n = thetas.shape[:2]
+    d = dim_forms(n, p)
+    if p == 0:
+        return np.zeros((m, d, d))
+    flat = thetas.reshape(m, n * n)
+    return (_induced_scatter(n, p) @ flat.T).T.reshape(m, d, d)
+
+
+def _stack(thetas, F, p: int):
+    """Checked, symmetrised ``thetas`` and coefficient rows ``F``."""
+    thetas = _check_sym(thetas, ndim=3)
+    F = np.asarray(F, dtype=np.float64)
+    want = (len(thetas), dim_forms(thetas.shape[-1], p))
+    if F.shape != want:
+        raise ValueError(f"expected coefficient rows {want}, got {F.shape}")
+    return thetas, F
+
+
+def induced_pairings(thetas: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
+    """``<A_theta g, g>`` per matrix and row of ``G`` as the direct sum
+    theta_jk g_jK g_kK, shape ``(m,)``."""
+    thetas, G = _stack(thetas, G, p)
+    if p == 0:
+        return np.zeros(len(G))
+    L = _lift(thetas.shape[-1], p, G)       # L[i, j, K] = g_{jK} of row i
+    return np.einsum("ijk,ijK,ikK->i", thetas, L, L)
+
+
+def induced_pinv(thetas: np.ndarray, F: np.ndarray, p: int, *,
+                 kernel_tol: float = 1e-12,
+                 membership_tol: float = 1e-8) -> np.ndarray:
+    """Rows ``A_theta^+ f`` for the rows of ``F``, from one ``eigh`` of the
+    stacked induced matrices.  Eigenvalues with ``|w| <= kernel_tol·max|w|``
+    are kernel (all of them for theta = 0); the first row outside the image
+    by more than ``membership_tol`` (relative) raises
+    :class:`MembershipError` with its residuals and ``row``."""
+    thetas, F = _stack(thetas, F, p)
+    w, V = np.linalg.eigh(induced_matrices(thetas, p))
+    c = np.einsum("iab,ia->ib", V, F)
+    kernel = np.abs(w) <= kernel_tol * np.abs(w).max(axis=1, keepdims=True)
+    res = np.linalg.norm(np.where(kernel, c, 0.0), axis=1)
+    fnorm = np.maximum(np.linalg.norm(F, axis=1), 1e-300)
+    bad = np.flatnonzero(res > membership_tol * fnorm)
+    if bad.size:
+        i = int(bad[0])
+        raise MembershipError(
+            f"form lies outside the operator image: residual {res[i]:.3e} "
+            f"(relative {res[i] / fnorm[i]:.3e})",
+            residual=float(res[i]), rel_residual=float(res[i] / fnorm[i]),
+            row=i)
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=~kernel)
+    return np.einsum("iab,ib->ia", V, c * inv)
 
 
 @dataclass
@@ -371,37 +452,6 @@ def quadform_eigen(theta: np.ndarray, p: int) -> FormSpectrum:
     vals = np.array([sum(w[j - 1] for j in J) for J in idx])
     return FormSpectrum(n=n, p=p, base_values=w, base_vectors=V,
                         values=vals, indices=idx)
-
-
-def quadform_pinv(theta: np.ndarray, f: PointForm, *,
-                  kernel_tol: float = 1e-12,
-                  membership_tol: float = 1e-8) -> PointForm:
-    """Pseudo-inverse of the induced operator applied to ``f``.
-
-    Requires ``f`` to lie in the image up to ``membership_tol`` (relative);
-    otherwise :class:`MembershipError` reports the out-of-image residual.
-    Eigenvalues below ``kernel_tol`` times the spectral radius are treated
-    as kernel.
-    """
-    theta = _check_sym(theta, f.n)
-    M = quadform_matrix(theta, f.n, f.p)
-    w, V = np.linalg.eigh(M)
-    c = V.T @ f.coeffs
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    if scale == 0.0:
-        kernel = np.ones_like(w, dtype=bool)
-    else:
-        kernel = np.abs(w) <= kernel_tol * scale
-    fnorm = f.norm()
-    res = float(np.linalg.norm(c[kernel]))
-    if res > membership_tol * max(fnorm, 1e-300):
-        raise MembershipError(
-            f"form lies outside the operator image: residual {res:.3e} "
-            f"(relative {res / max(fnorm, 1e-300):.3e})",
-            residual=res, rel_residual=res / max(fnorm, 1e-300))
-    inv = np.zeros_like(w)
-    inv[~kernel] = 1.0 / w[~kernel]
-    return PointForm(f.n, f.p, V @ (c * inv))
 
 
 @dataclass

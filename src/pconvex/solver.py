@@ -28,7 +28,7 @@ from .discrete import (Cochain, CubicalComplex, coboundary, mass,
                        sample_cochain, weighted_adjoint)
 from .errors import (CohomologyObstruction, GapAmbiguous, MembershipError,
                      NoConvergence, NotClosed, PreconditionError, TailError)
-from .exterior import PointForm, pairing_quadratic, quadform_pinv
+from .exterior import induced_pairings, induced_pinv
 from .fieldexpr import BatchedField, field_jets, row_blocks
 
 __all__ = [
@@ -323,19 +323,16 @@ def _node_components(cx: CubicalComplex, f: Cochain) -> np.ndarray:
     return G
 
 
-def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta, weight,
-                              *, kernel_tol: float = 1e-12,
-                              membership_tol: float = 1e-8) -> float:
-    """Node quadrature of ``⟨F_theta⁻¹ f, f⟩ e^{-weight}``.
+def _node_quadrature(cx: CubicalComplex, g: Cochain, theta, weight,
+                     integrand) -> float:
+    """Node quadrature of ``integrand(X, D²theta, G)·e^{-weight}``, where
+    ``G`` holds the node component vectors of ``g`` at the points ``X``.
 
-    ``theta`` supplies the Hessian defining the induced quadratic form at
-    each node.  Nodes where every component of ``f`` vanishes contribute
-    nothing and skip the membership check, so a degenerate form away from
-    the support is harmless; on the support a component outside the image
-    aborts with the node location attached.
+    Only nodes where some component exceeds 1e-14 of the largest one take
+    part (a node where all vanish contributes nothing), in blocks of rows;
+    ``integrand`` returns one value per row of its block.
     """
-    n, p = cx.n, f.p
-    G = _node_components(cx, f)
+    G = _node_components(cx, g)
     dual = mass(cx, 0.0, 0).diag
     g_max = float(np.abs(G).max()) if G.size else 0.0
     if g_max == 0.0:
@@ -348,33 +345,39 @@ def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta, weight,
         X = nodes[idx]
         hess = field_jets(theta, X)[2]
         dens = np.exp(-field_jets(weight, X, order=0))
-        for x, h, g, e, dv in zip(X, hess, G[idx], dens, dual[idx]):
-            form = PointForm(n, p, g)
-            try:
-                finv = quadform_pinv(h, form, kernel_tol=kernel_tol,
-                                     membership_tol=membership_tol)
-            except MembershipError as exc:
-                raise MembershipError(
-                    f"at quadrature node {np.round(x, 6)}: {exc}",
-                    residual=exc.residual,
-                    rel_residual=exc.rel_residual) from exc
-            total += finv.inner(form) * e * dv
+        total += float(np.dot(integrand(X, hess, G[idx]) * dens, dual[idx]))
     return total
+
+
+def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta, weight,
+                              *, kernel_tol: float = 1e-12,
+                              membership_tol: float = 1e-8) -> float:
+    """Node quadrature of ``⟨F_theta⁻¹ f, f⟩ e^{-weight}``.
+
+    ``theta`` supplies the Hessian defining the induced quadratic form at
+    each node.  Nodes where every component of ``f`` vanishes contribute
+    nothing and skip the membership check, so a degenerate form away from
+    the support is harmless; on the support a component outside the image
+    aborts with the first such node's location attached.
+    """
+    def inverse_pairings(X, hess, F):
+        try:
+            sol = induced_pinv(hess, F, f.p, kernel_tol=kernel_tol,
+                               membership_tol=membership_tol)
+        except MembershipError as exc:
+            raise MembershipError(
+                f"at quadrature node {np.round(X[exc.row], 6)}: {exc}",
+                residual=exc.residual,
+                rel_residual=exc.rel_residual) from exc
+        return np.einsum("ia,ia->i", sol, F)
+
+    return _node_quadrature(cx, f, theta, weight, inverse_pairings)
 
 
 def _pairing_integral(cx: CubicalComplex, g: Cochain, theta, weight) -> float:
     """Node quadrature of ``⟨F_theta g, g⟩ e^{-weight}`` (no inversion)."""
-    G = _node_components(cx, g)
-    dual = mass(cx, 0.0, 0).diag
-    nodes = cx.barycenters(0)
-    total = 0.0
-    for rows in row_blocks(len(nodes)):
-        X = nodes[rows]
-        hess = field_jets(theta, X)[2]
-        dens = np.exp(-field_jets(weight, X, order=0))
-        for h, gv, e, dv in zip(hess, G[rows], dens, dual[rows]):
-            total += pairing_quadratic(h, PointForm(cx.n, g.p, gv)) * e * dv
-    return total
+    return _node_quadrature(cx, g, theta, weight,
+                            lambda X, hess, G: induced_pairings(hess, G, g.p))
 
 
 def _modified_norm(cx: CubicalComplex, u: np.ndarray, weight,

@@ -3,6 +3,7 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from pconvex import cli
@@ -121,6 +122,28 @@ class TestListBuiltins:
         assert cli.list_builtins() == cli.list_builtins()
         assert cli.main(["list-builtins"]) == 0
         assert "cor42" in capsys.readouterr().out
+
+
+def test_bump_is_a_batched_field():
+    assert "bump(lo=0.25, hi=0.75) -> field" in cli.list_builtins()
+    lo, hi = 0.3, 0.7
+    bump = cli._resolve_field(f"bump({lo}, {hi})", cli._Context(n=3), "g")
+
+    def scalar(x):
+        w, out = (hi - lo) / 2.0, 1.0
+        for u in x:
+            out *= (max(0.0, (u - lo) * (hi - u)) / w ** 2) ** 4
+        return out
+
+    X = np.random.default_rng(5).uniform(0.2, 0.8, (500, 3))
+    want = np.array([scalar(x) for x in X])
+    got = bump.jets(X, 0)
+    # numpy's vectorised power may round the last bit unlike scalar **
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    assert np.count_nonzero(want) > 50
+    assert bump(X[7]) == got[7]
+    with pytest.raises(TypeError, match="no 2-jets"):
+        bump.jets(X, 2)
 
 
 # ---------------------------------------------------------------------------

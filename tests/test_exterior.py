@@ -283,6 +283,70 @@ def test_pinv_zero_operator_rejects_nonzero_rhs():
 
 
 # ---------------------------------------------------------------------------
+# stacked induced operators
+# ---------------------------------------------------------------------------
+
+def theta_stack(rng, n, m):
+    """Symmetric, rank-deficient and zero matrices, in turn."""
+    a = rng.standard_normal((m, n, n))
+    low = rng.standard_normal((m, n, max(n - 2, 1)))
+    kinds = np.arange(m) % 3
+    return np.where((kinds == 0)[:, None, None], a + a.transpose(0, 2, 1),
+                    np.where((kinds == 1)[:, None, None],
+                             low @ low.transpose(0, 2, 1), 0.0))
+
+
+def test_stacks_match_oracle_and_one_row_calls():
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        for p in range(1, n + 1):
+            d, m = X.dim_forms(n, p), 12
+            th = theta_stack(rng, n, m)
+            G = rng.standard_normal((m, d))
+            mats = X.induced_matrices(th, p)
+            pair = X.induced_pairings(th, G, p)
+            # right-hand sides in the image, so every row has a pinv
+            F = np.einsum("iab,ib->ia", mats, G)
+            inv = np.einsum("ia,ia->i", X.induced_pinv(th, F, p), F)
+            for i in range(m):
+                np.testing.assert_allclose(
+                    mats[i], O.t_quadform_matrix(th[i], n, p), atol=1e-10)
+                g = X.PointForm(n, p, G[i])
+                f = X.PointForm(n, p, F[i])
+                assert pair[i] == pytest.approx(
+                    X.pairing_quadratic(th[i], g), rel=1e-12, abs=1e-300)
+                assert inv[i] == pytest.approx(
+                    X.quadform_pinv(th[i], f).inner(f), rel=1e-12, abs=1e-300)
+
+
+def test_stacks_check_symmetry_row_by_row():
+    th = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    for call in (lambda: X.induced_matrices(th, 1),
+                 lambda: X.induced_pairings(th, np.ones((2, 2)), 1),
+                 lambda: X.induced_pinv(th, np.ones((2, 2)), 1)):
+        with pytest.raises(ValueError, match="symmetric"):
+            call()
+
+
+def test_stack_membership_error_names_first_bad_row():
+    # theta = e1 x e1 everywhere: a row with a dx2 part is outside the image
+    m, bad = 2500, [1500, 1700]
+    th = np.zeros((m, 2, 2))
+    th[:, 0, 0] = 1.0
+    F = np.zeros((m, 2))
+    F[:, 0] = 1.0
+    F[bad, 1] = [0.5, 2.0]
+    with pytest.raises(MembershipError) as err:
+        X.induced_pinv(th, F, 1)
+    with pytest.raises(MembershipError) as one:
+        X.quadform_pinv(th[bad[0]], X.PointForm(2, 1, F[bad[0]]))
+    assert err.value.row == bad[0]
+    assert str(err.value) == str(one.value)
+    assert (err.value.residual, err.value.rel_residual) == \
+        (one.value.residual, one.value.rel_residual)
+
+
+# ---------------------------------------------------------------------------
 # inverse bound
 # ---------------------------------------------------------------------------
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import pconvex.discrete as D
+import pconvex.exterior as X
 import pconvex.fieldexpr as FE
 import pconvex.solver as S
 from pconvex.errors import (CohomologyObstruction, GapAmbiguous,
@@ -200,6 +201,42 @@ class TestBaselineReport:
     def test_concave_weight_rejected(self, cx32, f32):
         with pytest.raises(PreconditionError):
             S.hormander_report(cx32, f32, parse("0-x1^2-x2^2", n=2), 1)
+
+    def test_membership_error_names_first_bad_support_node(self):
+        # D²theta = diag(1, 1) for x1 < 0.7 and diag(1, 0) from there on,
+        # so the first node past it with a dx2 part leaves the image
+        class Degenerate:
+            def jets(self, X, order=2):
+                m, n = X.shape
+                if not order:
+                    return np.zeros(m)
+                h = np.zeros((m, n, n))
+                h[:, 0, 0] = 1.0
+                h[:, 1, 1] = X[:, 0] < 0.7
+                return np.zeros(m), np.zeros((m, n)), h
+
+        cx = D.build_complex(D.GridDomain(UNIT2, 1 / 96))
+        f = S.closed_form_from_potential(cx, 1, [pot])
+        G = S._node_components(cx, f)
+        mag = np.abs(G).max(axis=1)
+        support = np.flatnonzero(mag > 1e-14 * mag.max())
+        nodes = cx.barycenters(0)
+        for k, i in enumerate(support):
+            hess = Degenerate().jets(nodes[i:i + 1])[2][0]
+            try:
+                X.quadform_pinv(hess, X.PointForm(2, 1, G[i]))
+            except MembershipError as exc:
+                one = exc
+                break
+        else:
+            pytest.fail("no support node leaves the image")
+        assert k >= FE.BLOCK_ROWS        # the bad node is in a later block
+        with pytest.raises(MembershipError) as err:
+            S.inverse_quadform_integral(cx, f, Degenerate(), PHI2)
+        assert str(err.value) == \
+            f"at quadrature node {np.round(nodes[i], 6)}: {one}"
+        assert (err.value.residual, err.value.rel_residual) == \
+            (one.residual, one.rel_residual)
 
     def test_record_schema(self, cx32, f32):
         rec = S.hormander_report(cx32, f32, PHI2, 1).record()
@@ -490,7 +527,23 @@ def test_consumers_never_evaluate_fields_one_point_at_a_time(monkeypatch):
 
     for name in ("value", "eval_jet2", "__call__"):
         monkeypatch.setattr(FE.ScalarFieldExpr, name, refuse)
+    _run_consumers()
 
+
+def test_consumers_never_call_exterior_one_node_at_a_time(monkeypatch):
+    # the node quadratures and the energy identity work on stacks; the
+    # one-point operators exist only for callers outside the package
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-node exterior call")
+
+    for mod in (X, S, D):
+        for name in ("quadform_pinv", "pairing_quadratic", "quadform_matrix"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    _run_consumers()
+
+
+def _run_consumers():
     r = parse("(x1-0.5)^2+(x2-0.5)^2-0.2", n=2)
     cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16, r=r))
     assert cx.num_cells(2) > 0
