@@ -720,8 +720,12 @@ def _task_cohomology(exp: ExperimentConfig, rng):
             rep = solver.cohomology_rank(cx, q, exp.phi,
                                          check_weights=extra)
             want = expected[q] if expected is not None else None
+            gaps = rep.eigenvalues[rep.eigenvalues > rep.floor] / rep.floor
             records.append({"test": "cohomology", "h": h, "p": q,
                             "rank": rep.rank, "expected": want,
+                            "num_cells": cx.num_cells(q),
+                            "eigs": len(rep.eigenvalues),
+                            "gap": float(gaps[0]) if gaps.size else None,
                             "pass": want is None or rep.rank == want})
     return records, None, None
 

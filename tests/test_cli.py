@@ -421,6 +421,21 @@ seed = 3
         assert code == 1
         assert report[2]["pass"] is False
 
+    def test_lanczos_records_repeat_byte_for_byte(self, tmp_path):
+        # at h = 0.05 every degree of the ring has more than 2·n_eigs cells
+        cfg = write(tmp_path, self.CFG.replace("h = 0.1", "h = 0.05"))
+        lines = []
+        for out in ("a", "b"):
+            assert cli.main(["run", cfg, "--out", str(tmp_path / out)]) == 0
+            lines.append((tmp_path / out / "report.jsonl").read_bytes()
+                         .splitlines()[1:])
+        assert lines[0] == lines[1]
+        recs = [json.loads(line) for line in lines[0]]
+        assert [r["rank"] for r in recs] == [1, 1, 0]
+        assert all(r["num_cells"] > 60 for r in recs)
+        assert all(r["eigs"] == 6 for r in recs)
+        assert all(r["gap"] >= 10.0 for r in recs)
+
 
 class TestPrekopa:
 

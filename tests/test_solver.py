@@ -48,6 +48,12 @@ def annulus():
         D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.1, r=ANNULUS_R))
 
 
+@pytest.fixture(scope="module")
+def fine_ring():
+    return D.build_complex(
+        D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.05, r=ANNULUS_R))
+
+
 # ---------------------------------------------------------------------------
 # minimal solutions
 # ---------------------------------------------------------------------------
@@ -239,10 +245,18 @@ class TestBaselineReport:
             (one.residual, one.rel_residual)
 
     def test_record_schema(self, cx32, f32):
-        rec = S.hormander_report(cx32, f32, PHI2, 1).record()
+        rep = S.hormander_report(cx32, f32, PHI2, 1)
+        rec = rep.record()
         assert set(rec) == {"test", "lhs", "rhs", "constant", "ratio", "h",
-                            "pass"}
+                            "iterations", "residual", "harmonic_obstruction",
+                            "num_cells", "pass"}
         assert rec["pass"] is True and rec["h"] == cx32.dom.h
+        assert (rec["iterations"], rec["residual"],
+                rec["harmonic_obstruction"]) == (
+            rep.solve.iterations, rep.solve.residual,
+            rep.solve.harmonic_obstruction)
+        assert rec["iterations"] > 0 and rec["residual"] <= 1e-10
+        assert rec["num_cells"] == cx32.num_cells(0)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +483,53 @@ class TestCohomologyRank:
     def test_ambiguous_gap_raises(self, annulus):
         with pytest.raises(GapAmbiguous):
             S.cohomology_rank(annulus, 1, 0.0, floor_factor=0.05)
+
+    def test_repeat_calls_are_bit_identical(self, fine_ring):
+        one = S.cohomology_rank(fine_ring, 1, PHI2)
+        two = S.cohomology_rank(fine_ring, 1, PHI2)
+        assert one.rank == two.rank == 1
+        assert np.array_equal(one.eigenvalues, two.eigenvalues)
+        assert np.array_equal(one.basis, two.basis)
+
+    @pytest.mark.parametrize("shape,p", [("ring", p) for p in range(3)]
+                             + [("box3", p) for p in range(4)])
+    def test_head_matches_dense_oracle(self, shape, p, fine_ring):
+        if shape == "ring":
+            cx, phi = fine_ring, PHI2
+        else:
+            cx = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 1 / 6))
+            phi = parse("x1^2+x2^2+x3^2", n=3)
+        rep = S.cohomology_rank(cx, p, phi)
+        lap, _ = S._laplacian_matrix(cx, phi, p)
+        assert lap.shape[0] > 2 * 30          # the Lanczos path
+        scale = float(abs(lap).sum(axis=1).max())
+        assert rep.floor == pytest.approx(1e-7 * scale, rel=1e-15)
+        dense = np.linalg.eigvalsh(lap.toarray())
+        head = rep.eigenvalues
+        assert np.abs(head - dense[:len(head)]).max() <= 1e-9 * scale
+        assert rep.rank == int((dense <= rep.floor).sum())
+
+    def test_small_complex_takes_dense_spectrum(self):
+        cx = D.build_complex(D.GridDomain(UNIT2, 1 / 4))
+        sizes = [cx.num_cells(p) for p in range(3)]
+        assert sizes == [25, 40, 16]          # all at most 2·n_eigs
+        reps = [S.cohomology_rank(cx, p, PHI2) for p in range(3)]
+        assert [r.rank for r in reps] == [1, 0, 0]
+        assert [len(r.eigenvalues) for r in reps] == [25, 30, 16]
+        lap, _ = S._laplacian_matrix(cx, PHI2, 1)
+        assert np.array_equal(reps[1].eigenvalues,
+                              np.linalg.eigh(lap.toarray())[0][:30])
+
+    def test_head_grows_past_six_harmonic_forms(self):
+        # eight disjoint strips |x1 - k - 1/2| < 0.3: b0 = 8 exceeds the
+        # first request of six eigenvalues
+        strips = "*".join(f"((x1-{k + 0.5})^2-0.09)" for k in range(8))
+        cx = D.build_complex(D.GridDomain(((0.0, 8.0), (0.0, 1.0)), 1 / 16,
+                                          r=parse(strips, n=2)))
+        rep = S.cohomology_rank(cx, 0, 0.0)
+        assert rep.rank == 8 and len(rep.eigenvalues) == 30
+        with pytest.raises(GapAmbiguous, match="raise n_eigs"):
+            S.cohomology_rank(cx, 0, 0.0, n_eigs=8)
 
 
 # ---------------------------------------------------------------------------
