@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.ndimage as ndi
 import scipy.sparse as sp
 
 from .errors import DomainError, EmptyDomain, SupportError
@@ -351,6 +350,21 @@ def _insertion_sign(j: int, rest: Tuple[int, ...]) -> int:
     return 1 if k % 2 == 0 else -1
 
 
+def _erode(mask: np.ndarray, rounds: int) -> np.ndarray:
+    """Keep the entries of ``mask`` whose face neighbours along every axis
+    are set, ``rounds`` times over; entries outside the grid count as
+    unset."""
+    inner = (slice(1, -1),) * mask.ndim
+    for _ in range(rounds):
+        pad = np.pad(mask, 1)
+        out = mask.copy()
+        for a in range(mask.ndim):
+            for shift in (slice(None, -2), slice(2, None)):
+                out &= pad[inner[:a] + (shift,) + inner[a + 1:]]
+        mask = out
+    return mask
+
+
 def energy_identity_residual(coeffs, phi, dom: GridDomain,
                              p: int) -> EnergyIdentityReport:
     """Check the weighted energy identity on node samples of a smooth form.
@@ -388,7 +402,7 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
         inside = np.ones(shape, dtype=bool)
     else:
         inside = field_jets(dom.r, X, order=0).reshape(shape) < 0.0
-    safe = ndi.binary_erosion(inside, iterations=2, border_value=0)
+    safe = _erode(inside, 2)
     unsafe_mag = np.abs(G[:, ~safe]).max() if (~safe).any() else 0.0
     if unsafe_mag > 1e-12 * gmax:
         raise SupportError(

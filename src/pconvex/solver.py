@@ -3,9 +3,9 @@ on them.
 
 The solve works in the cochain spaces of a :class:`~pconvex.discrete.
 CubicalComplex`: among all ``u`` with ``du = f`` the minimal solution is the
-one orthogonal to ``Ker d`` in the weighted inner product, computed through
-the normal equations ``(d M⁻¹ dᵀ) y = f``, ``u = M⁻¹ dᵀ y`` with diagonally
-preconditioned conjugate gradients.  On top of that sit verification
+one orthogonal to ``Ker d`` in the weighted inner product, computed by LSMR
+on the mass-scaled coboundary ``M_p^{1/2} d M_{p−1}^{−1/2}``, whose Krylov
+iterates are minimal-norm by construction.  On top of that sit verification
 reports: each one solves, integrates the predicted right-hand side, and
 records whether ``lhs ≤ constant · integral`` held with the requested
 slack.  The module also computes harmonic ranks (cohomology dimensions)
@@ -101,10 +101,10 @@ def _combine(base, coeff: float, extra):
 class MinimalSolution:
     """Solution of ``du = f`` orthogonal to ``Ker d`` in the weighted metric.
 
-    ``residual`` is ``‖du − f‖_M/‖f‖_M`` in the degree-p mass;
-    ``harmonic_obstruction`` is the weighted norm of the part of ``f`` the
-    solve could not reach (at convergence this is the harmonic component,
-    below tolerance).
+    ``iterations`` counts LSMR iterations; ``residual`` is
+    ``‖du − f‖_M/‖f‖_M`` in the degree-p mass; ``harmonic_obstruction`` is
+    the weighted norm of the part of ``f`` the solve could not reach (at
+    convergence this is the harmonic component, below tolerance).
     """
 
     u: Cochain
@@ -114,17 +114,19 @@ class MinimalSolution:
 
 
 def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
-                     tol: float = 1e-10, max_iter: Optional[int] = None,
-                     harmonic_basis: Optional[np.ndarray] = None,
-                     ) -> MinimalSolution:
+                     tol: float = 1e-10) -> MinimalSolution:
     """Minimal-norm ``u`` with ``du = f`` in the weight's inner product.
 
     ``f`` must be closed (``‖df‖ ≤ tol·‖f‖``) and must carry no harmonic
-    component.  Passing a precomputed M-orthonormal ``harmonic_basis``
-    (from :func:`cohomology_rank`) measures and rejects the harmonic part
-    before iterating; without one, a failed iteration triggers the eigen
-    step lazily to tell :class:`CohomologyObstruction` apart from
-    :class:`NoConvergence`.
+    component.  One LSMR solve on the mass-scaled coboundary
+    ``D̃ = M_p^{1/2} d M_{p−1}^{−1/2}`` with right-hand side
+    ``M_p^{1/2} f`` gives ``v``, and ``u = M_{p−1}^{−1/2} v``.  LSMR's
+    iterates stay in ``range(D̃ᵀ)``, so ``u`` is the weighted minimal-norm
+    solution without any projection, and ``‖D̃v − M_p^{1/2} f‖`` is the
+    weighted residual.  When LSMR stops on its least-squares test above
+    ``tol``, that residual is the harmonic part of ``f`` and
+    :class:`CohomologyObstruction` carries its norm; running out of the
+    iteration budget raises :class:`NoConvergence`.
     """
     p = f.p
     if not 1 <= p <= cx.n:
@@ -146,65 +148,35 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
                 f"{df_norm / f_norm:.3e} exceeds tol {tol:.1e}",
                 rel_residual=df_norm / f_norm)
 
-    fvals = f.values
-    h_norm = 0.0
-    if harmonic_basis is not None and harmonic_basis.size:
-        h_norm, fvals = _strip_harmonic(f.values, harmonic_basis, m_tgt.diag)
-        if h_norm > tol * f_norm:
-            raise CohomologyObstruction(
-                "right-hand side has a harmonic component of weighted norm "
-                f"{h_norm:.6e} ({h_norm / f_norm:.3e} relative); du = f "
-                "has no solution", obstruction_norm=h_norm)
-
     d = coboundary(cx, p - 1).astype(np.float64)
-    m_src = mass(cx, phi, p - 1).diag
-    normal = (d @ sp.diags(1.0 / m_src) @ d.T).tocsr()
-
-    jacobi = d.power(2) @ (1.0 / m_src)
-    precond = spla.LinearOperator(
-        normal.shape, matvec=lambda v: v / jacobi)
-    budget = max_iter if max_iter is not None else min(
-        max(2000, 4 * f.values.size), 60000)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    y, _info = spla.cg(normal, fvals, rtol=tol / 8.0, atol=0.0,
-                       maxiter=budget, M=precond, callback=count)
-    u = (d.T @ y) / m_src
-    r = fvals - d @ u
+    w_tgt = np.sqrt(m_tgt.diag)
+    w_src = np.sqrt(mass(cx, phi, p - 1).diag)
+    scaled = (sp.diags(w_tgt) @ d @ sp.diags(1.0 / w_src)).tocsr()
+    budget = min(max(2000, 4 * f.values.size), 60000)
+    # btol is the relative residual LSMR aims for.  atol enters both its
+    # compatible-system test (as atol·‖D̃‖·‖v‖) and its least-squares test;
+    # atol = 1e-12 stopped a 128² solve at residual 4.1e-10 and φ = 300|x|²
+    # at 2.4e-10, above the 1e-10 tolerance, while 1e-13 and 1e-14 met it
+    # everywhere.  conlim = 0 switches the condition-number stop off.
+    v, istop, iters = spla.lsmr(scaled, w_tgt * f.values, atol=1e-14,
+                                btol=tol / 8.0, conlim=0.0,
+                                maxiter=budget)[:3]
+    u = v / w_src
+    r = f.values - d @ u
     r_norm = math.sqrt(m_tgt.inner(r, r))
     rel = r_norm / f_norm
     if rel <= tol:
-        return MinimalSolution(Cochain(p - 1, u), iters, rel,
-                               max(h_norm, r_norm))
-
-    # stagnation: the eigen step decides whether f was actually reachable
-    if harmonic_basis is None:
-        try:
-            basis = cohomology_rank(cx, p, phi).basis
-        except GapAmbiguous:
-            basis = None
-        if basis is not None and basis.size:
-            h_norm, _ = _strip_harmonic(f.values, basis, m_tgt.diag)
-            if h_norm > tol * f_norm:
-                raise CohomologyObstruction(
-                    "right-hand side has a harmonic component of weighted "
-                    f"norm {h_norm:.6e} ({h_norm / f_norm:.3e} relative); "
-                    "du = f has no solution", obstruction_norm=h_norm)
+        return MinimalSolution(Cochain(p - 1, u), iters, rel, r_norm)
+    # istop 2: D̃ᵀr vanished, so r is the harmonic part of f; istop 0: so
+    # did D̃ᵀ(M_p^{1/2} f) before the first step
+    if istop in (0, 2):
+        raise CohomologyObstruction(
+            "right-hand side has a harmonic component of weighted norm "
+            f"{r_norm:.6e} ({rel:.3e} relative); du = f has no solution",
+            obstruction_norm=r_norm)
     raise NoConvergence(
-        f"conjugate gradients stalled at relative residual {rel:.3e} "
-        f"after {iters} iterations (budget {budget})",
-        iterations=iters, residual=rel)
-
-
-def _strip_harmonic(fvals: np.ndarray, basis: np.ndarray,
-                    m_diag: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Norm of the harmonic projection and the projected-out remainder."""
-    coef = basis.T @ (m_diag * fvals)
-    return math.sqrt(float(coef @ coef)), fvals - basis @ coef
+        f"LSMR stopped at relative residual {rel:.3e} after {iters} "
+        f"iterations (budget {budget})", iterations=iters, residual=rel)
 
 
 def closed_form_from_potential(cx: CubicalComplex, p: int,

@@ -1,7 +1,9 @@
 """Smoke test: every script in ``demos/`` runs to completion.
 
 Each demo runs in its own interpreter with ``src`` on ``PYTHONPATH`` and a
-temporary working directory, so files it writes land there.
+temporary working directory, so files it writes land there.  ``TMPDIR``
+points at an empty directory that must be empty again when the demo exits:
+a demo cleans up whatever temporary files it makes.
 """
 
 import os
@@ -17,7 +19,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
+    scratch = tmp_path / "tmpdir"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch))
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
@@ -25,3 +29,4 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert not any(scratch.iterdir())

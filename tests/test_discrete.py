@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
@@ -475,6 +476,14 @@ class TestEnergyIdentity:
             D.energy_identity_residual([0.0], 0.0, dom, 1)
         with pytest.raises(ValueError):
             D.energy_identity_residual([0.0], 0.0, dom, 3)
+
+    def test_erosion_matches_ndimage(self):
+        rng = np.random.default_rng(11)
+        for _ in range(150):
+            shape = tuple(rng.integers(1, 10, size=rng.integers(1, 4)))
+            mask = rng.random(shape) < rng.uniform(0.5, 0.95)
+            want = ndi.binary_erosion(mask, iterations=2, border_value=0)
+            assert np.array_equal(D._erode(mask, 2), want)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import pconvex.exterior as X
 import pconvex.fieldexpr as FE
 import pconvex.solver as S
 from pconvex.errors import (CohomologyObstruction, GapAmbiguous,
-                            MembershipError, NotClosed, PreconditionError,
-                            TailError)
+                            MembershipError, NoConvergence, NotClosed,
+                            PreconditionError, TailError)
 from pconvex.fieldexpr import parse
 from pconvex.weights import diameter_weight
 
@@ -118,17 +118,45 @@ class TestMinimalSolution:
 
     def test_harmonic_rhs_raises_obstruction(self, annulus):
         rep = S.cohomology_rank(annulus, 1, 0.0)
-        f = D.Cochain(1, rep.basis[:, 0])
-        with pytest.raises(CohomologyObstruction) as err:
-            S.minimal_solution(annulus, f, 0.0)
-        # the basis column is M-orthonormal, so the obstruction norm is 1
-        assert err.value.obstruction_norm == pytest.approx(1.0, rel=1e-9)
+        harmonic = rep.basis[:, 0]
+        v = np.random.default_rng(3).standard_normal(annulus.num_cells(0))
+        exact = D.coboundary(annulus, 0) @ v
+        # the basis column is M-orthonormal and M-orthogonal to exact
+        # cochains, so the obstruction norm is its coefficient
+        for values, norm in ((harmonic, 1.0), (exact + 0.3 * harmonic, 0.3)):
+            with pytest.raises(CohomologyObstruction) as err:
+                S.minimal_solution(annulus, D.Cochain(1, values), 0.0)
+            assert err.value.obstruction_norm == pytest.approx(norm,
+                                                               rel=1e-9)
 
-    def test_eager_harmonic_projection(self, annulus):
-        rep = S.cohomology_rank(annulus, 1, 0.0)
-        f = D.Cochain(1, rep.basis[:, 0])
-        with pytest.raises(CohomologyObstruction):
-            S.minimal_solution(annulus, f, 0.0, harmonic_basis=rep.basis)
+    def test_exhausted_budget_raises_no_convergence(self, cx32, f32,
+                                                    monkeypatch):
+        lsmr = S.spla.lsmr
+        monkeypatch.setattr(S.spla, "lsmr", lambda *args, **kwargs: lsmr(
+            *args, **{**kwargs, "maxiter": 3}))
+        with pytest.raises(NoConvergence) as err:
+            S.minimal_solution(cx32, f32, PHI2)
+        assert err.value.iterations == 3
+        assert 1e-10 < err.value.residual < 1.0
+
+    @pytest.mark.parametrize("n, h, p, k", [
+        (2, 1 / 32, 1, 30), (2, 1 / 32, 1, 100), (2, 1 / 32, 1, 300),
+        (3, 1 / 16, 2, 30)], ids=["2d-k30", "2d-k100", "2d-k300", "3d-k30"])
+    def test_steep_weight_converges(self, n, h, p, k):
+        """φ = k|x|² is the strongly convex regime the estimates are
+        about: the solve must converge, and no further than the sampled
+        potential's norm."""
+        cx = D.build_complex(D.GridDomain(((0.0, 1.0),) * n, h))
+        phi = parse("+".join(f"{k}*x{i + 1}^2" for i in range(n)), n=n)
+        coeffs = [lambda x: math.prod(bump01(c, 0.25, 0.75) for c in x)]
+        coeffs += [0.0] * (math.comb(n, p - 1) - 1)
+        f = S.closed_form_from_potential(cx, p, coeffs)
+        sol = S.minimal_solution(cx, f, phi)
+        assert sol.residual <= 1e-10
+        m_src = D.mass(cx, phi, p - 1)
+        potential = D.sample_cochain(cx, p - 1, coeffs).values
+        assert (m_src.inner(sol.u.values, sol.u.values)
+                <= m_src.inner(potential, potential) * (1.0 + 1e-9))
 
     def test_validation(self, cx32):
         with pytest.raises(ValueError):
