@@ -34,8 +34,9 @@ def main():
 
     print("== the solve itself ==")
     sol = minimal_solution(cx, f, phi)
-    print(f"   {cx.num_cells(1)} edges; converged in {sol.iterations} "
-          f"iterations, coboundary residual {sol.residual:.2e}")
+    print(f"   {cx.num_cells(1)} edges; solved by {sol.method} in "
+          f"{sol.iterations} iterations, coboundary residual "
+          f"{sol.residual:.2e}")
 
     print("\n== one table, five estimates ==")
     dia = math.sqrt(2.0)

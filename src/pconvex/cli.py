@@ -646,7 +646,7 @@ def _task_solve(exp: ExperimentConfig, rng):
         norm_sq = float(m.inner(sol.u.values, sol.u.values))
         records.append({"test": "solve", "h": h, "p": exp.p,
                         "cells": cx.num_cells(exp.p - 1),
-                        "iterations": sol.iterations,
+                        "method": sol.method, "iterations": sol.iterations,
                         "residual": sol.residual,
                         "norm_sq": norm_sq, "pass": True})
         rows.append((h, cx.num_cells(exp.p - 1), sol.iterations,

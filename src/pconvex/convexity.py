@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateGradient
 from .exterior import PointForm, dim_forms, index_list, index_rank
@@ -195,14 +194,15 @@ def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
         raise ValueError(f"p must be in [1, {n - 1}] for tangential p-planes, got {p}")
     _, grads, hess = field_jets(defining_field, pts)
     gnorms = np.linalg.norm(grads, axis=1)
-    blocks = []
-    for x, grad, gnorm, h in zip(pts, grads, gnorms, hess):
-        if gnorm <= grad_tol:
-            raise DegenerateGradient(
-                f"|grad r| = {gnorm:.3e} <= {grad_tol:.1e} at boundary sample {x}")
-        tangent = scipy.linalg.null_space(grad[None, :] / gnorm)   # (n, n-1), orthonormal
-        blocks.append(tangent.T @ h @ tangent)
-    traces = min_p_trace(np.array(blocks), p)
+    bad = np.flatnonzero(gnorms <= grad_tol)
+    if bad.size:
+        i = bad[0]
+        raise DegenerateGradient(
+            f"|grad r| = {gnorms[i]:.3e} <= {grad_tol:.1e} at boundary sample {pts[i]}")
+    # the last n-1 right singular vectors of the unit normal (one row) are
+    # an orthonormal basis of the tangent space: (m, n-1, n)
+    tangent = np.linalg.svd(grads[:, None, :] / gnorms[:, None, None])[2][:, 1:]
+    traces = min_p_trace(tangent @ hess @ tangent.transpose(0, 2, 1), p)
     return _region_report(p, pts, traces, strict_tol, semi_tol)
 
 

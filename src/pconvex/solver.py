@@ -3,14 +3,15 @@ on them.
 
 The solve works in the cochain spaces of a :class:`~pconvex.discrete.
 CubicalComplex`: among all ``u`` with ``du = f`` the minimal solution is the
-one orthogonal to ``Ker d`` in the weighted inner product, computed by LSMR
-on the mass-scaled coboundary ``M_p^{1/2} d M_{p−1}^{−1/2}``, whose Krylov
-iterates are minimal-norm by construction.  On top of that sit verification
-reports: each one solves, integrates the predicted right-hand side, and
-records whether ``lhs ≤ constant · integral`` held with the requested
-slack.  The module also computes harmonic ranks (cohomology dimensions)
-from the weighted cochain Laplacian and checks convexity of log-marginals
-of convex densities.
+one orthogonal to ``Ker d`` in the weighted inner product: in degree 1
+the primitive of ``f`` less its weighted mean on each component, else
+LSMR on the mass-scaled coboundary ``M_p^{1/2} d M_{p−1}^{−1/2}``, whose
+Krylov iterates are minimal-norm by construction.  On top of that sit
+verification reports: each one solves, integrates the predicted
+right-hand side, and records whether ``lhs ≤ constant · integral`` held
+with the requested slack.  The module also computes harmonic ranks
+(cohomology dimensions) from the weighted cochain Laplacian and checks
+convexity of log-marginals of convex densities.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, coboundary, mass,
@@ -101,16 +103,61 @@ def _combine(base, coeff: float, extra):
 class MinimalSolution:
     """Solution of ``du = f`` orthogonal to ``Ker d`` in the weighted metric.
 
-    ``iterations`` counts LSMR iterations; ``residual`` is
-    ``‖du − f‖_M/‖f‖_M`` in the degree-p mass; ``harmonic_obstruction`` is
-    the weighted norm of the part of ``f`` the solve could not reach (at
-    convergence this is the harmonic component, below tolerance).
+    ``method`` is ``"primitive"`` (no iterations: the degree-1 primitive,
+    or ``u = 0`` for ``f = 0``) or ``"lsmr"``; ``iterations`` counts LSMR
+    iterations; ``residual`` is ``‖du − f‖_M/‖f‖_M`` in the degree-p mass;
+    ``harmonic_obstruction`` is the weighted norm of the part of ``f`` the
+    solve could not reach (at convergence this is the harmonic component,
+    below tolerance).
     """
 
     u: Cochain
     iterations: int
     residual: float
     harmonic_obstruction: float
+    method: str
+
+
+def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
+                      m0: np.ndarray) -> np.ndarray:
+    """``u`` with ``du = f`` on a breadth-first spanning forest of the
+    1-skeleton, less its ``m0``-weighted mean on each component.
+
+    Row ``e`` of ``d₀`` is ``-1, +1`` at its lower and higher node, so
+    ``indices`` in pairs are the edge list.  The search runs on the
+    incidence graph (vertex ``e < n_e`` is edge ``e``, ``n_e + v`` is node
+    ``v``) from an extra vertex joined to each component's lowest node, so
+    a node's predecessor is its tree edge.
+    """
+    d = coboundary(cx, 0)
+    n_e, n0 = d.shape
+    ends = d.indices + n_e
+    indptr = np.concatenate([d.indptr, np.full(n0, 2 * n_e, d.indptr.dtype)])
+    incidence = sp.csr_matrix((np.ones(2 * n_e), ends, indptr),
+                              shape=(n_e + n0, n_e + n0))
+    n_comp, labels = csgraph.connected_components(incidence, directed=False)
+    labels = labels[n_e:]
+    roots = np.unique(labels, return_index=True)[1]
+    top = n_e + n0
+    rooted = sp.csr_matrix(
+        (np.ones(2 * n_e + n_comp), np.concatenate([ends, roots + n_e]),
+         np.append(indptr, 2 * n_e + n_comp)), shape=(top + 1, top + 1))
+    pred = csgraph.breadth_first_order(rooted, top, directed=False,
+                                       return_predecessors=True)[1]
+    edge = pred[n_e:top]
+    edge[roots] = 0
+    anc = pred[edge] - n_e
+    anc[roots] = roots
+    u = np.where(ends[1::2][edge] == np.arange(n_e, top), f[edge], -f[edge])
+    u[roots] = 0.0
+    # u[v] is the primitive at v less that at anc[v]; every round doubles
+    # the reach of anc, until each anc is a root, where the primitive is 0
+    while not np.array_equal(anc[anc], anc):
+        u += u[anc]
+        anc = anc[anc]
+    mean = (np.bincount(labels, m0 * u, n_comp)
+            / np.bincount(labels, m0, n_comp))
+    return u - mean[labels]
 
 
 def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
@@ -118,15 +165,18 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
     """Minimal-norm ``u`` with ``du = f`` in the weight's inner product.
 
     ``f`` must be closed (``‖df‖ ≤ tol·‖f‖``) and must carry no harmonic
-    component.  One LSMR solve on the mass-scaled coboundary
-    ``D̃ = M_p^{1/2} d M_{p−1}^{−1/2}`` with right-hand side
-    ``M_p^{1/2} f`` gives ``v``, and ``u = M_{p−1}^{−1/2} v``.  LSMR's
-    iterates stay in ``range(D̃ᵀ)``, so ``u`` is the weighted minimal-norm
-    solution without any projection, and ``‖D̃v − M_p^{1/2} f‖`` is the
-    weighted residual.  When LSMR stops on its least-squares test above
-    ``tol``, that residual is the harmonic part of ``f`` and
-    :class:`CohomologyObstruction` carries its norm; running out of the
-    iteration budget raises :class:`NoConvergence`.
+    component.  For ``p = 1``, ``Ker d`` is the locally constant functions,
+    so ``f``'s primitive less its weighted mean on each component is the
+    minimal solution; it is returned when its residual meets ``tol`` (else
+    ``f`` has a harmonic part, which LSMR measures).  Otherwise one LSMR
+    solve on the mass-scaled coboundary ``D̃ = M_p^{1/2} d M_{p−1}^{−1/2}``
+    with right-hand side ``M_p^{1/2} f`` gives ``v``, and
+    ``u = M_{p−1}^{−1/2} v``.  LSMR's iterates stay in ``range(D̃ᵀ)``, so
+    ``u`` is the weighted minimal-norm solution without any projection,
+    and ``‖D̃v − M_p^{1/2} f‖`` is the weighted residual.  When LSMR stops
+    on its least-squares test above ``tol``, that residual is the harmonic
+    part of ``f`` and :class:`CohomologyObstruction` carries its norm;
+    running out of the iteration budget raises :class:`NoConvergence`.
     """
     p = f.p
     if not 1 <= p <= cx.n:
@@ -137,7 +187,8 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
     f_norm = math.sqrt(m_tgt.inner(f.values, f.values))
     n_src = cx.num_cells(p - 1)
     if f_norm == 0.0:
-        return MinimalSolution(Cochain(p - 1, np.zeros(n_src)), 0, 0.0, 0.0)
+        return MinimalSolution(Cochain(p - 1, np.zeros(n_src)), 0, 0.0, 0.0,
+                               "primitive")
 
     if p < cx.n:
         df = coboundary(cx, p) @ f.values
@@ -148,9 +199,21 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
                 f"{df_norm / f_norm:.3e} exceeds tol {tol:.1e}",
                 rel_residual=df_norm / f_norm)
 
+    def weighted_residual(u):
+        r = f.values - coboundary(cx, p - 1) @ u
+        return math.sqrt(m_tgt.inner(r, r))
+
+    m_src = mass(cx, phi, p - 1).diag
+    if p == 1:
+        u = _forest_primitive(cx, f.values, m_src)
+        r_norm = weighted_residual(u)
+        if r_norm / f_norm <= tol:
+            return MinimalSolution(Cochain(0, u), 0, r_norm / f_norm, r_norm,
+                                   "primitive")
+
     d = coboundary(cx, p - 1).astype(np.float64)
     w_tgt = np.sqrt(m_tgt.diag)
-    w_src = np.sqrt(mass(cx, phi, p - 1).diag)
+    w_src = np.sqrt(m_src)
     scaled = (sp.diags(w_tgt) @ d @ sp.diags(1.0 / w_src)).tocsr()
     budget = min(max(2000, 4 * f.values.size), 60000)
     # btol is the relative residual LSMR aims for.  atol enters both its
@@ -162,11 +225,10 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
                                 btol=tol / 8.0, conlim=0.0,
                                 maxiter=budget)[:3]
     u = v / w_src
-    r = f.values - d @ u
-    r_norm = math.sqrt(m_tgt.inner(r, r))
+    r_norm = weighted_residual(u)
     rel = r_norm / f_norm
     if rel <= tol:
-        return MinimalSolution(Cochain(p - 1, u), iters, rel, r_norm)
+        return MinimalSolution(Cochain(p - 1, u), iters, rel, r_norm, "lsmr")
     # istop 2: D̃ᵀr vanished, so r is the harmonic part of f; istop 0: so
     # did D̃ᵀ(M_p^{1/2} f) before the first step
     if istop in (0, 2):
@@ -484,7 +546,8 @@ class BoundReport:
         sol = self.solve
         return {"test": self.test, "lhs": self.lhs, "rhs": self.rhs,
                 "constant": self.constant, "ratio": self.ratio, "h": self.h,
-                "iterations": sol.iterations, "residual": sol.residual,
+                "method": sol.method, "iterations": sol.iterations,
+                "residual": sol.residual,
                 "harmonic_obstruction": sol.harmonic_obstruction,
                 "num_cells": sol.u.values.size, "pass": self.passed}
 

@@ -352,9 +352,28 @@ potential = bump(0.25, 0.75)
         recs = report[1:]
         assert [r["cells"] for r in recs] == [81, 289]
         assert all(r["residual"] <= 1e-10 for r in recs)
-        assert all(r["iterations"] > 0 for r in recs)
+        # degree 1 is integrated in closed form, with no iterations
+        assert all((r["method"], r["iterations"]) == ("primitive", 0)
+                   for r in recs)
         csv = (out / "series.csv").read_text().splitlines()
         assert csv[0] == "h,cells,iterations,residual"
+
+    def test_degree_two_runs_lsmr(self, tmp_path):
+        code, report, _ = run(tmp_path, """
+[domain]
+box = 0:1, 0:1
+h = 1/16
+[weights]
+phi = x1^2+x2^2
+[task]
+name = solve
+p = 2
+potential = bump(0.25, 0.75); 0
+""")
+        assert code == 0
+        (rec,) = report[1:]
+        assert rec["method"] == "lsmr" and rec["iterations"] > 0
+        assert rec["cells"] == 544 and rec["residual"] <= 1e-10
 
 
 class TestBounds:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
 
 import pconvex.discrete as D
 import pconvex.exterior as X
@@ -105,6 +106,45 @@ class TestMinimalSolution:
         assert sol.residual <= 1e-10
         assert m0.inner(sol.u.values, sol.u.values) <= m0.inner(v, v)
 
+    @pytest.mark.parametrize("shape", ["islands", "ring"])
+    def test_degree_one_is_the_centred_potential(self, shape, fine_ring):
+        """For p = 1, Ker d is the locally constant functions, so the
+        minimal solution of du = d(pot) is pot less its weighted mean on
+        each component of the 1-skeleton."""
+        if shape == "ring":
+            cx = fine_ring
+        else:
+            # eight strips and three single nodes between them
+            strips = "*".join(f"((x1-{k + 0.5})^2-0.09)" for k in range(8))
+            dots = "*".join(f"((x1-{k})^2+(x2-0.5)^2-0.0005)"
+                            for k in (1, 4, 7))
+            cx = D.build_complex(D.GridDomain(
+                ((0.0, 8.0), (0.0, 1.0)), 1 / 16,
+                r=parse(f"{strips}*{dots}", n=2)))
+        phi = parse("0.1*x1^2+x2^2", n=2)
+        coeffs = [parse("exp(0.3*x1)*x2+x1^2", n=2)]
+        sol = S.minimal_solution(
+            cx, S.closed_form_from_potential(cx, 1, coeffs), phi)
+        assert (sol.method, sol.iterations) == ("primitive", 0)
+        assert sol.residual <= 1e-12
+
+        d = D.coboundary(cx, 0)
+        n_comp, labels = csgraph.connected_components(d.T @ d)
+        m0 = D.mass(cx, phi, 0)
+        u, potential = sol.u.values, D.sample_cochain(cx, 0, coeffs).values
+        expected = potential.copy()
+        u_norm = math.sqrt(m0.inner(u, u))
+        for c in range(n_comp):
+            ones = (labels == c).astype(float)
+            expected -= ones * m0.inner(potential, ones) / m0.inner(ones, ones)
+            assert abs(m0.inner(u, ones)) <= (
+                1e-12 * u_norm * math.sqrt(m0.inner(ones, ones)))
+        assert np.abs(u - expected).max() <= 1e-12 * np.abs(expected).max()
+        isolated = np.bincount(d.indices, minlength=u.size) == 0
+        assert isolated.sum() == (3 if shape == "islands" else 0)
+        assert n_comp == (11 if shape == "islands" else 1)
+        assert not np.any(u[isolated])
+
     def test_zero_rhs_gives_zero_solution(self, cx32):
         f = D.Cochain(1, np.zeros(cx32.num_cells(1)))
         sol = S.minimal_solution(cx32, f, PHI2)
@@ -129,13 +169,15 @@ class TestMinimalSolution:
             assert err.value.obstruction_norm == pytest.approx(norm,
                                                                rel=1e-9)
 
-    def test_exhausted_budget_raises_no_convergence(self, cx32, f32,
+    def test_exhausted_budget_raises_no_convergence(self, cx32,
                                                     monkeypatch):
+        # degree 2: degree-1 data is integrated without calling LSMR
+        f = S.closed_form_from_potential(cx32, 2, [pot, 0.0])
         lsmr = S.spla.lsmr
         monkeypatch.setattr(S.spla, "lsmr", lambda *args, **kwargs: lsmr(
             *args, **{**kwargs, "maxiter": 3}))
         with pytest.raises(NoConvergence) as err:
-            S.minimal_solution(cx32, f32, PHI2)
+            S.minimal_solution(cx32, f, PHI2)
         assert err.value.iterations == 3
         assert 1e-10 < err.value.residual < 1.0
 
@@ -273,18 +315,21 @@ class TestBaselineReport:
             (one.residual, one.rel_residual)
 
     def test_record_schema(self, cx32, f32):
-        rep = S.hormander_report(cx32, f32, PHI2, 1)
-        rec = rep.record()
-        assert set(rec) == {"test", "lhs", "rhs", "constant", "ratio", "h",
-                            "iterations", "residual", "harmonic_obstruction",
-                            "num_cells", "pass"}
-        assert rec["pass"] is True and rec["h"] == cx32.dom.h
-        assert (rec["iterations"], rec["residual"],
-                rec["harmonic_obstruction"]) == (
-            rep.solve.iterations, rep.solve.residual,
-            rep.solve.harmonic_obstruction)
-        assert rec["iterations"] > 0 and rec["residual"] <= 1e-10
-        assert rec["num_cells"] == cx32.num_cells(0)
+        f2 = S.closed_form_from_potential(cx32, 2, [pot, 0.0])
+        for p, f, method in ((1, f32, "primitive"), (2, f2, "lsmr")):
+            rep = S.hormander_report(cx32, f, PHI2, p)
+            rec = rep.record()
+            assert set(rec) == {"test", "lhs", "rhs", "constant", "ratio",
+                                "h", "method", "iterations", "residual",
+                                "harmonic_obstruction", "num_cells", "pass"}
+            assert rec["pass"] is True and rec["h"] == cx32.dom.h
+            assert (rec["method"], rec["iterations"], rec["residual"],
+                    rec["harmonic_obstruction"]) == (
+                rep.solve.method, rep.solve.iterations, rep.solve.residual,
+                rep.solve.harmonic_obstruction)
+            assert rec["method"] == method and rec["residual"] <= 1e-10
+            assert (rec["iterations"] > 0) == (method == "lsmr")
+            assert rec["num_cells"] == cx32.num_cells(p - 1)
 
 
 # ---------------------------------------------------------------------------
