@@ -685,11 +685,7 @@ def _task_bounds(exp: ExperimentConfig, rng):
                                          exp.omega, alpha, exp.p,
                                          slack=slack, tol=tol)]
         for rep in reps:
-            rec = rep.record()
-            if rep.apriori is not None:
-                rec["apriori_sigma"] = rep.apriori.sigma
-                rec["apriori_worst_ratio"] = rep.apriori.worst_ratio
-            records.append(rec)
+            records.append(rep.record())
             rows.append((h, rep.lhs, rep.rhs, rep.ratio))
     series = ("h,lhs,rhs,ratio", rows)
     pts = [(h, ratio) for (h, _, _, ratio) in rows if ratio > 0]

@@ -19,7 +19,7 @@ bound hypotheses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -130,12 +130,7 @@ class FieldRegionReport:
     def min_trace(self) -> float:
         return float(self.traces[self.worst_index])
 
-    def ok(self, mode: str = "semi") -> bool:
-        if mode == "strict":
-            return self.verdict == "strict"
-        if mode == "semi":
-            return self.verdict in ("strict", "semi")
-        raise ValueError(f"mode must be 'strict' or 'semi', got {mode!r}")
+    ok = ConvexityReport.ok
 
 
 def _region_report(p: int, pts: np.ndarray, traces: np.ndarray,
@@ -336,14 +331,8 @@ def curvature_shift_report(theta: np.ndarray, curvature_floor: float, p: int, *,
     the smallest eigenvalue of the induced operator plus the curvature shift
     ``p (n - p) * curvature_floor * Id``.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    n = theta.shape[0]
-    if not 1 <= p <= n:
-        raise ValueError(f"p must be in [1, {n}], got {p}")
-    w, V = np.linalg.eigh(theta)
-    shift = p * (n - p) * float(curvature_floor)
-    value = float(w[:p].sum()) + shift
-    return ConvexityReport(p=p, min_p_trace=value,
-                           verdict=_classify(value, strict_tol, semi_tol),
-                           witness_values=w[:p].copy(),
-                           witness_vectors=V[:, :p].copy())
+    rep = p_positivity_report(theta, p)
+    n = rep.witness_vectors.shape[0]
+    value = rep.min_p_trace + p * (n - p) * float(curvature_floor)
+    return replace(rep, min_p_trace=value,
+                   verdict=_classify(value, strict_tol, semi_tol))

@@ -23,7 +23,6 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, coboundary, mass,
@@ -129,6 +128,8 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
     ``v``) from an extra vertex joined to each component's lowest node, so
     a node's predecessor is its tree edge.
     """
+    # imported here: csgraph adds about 1 MiB to every process that loads it
+    from scipy.sparse import csgraph
     d = coboundary(cx, 0)
     n_e, n0 = d.shape
     ends = d.indices + n_e
@@ -383,9 +384,8 @@ def _node_quadrature(cx: CubicalComplex, g: Cochain, theta, weight,
     return total
 
 
-def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta, weight,
-                              *, kernel_tol: float = 1e-12,
-                              membership_tol: float = 1e-8) -> float:
+def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta,
+                              weight) -> float:
     """Node quadrature of ``⟨F_theta⁻¹ f, f⟩ e^{-weight}``.
 
     ``theta`` supplies the Hessian defining the induced quadratic form at
@@ -396,8 +396,7 @@ def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta, weight,
     """
     def inverse_pairings(X, hess, F):
         try:
-            sol = induced_pinv(hess, F, f.p, kernel_tol=kernel_tol,
-                               membership_tol=membership_tol)
+            sol = induced_pinv(hess, F, f.p)
         except MembershipError as exc:
             raise MembershipError(
                 f"at quadrature node {np.round(X[exc.row], 6)}: {exc}",
@@ -412,18 +411,6 @@ def _pairing_integral(cx: CubicalComplex, g: Cochain, theta, weight) -> float:
     """Node quadrature of ``⟨F_theta g, g⟩ e^{-weight}`` (no inversion)."""
     return _node_quadrature(cx, g, theta, weight,
                             lambda X, hess, G: induced_pairings(hess, G, g.p))
-
-
-def _modified_norm(cx: CubicalComplex, u: np.ndarray, weight,
-                   modifier: Optional[Callable[[np.ndarray], np.ndarray]],
-                   p: int) -> float:
-    """``Σ modifier(bary)·u²·e^{-weight(bary)}·(dual volume)`` over p-cells,
-    with ``modifier`` evaluated on all barycenters at once; with no
-    modifier this is exactly the weighted mass norm."""
-    md = mass(cx, weight, p).diag
-    if modifier is None:
-        return float(np.dot(u, md * u))
-    return float(np.dot(u, md * modifier(cx.barycenters(p)) * u))
 
 
 # ---------------------------------------------------------------------------
@@ -544,44 +531,52 @@ class BoundReport:
 
     def record(self) -> dict:
         sol = self.solve
-        return {"test": self.test, "lhs": self.lhs, "rhs": self.rhs,
-                "constant": self.constant, "ratio": self.ratio, "h": self.h,
-                "method": sol.method, "iterations": sol.iterations,
-                "residual": sol.residual,
-                "harmonic_obstruction": sol.harmonic_obstruction,
-                "num_cells": sol.u.values.size, "pass": self.passed}
+        rec = {"test": self.test, "lhs": self.lhs, "rhs": self.rhs,
+               "constant": self.constant, "ratio": self.ratio, "h": self.h,
+               "method": sol.method, "iterations": sol.iterations,
+               "residual": sol.residual,
+               "harmonic_obstruction": sol.harmonic_obstruction,
+               "num_cells": sol.u.values.size, "pass": self.passed}
+        if self.apriori is not None:
+            rec["apriori_sigma"] = self.apriori.sigma
+            rec["apriori_worst_ratio"] = self.apriori.worst_ratio
+        return rec
 
 
-def _assemble_report(test: str, cx: CubicalComplex, lhs: float,
-                     integral: float, constant: float, slack: float,
-                     sol: MinimalSolution,
-                     apriori: Optional[AprioriCheck] = None) -> BoundReport:
-    lhs, integral = float(lhs), float(integral)
+def _estimate(test: str, cx: CubicalComplex, f: Cochain, sol: MinimalSolution,
+              weight, theta, constant: float, slack: float,
+              modifier: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+              apriori: Optional[AprioriCheck] = None) -> BoundReport:
+    """The report on ``lhs ≤ constant · ∫⟨F_theta⁻¹f, f⟩e^{−weight}`` for
+    the solution ``sol`` of ``du = f``, where ``lhs`` is
+    ``Σ modifier(bary)·u²·e^{−weight(bary)}·(dual volume)`` over the
+    (p−1)-cells, with ``modifier`` evaluated on all barycenters at once;
+    with no modifier ``lhs`` is exactly the weighted mass norm."""
+    u = sol.u.values
+    md = mass(cx, weight, f.p - 1).diag
+    if modifier is not None:
+        md = md * modifier(cx.barycenters(f.p - 1))
+    lhs = float(np.dot(u, md * u))
+    integral = float(inverse_quadform_integral(cx, f, theta, weight))
     return BoundReport(test=test, lhs=lhs, rhs=constant * integral,
                        constant=float(constant), integral=integral,
                        slack=float(slack), h=cx.dom.h,
-                       vacuous=(integral == 0.0), solve=sol,
-                       apriori=apriori)
+                       vacuous=(integral == 0.0), solve=sol, apriori=apriori)
 
 
 def hormander_report(cx: CubicalComplex, f: Cochain, phi, p: int, *,
-                     slack: float = 0.05, tol: float = 1e-10,
-                     membership_tol: float = 1e-8) -> BoundReport:
+                     slack: float = 0.05, tol: float = 1e-10) -> BoundReport:
     """Baseline estimate: ``‖u‖²_φ ≤ ∫⟨F_φ⁻¹f, f⟩e^{−φ}`` (constant 1) for
     the minimal solution under a p-plurisubharmonic weight."""
     if f.p != p:
         raise ValueError("cochain degree does not match p")
     _require_p_positive(cx.barycenters(p), _hessian(phi), p, "D²phi")
     sol = minimal_solution(cx, f, phi, tol=tol)
-    lhs = _modified_norm(cx, sol.u.values, phi, None, p - 1)
-    integral = inverse_quadform_integral(cx, f, phi, phi,
-                                         membership_tol=membership_tol)
-    return _assemble_report("hormander", cx, lhs, integral, 1.0, slack, sol)
+    return _estimate("hormander", cx, f, sol, phi, phi, 1.0, slack)
 
 
 def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
                       p: int, *, slack: float = 0.05, tol: float = 1e-10,
-                      membership_tol: float = 1e-8, apriori_samples: int = 3,
                       rng=None) -> BoundReport:
     """Two-weight estimate with constant ``4/(1−α)²``.
 
@@ -589,7 +584,7 @@ def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
     scheme of the underlying proof) and compares against
     ``∫⟨F_ψ⁻¹f, f⟩e^{−φ+αψ}``.  Requires ``φ`` p-plurisubharmonic and
     ``−e^{−ψ}`` p-plurisubharmonic.  Also runs the sampled apriori check
-    with ``σ = (1−α)/2`` on random coexact cochains.
+    with ``σ = (1−α)/2`` on three random coexact cochains.
     """
     if not 0.0 <= alpha < 1.0:
         raise PreconditionError(f"alpha must lie in [0, 1); got {alpha}")
@@ -601,14 +596,9 @@ def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
                         "the Hessian of -exp(-psi)")
     w_solve = _combine(phi, -alpha, psi)
     sol = minimal_solution(cx, f, w_solve, tol=tol)
-    lhs = _modified_norm(cx, sol.u.values, w_solve, None, p - 1)
-    integral = inverse_quadform_integral(cx, f, psi, w_solve,
-                                         membership_tol=membership_tol)
-    sigma = (1.0 - alpha) / 2.0
-    apriori = _apriori_check(cx, phi, psi, sigma, p,
-                             samples=apriori_samples, rng=rng)
-    return _assemble_report("berndtsson", cx, lhs, integral,
-                            4.0 / (1.0 - alpha) ** 2, slack, sol, apriori)
+    apriori = _apriori_check(cx, phi, psi, (1.0 - alpha) / 2.0, p, rng=rng)
+    return _estimate("berndtsson", cx, f, sol, w_solve, psi,
+                     4.0 / (1.0 - alpha) ** 2, slack, apriori=apriori)
 
 
 def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
@@ -618,13 +608,17 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
     sampled, not proved)."""
     rng = np.random.default_rng(0) if rng is None else rng
     w_plus = _combine(phi, 1.0, psi)
-    w_twist = _combine(phi, sigma, psi)
+    if p < cx.n:
+        coexact = weighted_adjoint(cx, w_plus, p + 1)
+        m_up = mass(cx, w_plus, p + 1)
+    twist = weighted_adjoint(cx, _combine(phi, sigma, psi), p)
+    m_down = mass(cx, w_plus, p - 1)
     worst = 0.0
     done = 0
     for _ in range(samples):
         if p < cx.n:
             raw = rng.standard_normal(cx.num_cells(p + 1))
-            g = Cochain(p, weighted_adjoint(cx, w_plus, p + 1) @ raw)
+            g = Cochain(p, coexact @ raw)
         else:
             g = Cochain(p, rng.standard_normal(cx.num_cells(p)))
         if not np.any(g.values):
@@ -632,9 +626,9 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
         dg_part = 0.0
         if p < cx.n:
             dg = coboundary(cx, p) @ g.values
-            dg_part = mass(cx, w_plus, p + 1).inner(dg, dg)
-        cg = weighted_adjoint(cx, w_twist, p) @ g.values
-        lhs_g = mass(cx, w_plus, p - 1).inner(cg, cg) + dg_part
+            dg_part = m_up.inner(dg, dg)
+        cg = twist @ g.values
+        lhs_g = m_down.inner(cg, cg) + dg_part
         rhs_g = sigma ** 2 * _pairing_integral(cx, g, psi, w_plus)
         if lhs_g > 0.0:
             worst = max(worst, rhs_g / lhs_g)
@@ -644,8 +638,7 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
 
 def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
                             alpha: float, p: int, *, slack: float = 0.05,
-                            tol: float = 1e-10,
-                            membership_tol: float = 1e-8) -> BoundReport:
+                            tol: float = 1e-10) -> BoundReport:
     """Estimate for the φ-minimal solution with constant ``(1+α)/(1−α)``:
     ``∫(1−ω²)|u|²e^{−φ+ψ} ≤ ((1+α)/(1−α))∫⟨F_ψ⁻¹f,f⟩e^{−φ+ψ}``.
 
@@ -664,20 +657,15 @@ def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
                         "omega²·D²psi − ∇psi⊗∇psi")
     _check_omega_on_support(cx, f, omega, alpha)
     sol = minimal_solution(cx, f, phi, tol=tol)
-    w_cmp = _combine(phi, -1.0, psi)
-    lhs = _modified_norm(
-        cx, sol.u.values, w_cmp,
-        lambda X: 1.0 - field_jets(omega, X, order=0) ** 2, p - 1)
-    integral = inverse_quadform_integral(cx, f, psi, w_cmp,
-                                         membership_tol=membership_tol)
-    return _assemble_report("minimal-estimate", cx, lhs, integral,
-                            (1.0 + alpha) / (1.0 - alpha), slack, sol)
+    return _estimate(
+        "minimal-estimate", cx, f, sol, _combine(phi, -1.0, psi), psi,
+        (1.0 + alpha) / (1.0 - alpha), slack,
+        lambda X: 1.0 - field_jets(omega, X, order=0) ** 2)
 
 
 def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
                                alpha0: float, p: int, *, slack: float = 0.05,
                                tol: float = 1e-10,
-                               membership_tol: float = 1e-8,
                                ) -> Tuple[BoundReport, BoundReport]:
     """Scaled-weight route to the two-weight bound: apply the minimal
     estimate with ``ψ = α₀ψ₀`` and constant test function ``ω ≡ √α₀``, then
@@ -692,22 +680,16 @@ def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
     root = math.sqrt(alpha0)
     psi_scaled = CombinedWeight(None, alpha0, psi0)
     base = minimal_estimate_report(cx, f, phi, psi_scaled, root, root, p,
-                                   slack=slack, tol=tol,
-                                   membership_tol=membership_tol)
-    w_cmp = _combine(phi, -alpha0, psi0)
-    lhs = _modified_norm(cx, base.solve.u.values, w_cmp, None, p - 1)
-    integral = inverse_quadform_integral(cx, f, psi0, w_cmp,
-                                         membership_tol=membership_tol)
-    constant = 1.0 / (alpha0 * (1.0 - root) ** 2)
-    composite = _assemble_report("minimal-estimate-composite", cx, lhs,
-                                 integral, constant, slack, base.solve)
+                                   slack=slack, tol=tol)
+    composite = _estimate("minimal-estimate-composite", cx, f, base.solve,
+                          _combine(phi, -alpha0, psi0), psi0,
+                          1.0 / (alpha0 * (1.0 - root) ** 2), slack)
     return base, composite
 
 
 def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
                   alpha: float, p: int, *, slack: float = 0.05,
-                  tol: float = 1e-10,
-                  membership_tol: float = 1e-8) -> BoundReport:
+                  tol: float = 1e-10) -> BoundReport:
     """Estimate tolerating a non-plurisubharmonic total weight.
 
     Solves minimally in ``φ − ψ/2``.  With a varying ``omega`` (requires
@@ -729,24 +711,16 @@ def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     _require_p_positive(
         bary, _shifted_hessian(phi, psi, alpha if omega is None else omega),
         p, "omega²·D²phi − ∇psi⊗∇psi")
-    w_solve = _combine(phi, -0.5, psi)
-    w_cmp = _combine(phi, -1.0, psi)
     if omega is None:
-        sol = minimal_solution(cx, f, w_solve, tol=tol)
-        lhs = _modified_norm(cx, sol.u.values, w_cmp, None, p - 1)
-        constant = 4.0 / (2.0 - alpha) ** 2
-        label = "nonpsh-constant"
+        label, constant, modifier = ("nonpsh-constant",
+                                     4.0 / (2.0 - alpha) ** 2, None)
     else:
         _check_omega_on_support(cx, f, omega, alpha)
-        sol = minimal_solution(cx, f, w_solve, tol=tol)
-        lhs = _modified_norm(
-            cx, sol.u.values, w_cmp,
-            lambda X: 1.0 - field_jets(omega, X, order=0) ** 2 / 4.0, p - 1)
-        constant = (2.0 + alpha) / (2.0 - alpha)
-        label = "nonpsh"
-    integral = inverse_quadform_integral(cx, f, phi, w_cmp,
-                                         membership_tol=membership_tol)
-    return _assemble_report(label, cx, lhs, integral, constant, slack, sol)
+        label, constant = "nonpsh", (2.0 + alpha) / (2.0 - alpha)
+        modifier = lambda X: 1.0 - field_jets(omega, X, order=0) ** 2 / 4.0
+    sol = minimal_solution(cx, f, _combine(phi, -0.5, psi), tol=tol)
+    return _estimate(label, cx, f, sol, _combine(phi, -1.0, psi), phi,
+                     constant, slack, modifier)
 
 
 # ---------------------------------------------------------------------------

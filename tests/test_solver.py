@@ -501,6 +501,60 @@ class TestScalingCovariance:
         assert shifted.ratio == pytest.approx(base.ratio, rel=1e-12)
 
 
+def _six_reports(cx, f):
+    """Each bound report with the comparison weight, the θ of its integral
+    and the lhs modifier its docstring states."""
+    dia = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
+    quad = parse("0.1*(x1^2+x2^2)", n=2)
+    tilt = TestNonPshReport.PSI_L
+    omega = TestMinimalEstimate.omega
+    base, comp = S.composite_minimal_estimate(cx, f, PHI2, dia, 0.25, 1)
+    return [
+        (S.hormander_report(cx, f, PHI2, 1), PHI2, PHI2, None),
+        (S.berndtsson_report(cx, f, PHI2, dia, 0.3, 1),
+         S.CombinedWeight(PHI2, -0.3, dia), dia, None),
+        (S.minimal_estimate_report(cx, f, PHI2, quad, omega, 0.5, 1),
+         S.CombinedWeight(PHI2, -1.0, quad), quad,
+         lambda X: 1.0 - FE.field_jets(omega, X, order=0) ** 2),
+        (comp, S.CombinedWeight(PHI2, -0.25, dia), dia, None),
+        (S.nonpsh_report(cx, f, PHI2, tilt, 0.4, 0.4, 1),
+         S.CombinedWeight(PHI2, -1.0, tilt), PHI2,
+         lambda X: 1.0 - FE.field_jets(0.4, X, order=0) ** 2 / 4.0),
+        (S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3, 1),
+         S.CombinedWeight(PHI2, -1.0, tilt), PHI2, None),
+    ]
+
+
+def test_reports_use_their_stated_weight_and_theta(cx32, f32):
+    reps = _six_reports(cx32, f32)
+    assert [rep.test for rep, *_ in reps] == [
+        "hormander", "berndtsson", "minimal-estimate",
+        "minimal-estimate-composite", "nonpsh", "nonpsh-constant"]
+    for rep, weight, theta, modifier in reps:
+        u = rep.solve.u.values
+        md = D.mass(cx32, weight, 0).diag
+        if modifier is not None:
+            md = md * modifier(cx32.barycenters(0))
+        assert rep.lhs == float(np.dot(u, md * u)), rep.test
+        integral = S.inverse_quadform_integral(cx32, f32, theta, weight)
+        assert rep.integral == integral, rep.test
+        assert rep.rhs == rep.constant * integral, rep.test
+        assert not rep.vacuous and rep.passed, rep.test
+
+
+def test_record_carries_apriori(cx32, f32):
+    psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
+    rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.3, 1)
+    rec = rep.record()
+    assert rec["apriori_sigma"] == rep.apriori.sigma
+    assert rec["apriori_worst_ratio"] == rep.apriori.worst_ratio
+    assert list(rec)[-2:] == ["apriori_sigma", "apriori_worst_ratio"]
+    assert set(S.hormander_report(cx32, f32, PHI2, 1).record()) == {
+        "test", "lhs", "rhs", "constant", "ratio", "h", "method",
+        "iterations", "residual", "harmonic_obstruction", "num_cells",
+        "pass"}
+
+
 # ---------------------------------------------------------------------------
 # cohomology ranks
 # ---------------------------------------------------------------------------
