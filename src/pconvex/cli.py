@@ -308,10 +308,10 @@ TASK_NAMES = ("check-psh", "boundary-convexity", "df-search", "kmh",
 _SECTION_KEYS = {
     "domain": {"box", "h", "ladder", "r"},
     "weights": {"phi", "psi", "omega"},
-    "task": {"name", "p", "alpha", "slack", "tol", "seed", "samples",
-             "per_axis", "min_depth", "potential", "g", "bound", "expect",
-             "check_weights", "x_range", "x_count", "y_points", "cases",
-             "n", "k_grid", "eta_grid", "collar", "ratio_min", "final_max"},
+    "task": {"name", "p", "alpha", "seed", "per_axis", "min_depth",
+             "potential", "g", "bound", "expect", "check_weights", "x_range",
+             "x_count", "cases", "n", "k_grid", "eta_grid", "ratio_min",
+             "final_max"},
 }
 
 _BOUND_NAMES = ("hormander", "berndtsson", "minimal", "composite", "nonpsh")
@@ -541,15 +541,8 @@ def _field_list(exp: ExperimentConfig, key: str, count: int) -> List[object]:
 
 def _interior_lattice(exp: ExperimentConfig, per_axis: int,
                       min_depth: float) -> np.ndarray:
-    lo = np.array([a for a, _ in exp.box])
-    hi = np.array([b for _, b in exp.box])
-    if exp.r is not None:
-        return weights.lattice_samples(exp.r, (lo, hi), per_axis=per_axis,
-                                       min_depth=min_depth)
-    axes = [lo[i] + (np.arange(per_axis) + 0.5) * (hi[i] - lo[i]) / per_axis
-            for i in range(lo.size)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return weights.lattice_samples(exp.r, tuple(zip(*exp.box)),
+                                   per_axis=per_axis, min_depth=min_depth)
 
 
 def _task_check_psh(exp: ExperimentConfig, rng):
@@ -569,11 +562,10 @@ def _task_boundary_convexity(exp: ExperimentConfig, rng):
     per_axis = exp.opt_int("per_axis", 48)
     pts = _interior_lattice(exp, per_axis, 0.0)
     vals = np.abs(exp.r.jets(pts, order=0))
-    collar = exp.opt_number("collar", 0.05) * float(vals.max())
-    shell = pts[vals <= collar]
+    shell = pts[vals <= 0.05 * float(vals.max())]
     if shell.shape[0] == 0:
         raise EmptyDomain("no lattice point lies within the boundary "
-                          "collar; raise per_axis or collar")
+                          "collar; raise per_axis")
     rep = convexity.boundary_p_convexity(exp.r, shell, exp.p)
     worst = rep.points[rep.worst_index]
     records = [{"test": "boundary-convexity", "p": exp.p,
@@ -634,14 +626,13 @@ def _task_kmh(exp: ExperimentConfig, rng):
 
 
 def _task_solve(exp: ExperimentConfig, rng):
-    tol = exp.opt_number("tol", 1e-10)
     coeffs = _field_list(exp, "potential",
                          exterior.dim_forms(exp.n, exp.p - 1))
     records, rows = [], []
     for h in exp.rungs:
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
         f = solver.closed_form_from_potential(cx, exp.p, coeffs)
-        sol = solver.minimal_solution(cx, f, exp.phi, tol=tol)
+        sol = solver.minimal_solution(cx, f, exp.phi)
         m = discrete.mass(cx, exp.phi, exp.p - 1)
         norm_sq = float(m.inner(sol.u.values, sol.u.values))
         records.append({"test": "solve", "h": h, "p": exp.p,
@@ -656,8 +647,6 @@ def _task_solve(exp: ExperimentConfig, rng):
 
 def _task_bounds(exp: ExperimentConfig, rng):
     bound = exp.options["bound"].strip()
-    slack = exp.opt_number("slack", 0.05)
-    tol = exp.opt_number("tol", 1e-10)
     alpha = exp.opt_number("alpha", 0.0)
     coeffs = _field_list(exp, "potential",
                          exterior.dim_forms(exp.n, exp.p - 1))
@@ -666,24 +655,19 @@ def _task_bounds(exp: ExperimentConfig, rng):
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
         f = solver.closed_form_from_potential(cx, exp.p, coeffs)
         if bound == "hormander":
-            reps = [solver.hormander_report(cx, f, exp.phi, exp.p,
-                                            slack=slack, tol=tol)]
+            reps = [solver.hormander_report(cx, f, exp.phi, exp.p)]
         elif bound == "berndtsson":
             reps = [solver.berndtsson_report(cx, f, exp.phi, exp.psi,
-                                             alpha, exp.p, slack=slack,
-                                             tol=tol, rng=rng)]
+                                             alpha, exp.p, rng=rng)]
         elif bound == "minimal":
             reps = [solver.minimal_estimate_report(cx, f, exp.phi, exp.psi,
-                                                   exp.omega, alpha, exp.p,
-                                                   slack=slack, tol=tol)]
+                                                   exp.omega, alpha, exp.p)]
         elif bound == "composite":
             reps = list(solver.composite_minimal_estimate(
-                cx, f, exp.phi, exp.psi, alpha, exp.p,
-                slack=slack, tol=tol))
+                cx, f, exp.phi, exp.psi, alpha, exp.p))
         else:
             reps = [solver.nonpsh_report(cx, f, exp.phi, exp.psi,
-                                         exp.omega, alpha, exp.p,
-                                         slack=slack, tol=tol)]
+                                         exp.omega, alpha, exp.p)]
         for rep in reps:
             records.append(rep.record())
             rows.append((h, rep.lhs, rep.rhs, rep.ratio))
@@ -736,9 +720,7 @@ def _task_prekopa(exp: ExperimentConfig, rng):
         lo, hi = -1.0, 1.0
     count = exp.opt_int("x_count", 7)
     xs = np.linspace(lo, hi, count)
-    rep = solver.prekopa_check(exp.phi, xs, exp.box,
-                               y_points=exp.opt_int("y_points", 601),
-                               tol=exp.opt_number("tol", 1e-6))
+    rep = solver.prekopa_check(exp.phi, xs, exp.box)
     records = [{"test": "prekopa", "convex_input": rep.convex_input,
                 "skipped": rep.skipped, "x_count": count,
                 "min_second_diff": rep.min_second_diff,

@@ -84,21 +84,19 @@ class ConvexityReport:
         raise ValueError(f"mode must be 'strict' or 'semi', got {mode!r}")
 
 
-def _classify(value: float, strict_tol: float, semi_tol: float) -> str:
-    if value > strict_tol:
+def _classify(value: float) -> str:
+    if value > 1e-12:
         return "strict"
-    if value >= -semi_tol:
+    if value >= -1e-12:
         return "semi"
     return "fail"
 
 
-def p_positivity_report(theta: np.ndarray, p: int, *,
-                        strict_tol: float = 1e-12,
-                        semi_tol: float = 1e-12) -> ConvexityReport:
+def p_positivity_report(theta: np.ndarray, p: int) -> ConvexityReport:
     """Grade a symmetric matrix: strict / semi / fail p-positivity.
 
-    ``strict`` means the minimal p-trace exceeds ``strict_tol``; ``semi``
-    means it is above ``-semi_tol``; anything lower fails.
+    ``strict`` means the minimal p-trace exceeds 1e-12; ``semi`` means it
+    is at least -1e-12; anything lower fails.
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[0]
@@ -107,7 +105,7 @@ def p_positivity_report(theta: np.ndarray, p: int, *,
     w, V = np.linalg.eigh(theta)
     value = float(w[:p].sum())
     return ConvexityReport(p=p, min_p_trace=value,
-                           verdict=_classify(value, strict_tol, semi_tol),
+                           verdict=_classify(value),
                            witness_values=w[:p].copy(),
                            witness_vectors=V[:, :p].copy())
 
@@ -133,20 +131,18 @@ class FieldRegionReport:
     ok = ConvexityReport.ok
 
 
-def _region_report(p: int, pts: np.ndarray, traces: np.ndarray,
-                   strict_tol: float, semi_tol: float) -> FieldRegionReport:
+def _region_report(p: int, pts: np.ndarray,
+                   traces: np.ndarray) -> FieldRegionReport:
     """The sampled report; its verdict is that of the smallest trace."""
     worst = int(np.argmin(traces))
     return FieldRegionReport(p=p, points=pts, traces=traces,
-                             verdict=_classify(traces[worst], strict_tol,
-                                               semi_tol),
+                             verdict=_classify(traces[worst]),
                              worst_index=worst)
 
 
 def field_p_psh_report(hessian_at: Callable[[np.ndarray], np.ndarray],
-                       samples: Sequence[np.ndarray], p: int, *,
-                       strict_tol: float = 1e-12,
-                       semi_tol: float = 1e-12) -> FieldRegionReport:
+                       samples: Sequence[np.ndarray],
+                       p: int) -> FieldRegionReport:
     """Sampled p-plurisubharmonicity report for a scalar field.
 
     ``hessian_at`` maps a point to the field's Hessian there; fields (anything
@@ -163,14 +159,11 @@ def field_p_psh_report(hessian_at: Callable[[np.ndarray], np.ndarray],
     else:
         hess = np.array([hessian_at(x) for x in pts])
     traces = min_p_trace(hess, p)
-    return _region_report(p, pts, traces, strict_tol, semi_tol)
+    return _region_report(p, pts, traces)
 
 
 def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
-                         p: int, *,
-                         grad_tol: float = 1e-8,
-                         strict_tol: float = 1e-12,
-                         semi_tol: float = 1e-12) -> FieldRegionReport:
+                         p: int) -> FieldRegionReport:
     """p-convexity of a boundary, via tangential Hessian restriction.
 
     At each boundary sample of the defining function ``r`` (zero level set,
@@ -178,8 +171,8 @@ def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
     basis of the tangent space ``{v : <v, grad r> = 0}``, and the minimal
     p-trace of that ``(n-1) x (n-1)`` block is graded.
 
-    Raises :class:`DegenerateGradient` when ``|grad r|`` falls below
-    ``grad_tol`` at a sample, and requires ``p <= n - 1``.
+    Raises :class:`DegenerateGradient` when ``|grad r| <= 1e-8`` at a
+    sample, and requires ``p <= n - 1``.
     """
     pts = np.atleast_2d(np.asarray(list(boundary_samples), dtype=np.float64))
     if pts.shape[0] == 0:
@@ -189,16 +182,16 @@ def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
         raise ValueError(f"p must be in [1, {n - 1}] for tangential p-planes, got {p}")
     _, grads, hess = field_jets(defining_field, pts)
     gnorms = np.linalg.norm(grads, axis=1)
-    bad = np.flatnonzero(gnorms <= grad_tol)
+    bad = np.flatnonzero(gnorms <= 1e-8)
     if bad.size:
         i = bad[0]
         raise DegenerateGradient(
-            f"|grad r| = {gnorms[i]:.3e} <= {grad_tol:.1e} at boundary sample {pts[i]}")
+            f"|grad r| = {gnorms[i]:.3e} <= 1.0e-08 at boundary sample {pts[i]}")
     # the last n-1 right singular vectors of the unit normal (one row) are
     # an orthonormal basis of the tangent space: (m, n-1, n)
     tangent = np.linalg.svd(grads[:, None, :] / gnorms[:, None, None])[2][:, 1:]
     traces = min_p_trace(tangent @ hess @ tangent.transpose(0, 2, 1), p)
-    return _region_report(p, pts, traces, strict_tol, semi_tol)
+    return _region_report(p, pts, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +264,8 @@ class CurvatureBoundsReport:
     ok: bool
 
 
-def curvature_bounds_check(R: np.ndarray, g: PointForm, *,
-                           tol: float = 1e-10) -> CurvatureBoundsReport:
+def curvature_bounds_check(R: np.ndarray,
+                           g: PointForm) -> CurvatureBoundsReport:
     """Verify ``p(n-p) l_min |g|^2 <= curvature_term <= p(n-p) l_max |g|^2``.
 
     ``l_min``/``l_max`` are the extreme eigenvalues of ``R`` on 2-forms.
@@ -287,7 +280,7 @@ def curvature_bounds_check(R: np.ndarray, g: PointForm, *,
     lower = count * lam * g2
     upper = count * lam_top * g2
     scale = 1.0 + max(abs(lower), abs(upper), abs(term))
-    ok = (lower - tol * scale) <= term <= (upper + tol * scale)
+    ok = (lower - 1e-10 * scale) <= term <= (upper + 1e-10 * scale)
     return CurvatureBoundsReport(term=term, lower=lower, upper=upper,
                                  lambda_min=lam, lambda_max=lam_top,
                                  count=count, ok=bool(ok))
@@ -322,9 +315,8 @@ def signature_count(n: int, p: int) -> int:
     return count
 
 
-def curvature_shift_report(theta: np.ndarray, curvature_floor: float, p: int, *,
-                           strict_tol: float = 1e-12,
-                           semi_tol: float = 1e-12) -> ConvexityReport:
+def curvature_shift_report(theta: np.ndarray, curvature_floor: float,
+                           p: int) -> ConvexityReport:
     """Positivity of the curvature-shifted operator on p-forms.
 
     Grades ``min_p_trace(theta) + p (n - p) * curvature_floor`` against zero:
@@ -335,4 +327,4 @@ def curvature_shift_report(theta: np.ndarray, curvature_floor: float, p: int, *,
     n = rep.witness_vectors.shape[0]
     value = rep.min_p_trace + p * (n - p) * float(curvature_floor)
     return replace(rep, min_p_trace=value,
-                   verdict=_classify(value, strict_tol, semi_tol))
+                   verdict=_classify(value))

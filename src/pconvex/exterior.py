@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -328,19 +328,16 @@ def quadform_matrix(theta: np.ndarray, n: int, p: int) -> np.ndarray:
     return induced_matrices(_check_sym(theta, n)[None], p)[0]
 
 
-def quadform_pinv(theta: np.ndarray, f: PointForm, *,
-                  kernel_tol: float = 1e-12,
-                  membership_tol: float = 1e-8) -> PointForm:
+def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:
     """Pseudo-inverse of the induced operator applied to ``f``.
 
-    Requires ``f`` to lie in the image up to ``membership_tol`` (relative);
-    otherwise :class:`MembershipError` reports the out-of-image residual.
-    Eigenvalues below ``kernel_tol`` times the spectral radius are treated
-    as kernel.
+    Requires ``f`` to lie in the image up to 1e-8 (relative); otherwise
+    :class:`MembershipError` reports the out-of-image residual.
+    Eigenvalues up to 1e-12 times the spectral radius are treated as
+    kernel.
     """
     theta = _check_sym(theta, f.n)
-    x = induced_pinv(theta[None], f.coeffs[None], f.p, kernel_tol=kernel_tol,
-                     membership_tol=membership_tol)
+    x = induced_pinv(theta[None], f.coeffs[None], f.p)
     return PointForm(f.n, f.p, x[0])
 
 
@@ -391,21 +388,19 @@ def induced_pairings(thetas: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("ijk,ijK,ikK->i", thetas, L, L)
 
 
-def induced_pinv(thetas: np.ndarray, F: np.ndarray, p: int, *,
-                 kernel_tol: float = 1e-12,
-                 membership_tol: float = 1e-8) -> np.ndarray:
+def induced_pinv(thetas: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
     """Rows ``A_theta^+ f`` for the rows of ``F``, from one ``eigh`` of the
-    stacked induced matrices.  Eigenvalues with ``|w| <= kernel_tol·max|w|``
+    stacked induced matrices.  Eigenvalues with ``|w| <= 1e-12·max|w|``
     are kernel (all of them for theta = 0); the first row outside the image
-    by more than ``membership_tol`` (relative) raises
-    :class:`MembershipError` with its residuals and ``row``."""
+    by more than 1e-8 (relative) raises :class:`MembershipError` with its
+    residuals and ``row``."""
     thetas, F = _stack(thetas, F, p)
     w, V = np.linalg.eigh(induced_matrices(thetas, p))
     c = np.einsum("iab,ia->ib", V, F)
-    kernel = np.abs(w) <= kernel_tol * np.abs(w).max(axis=1, keepdims=True)
+    kernel = np.abs(w) <= 1e-12 * np.abs(w).max(axis=1, keepdims=True)
     res = np.linalg.norm(np.where(kernel, c, 0.0), axis=1)
     fnorm = np.maximum(np.linalg.norm(F, axis=1), 1e-300)
-    bad = np.flatnonzero(res > membership_tol * fnorm)
+    bad = np.flatnonzero(res > 1e-8 * fnorm)
     if bad.size:
         i = int(bad[0])
         raise MembershipError(
@@ -464,8 +459,7 @@ class InverseBoundReport:
     slack: float          # rhs - lhs (nonnegative when the bound holds)
 
 
-def inverse_bound_check(theta: np.ndarray, g: PointForm, *,
-                        tol: float = 1e-12) -> InverseBoundReport:
+def inverse_bound_check(theta: np.ndarray, g: PointForm) -> InverseBoundReport:
     """Check ``<A_theta^{-1} g, g> <= (1/p^2) (theta^{-1})_jk g_jK g_kK``.
 
     ``theta`` must be symmetric positive definite.  The right-hand side is
@@ -485,7 +479,7 @@ def inverse_bound_check(theta: np.ndarray, g: PointForm, *,
     rhs = pairing_quadratic(np.linalg.inv(theta), g) / float(g.p) ** 2
     scale = max(abs(lhs), abs(rhs), 1.0)
     return InverseBoundReport(lhs=lhs, rhs=rhs,
-                              ok=lhs <= rhs + tol * scale,
+                              ok=lhs <= rhs + 1e-12 * scale,
                               slack=rhs - lhs)
 
 
@@ -518,15 +512,12 @@ class RankOneImageReport:
 
 
 def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
-                         f: Optional[PointForm] = None, *,
-                         pre_tol: float = 1e-10,
-                         slack: float = 1e-10,
-                         membership_tol: float = 1e-8) -> RankOneImageReport:
+                         f: Optional[PointForm] = None) -> RankOneImageReport:
     """Verify the image membership and the two inner-product inequalities
     that a rank-one lower bound on ``theta`` guarantees.
 
     Raises :class:`PreconditionError` when ``theta - tau (x) tau`` fails
-    p-positive semi-definiteness beyond ``pre_tol`` (p = xi.p + 1, measured
+    p-positive semi-definiteness beyond 1e-10 (p = xi.p + 1, measured
     by the smallest sum of p eigenvalues).
     """
     tau = np.asarray(tau, dtype=np.float64)
@@ -538,7 +529,7 @@ def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
         raise ValueError(f"xi degree {xi.p} leaves no room for a {p}-form on R^{xi.n}")
     shifted = theta - np.outer(tau, tau)
     w = np.linalg.eigvalsh(shifted)
-    if float(w[:p].sum()) < -pre_tol * (1.0 + float(np.abs(w).max())):
+    if float(w[:p].sum()) < -1e-10 * (1.0 + float(np.abs(w).max())):
         raise PreconditionError(
             "theta - tau(x)tau is not p-positive semi-definite "
             f"(smallest {p}-eigenvalue sum {w[:p].sum():.3e})")
@@ -546,7 +537,7 @@ def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
     target = wedge(oneform(tau), xi)
     xi_norm2 = xi.inner(xi)
     try:
-        x = quadform_pinv(theta, target, membership_tol=membership_tol)
+        x = quadform_pinv(theta, target)
         membership_ok, mres = True, 0.0
     except MembershipError as err:
         return RankOneImageReport(
@@ -555,15 +546,15 @@ def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
             cross_ok=None, cross_value=None, cross_bound=None)
 
     self_value = x.inner(target)
-    self_ok = self_value <= xi_norm2 + slack * (1.0 + abs(xi_norm2))
+    self_ok = self_value <= xi_norm2 + 1e-10 * (1.0 + abs(xi_norm2))
 
     cross_ok = cross_value = cross_bound = None
     if f is not None:
-        y = quadform_pinv(theta, f, membership_tol=membership_tol)
+        y = quadform_pinv(theta, f)
         cross_value = y.inner(target)
         quad = max(y.inner(f), 0.0)
         cross_bound = math.sqrt(quad) * math.sqrt(max(xi_norm2, 0.0))
-        cross_ok = cross_value <= cross_bound + slack * (1.0 + abs(cross_bound))
+        cross_ok = cross_value <= cross_bound + 1e-10 * (1.0 + abs(cross_bound))
 
     return RankOneImageReport(
         membership_ok=membership_ok, membership_residual=mres,

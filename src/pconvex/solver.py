@@ -9,7 +9,7 @@ LSMR on the mass-scaled coboundary ``M_p^{1/2} d M_{p−1}^{−1/2}``, whose
 Krylov iterates are minimal-norm by construction.  On top of that sit
 verification reports: each one solves, integrates the predicted
 right-hand side, and records whether ``lhs ≤ constant · integral`` held
-with the requested slack.  The module also computes harmonic ranks
+with the fixed slack of 5 %.  The module also computes harmonic ranks
 (cohomology dimensions) from the weighted cochain Laplacian and checks
 convexity of log-marginals of convex densities.
 """
@@ -52,6 +52,9 @@ __all__ = [
     "CombinedWeight",
     "inverse_quadform_integral",
 ]
+
+_TOL = 1e-10     # relative weighted residual of every solve
+_SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +164,20 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
     return u - mean[labels]
 
 
-def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
-                     tol: float = 1e-10) -> MinimalSolution:
+def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
     """Minimal-norm ``u`` with ``du = f`` in the weight's inner product.
 
-    ``f`` must be closed (``‖df‖ ≤ tol·‖f‖``) and must carry no harmonic
+    ``f`` must be closed (``‖df‖ ≤ 1e-10·‖f‖``) and must carry no harmonic
     component.  For ``p = 1``, ``Ker d`` is the locally constant functions,
     so ``f``'s primitive less its weighted mean on each component is the
-    minimal solution; it is returned when its residual meets ``tol`` (else
+    minimal solution; it is returned when its residual meets 1e-10 (else
     ``f`` has a harmonic part, which LSMR measures).  Otherwise one LSMR
     solve on the mass-scaled coboundary ``D̃ = M_p^{1/2} d M_{p−1}^{−1/2}``
     with right-hand side ``M_p^{1/2} f`` gives ``v``, and
     ``u = M_{p−1}^{−1/2} v``.  LSMR's iterates stay in ``range(D̃ᵀ)``, so
     ``u`` is the weighted minimal-norm solution without any projection,
     and ``‖D̃v − M_p^{1/2} f‖`` is the weighted residual.  When LSMR stops
-    on its least-squares test above ``tol``, that residual is the harmonic
+    on its least-squares test above 1e-10, that residual is the harmonic
     part of ``f`` and :class:`CohomologyObstruction` carries its norm;
     running out of the iteration budget raises :class:`NoConvergence`.
     """
@@ -194,10 +196,10 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
     if p < cx.n:
         df = coboundary(cx, p) @ f.values
         df_norm = math.sqrt(mass(cx, phi, p + 1).inner(df, df))
-        if df_norm > tol * f_norm:
+        if df_norm > _TOL * f_norm:
             raise NotClosed(
                 f"right-hand side is not closed: ‖df‖/‖f‖ = "
-                f"{df_norm / f_norm:.3e} exceeds tol {tol:.1e}",
+                f"{df_norm / f_norm:.3e} exceeds tol {_TOL:.1e}",
                 rel_residual=df_norm / f_norm)
 
     def weighted_residual(u):
@@ -208,7 +210,7 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
     if p == 1:
         u = _forest_primitive(cx, f.values, m_src)
         r_norm = weighted_residual(u)
-        if r_norm / f_norm <= tol:
+        if r_norm / f_norm <= _TOL:
             return MinimalSolution(Cochain(0, u), 0, r_norm / f_norm, r_norm,
                                    "primitive")
 
@@ -223,12 +225,12 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi, *,
     # at 2.4e-10, above the 1e-10 tolerance, while 1e-13 and 1e-14 met it
     # everywhere.  conlim = 0 switches the condition-number stop off.
     v, istop, iters = spla.lsmr(scaled, w_tgt * f.values, atol=1e-14,
-                                btol=tol / 8.0, conlim=0.0,
+                                btol=_TOL / 8.0, conlim=0.0,
                                 maxiter=budget)[:3]
     u = v / w_src
     r_norm = weighted_residual(u)
     rel = r_norm / f_norm
-    if rel <= tol:
+    if rel <= _TOL:
         return MinimalSolution(Cochain(p - 1, u), iters, rel, r_norm, "lsmr")
     # istop 2: D̃ᵀr vanished, so r is the harmonic part of f; istop 0: so
     # did D̃ᵀ(M_p^{1/2} f) before the first step
@@ -275,8 +277,8 @@ def monotonicity_check(potential_coeffs, p: int, *,
                                                CubicalComplex]] = None,
                        phi=0.0,
                        weights=None,
-                       cx: Optional[CubicalComplex] = None,
-                       tol: float = 1e-8) -> MonotonicityRecord:
+                       cx: Optional[CubicalComplex] = None
+                       ) -> MonotonicityRecord:
     """Compare weighted norms of minimal solutions under growing domains or
     growing weights.
 
@@ -321,7 +323,7 @@ def monotonicity_check(potential_coeffs, p: int, *,
                  for w, s in zip((lo_w, hi_w), sols)]
         lesser, greater = norms[1], norms[0]
         mode = "weights"
-    satisfied = lesser <= greater * (1.0 + tol) + tol
+    satisfied = lesser <= greater * (1.0 + 1e-8) + 1e-8
     return MonotonicityRecord(mode, lesser, greater, satisfied,
                               greater - lesser,
                               (sols[0].residual, sols[1].residual))
@@ -419,9 +421,9 @@ def _pairing_integral(cx: CubicalComplex, g: Cochain, theta, weight) -> float:
 
 def _require_p_positive(points: np.ndarray,
                         mats: Callable[[np.ndarray], np.ndarray], p: int,
-                        label: str, tol: float = 1e-8) -> None:
+                        label: str) -> None:
     """The matrices ``mats(X)`` builds for each block ``X`` of ``points``
-    must be p-positive semidefinite, up to ``tol`` times their largest
+    must be p-positive semidefinite, up to 1e-8 times their largest
     entry plus one.
 
     Blocks are checked in row order, so the error names the first failing
@@ -432,7 +434,7 @@ def _require_p_positive(points: np.ndarray,
         a = mats(X)
         traces = min_p_trace(a, p)
         scale = np.abs(a).max(axis=(1, 2)) + 1.0
-        bad = np.flatnonzero(traces < -tol * scale)
+        bad = np.flatnonzero(traces < -1e-8 * scale)
         if bad.size:
             i = bad[0]
             raise PreconditionError(
@@ -447,7 +449,7 @@ def _hessian(w):
 
 def _neg_exp_hessian(w):
     """Block builder of ``D²w − ∇w⊗∇w``, the Hessian of ``-e^{-w}`` up to
-    the positive factor ``e^{-w}``, which is kept so that the tolerance
+    the positive factor ``e^{-w}``, which is kept so that the 1e-8 floor
     scales as for the Hessian itself."""
     def mats(X):
         v, g, h = field_jets(w, X)
@@ -515,7 +517,6 @@ class BoundReport:
     rhs: float
     constant: float
     integral: float
-    slack: float
     h: float
     vacuous: bool
     solve: MinimalSolution
@@ -527,7 +528,7 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return bool(self.vacuous or self.ratio <= 1.0 + self.slack)
+        return bool(self.vacuous or self.ratio <= 1.0 + _SLACK)
 
     def record(self) -> dict:
         sol = self.solve
@@ -544,7 +545,7 @@ class BoundReport:
 
 
 def _estimate(test: str, cx: CubicalComplex, f: Cochain, sol: MinimalSolution,
-              weight, theta, constant: float, slack: float,
+              weight, theta, constant: float,
               modifier: Optional[Callable[[np.ndarray], np.ndarray]] = None,
               apriori: Optional[AprioriCheck] = None) -> BoundReport:
     """The report on ``lhs ≤ constant · ∫⟨F_theta⁻¹f, f⟩e^{−weight}`` for
@@ -560,24 +561,23 @@ def _estimate(test: str, cx: CubicalComplex, f: Cochain, sol: MinimalSolution,
     integral = float(inverse_quadform_integral(cx, f, theta, weight))
     return BoundReport(test=test, lhs=lhs, rhs=constant * integral,
                        constant=float(constant), integral=integral,
-                       slack=float(slack), h=cx.dom.h,
+                       h=cx.dom.h,
                        vacuous=(integral == 0.0), solve=sol, apriori=apriori)
 
 
-def hormander_report(cx: CubicalComplex, f: Cochain, phi, p: int, *,
-                     slack: float = 0.05, tol: float = 1e-10) -> BoundReport:
+def hormander_report(cx: CubicalComplex, f: Cochain, phi,
+                     p: int) -> BoundReport:
     """Baseline estimate: ``‖u‖²_φ ≤ ∫⟨F_φ⁻¹f, f⟩e^{−φ}`` (constant 1) for
     the minimal solution under a p-plurisubharmonic weight."""
     if f.p != p:
         raise ValueError("cochain degree does not match p")
     _require_p_positive(cx.barycenters(p), _hessian(phi), p, "D²phi")
-    sol = minimal_solution(cx, f, phi, tol=tol)
-    return _estimate("hormander", cx, f, sol, phi, phi, 1.0, slack)
+    sol = minimal_solution(cx, f, phi)
+    return _estimate("hormander", cx, f, sol, phi, phi, 1.0)
 
 
 def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
-                      p: int, *, slack: float = 0.05, tol: float = 1e-10,
-                      rng=None) -> BoundReport:
+                      p: int, *, rng=None) -> BoundReport:
     """Two-weight estimate with constant ``4/(1−α)²``.
 
     Solves minimally in the weight ``φ − αψ`` (isometric to the twisted
@@ -595,17 +595,17 @@ def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
     _require_p_positive(bary, _neg_exp_hessian(psi), p,
                         "the Hessian of -exp(-psi)")
     w_solve = _combine(phi, -alpha, psi)
-    sol = minimal_solution(cx, f, w_solve, tol=tol)
+    sol = minimal_solution(cx, f, w_solve)
     apriori = _apriori_check(cx, phi, psi, (1.0 - alpha) / 2.0, p, rng=rng)
     return _estimate("berndtsson", cx, f, sol, w_solve, psi,
-                     4.0 / (1.0 - alpha) ** 2, slack, apriori=apriori)
+                     4.0 / (1.0 - alpha) ** 2, apriori=apriori)
 
 
 def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
-                   samples: int = 3, rng=None) -> AprioriCheck:
+                   rng=None) -> AprioriCheck:
     """``‖δ_{φ+σψ}g‖²_{φ+ψ} + ‖dg‖²_{φ+ψ} ≥ σ²∫⟨F_ψ g,g⟩e^{−φ−ψ}`` on
-    random coexact p-cochains (the quantifier over all of ``Dom(d*)`` is
-    sampled, not proved)."""
+    three random coexact p-cochains (the quantifier over all of
+    ``Dom(d*)`` is sampled, not proved)."""
     rng = np.random.default_rng(0) if rng is None else rng
     w_plus = _combine(phi, 1.0, psi)
     if p < cx.n:
@@ -615,7 +615,7 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
     m_down = mass(cx, w_plus, p - 1)
     worst = 0.0
     done = 0
-    for _ in range(samples):
+    for _ in range(3):
         if p < cx.n:
             raw = rng.standard_normal(cx.num_cells(p + 1))
             g = Cochain(p, coexact @ raw)
@@ -637,8 +637,7 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
 
 
 def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
-                            alpha: float, p: int, *, slack: float = 0.05,
-                            tol: float = 1e-10) -> BoundReport:
+                            alpha: float, p: int) -> BoundReport:
     """Estimate for the φ-minimal solution with constant ``(1+α)/(1−α)``:
     ``∫(1−ω²)|u|²e^{−φ+ψ} ≤ ((1+α)/(1−α))∫⟨F_ψ⁻¹f,f⟩e^{−φ+ψ}``.
 
@@ -656,16 +655,15 @@ def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     _require_p_positive(bary, _shifted_hessian(psi, psi, omega), p,
                         "omega²·D²psi − ∇psi⊗∇psi")
     _check_omega_on_support(cx, f, omega, alpha)
-    sol = minimal_solution(cx, f, phi, tol=tol)
+    sol = minimal_solution(cx, f, phi)
     return _estimate(
         "minimal-estimate", cx, f, sol, _combine(phi, -1.0, psi), psi,
-        (1.0 + alpha) / (1.0 - alpha), slack,
+        (1.0 + alpha) / (1.0 - alpha),
         lambda X: 1.0 - field_jets(omega, X, order=0) ** 2)
 
 
 def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
-                               alpha0: float, p: int, *, slack: float = 0.05,
-                               tol: float = 1e-10,
+                               alpha0: float, p: int,
                                ) -> Tuple[BoundReport, BoundReport]:
     """Scaled-weight route to the two-weight bound: apply the minimal
     estimate with ``ψ = α₀ψ₀`` and constant test function ``ω ≡ √α₀``, then
@@ -679,17 +677,15 @@ def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
                         "the Hessian of -exp(-psi0)")
     root = math.sqrt(alpha0)
     psi_scaled = CombinedWeight(None, alpha0, psi0)
-    base = minimal_estimate_report(cx, f, phi, psi_scaled, root, root, p,
-                                   slack=slack, tol=tol)
+    base = minimal_estimate_report(cx, f, phi, psi_scaled, root, root, p)
     composite = _estimate("minimal-estimate-composite", cx, f, base.solve,
                           _combine(phi, -alpha0, psi0), psi0,
-                          1.0 / (alpha0 * (1.0 - root) ** 2), slack)
+                          1.0 / (alpha0 * (1.0 - root) ** 2))
     return base, composite
 
 
 def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
-                  alpha: float, p: int, *, slack: float = 0.05,
-                  tol: float = 1e-10) -> BoundReport:
+                  alpha: float, p: int) -> BoundReport:
     """Estimate tolerating a non-plurisubharmonic total weight.
 
     Solves minimally in ``φ − ψ/2``.  With a varying ``omega`` (requires
@@ -718,9 +714,9 @@ def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
         _check_omega_on_support(cx, f, omega, alpha)
         label, constant = "nonpsh", (2.0 + alpha) / (2.0 - alpha)
         modifier = lambda X: 1.0 - field_jets(omega, X, order=0) ** 2 / 4.0
-    sol = minimal_solution(cx, f, _combine(phi, -0.5, psi), tol=tol)
+    sol = minimal_solution(cx, f, _combine(phi, -0.5, psi))
     return _estimate(label, cx, f, sol, _combine(phi, -1.0, psi), phi,
-                     constant, slack, modifier)
+                     constant, modifier)
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +756,13 @@ def _laplacian_matrix(cx: CubicalComplex, phi, p: int) -> Tuple[sp.csr_matrix,
 
 def cohomology_rank(cx: CubicalComplex, p: int, phi=0.0, *,
                     n_eigs: int = 30, floor_factor: float = 1e-7,
-                    gap_factor: float = 10.0,
                     check_weights: Sequence = ()) -> CohomologyReport:
     """Dimension of the degree-p harmonic space (the p-th Betti number).
 
     Counts eigenvalues of the weighted cochain Laplacian below
     ``floor_factor`` times its largest absolute row sum; any eigenvalue in
-    the ambiguity band between the floor and ``gap_factor`` times the floor
-    raises :class:`GapAmbiguous` rather than guessing.  The head comes from
+    the ambiguity band between the floor and ten times the floor raises
+    :class:`GapAmbiguous` rather than guessing.  The head comes from
     shift-invert Lanczos on one symmetric factor from a fixed start vector:
     six eigenvalues, grown to ``n_eigs`` when all six are harmonic, or the
     dense spectrum with at most ``2·n_eigs`` cells.  ``check_weights``
@@ -796,11 +791,11 @@ def cohomology_rank(cx: CubicalComplex, p: int, phi=0.0, *,
                 break
         order = np.argsort(eigvals)
         eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    in_band = (eigvals > floor) & (eigvals < gap_factor * floor)
+    in_band = (eigvals > floor) & (eigvals < 10.0 * floor)
     if np.any(in_band):
         raise GapAmbiguous(
             f"eigenvalue {float(eigvals[in_band][0]):.3e} sits in the "
-            f"ambiguity band ({floor:.3e}, {gap_factor * floor:.3e}); "
+            f"ambiguity band ({floor:.3e}, {10.0 * floor:.3e}); "
             "no clear spectral gap")
     tiny = eigvals <= floor
     rank = int(tiny.sum())
@@ -812,8 +807,7 @@ def cohomology_rank(cx: CubicalComplex, p: int, phi=0.0, *,
                               eigenvalues=eigvals[:n_eigs], floor=floor)
     for other in check_weights:
         alt = cohomology_rank(cx, p, other, n_eigs=n_eigs,
-                              floor_factor=floor_factor,
-                              gap_factor=gap_factor)
+                              floor_factor=floor_factor)
         if alt.rank != rank:
             raise GapAmbiguous(
                 f"harmonic rank changed under reweighting: {rank} vs "
@@ -835,32 +829,29 @@ class PrekopaReport:
     marginal: np.ndarray        # tilde-phi at the x samples
     second_diffs: np.ndarray    # (samples, x_dim)
     min_second_diff: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return (not self.skipped) and self.min_second_diff >= -self.tol
+        return (not self.skipped) and self.min_second_diff >= -1e-6
 
 
 def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
-                  y_points: int = 601, delta: float = 0.1,
-                  tol: float = 1e-6, tail_tol: float = 1e-12,
-                  convexity_tol: float = 1e-10) -> PrekopaReport:
+                  y_points: int = 601) -> PrekopaReport:
     """Convexity check of ``-log ∫ e^{-phi(x,y)} dy`` by quadrature.
 
-    The joint weight must be convex (sampled Hessians); a non-convex input
-    flags the precondition and skips the check instead of raising.  The y
-    integral uses a midpoint lattice over ``y_box``; if the density on the
-    outermost lattice shell exceeds ``tail_tol`` times its maximum the box
-    is too small and :class:`TailError` is raised.  Convexity of the
-    marginal is then asserted through second central differences with step
-    ``delta`` (exact for quadratic joints) at every x sample.
+    The joint weight must be convex (sampled Hessians, no eigenvalue below
+    -1e-10 times the largest entry plus one); a non-convex input flags the
+    precondition and skips the check instead of raising.  The y integral
+    uses a midpoint lattice over ``y_box``; if the density on the
+    outermost lattice shell exceeds 1e-12 times its maximum the box is too
+    small and :class:`TailError` is raised.  Convexity of the marginal is
+    then asserted through second central differences with step 0.1 (exact
+    for quadratic joints) at every x sample.
     """
     xs = np.atleast_2d(np.asarray(x_samples, dtype=np.float64))
     if xs.shape[1] != x_dim:
         xs = xs.reshape(-1, x_dim)
     y_box = tuple((float(lo), float(hi)) for lo, hi in y_box)
-    y_dim = len(y_box)
 
     mids = [lo + (hi - lo) * (np.arange(y_points) + 0.5) / y_points
             for lo, hi in y_box]
@@ -873,6 +864,7 @@ def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
         on_edge |= (coord == m[0]) | (coord == m[-1])
 
     # sampled convexity of the joint weight
+    delta = 0.1
     probe_x = np.unique(np.concatenate(
         [xs + delta * sign * np.eye(x_dim)[i]
          for i in range(x_dim) for sign in (-1.0, 0.0, 1.0)]), axis=0)
@@ -881,16 +873,16 @@ def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
                        for px in probe_x for py in probe_y])
     hess = field_jets(phi_joint, probes)[2]
     scale = np.abs(hess).max(axis=(1, 2)) + 1.0
-    if np.any(np.linalg.eigvalsh(hess)[:, 0] < -convexity_tol * scale):
+    if np.any(np.linalg.eigvalsh(hess)[:, 0] < -1e-10 * scale):
         return PrekopaReport(False, True, xs, np.array([]),
-                             np.zeros((0, x_dim)), math.nan, tol)
+                             np.zeros((0, x_dim)), math.nan)
 
     def marginal(px: np.ndarray) -> float:
         vals = field_jets(phi_joint, np.hstack(
             [np.broadcast_to(px, (ys.shape[0], x_dim)), ys]), order=0)
         base = float(vals.min())
         dens = np.exp(-(vals - base))
-        if float(dens[on_edge].max()) > tail_tol * float(dens.max()):
+        if float(dens[on_edge].max()) > 1e-12 * float(dens.max()):
             raise TailError(
                 f"density on the quadrature boundary is "
                 f"{float(dens[on_edge].max()) / float(dens.max()):.3e} of "
@@ -905,4 +897,4 @@ def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
             second[j, i] = (marginal(px + step) - 2.0 * center[j]
                             + marginal(px - step)) / delta ** 2
     return PrekopaReport(True, False, xs, center, second,
-                         float(second.min()), tol)
+                         float(second.min()))

@@ -256,8 +256,7 @@ def _as_weight(phi) -> PiecewiseWeight:
 # shell-by-shell convexification
 # ---------------------------------------------------------------------------
 
-def convexify(phi, omega, p: int, sublevels: Sequence[float],
-              samples, margin: float = 0.1,
+def convexify(phi, omega, p: int, sublevels: Sequence[float], samples,
               exempt_first_shell: bool = False) -> PiecewiseWeight:
     """Compose ``phi`` with a convex ramp so its p-trace beats a defect.
 
@@ -265,7 +264,7 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float],
     shells by their ``phi`` value.  On each shell the base field must be
     strictly p-psh (its Hessian's minimal p-trace ``lam > 0``); the ramp
     slope at the shell's left knot is then raised to
-    ``(1 + margin) * p * max(0, -omega) / lam`` (never below 1), with a
+    ``1.1 * p * max(0, -omega) / lam`` (never below 1), with a
     running maximum keeping the slope non-decreasing.  The construction is
     verified on the samples: the composed Hessian's minimal p-trace plus
     ``omega`` must come out positive.
@@ -307,7 +306,7 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float],
     levels = np.empty(sublevels.size)
     running = 0.0
     for nu in range(n_shells):
-        running = max(running, (1.0 + margin) * needs[nu])
+        running = max(running, 1.1 * needs[nu])
         levels[nu] = max(1.0, running)
     levels[n_shells] = max(1.0, running)
 
@@ -328,8 +327,8 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float],
 # tail integrability
 # ---------------------------------------------------------------------------
 
-def integrability_modifier(phi, c: float, tail_integrals: Sequence[float],
-                           margin: float = 0.5) -> PiecewiseWeight:
+def integrability_modifier(phi, c: float,
+                           tail_integrals: Sequence[float]) -> PiecewiseWeight:
     """Append convex growth above level ``c`` to tame a mass tail.
 
     ``tail_integrals[k]`` (for ``k = 0, 1, ...``) must dominate the mass
@@ -337,7 +336,7 @@ def integrability_modifier(phi, c: float, tail_integrals: Sequence[float],
     that should stay integrable against ``e^{-weight}``.  The returned
     weight is ``phi + gamma(phi)`` with ``gamma`` convex, non-decreasing,
     and exactly zero at or below ``c``; at the knot ``c + k + 1`` it
-    clears ``max(0, k + 1 + log(tail_integrals[k])) + margin``, which makes
+    clears ``max(0, k + 1 + log(tail_integrals[k])) + 0.5``, which makes
     the reweighted shell masses decay at least like ``e^{-k}``.
 
     An empty tail (or all-zero integrals) yields ``gamma ≡ 0``.
@@ -357,7 +356,7 @@ def integrability_modifier(phi, c: float, tail_integrals: Sequence[float],
     gamma_val = 0.0
     for k in range(1, n_knots):
         if k - 1 < integrals.size and integrals[k - 1] > 0.0:
-            target = max(0.0, k + math.log(integrals[k - 1])) + margin
+            target = max(0.0, k + math.log(integrals[k - 1])) + 0.5
         else:
             target = 0.0
         levels[k] = max(levels[k - 1],
@@ -610,7 +609,8 @@ def stiffness_floor(r, phi, samples, p: int,
 
 def lattice_samples(r, box, per_axis: int = 24,
                     min_depth: float = 0.0) -> np.ndarray:
-    """Cell-center lattice points of ``box`` where ``r < -min_depth``.
+    """Cell-center lattice points of ``box`` where ``r < -min_depth``;
+    every point when ``r`` is None.
 
     One uniform lattice covers both the deep interior and the boundary
     collar; raise ``per_axis`` to sample the collar more densely.  Raises
@@ -625,6 +625,8 @@ def lattice_samples(r, box, per_axis: int = 24,
             for i in range(lo.size)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    if r is None:
+        return pts
     keep = field_jets(r, pts, order=0) < -min_depth
     if not keep.any():
         raise EmptyDomain("no lattice point lies inside the domain")

@@ -175,6 +175,14 @@ potential = bump()
     def test_unknown_key_flagged(self, tmp_path):
         self.check(tmp_path, KMH_CFG + "gg = 3\n")
 
+    # keys that earlier versions accepted: each value is now fixed, and a
+    # config that still sets one fails instead of being silently ignored
+    @pytest.mark.parametrize("key, value", [
+        ("samples", "3"), ("slack", "0.05"), ("tol", "1e-10"),
+        ("y_points", "601"), ("collar", "0.05")], ids=lambda v: v)
+    def test_removed_key_flagged(self, tmp_path, key, value):
+        self.check(tmp_path, KMH_CFG + f"{key} = {value}\n")
+
     def test_ladder_must_decrease(self, tmp_path):
         self.check(tmp_path, KMH_CFG.replace("1/8, 1/16, 1/32",
                                              "1/8, 1/8, 1/32"))

@@ -90,6 +90,13 @@ def test_verdict_thresholds():
     # the trace can be positive while 1-positivity fails
     rep = C.p_positivity_report(np.diag([-1.0, 5.0]), 2)
     assert rep.verdict == "strict"
+    # the band edges: strict above 1e-12, semi within ±1e-12, fail below
+    for value, verdict in ((2e-12, "strict"), (5e-13, "semi"),
+                           (-5e-13, "semi"), (-2e-12, "fail")):
+        rep = C.p_positivity_report(np.diag([value, 2.0]), 1)
+        assert rep.min_p_trace == value and rep.verdict == verdict
+        rep = C.curvature_shift_report(np.diag([0.0, 2.0]), value, 1)
+        assert rep.min_p_trace == value and rep.verdict == verdict
 
 
 def test_witness_directions_realize_the_minimum():
@@ -161,7 +168,7 @@ def test_boundary_hyperboloid_is_2_but_not_1_convex():
 
 def test_boundary_degenerate_gradient_raises():
     r = QuadField(np.eye(2))                     # grad vanishes at the origin
-    with pytest.raises(DegenerateGradient):
+    with pytest.raises(DegenerateGradient, match="1.0e-08"):
         C.boundary_p_convexity(r, [np.zeros(2)], 1)
 
 
