@@ -14,7 +14,7 @@ A config is a small INI file with three sections::
 
     [task]
     name = bounds
-    bound = berndtsson
+    bound = minimal
     p = 1
     alpha = 0.3
     potential = bump(0.25, 0.75)
@@ -25,8 +25,9 @@ A config is a small INI file with three sections::
 line), plus ``series.csv`` and ``plot.svg`` when the task produces a
 refinement series.  Exit status: 0 when every check passes, 1 when a
 check fails or the task aborts (the failure is embedded in the report),
-2 for config errors.  Given the same config and seed the report is
-byte-identical across runs except for the header line.
+2 for a config error, such as a key its task does not read.  Given the
+same config and seed the report is byte-identical across runs except
+for the header line.
 
 ``pconvex list-builtins`` prints the built-in weight/field/domain
 constructors accepted inside config values.
@@ -42,7 +43,7 @@ import numbers
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -139,8 +140,8 @@ def _bind(name: str, params: Sequence[Tuple[str, Optional[str]]],
           args: Sequence[str], kwargs: Dict[str, str]) -> Dict[str, Optional[str]]:
     """Match positional/keyword tokens against a parameter spec.
 
-    A ``None`` default marks a parameter that may stay absent (the
-    builder substitutes a context-dependent value, e.g. the origin).
+    A ``None`` default is the ``center`` parameter's: left absent, it is
+    the origin of the domain's dimension (listed as ``0:0``).
     """
     if len(args) > len(params):
         raise ConfigError(f"{name}: expected at most {len(params)} "
@@ -156,14 +157,6 @@ def _bind(name: str, params: Sequence[Tuple[str, Optional[str]]],
     for key, default in params:
         bound.setdefault(key, default)
     return bound
-
-
-def _center(tok: str, n: int) -> np.ndarray:
-    c = np.asarray(_colon_floats(tok), dtype=np.float64)
-    if c.size != n:
-        raise ConfigError(f"center {tok!r} has {c.size} components, "
-                          f"domain has {n}")
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -196,57 +189,41 @@ class _Bump(BatchedField):
                         / w ** 2) ** 4, axis=1)
 
 
-def _bi_bump(ctx: "_Context", args, kwargs):
-    b = _bind("bump", [("lo", "0.25"), ("hi", "0.75")], args, kwargs)
+def _bi_bump(ctx: "_Context", b):
     lo, hi = _number(b["lo"]), _number(b["hi"])
     if hi <= lo:
         raise ConfigError(f"bump: need lo < hi, got {lo} >= {hi}")
     return _Bump(lo, hi)
 
 
-def _bi_cor42(ctx: "_Context", args, kwargs):
-    b = _bind("cor42", [("p", "1"), ("D", "1.0"), ("center", None)],
-              args, kwargs)
-    center = (_center(b["center"], ctx.n) if b["center"] is not None
-              else np.zeros(ctx.n))
-    return weights.diameter_weight(_integer(b["p"]), _number(b["D"]), center)
+def _bi_cor42(ctx: "_Context", b):
+    return weights.diameter_weight(_integer(b["p"]), _number(b["D"]),
+                                   b["center"])
 
 
-def _bi_df(ctx: "_Context", args, kwargs):
-    b = _bind("df", [("K", "1.0"), ("eta", "0.5"), ("center", None)],
-              args, kwargs)
+def _bi_df(ctx: "_Context", b):
     if ctx.r is None:
         raise ConfigError("df: the domain has no defining function r")
-    center = (_center(b["center"], ctx.n) if b["center"] is not None
-              else np.zeros(ctx.n))
-    quad = parse(_quadratic_expr(center), ctx.n)
+    quad = parse(_quadratic_expr(b["center"]), ctx.n)
     return compose_df(ctx.r, quad, _number(b["K"]), _number(b["eta"]))
 
 
-def _bi_disk(ctx: "_Context", args, kwargs):
-    b = _bind("disk", [("radius", "1.0"), ("center", None)], args, kwargs)
+def _bi_disk(ctx: "_Context", b):
     radius = _number(b["radius"])
     if radius <= 0:
         raise ConfigError("disk: radius must be positive")
-    center = (_center(b["center"], ctx.n) if b["center"] is not None
-              else np.zeros(ctx.n))
-    return f"{_quadratic_expr(center)}+({-radius * radius})"
+    return f"{_quadratic_expr(b['center'])}+({-radius * radius})"
 
 
-def _bi_annulus(ctx: "_Context", args, kwargs):
-    b = _bind("annulus", [("inner", "0.5"), ("outer", "1.0"),
-                          ("center", None)], args, kwargs)
+def _bi_annulus(ctx: "_Context", b):
     ri, ro = _number(b["inner"]), _number(b["outer"])
     if not 0 < ri < ro:
         raise ConfigError("annulus: need 0 < inner < outer")
-    center = (_center(b["center"], ctx.n) if b["center"] is not None
-              else np.zeros(ctx.n))
-    q = _quadratic_expr(center)
+    q = _quadratic_expr(b["center"])
     return f"(({q})+({-ri * ri}))*(({q})+({-ro * ro}))"
 
 
-def _bi_torus(ctx: "_Context", args, kwargs):
-    b = _bind("torus", [("ring", "0.55"), ("tube", "0.3")], args, kwargs)
+def _bi_torus(ctx: "_Context", b):
     ring, tube = _number(b["ring"]), _number(b["tube"])
     if not 0 < tube < ring:
         raise ConfigError("torus: need 0 < tube < ring")
@@ -256,30 +233,33 @@ def _bi_torus(ctx: "_Context", args, kwargs):
             f"+({-4.0 * ring * ring})*(x1^2+x2^2)")
 
 
-#: name -> (kind, signature, summary, builder); kinds: weight (has exact
-#: 2-jets), field (plain evaluator), domain (produces an ``r`` expression).
+#: name -> (kind, parameters with defaults, summary, builder); kinds: weight
+#: (has exact 2-jets), field (plain evaluator), domain (produces an ``r``
+#: expression).  A builder gets the bound parameters as text, except
+#: ``center``, which arrives as a point.
 BUILTINS = {
-    "annulus": ("domain", "annulus(inner=0.5, outer=1.0, center=0:0)",
+    "annulus": ("domain", (("inner", "0.5"), ("outer", "1.0"),
+                           ("center", None)),
                 "Planar ring: negative strictly between the two radii.",
                 _bi_annulus),
-    "bump": ("field", "bump(lo=0.25, hi=0.75)",
+    "bump": ("field", (("lo", "0.25"), ("hi", "0.75")),
              "Smooth product bump supported on [lo, hi]^n, vanishing to "
              "fourth order at the edges; the standard battery source.",
              _bi_bump),
-    "cor42": ("weight", "cor42(p=1, D=1.0, center=0:0)",
+    "cor42": ("weight", (("p", "1"), ("D", "1.0"), ("center", None)),
               "Scaled squared-distance weight p*|x-center|^2/(2*D^2); its "
               "induced operator on p-forms is (p/D)^2 times the identity, "
               "so inverse-pairing integrals have a closed form.",
               _bi_cor42),
-    "df": ("weight", "df(K=1.0, eta=0.5, center=0:0)",
+    "df": ("weight", (("K", "1.0"), ("eta", "0.5"), ("center", None)),
            "Composite -(-r*exp(-K*|x-center|^2))^eta built from the "
            "domain's defining function r: the family the df-search task "
            "scans, materialized for a chosen pair.",
            _bi_df),
-    "disk": ("domain", "disk(radius=1.0, center=0:0)",
+    "disk": ("domain", (("radius", "1.0"), ("center", None)),
              "Round ball: |x-center|^2 - radius^2.",
              _bi_disk),
-    "torus": ("domain", "torus(ring=0.55, tube=0.3)",
+    "torus": ("domain", (("ring", "0.55"), ("tube", "0.3")),
               "Solid torus in 3D around the x3-axis: points within tube "
               "of the ring-radius circle.",
               _bi_torus),
@@ -292,40 +272,54 @@ def list_builtins() -> str:
              "(kinds: weight = has exact 2-jets, field = plain evaluator,",
              " domain = expands to a defining-function expression)", ""]
     for name in sorted(BUILTINS):
-        kind, sig, doc, _ = BUILTINS[name]
-        lines.append(f"{sig} -> {kind}")
+        kind, params, doc, _ = BUILTINS[name]
+        sig = ", ".join(f"{key}={'0:0' if default is None else default}"
+                        for key, default in params)
+        lines.append(f"{name}({sig}) -> {kind}")
         lines.append(f"    {doc}")
     return "\n".join(lines)
+
+
+def _call(text: str, ctx: "_Context", domain: bool):
+    """Build ``text`` if it calls a builtin of the wanted sort; else None."""
+    call = _parse_call(text)
+    if call is None:
+        return None
+    name, args, kwargs = call
+    kind, params, _, builder = BUILTINS[name]
+    if (kind == "domain") != domain:
+        raise ConfigError(f"{name} is a {kind} builtin, not a "
+                          + ("domain" if domain else "weight or field"))
+    b = _bind(name, params, args, kwargs)
+    if "center" in b:
+        b["center"] = (np.zeros(ctx.n) if b["center"] is None
+                       else np.asarray(_colon_floats(b["center"])))
+        if b["center"].size != ctx.n:
+            raise ConfigError(f"center has {b['center'].size} components, "
+                              f"domain has {ctx.n}")
+    return builder(ctx, b)
 
 
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------
 
-TASK_NAMES = ("check-psh", "boundary-convexity", "df-search", "kmh",
-              "solve", "bounds", "cohomology", "prekopa", "algebra-battery")
-
-_SECTION_KEYS = {
-    "domain": {"box", "h", "ladder", "r"},
-    "weights": {"phi", "psi", "omega"},
-    "task": {"name", "p", "alpha", "seed", "per_axis", "min_depth",
-             "potential", "g", "bound", "expect", "check_weights", "x_range",
-             "x_count", "cases", "n", "k_grid", "eta_grid", "ratio_min",
-             "final_max"},
-}
-
-_BOUND_NAMES = ("hormander", "berndtsson", "minimal", "composite", "nonpsh")
-
-
 @dataclass
 class _Context:
+    """What parsing a value may depend on: the dimension, the defining
+    function and the degree, each once it is read."""
+
     n: int
     r: Optional[object] = None
+    p: Optional[int] = None
 
 
 @dataclass
 class ExperimentConfig:
-    """A parsed, validated experiment: domain, weights, and one task."""
+    """A parsed, validated experiment: domain, weights, and one task.
+
+    ``options`` maps each ``[task]`` key the config sets to its parsed
+    value (numbers, lists, fields)."""
 
     task: str
     n: int
@@ -337,52 +331,65 @@ class ExperimentConfig:
     omega: Optional[object]
     p: Optional[int]
     seed: int
-    options: Dict[str, str] = field(default_factory=dict)
-
-    def opt_number(self, key: str, default: float) -> float:
-        return _number(self.options[key]) if key in self.options else default
-
-    def opt_int(self, key: str, default: int) -> int:
-        return _integer(self.options[key]) if key in self.options else default
+    options: Dict[str, object]
 
 
-def _resolve_field(text: str, ctx: _Context, where: str):
+def _checked(where: str, parser: Callable, text: str, ctx: _Context):
+    """``parser(text, ctx)``, with any parse error prefixed by ``where``."""
+    try:
+        return parser(text.strip(), ctx)
+    except (ConfigError, ParseError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _field(text: str, ctx: _Context):
     """A config value: number, builtin call, or field expression."""
-    text = text.strip()
+    built = _call(text, ctx, domain=False)
+    if built is not None:
+        return built
     try:
-        call = _parse_call(text)
-        if call is not None:
-            name, args, kwargs = call
-            kind, _, _, builder = BUILTINS[name]
-            if kind == "domain":
-                raise ConfigError(
-                    f"{name} builds a domain, not a weight or field")
-            return builder(ctx, args, kwargs)
-        try:
-            return _number(text)
-        except ConfigError:
-            pass
+        return _number(text)
+    except ConfigError:
         return parse(text, ctx.n)
-    except ParseError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
 
-def _resolve_defining(text: str, ctx: _Context):
-    text = text.strip()
-    call = _parse_call(text)
-    if call is not None:
-        name, args, kwargs = call
-        kind, _, _, builder = BUILTINS[name]
-        if kind != "domain":
-            raise ConfigError(f"[domain] r: {name} is a {kind} builtin, "
-                              f"not a domain")
-        text = builder(ctx, args, kwargs)
-    try:
-        return parse(text, ctx.n)
-    except ParseError as exc:
-        raise ConfigError(f"[domain] r: {exc}") from None
+def _field_list(text: str, ctx: _Context, degree: int) -> List[object]:
+    """Semicolon-separated components of a ``degree``-form; a single entry
+    is padded with zeros (the form supported on the first multi-index)."""
+    count = exterior.dim_forms(ctx.n, degree)
+    fields = [_field(t.strip(), ctx) for t in _split_top(text, ";")]
+    if len(fields) == 1:
+        fields += [0.0] * (count - 1)
+    if len(fields) != count:
+        raise ConfigError(f"need {count} components (got {len(fields)})")
+    return fields
+
+
+def _valid(read: Callable, ok: Callable, why: str) -> Callable:
+    """Parser of a config value: ``read(text)`` must satisfy
+    ``ok(value, ctx)``; else the error is ``why``, formatted with both."""
+    def parser(text: str, ctx: _Context):
+        value = read(text)
+        if not ok(value, ctx):
+            raise ConfigError(why.format(v=value, ctx=ctx))
+        return value
+    return parser
+
+
+def _at_least(lo: int) -> Callable:
+    return _valid(_integer, lambda v, ctx: v >= lo,
+                  f"must be >= {lo}, got {{v}}")
+
+
+def _numbers(text: str) -> List[float]:
+    return [_number(t) for t in text.split(",")]
+
+
+def _task_keys(task: str) -> set:
+    """Every key ``task`` reads, in any section."""
+    _, requires, takes = TASKS[task]
+    return {"name", "seed", *requires.replace("|", " ").split(),
+            *takes.split()}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -398,146 +405,57 @@ def load_config(path: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    for sec in cp.sections():
-        if sec not in _SECTION_KEYS:
-            raise ConfigError(f"unknown section [{sec}]")
-        for key in cp[sec]:
-            if key not in _SECTION_KEYS[sec]:
-                raise ConfigError(f"[{sec}] {key}: unknown key")
-
     if "task" not in cp or "name" not in cp["task"]:
         raise ConfigError("[task] name: required")
     task = cp["task"]["name"].strip()
-    if task not in TASK_NAMES:
+    if task not in TASKS:
         raise ConfigError(f"[task] name: unknown task {task!r} "
-                          f"(choose from {', '.join(TASK_NAMES)})")
-    options = {k: v for k, v in cp["task"].items() if k != "name"}
+                          f"(choose from {', '.join(TASKS)})")
+    reads = _task_keys(task)
+    for sec in cp.sections():
+        if sec not in ("domain", "weights", "task"):
+            raise ConfigError(f"unknown section [{sec}]")
+        for key in cp[sec]:
+            if _KEYS.get(key, ("",))[0] != sec:
+                raise ConfigError(f"[{sec}] {key}: unknown key")
+            if key not in reads:
+                raise ConfigError(f"[{sec}] {key}: task {task} does not "
+                                  f"read this key")
+    given = {key for sec in cp.sections() for key in cp[sec]}
+    if {"h", "ladder"} <= given:
+        raise ConfigError("[domain]: give h or ladder, not both")
 
-    # --- domain ---
-    box = None
-    rungs: List[float] = []
-    r_field = None
-    if task == "algebra-battery":
-        if "n" not in options:
-            raise ConfigError("[task] n: required for algebra-battery")
-        n = _integer(options["n"])
-        if n < 1:
-            raise ConfigError("[task] n: must be >= 1")
-    else:
-        if "domain" not in cp or "box" not in cp["domain"]:
-            raise ConfigError("[domain] box: required")
-        pairs = []
-        for tok in cp["domain"]["box"].split(","):
-            lo_hi = _colon_floats(tok)
-            if len(lo_hi) != 2 or lo_hi[1] <= lo_hi[0]:
-                raise ConfigError(f"[domain] box: bad axis {tok.strip()!r} "
-                                  f"(want lo:hi with hi > lo)")
-            pairs.append(lo_hi)
-        box = tuple(pairs)
-        n = len(box)
-        if task == "prekopa":
-            n = n + 1        # joint variables: one profile axis + the box
+    def require(keys: str, what: str) -> None:
+        for need in keys.split():
+            if given.isdisjoint(need.split("|")):
+                sec = _KEYS[need.split("|")[0]][0]
+                raise ConfigError(f"[{sec}] {need.replace('|', ' or ')}: "
+                                  f"required for {what}")
 
-        has_h = "h" in cp["domain"]
-        has_ladder = "ladder" in cp["domain"]
-        if has_h and has_ladder:
-            raise ConfigError("[domain]: give h or ladder, not both")
-        if has_h:
-            rungs = [_number(cp["domain"]["h"])]
-        elif has_ladder:
-            rungs = [_number(t) for t in cp["domain"]["ladder"].split(",")]
-            if any(b >= a for a, b in zip(rungs, rungs[1:])):
-                raise ConfigError("[domain] ladder: h values must be "
-                                  "strictly decreasing")
-        if rungs and min(rungs) <= 0:
-            raise ConfigError("[domain]: h values must be positive")
-        if task in ("kmh", "solve", "bounds", "cohomology") and not rungs:
-            raise ConfigError(f"[domain]: task {task} needs h or ladder")
-
-        ctx = _Context(n=len(box))
-        if "r" in cp["domain"]:
-            r_field = _resolve_defining(cp["domain"]["r"], ctx)
-
-    ctx = _Context(n=n, r=r_field)
-
-    # --- weights ---
-    wsec = cp["weights"] if "weights" in cp else {}
-    phi = (_resolve_field(wsec["phi"], ctx, "[weights] phi")
-           if "phi" in wsec else 0.0)
-    psi = (_resolve_field(wsec["psi"], ctx, "[weights] psi")
-           if "psi" in wsec else None)
-    omega = (_resolve_field(wsec["omega"], ctx, "[weights] omega")
-             if "omega" in wsec else None)
-
-    # --- task-specific structural checks ---
-    p = _integer(options["p"]) if "p" in options else None
-    needs_p = task in ("check-psh", "boundary-convexity", "df-search",
-                       "kmh", "solve", "bounds", "algebra-battery")
-    if needs_p:
-        if p is None:
-            raise ConfigError("[task] p: required")
-        if not 1 <= p <= n:
-            raise ConfigError(f"[task] p: must lie in [1, {n}], got {p}")
-    if task == "boundary-convexity" and p is not None and p > n - 1:
-        raise ConfigError(f"[task] p: tangential planes need p <= {n - 1}")
-    if task in ("boundary-convexity", "df-search") and r_field is None:
-        raise ConfigError(f"[domain] r: required for {task}")
-    if task in ("check-psh", "df-search", "prekopa") and "phi" not in wsec:
-        raise ConfigError(f"[weights] phi: required for {task}")
-    if task in ("kmh",) and "g" not in options:
-        raise ConfigError("[task] g: required for kmh")
-    if task in ("solve", "bounds") and "potential" not in options:
-        raise ConfigError(f"[task] potential: required for {task}")
-    if task == "bounds":
-        bound = options.get("bound", "").strip()
-        if bound not in _BOUND_NAMES:
-            raise ConfigError(f"[task] bound: choose from "
-                              f"{', '.join(_BOUND_NAMES)}")
-        if bound != "hormander":
-            if psi is None:
-                raise ConfigError(f"[weights] psi: required for {bound}")
-            if "alpha" not in options:
-                raise ConfigError(f"[task] alpha: required for {bound}")
-        if bound == "minimal" and omega is None:
-            raise ConfigError("[weights] omega: required for minimal")
-    if task == "df-search":
-        for key in ("k_grid", "eta_grid"):
-            if key in options:
-                vals = [_number(t) for t in options[key].split(",")]
-                if key == "k_grid" and min(vals) <= 0:
-                    raise ConfigError("[task] k_grid: values must be > 0")
-                if key == "eta_grid" and not all(0 < v < 1 for v in vals):
-                    raise ConfigError("[task] eta_grid: values must lie "
-                                      "in (0, 1)")
-    if task == "cohomology" and "expect" in options:
-        expected = [_integer(t) for t in options["expect"].split(",")]
-        if len(expected) != n + 1:
-            raise ConfigError(f"[task] expect: need {n + 1} ranks for "
-                              f"degrees 0..{n}")
-
-    seed = _integer(options["seed"]) if "seed" in options else 0
-    return ExperimentConfig(task=task, n=n, box=box, rungs=rungs,
-                            r=r_field, phi=phi, psi=psi, omega=omega,
-                            p=p, seed=seed, options=options)
+    require(TASKS[task][1], task)
+    ctx = _Context(n=0)
+    values = {}
+    for key, (sec, parser) in _KEYS.items():
+        if key in given and key != "name":
+            values[key] = _checked(f"[{sec}] {key}", parser, cp[sec][key],
+                                   ctx)
+            if key == "box":   # prekopa's weight is joint: profile axis + box
+                ctx.n = len(values[key]) + (task == "prekopa")
+            elif key in ("r", "n", "p"):
+                setattr(ctx, key, values[key])
+    if "bound" in values:
+        require(_BOUNDS[values["bound"]][0], values["bound"])
+    return ExperimentConfig(
+        task=task, n=ctx.n, box=values.get("box"),
+        rungs=values.get("h", values.get("ladder", [])), r=ctx.r,
+        phi=values.get("phi", 0.0), psi=values.get("psi"),
+        omega=values.get("omega"), p=ctx.p, seed=values.get("seed", 0),
+        options={k: v for k, v in values.items() if _KEYS[k][0] == "task"})
 
 
 # ---------------------------------------------------------------------------
 # task implementations
 # ---------------------------------------------------------------------------
-
-def _field_list(exp: ExperimentConfig, key: str, count: int) -> List[object]:
-    """Semicolon-separated component fields; a single entry is padded
-    with zeros (the form supported on the first multi-index)."""
-    ctx = _Context(n=exp.n, r=exp.r)
-    parts = [t for t in _split_top(exp.options[key], ";")]
-    fields = [_resolve_field(t, ctx, f"[task] {key}") for t in parts]
-    if len(fields) == 1 and count > 1:
-        fields = fields + [0.0] * (count - 1)
-    if len(fields) != count:
-        raise ConfigError(f"[task] {key}: need {count} components "
-                          f"(got {len(fields)})")
-    return fields
-
 
 def _interior_lattice(exp: ExperimentConfig, per_axis: int,
                       min_depth: float) -> np.ndarray:
@@ -545,45 +463,42 @@ def _interior_lattice(exp: ExperimentConfig, per_axis: int,
                                    per_axis=per_axis, min_depth=min_depth)
 
 
+def _verdict_records(test: str, p: int, rep) -> List[dict]:
+    """The one record of a sampled p-convexity report."""
+    return [{"test": test, "p": p, "samples": len(rep.points),
+             "verdict": rep.verdict,
+             "min_trace": float(rep.traces[rep.worst_index]),
+             "worst_x": [float(v) for v in rep.points[rep.worst_index]],
+             "pass": rep.verdict == "strict"}]
+
+
 def _task_check_psh(exp: ExperimentConfig, rng):
-    pts = _interior_lattice(exp, exp.opt_int("per_axis", 24),
-                            exp.opt_number("min_depth", 0.0))
+    pts = _interior_lattice(exp, exp.options.get("per_axis", 24),
+                            exp.options.get("min_depth", 0.0))
     rep = convexity.field_p_psh_report(exp.phi, pts, exp.p)
-    worst = rep.points[rep.worst_index]
-    records = [{"test": "check-psh", "p": exp.p, "samples": len(rep.points),
-                "verdict": rep.verdict,
-                "min_trace": float(rep.traces[rep.worst_index]),
-                "worst_x": [float(v) for v in worst],
-                "pass": rep.verdict == "strict"}]
-    return records, None, None
+    return _verdict_records("check-psh", exp.p, rep), None, None
 
 
 def _task_boundary_convexity(exp: ExperimentConfig, rng):
-    per_axis = exp.opt_int("per_axis", 48)
-    pts = _interior_lattice(exp, per_axis, 0.0)
+    if exp.p > exp.n - 1:
+        raise ConfigError(f"[task] p: tangential planes need "
+                          f"p <= {exp.n - 1}")
+    pts = _interior_lattice(exp, exp.options.get("per_axis", 48), 0.0)
     vals = np.abs(exp.r.jets(pts, order=0))
     shell = pts[vals <= 0.05 * float(vals.max())]
     if shell.shape[0] == 0:
         raise EmptyDomain("no lattice point lies within the boundary "
                           "collar; raise per_axis")
     rep = convexity.boundary_p_convexity(exp.r, shell, exp.p)
-    worst = rep.points[rep.worst_index]
-    records = [{"test": "boundary-convexity", "p": exp.p,
-                "samples": len(rep.points), "verdict": rep.verdict,
-                "min_trace": float(rep.traces[rep.worst_index]),
-                "worst_x": [float(v) for v in worst],
-                "pass": rep.verdict == "strict"}]
-    return records, None, None
+    return _verdict_records("boundary-convexity", exp.p, rep), None, None
 
 
 def _task_df_search(exp: ExperimentConfig, rng):
-    k_grid = ([_number(t) for t in exp.options["k_grid"].split(",")]
-              if "k_grid" in exp.options else [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
-    eta_grid = ([_number(t) for t in exp.options["eta_grid"].split(",")]
-                if "eta_grid" in exp.options
-                else [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
-    pts = _interior_lattice(exp, exp.opt_int("per_axis", 16),
-                            exp.opt_number("min_depth", 0.0))
+    k_grid = exp.options.get("k_grid", [0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
+    eta_grid = exp.options.get("eta_grid",
+                               [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
+    pts = _interior_lattice(exp, exp.options.get("per_axis", 16),
+                            exp.options.get("min_depth", 0.0))
     res = weights.df_search(exp.r, exp.phi, pts, exp.p, k_grid, eta_grid)
     records = [{"test": "df-search", "p": exp.p, "K": res.K, "eta": res.eta,
                 "score": res.min_p_trace_over_grid,
@@ -595,9 +510,9 @@ def _task_df_search(exp: ExperimentConfig, rng):
 
 
 def _task_kmh(exp: ExperimentConfig, rng):
-    coeffs = _field_list(exp, "g", exterior.dim_forms(exp.n, exp.p))
-    ratio_min = exp.opt_number("ratio_min", 1.5)
-    final_max = exp.opt_number("final_max", 2e-2)
+    coeffs = exp.options["g"]
+    ratio_min = exp.options.get("ratio_min", 1.5)
+    final_max = exp.options.get("final_max", 2e-2)
     floor = 1e-12
     records, rows, prev = [], [], None
     for h in exp.rungs:
@@ -626,8 +541,7 @@ def _task_kmh(exp: ExperimentConfig, rng):
 
 
 def _task_solve(exp: ExperimentConfig, rng):
-    coeffs = _field_list(exp, "potential",
-                         exterior.dim_forms(exp.n, exp.p - 1))
+    coeffs = exp.options["potential"]
     records, rows = [], []
     for h in exp.rungs:
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
@@ -645,30 +559,33 @@ def _task_solve(exp: ExperimentConfig, rng):
     return records, ("h,cells,iterations,residual", rows), None
 
 
+#: bound -> (keys it needs beyond its task's, its reports on one complex)
+_BOUNDS = {
+    "hormander": ("", lambda cx, f, e, rng: [
+        solver.hormander_report(cx, f, e.phi, e.p)]),
+    "berndtsson": ("psi alpha", lambda cx, f, e, rng: [
+        solver.berndtsson_report(cx, f, e.phi, e.psi, e.options["alpha"],
+                                 e.p, rng=rng)]),
+    "minimal": ("psi alpha omega", lambda cx, f, e, rng: [
+        solver.minimal_estimate_report(cx, f, e.phi, e.psi, e.omega,
+                                       e.options["alpha"], e.p)]),
+    "composite": ("psi alpha", lambda cx, f, e, rng: list(
+        solver.composite_minimal_estimate(cx, f, e.phi, e.psi,
+                                          e.options["alpha"], e.p))),
+    "nonpsh": ("psi alpha", lambda cx, f, e, rng: [
+        solver.nonpsh_report(cx, f, e.phi, e.psi, e.omega,
+                             e.options["alpha"], e.p)]),
+}
+
+
 def _task_bounds(exp: ExperimentConfig, rng):
-    bound = exp.options["bound"].strip()
-    alpha = exp.opt_number("alpha", 0.0)
-    coeffs = _field_list(exp, "potential",
-                         exterior.dim_forms(exp.n, exp.p - 1))
+    bound = exp.options["bound"]
     records, rows = [], []
     for h in exp.rungs:
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
-        f = solver.closed_form_from_potential(cx, exp.p, coeffs)
-        if bound == "hormander":
-            reps = [solver.hormander_report(cx, f, exp.phi, exp.p)]
-        elif bound == "berndtsson":
-            reps = [solver.berndtsson_report(cx, f, exp.phi, exp.psi,
-                                             alpha, exp.p, rng=rng)]
-        elif bound == "minimal":
-            reps = [solver.minimal_estimate_report(cx, f, exp.phi, exp.psi,
-                                                   exp.omega, alpha, exp.p)]
-        elif bound == "composite":
-            reps = list(solver.composite_minimal_estimate(
-                cx, f, exp.phi, exp.psi, alpha, exp.p))
-        else:
-            reps = [solver.nonpsh_report(cx, f, exp.phi, exp.psi,
-                                         exp.omega, alpha, exp.p)]
-        for rep in reps:
+        f = solver.closed_form_from_potential(cx, exp.p,
+                                              exp.options["potential"])
+        for rep in _BOUNDS[bound][1](cx, f, exp, rng):
             records.append(rep.record())
             rows.append((h, rep.lhs, rep.rhs, rep.ratio))
     series = ("h,lhs,rhs,ratio", rows)
@@ -689,10 +606,9 @@ def _random_quadratic(n: int, rng) -> object:
 
 
 def _task_cohomology(exp: ExperimentConfig, rng):
-    expected = ([_integer(t) for t in exp.options["expect"].split(",")]
-                if "expect" in exp.options else None)
+    expected = exp.options.get("expect")
     extra = [_random_quadratic(exp.n, rng)
-             for _ in range(exp.opt_int("check_weights", 0))]
+             for _ in range(exp.options.get("check_weights", 0))]
     records = []
     for h in exp.rungs:
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
@@ -711,14 +627,8 @@ def _task_cohomology(exp: ExperimentConfig, rng):
 
 
 def _task_prekopa(exp: ExperimentConfig, rng):
-    if "x_range" in exp.options:
-        parts = _colon_floats(exp.options["x_range"])
-        if len(parts) != 2 or parts[1] <= parts[0]:
-            raise ConfigError("[task] x_range: want lo:hi with hi > lo")
-        lo, hi = parts
-    else:
-        lo, hi = -1.0, 1.0
-    count = exp.opt_int("x_count", 7)
+    lo, hi = exp.options.get("x_range", (-1.0, 1.0))
+    count = exp.options.get("x_count", 7)
     xs = np.linspace(lo, hi, count)
     rep = solver.prekopa_check(exp.phi, xs, exp.box)
     records = [{"test": "prekopa", "convex_input": rep.convex_input,
@@ -736,7 +646,7 @@ def _task_prekopa(exp: ExperimentConfig, rng):
 
 def _task_algebra_battery(exp: ExperimentConfig, rng):
     n, p = exp.n, exp.p
-    cases = exp.opt_int("cases", 200)
+    cases = exp.options.get("cases", 200)
     dim = exterior.dim_forms(n, p)
     err_pair = err_spec = 0.0
     inv_ok = 0
@@ -769,16 +679,75 @@ def _task_algebra_battery(exp: ExperimentConfig, rng):
     return records, None, None
 
 
-TASKS: Dict[str, Callable] = {
-    "check-psh": _task_check_psh,
-    "boundary-convexity": _task_boundary_convexity,
-    "df-search": _task_df_search,
-    "kmh": _task_kmh,
-    "solve": _task_solve,
-    "bounds": _task_bounds,
-    "cohomology": _task_cohomology,
-    "prekopa": _task_prekopa,
-    "algebra-battery": _task_algebra_battery,
+# ---------------------------------------------------------------------------
+# the task and key tables
+# ---------------------------------------------------------------------------
+
+#: task -> (runner, keys it requires, keys it may take), keys in any
+#: section; "h|ladder" is met by either.  Every task also takes name and seed.
+TASKS: Dict[str, Tuple[Callable, str, str]] = {
+    "check-psh": (_task_check_psh, "box phi p", "r per_axis min_depth"),
+    "boundary-convexity": (_task_boundary_convexity, "box r p", "per_axis"),
+    "df-search": (_task_df_search, "box r phi p",
+                  "per_axis min_depth k_grid eta_grid"),
+    "kmh": (_task_kmh, "box h|ladder p g", "r phi ratio_min final_max"),
+    "solve": (_task_solve, "box h|ladder p potential", "r phi"),
+    "bounds": (_task_bounds, "box h|ladder p potential bound",
+               "r phi psi omega alpha"),
+    "cohomology": (_task_cohomology, "box h|ladder",
+                   "r phi expect check_weights"),
+    "prekopa": (_task_prekopa, "box phi", "x_range x_count"),
+    "algebra-battery": (_task_algebra_battery, "n p", "cases"),
+}
+
+#: every config key -> (its section, parser(text, context) of its value), in
+#: parse order: the context carries box, r, n and p to the keys after them.
+_KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
+    "box": ("domain", _valid(
+        lambda text: tuple(_colon_floats(t) for t in text.split(",")),
+        lambda v, ctx: all(len(a) == 2 and a[0] < a[1] for a in v),
+        "want lo:hi with hi > lo on every axis")),
+    "h": ("domain", _valid(lambda text: [_number(text)],
+                           lambda v, ctx: v[0] > 0, "must be positive")),
+    "ladder": ("domain", _valid(
+        _numbers,
+        lambda v, ctx: 0 < v[-1] and all(b < a for a, b in zip(v, v[1:])),
+        "h values must be positive and strictly decreasing")),
+    "r": ("domain", lambda text, ctx: parse(_call(text, ctx, domain=True)
+                                            or text, ctx.n)),
+    "name": ("task", None),
+    "n": ("task", _at_least(1)),
+    "p": ("task", _valid(_integer, lambda v, ctx: 1 <= v <= ctx.n,
+                         "must lie in [1, {ctx.n}], got {v}")),
+    "phi": ("weights", _field),
+    "psi": ("weights", _field),
+    "omega": ("weights", _field),
+    "seed": ("task", _at_least(0)),
+    "per_axis": ("task", _at_least(2)),
+    "check_weights": ("task", _at_least(0)),
+    "x_count": ("task", _at_least(1)),
+    "cases": ("task", _at_least(1)),
+    "alpha": ("task", lambda text, ctx: _number(text)),
+    "min_depth": ("task", lambda text, ctx: _number(text)),
+    "ratio_min": ("task", lambda text, ctx: _number(text)),
+    "final_max": ("task", lambda text, ctx: _number(text)),
+    "k_grid": ("task", _valid(_numbers, lambda v, ctx: min(v) > 0,
+                              "values must be > 0")),
+    "eta_grid": ("task", _valid(_numbers,
+                                lambda v, ctx: all(0 < x < 1 for x in v),
+                                "values must lie in (0, 1)")),
+    "x_range": ("task", _valid(_colon_floats,
+                               lambda v, ctx: len(v) == 2 and v[0] < v[1],
+                               "want lo:hi with hi > lo")),
+    "expect": ("task", _valid(lambda text: [_integer(t)
+                                            for t in text.split(",")],
+                              lambda v, ctx: len(v) == ctx.n + 1,
+                              "need one rank per degree 0..{ctx.n}")),
+    "bound": ("task", _valid(str, lambda v, ctx: v in _BOUNDS,
+                             "choose from " + ", ".join(_BOUNDS))),
+    "potential": ("task",
+                  lambda text, ctx: _field_list(text, ctx, ctx.p - 1)),
+    "g": ("task", lambda text, ctx: _field_list(text, ctx, ctx.p)),
 }
 
 _TASK_ERRORS = (PreconditionError, DomainError, MembershipError, NotClosed,
@@ -903,16 +872,16 @@ def run(config_path: str, out_dir: Optional[str] = None,
     """Execute one config; returns the process exit code."""
     try:
         exp = load_config(config_path)
+        if seed is not None:
+            exp.seed = _checked("--seed", _KEYS["seed"][1], str(seed), None)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if seed is not None:
-        exp.seed = seed
     out = out_dir or "out"
     rng = np.random.default_rng(exp.seed)
 
     try:
-        records, series, plot = TASKS[exp.task](exp, rng)
+        records, series, plot = TASKS[exp.task][0](exp, rng)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

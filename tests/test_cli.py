@@ -74,6 +74,38 @@ potential = bump(0.25, 0.75)
 seed = 7
 """
 
+CHECK_PSH_CFG = """
+[domain]
+box = -1:1, -1:1
+
+[task]
+name = check-psh
+p = 1
+
+[weights]
+phi = x1^2+x2^2
+"""
+
+PREKOPA_CFG = """
+[domain]
+box = -6:6
+
+[weights]
+phi = x1^2+x2^2
+
+[task]
+name = prekopa
+x_count = 7
+"""
+
+BATTERY_CFG = """
+[task]
+name = algebra-battery
+n = 3
+p = 2
+cases = 120
+"""
+
 
 # ---------------------------------------------------------------------------
 # token-level parsing
@@ -124,10 +156,29 @@ class TestListBuiltins:
         assert "cor42" in capsys.readouterr().out
 
 
+def test_builtin_signatures_and_center_default():
+    lines = cli.list_builtins().splitlines()
+    for sig in ("annulus(inner=0.5, outer=1.0, center=0:0) -> domain",
+                "bump(lo=0.25, hi=0.75) -> field",
+                "cor42(p=1, D=1.0, center=0:0) -> weight",
+                "df(K=1.0, eta=0.5, center=0:0) -> weight",
+                "disk(radius=1.0, center=0:0) -> domain",
+                "torus(ring=0.55, tube=0.3) -> domain"):
+        assert sig in lines
+    # an absent center is the origin of the domain's own dimension
+    ctx = cli._Context(n=3)
+    X = np.random.default_rng(2).uniform(-1, 1, (20, 3))
+    implicit = cli._field("cor42(p=2, D=1.5)", ctx)
+    explicit = cli._field("cor42(p=2, D=1.5, center=0:0:0)", ctx)
+    assert np.array_equal(implicit.jets(X, 0), explicit.jets(X, 0))
+    with pytest.raises(ConfigError, match="center has 2 components"):
+        cli._field("cor42(center=0:0)", ctx)
+
+
 def test_bump_is_a_batched_field():
     assert "bump(lo=0.25, hi=0.75) -> field" in cli.list_builtins()
     lo, hi = 0.3, 0.7
-    bump = cli._resolve_field(f"bump({lo}, {hi})", cli._Context(n=3), "g")
+    bump = cli._field(f"bump({lo}, {hi})", cli._Context(n=3))
 
     def scalar(x):
         w, out = (hi - lo) / 2.0, 1.0
@@ -182,6 +233,37 @@ potential = bump()
         ("y_points", "601"), ("collar", "0.05")], ids=lambda v: v)
     def test_removed_key_flagged(self, tmp_path, key, value):
         self.check(tmp_path, KMH_CFG + f"{key} = {value}\n")
+
+    # a key only another task reads used to be accepted and ignored; the
+    # error names the section, the key and the task
+    @pytest.mark.parametrize("cfg, line, where", [
+        (HORMANDER_CFG, "cases = 7", "[task] cases: task bounds"),
+        (HORMANDER_CFG, "expect = 9", "[task] expect: task bounds"),
+        (HORMANDER_CFG, "x_count = 3", "[task] x_count: task bounds"),
+        (HORMANDER_CFG, "n = 5", "[task] n: task bounds"),
+        (CHECK_PSH_CFG, "psi = x1", "[weights] psi: task check-psh"),
+    ], ids=["bounds-cases", "bounds-expect", "bounds-x_count", "bounds-n",
+            "check-psh-psi"])
+    def test_key_its_task_does_not_read(self, tmp_path, capsys, cfg, line,
+                                        where):
+        self.check(tmp_path, cfg + line + "\n")
+        assert where in capsys.readouterr().err
+
+    # values that used to run vacuously, crash, or fail inside the task
+    @pytest.mark.parametrize("cfg, extra, where", [
+        (BATTERY_CFG.replace("cases = 120", "cases = 0"), (), "[task] cases"),
+        (BERNDTSSON_CFG.replace("seed = 7", "seed = -1"), (), "[task] seed"),
+        (BERNDTSSON_CFG, ("--seed", "-1"), "--seed"),
+        (CHECK_PSH_CFG.replace("p = 1", "p = 1\nper_axis = 1"), (),
+         "[task] per_axis"),
+        (PREKOPA_CFG.replace("x_count = 7", "x_count = 0"), (),
+         "[task] x_count"),
+    ], ids=["cases-0", "seed-negative", "seed-flag-negative", "per_axis-1",
+            "x_count-0"])
+    def test_out_of_range_value(self, tmp_path, capsys, cfg, extra, where):
+        code, report, _ = run(tmp_path, cfg, *extra)
+        assert code == 2 and report == []
+        assert f"config error: {where}: must be >= " in capsys.readouterr().err
 
     def test_ladder_must_decrease(self, tmp_path):
         self.check(tmp_path, KMH_CFG.replace("1/8, 1/16, 1/32",
