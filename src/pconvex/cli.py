@@ -51,9 +51,9 @@ import numpy as np
 
 from . import convexity, discrete, exterior, solver, weights
 from .errors import (CohomologyObstruction, ConfigError, DegenerateGradient,
-                     DomainError, EmptyDomain, GapAmbiguous, MembershipError,
-                     NoConvergence, NotClosed, ParseError, PreconditionError,
-                     SupportError, TailError)
+                     DomainError, EmptyDomain, MembershipError, NoConvergence,
+                     NotClosed, ParseError, PreconditionError, SupportError,
+                     TailError)
 from .fieldexpr import BatchedField, compose_df, parse
 
 __all__ = ["ExperimentConfig", "load_config", "run", "list_builtins", "main"]
@@ -443,8 +443,17 @@ def load_config(path: str) -> ExperimentConfig:
                 ctx.n = len(values[key]) + (task == "prekopa")
             elif key in ("r", "n", "p"):
                 setattr(ctx, key, values[key])
+    if task == "cohomology" and ctx.n > 3:
+        raise ConfigError(f"[domain] box: cohomology supports n ≤ 3, got "
+                          f"{ctx.n} axes")
     if "bound" in values:
-        require(_BOUNDS[values["bound"]][0], values["bound"])
+        bound = values["bound"]
+        requires, takes, _ = _BOUNDS[bound]
+        require(requires, bound)
+        for key in sorted(given & _BOUND_KEYS
+                          - {*requires.split(), *takes.split()}):
+            raise ConfigError(f"[{_KEYS[key][0]}] {key}: bound {bound} does "
+                              f"not read this key")
     return ExperimentConfig(
         task=task, n=ctx.n, box=values.get("box"),
         rungs=values.get("h", values.get("ladder", [])), r=ctx.r,
@@ -559,23 +568,27 @@ def _task_solve(exp: ExperimentConfig, rng):
     return records, ("h,cells,iterations,residual", rows), None
 
 
-#: bound -> (keys it needs beyond its task's, its reports on one complex)
+#: bound -> (keys of _BOUND_KEYS it requires, those it may take, its
+#: reports on one complex)
 _BOUNDS = {
-    "hormander": ("", lambda cx, f, e, rng: [
+    "hormander": ("", "", lambda cx, f, e, rng: [
         solver.hormander_report(cx, f, e.phi, e.p)]),
-    "berndtsson": ("psi alpha", lambda cx, f, e, rng: [
+    "berndtsson": ("psi alpha", "", lambda cx, f, e, rng: [
         solver.berndtsson_report(cx, f, e.phi, e.psi, e.options["alpha"],
                                  e.p, rng=rng)]),
-    "minimal": ("psi alpha omega", lambda cx, f, e, rng: [
+    "minimal": ("psi alpha omega", "", lambda cx, f, e, rng: [
         solver.minimal_estimate_report(cx, f, e.phi, e.psi, e.omega,
                                        e.options["alpha"], e.p)]),
-    "composite": ("psi alpha", lambda cx, f, e, rng: list(
+    "composite": ("psi alpha", "", lambda cx, f, e, rng: list(
         solver.composite_minimal_estimate(cx, f, e.phi, e.psi,
                                           e.options["alpha"], e.p))),
-    "nonpsh": ("psi alpha", lambda cx, f, e, rng: [
+    "nonpsh": ("psi alpha", "omega", lambda cx, f, e, rng: [
         solver.nonpsh_report(cx, f, e.phi, e.psi, e.omega,
                              e.options["alpha"], e.p)]),
 }
+#: the bounds task's keys that only some bounds read
+_BOUND_KEYS = {key for requires, takes, _ in _BOUNDS.values()
+               for key in f"{requires} {takes}".split()}
 
 
 def _task_bounds(exp: ExperimentConfig, rng):
@@ -585,7 +598,7 @@ def _task_bounds(exp: ExperimentConfig, rng):
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
         f = solver.closed_form_from_potential(cx, exp.p,
                                               exp.options["potential"])
-        for rep in _BOUNDS[bound][1](cx, f, exp, rng):
+        for rep in _BOUNDS[bound][2](cx, f, exp, rng):
             records.append(rep.record())
             rows.append((h, rep.lhs, rep.rhs, rep.ratio))
     series = ("h,lhs,rhs,ratio", rows)
@@ -607,22 +620,20 @@ def _random_quadratic(n: int, rng) -> object:
 
 def _task_cohomology(exp: ExperimentConfig, rng):
     expected = exp.options.get("expect")
-    extra = [_random_quadratic(exp.n, rng)
-             for _ in range(exp.options.get("check_weights", 0))]
+    weights = [exp.phi] + [_random_quadratic(exp.n, rng)
+                           for _ in range(exp.options.get("check_weights", 0))]
     records = []
     for h in exp.rungs:
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
-        for q in range(exp.n + 1):
-            rep = solver.cohomology_rank(cx, q, exp.phi,
-                                         check_weights=extra)
+        rep = solver.cohomology_rank(cx, weights)
+        for q, rank in enumerate(rep.ranks):
             want = expected[q] if expected is not None else None
-            gaps = rep.eigenvalues[rep.eigenvalues > rep.floor] / rep.floor
             records.append({"test": "cohomology", "h": h, "p": q,
-                            "rank": rep.rank, "expected": want,
+                            "rank": rank, "expected": want,
                             "num_cells": cx.num_cells(q),
-                            "eigs": len(rep.eigenvalues),
-                            "gap": float(gaps[0]) if gaps.size else None,
-                            "pass": want is None or rep.rank == want})
+                            "components": rep.components,
+                            "voids": rep.voids, "euler": rep.euler,
+                            "pass": want is None or rank == want})
     return records, None, None
 
 
@@ -716,7 +727,8 @@ _KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
     "r": ("domain", lambda text, ctx: parse(_call(text, ctx, domain=True)
                                             or text, ctx.n)),
     "name": ("task", None),
-    "n": ("task", _at_least(1)),
+    "n": ("task", _valid(_integer, lambda v, ctx: 1 <= v <= exterior._MAX_N,
+                         f"must lie in [1, {exterior._MAX_N}], got {{v}}")),
     "p": ("task", _valid(_integer, lambda v, ctx: 1 <= v <= ctx.n,
                          "must lie in [1, {ctx.n}], got {v}")),
     "phi": ("weights", _field),
@@ -751,9 +763,8 @@ _KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
 }
 
 _TASK_ERRORS = (PreconditionError, DomainError, MembershipError, NotClosed,
-                NoConvergence, CohomologyObstruction, GapAmbiguous,
-                TailError, EmptyDomain, SupportError, DegenerateGradient,
-                ValueError)
+                NoConvergence, CohomologyObstruction, TailError, EmptyDomain,
+                SupportError, DegenerateGradient, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Every error raised on a contract violation subclasses one of these, so callers
 can distinguish "you fed me bad data" (:class:`PreconditionError` family) from
 "the computation could not certify what you asked for"
-(:class:`NoConvergence`, :class:`GapAmbiguous`, ...).
+(:class:`NoConvergence`).
 """
 
 from __future__ import annotations
@@ -90,10 +90,6 @@ class CohomologyObstruction(ValueError):
     def __init__(self, message: str, obstruction_norm: float):
         super().__init__(message)
         self.obstruction_norm = obstruction_norm
-
-
-class GapAmbiguous(RuntimeError):
-    """No clear spectral gap separates the near-zero eigenvalue cluster."""
 
 
 class TailError(PreconditionError):

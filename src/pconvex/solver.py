@@ -9,8 +9,8 @@ LSMR on the mass-scaled coboundary ``M_p^{1/2} d M_{p−1}^{−1/2}``, whose
 Krylov iterates are minimal-norm by construction.  On top of that sit
 verification reports: each one solves, integrates the predicted
 right-hand side, and records whether ``lhs ≤ constant · integral`` held
-with the fixed slack of 5 %.  The module also computes harmonic ranks
-(cohomology dimensions) from the weighted cochain Laplacian and checks
+with the fixed slack of 5 %.  The module also counts Betti numbers, the
+dimensions of the weighted harmonic spaces, from the complex, and checks
 convexity of log-marginals of convex densities.
 """
 
@@ -27,8 +27,8 @@ import scipy.sparse.linalg as spla
 from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, coboundary, mass,
                        sample_cochain, weighted_adjoint)
-from .errors import (CohomologyObstruction, GapAmbiguous, MembershipError,
-                     NoConvergence, NotClosed, PreconditionError, TailError)
+from .errors import (CohomologyObstruction, MembershipError, NoConvergence,
+                     NotClosed, PreconditionError, TailError)
 from .exterior import induced_pairings, induced_pinv
 from .fieldexpr import BatchedField, field_jets, row_blocks
 
@@ -720,99 +720,73 @@ def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
 
 
 # ---------------------------------------------------------------------------
-# cohomology via the weighted Laplacian
+# cohomology by counting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CohomologyReport:
-    """Dimension and basis of the weighted harmonic space in one degree."""
+    """Betti numbers of a complex, degree 0 to n, and the counts they come
+    from."""
 
-    p: int
-    rank: int
-    basis: np.ndarray        # columns are harmonic cochains, M-orthonormal
-    eigenvalues: np.ndarray  # the head inspected: 6 from one symmetric
-                             # shift-invert factor, n_eigs if 6 were harmonic
-    floor: float             # floor_factor times the largest |row sum|
-
-
-def _laplacian_matrix(cx: CubicalComplex, phi, p: int) -> Tuple[sp.csr_matrix,
-                                                                np.ndarray]:
-    """Symmetrized weighted Laplacian on p-cochains: similar to
-    ``dδ + δd`` via conjugation with ``sqrt(M_p)``."""
-    m_p = mass(cx, phi, p).diag
-    w = np.sqrt(m_p)
-    n_p = cx.num_cells(p)
-    lap = sp.csr_matrix((n_p, n_p))
-    if p < cx.n:
-        d = coboundary(cx, p).astype(np.float64) @ sp.diags(1.0 / w)
-        lap = lap + d.T @ sp.diags(mass(cx, phi, p + 1).diag) @ d
-    if p > 0:
-        d = coboundary(cx, p - 1).astype(np.float64)
-        inner = d @ sp.diags(1.0 / mass(cx, phi, p - 1).diag) @ d.T
-        lap = lap + sp.diags(w) @ inner @ sp.diags(w)
-    lap = (lap + lap.T) * 0.5
-    return lap.tocsr(), w
+    ranks: Tuple[int, ...]
+    components: int   # connected components of the complex
+    voids: int        # connected components of its complement, less one
+    euler: int        # Euler characteristic
 
 
-def cohomology_rank(cx: CubicalComplex, p: int, phi=0.0, *,
-                    n_eigs: int = 30, floor_factor: float = 1e-7,
-                    check_weights: Sequence = ()) -> CohomologyReport:
-    """Dimension of the degree-p harmonic space (the p-th Betti number).
+def cohomology_rank(cx: CubicalComplex,
+                    weights: Sequence = ()) -> CohomologyReport:
+    """Betti numbers ``b_0 … b_n`` of the complex, for ``n ≤ 3``.
 
-    Counts eigenvalues of the weighted cochain Laplacian below
-    ``floor_factor`` times its largest absolute row sum; any eigenvalue in
-    the ambiguity band between the floor and ten times the floor raises
-    :class:`GapAmbiguous` rather than guessing.  The head comes from
-    shift-invert Lanczos on one symmetric factor from a fixed start vector:
-    six eigenvalues, grown to ``n_eigs`` when all six are harmonic, or the
-    dense spectrum with at most ``2·n_eigs`` cells.  ``check_weights``
-    re-runs the count under alternative weights and demands the same rank
-    (the harmonic dimension is a topological invariant; the basis is not).
+    By the discrete Hodge theorem ``b_p`` is the dimension of the degree-p
+    harmonic space of the weighted cochain Laplacian for every weight whose
+    mass is positive and finite, so the rank holds for each of ``weights``
+    once its mass is built in every degree (:func:`~pconvex.discrete.mass`
+    raises :class:`~pconvex.errors.DomainError` naming the cell where it
+    is not).
+
+    The count puts cell ``(anchor, spanned)`` at voxel
+    ``2·anchor + spanned + 1`` of the doubled grid, padded with one free
+    voxel per side; face-adjacent voxels there are exactly cell/facet
+    pairs.  ``b_0`` is the number of face-connected components of the
+    occupied voxels, ``b_{n−1}`` that of the free voxels less the unbounded
+    one (Alexander duality), and ``b_n = 0``.  In 3-D ``b_1`` follows from
+    the Euler characteristic; in 2-D ``b_0 − b_1`` must equal it.  For
+    ``n ≥ 4`` these counts leave the middle ranks open.
     """
-    if not 0 <= p <= cx.n:
-        raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}")
-    lap, w = _laplacian_matrix(cx, phi, p)
-    n_p = lap.shape[0]
-    scale = float(abs(lap).sum(axis=1).max()) if n_p else 0.0
-    floor = floor_factor * max(scale, 1e-300)
-    if n_p <= 2 * n_eigs:
-        eigvals, eigvecs = np.linalg.eigh(lap.toarray())
+    n = cx.n
+    if n > 3:
+        raise ValueError("cohomology supports n ≤ 3")
+    for w in weights:
+        for q in range(n + 1):
+            mass(cx, w, q)
+    # imported here, as in _forest_primitive
+    from scipy.sparse import csgraph
+    free = np.ones([2 * m + 3 for m in cx.dom.counts], dtype=bool)
+    for anchors, spanned in zip(cx.anchors, cx.spanned):
+        free[tuple((2 * anchors.astype(np.intp) + spanned + 1).T)] = False
+    # voxels i and i + stride (a bool's byte strides count voxels) are face
+    # neighbours, or both lie in the free padding; join those in one state
+    flat, steps = free.ravel(), free.strides
+    graph = sp.diags([flat[:-s] == flat[s:] for s in steps], steps,
+                     shape=(flat.size, flat.size), format="csr",
+                     dtype=np.int8)
+    labels = csgraph.connected_components(graph, directed=False)[1]
+    components = np.unique(labels[~flat]).size
+    voids = np.unique(labels[flat]).size - 1
+    euler = cx.euler_characteristic
+    if n == 1:
+        ranks = (components, 0)
+    elif n == 2:
+        if components - voids != euler:
+            raise RuntimeError(
+                f"{components} components less {voids} voids differ from "
+                f"the Euler characteristic {euler}")
+        ranks = (components, voids, 0)
     else:
-        shift = -1e-3 * float(lap.diagonal().max())
-        lu = spla.splu((lap - shift * sp.identity(n_p)).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
-        op_inv = spla.LinearOperator(lap.shape, lu.solve, dtype=np.float64)
-        v0 = np.random.default_rng(0).standard_normal(n_p)
-        for k in sorted({min(6, n_eigs, n_p - 2), min(n_eigs, n_p - 2)}):
-            eigvals, eigvecs = spla.eigsh(lap, k=k, sigma=shift, which="LM",
-                                          OPinv=op_inv, v0=v0)
-            if eigvals.max() > floor:
-                break
-        order = np.argsort(eigvals)
-        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-    in_band = (eigvals > floor) & (eigvals < 10.0 * floor)
-    if np.any(in_band):
-        raise GapAmbiguous(
-            f"eigenvalue {float(eigvals[in_band][0]):.3e} sits in the "
-            f"ambiguity band ({floor:.3e}, {10.0 * floor:.3e}); "
-            "no clear spectral gap")
-    tiny = eigvals <= floor
-    rank = int(tiny.sum())
-    if rank == eigvals.size < n_p:
-        raise GapAmbiguous(
-            "every computed eigenvalue is below the floor; raise n_eigs")
-    basis = eigvecs[:, tiny] / w[:, None]
-    report = CohomologyReport(p=p, rank=rank, basis=basis,
-                              eigenvalues=eigvals[:n_eigs], floor=floor)
-    for other in check_weights:
-        alt = cohomology_rank(cx, p, other, n_eigs=n_eigs,
-                              floor_factor=floor_factor)
-        if alt.rank != rank:
-            raise GapAmbiguous(
-                f"harmonic rank changed under reweighting: {rank} vs "
-                f"{alt.rank}; spectral split is not trustworthy")
-    return report
+        ranks = (components, components + voids - euler, voids, 0)
+    return CohomologyReport(ranks=ranks, components=components, voids=voids,
+                            euler=euler)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ tolerance and problem scale, prints a single verdict line of the form
 and then asserts.  ``pytest -v tests/test_acceptance.py`` therefore emits
 exactly one pass/fail line per criterion (plus the printed margins under
 ``-s`` or on failure).  Oracles come from ``tests/oracles.py`` — dense
-tensor algebra and dense least squares, disjoint from the library's code
-paths.  Everything stays at desk scale: dimension at most four (seven for
-the exhaustive signature count), grids no finer than 1/64 in 2-D and 1/32
-in 3-D, single-threaded, each test well under a minute.
+tensor algebra, dense least squares and the spectrum of the weighted
+cochain Laplacian, each a method the library's code paths do not use.
+Everything stays at desk scale: dimension at most four (seven for the
+exhaustive signature count), grids no finer than 1/64 in 2-D and 1/32 in
+3-D, single-threaded, each test well under a minute.
 """
 
 import json
@@ -416,33 +417,38 @@ def _random_spd_quadratic(n, rng):
 def test_criterion_10_harmonic_ranks(cx32):
     rng = np.random.default_rng(1010)
     wts2 = tuple(_random_spd_quadratic(2, rng) for _ in range(3))
-    box_ranks = [S.cohomology_rank(cx32, q, 0.0, check_weights=wts2).rank
-                 for q in range(3)]
     ann = D.build_complex(
         D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.1, r=ANNULUS_R))
-    ann_ranks = [S.cohomology_rank(ann, q, 0.0, check_weights=wts2).rank
-                 for q in range(3)]
     fine = D.build_complex(
         D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.05, r=ANNULUS_R))
-    fine_ranks = [S.cohomology_rank(fine, q, 0.0).rank for q in range(3)]
     r_, a_ = 0.55, 0.3
     torus_r = parse(f"(x1^2+x2^2+x3^2+{r_ ** 2 - a_ ** 2})^2"
                     f"-{4 * r_ ** 2}*(x1^2+x2^2)", n=3)
     cx3 = D.build_complex(
         D.GridDomain(((-1.0, 1.0), (-1.0, 1.0), (-0.4, 0.4)), 1 / 16,
                      r=torus_r))
-    torus_ranks = [S.cohomology_rank(cx3, q, 0.0).rank for q in range(4)]
+    # the count, with every weight's mass checked in every degree, and the
+    # spectral oracle, which recounts the box and the ring under each of
+    # the three extra weights
+    shapes = ((cx32, wts2), (ann, wts2), (fine, ()), (cx3, ()))
+    counts = [list(S.cohomology_rank(cx, (0.0,) + wts).ranks)
+              for cx, wts in shapes]
+    spectral = [[O.spectral_rank(cx, q, 0.0, check_weights=wts).rank
+                 for q in range(cx.n + 1)] for cx, wts in shapes]
+    box_ranks, ann_ranks, fine_ranks, torus_ranks = counts
     exact = (box_ranks == [1, 0, 0] and ann_ranks == [1, 1, 0]
              and fine_ranks == [1, 1, 0] and torus_ranks == [1, 1, 0, 0])
+    agree = spectral == counts
     # vanishing at and above each member's convexity degree: the box is
     # 1-convex, the ring and the solid torus are 2-convex
     vanish = (all(r == 0 for r in box_ranks[1:])
               and all(r == 0 for r in ann_ranks[2:])
               and all(r == 0 for r in torus_ranks[2:]))
-    ok = exact and vanish
+    ok = exact and agree and vanish
     _conclude(10, "harmonic-ranks", ok,
               f"box {box_ranks}, ring {ann_ranks} (3 extra weights, "
               f"refined {fine_ranks}), solid torus {torus_ranks}; "
+              f"spectral oracle agrees={agree}; "
               f"vanishing above convexity degree={vanish}")
 
 

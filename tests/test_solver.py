@@ -11,7 +11,7 @@ import pconvex.discrete as D
 import pconvex.exterior as X
 import pconvex.fieldexpr as FE
 import pconvex.solver as S
-from pconvex.errors import (CohomologyObstruction, GapAmbiguous,
+from pconvex.errors import (CohomologyObstruction, DomainError,
                             MembershipError, NoConvergence, NotClosed,
                             PreconditionError, TailError)
 from pconvex.fieldexpr import parse
@@ -157,7 +157,7 @@ class TestMinimalSolution:
             S.minimal_solution(cx32, f, PHI2)
 
     def test_harmonic_rhs_raises_obstruction(self, annulus):
-        rep = S.cohomology_rank(annulus, 1, 0.0)
+        rep = O.spectral_rank(annulus, 1, 0.0)
         harmonic = rep.basis[:, 0]
         v = np.random.default_rng(3).standard_normal(annulus.num_cells(0))
         exact = D.coboundary(annulus, 0) @ v
@@ -559,12 +559,50 @@ def test_record_carries_apriori(cx32, f32):
 # cohomology ranks
 # ---------------------------------------------------------------------------
 
+def _torus_r():
+    r_, a_ = 0.55, 0.3
+    return parse(f"(x1^2+x2^2+x3^2+{r_**2-a_**2})^2"
+                 f"-{4*r_**2}*(x1^2+x2^2)", n=3)
+
+
+#: shape -> (box, h, defining function, Betti numbers b_0 … b_n)
+SHAPES = {
+    "box": (UNIT2, 1 / 16, None, (1, 0, 0)),
+    "ring-0.1": (((-1.2, 1.2),) * 2, 0.1, ANNULUS_R, (1, 1, 0)),
+    "ring-0.05": (((-1.2, 1.2),) * 2, 0.05, ANNULUS_R, (1, 1, 0)),
+    "solid-torus": (((-1.0, 1.0), (-1.0, 1.0), (-0.4, 0.4)), 1 / 16,
+                    _torus_r(), (1, 1, 0, 0)),
+    "spherical-shell": (((-1.0, 1.0),) * 3, 1 / 8,
+                        parse("(x1^2+x2^2+x3^2-0.16)*(x1^2+x2^2+x3^2-0.81)",
+                              n=3), (1, 0, 1, 0)),
+    "two-balls": (((-1.0, 1.0),) * 3, 1 / 8,
+                  parse("((x1-0.5)^2+x2^2+x3^2-0.16)"
+                        "*((x1+0.5)^2+x2^2+x3^2-0.16)", n=3), (2, 0, 0, 0)),
+    "disk-three-holes": (((-1.0, 1.0),) * 2, 1 / 32,
+                         parse("(x1^2+x2^2-0.81)*((x1-0.4)^2+x2^2-0.04)"
+                               "*((x1+0.4)^2+x2^2-0.04)"
+                               "*(x1^2+(x2-0.45)^2-0.02)", n=2), (1, 3, 0)),
+    "two-intervals": (((0.0, 3.0),), 1 / 16,
+                      parse("(x1-0.5)*(x1-1.2)*(x1-1.8)*(x1-2.5)", n=1),
+                      (2, 0)),
+}
+
+
 class TestCohomologyRank:
 
     def test_contractible_box(self, cx32):
-        assert S.cohomology_rank(cx32, 0, 0.0).rank == 1
-        for p in (1, 2):
-            assert S.cohomology_rank(cx32, p, PHI2).rank == 0
+        rep = S.cohomology_rank(cx32, [0.0, PHI2])
+        assert rep.ranks == (1, 0, 0)
+        assert (rep.components, rep.voids, rep.euler) == (1, 0, 1)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_count_matches_spectral_oracle(self, shape):
+        box, h, r, betti = SHAPES[shape]
+        cx = D.build_complex(D.GridDomain(box, h, r))
+        rep = S.cohomology_rank(cx)
+        assert rep.ranks == betti
+        assert [O.spectral_rank(cx, p).rank
+                for p in range(cx.n + 1)] == list(betti)
 
     def test_annulus_ranks_weight_independent(self, annulus):
         rng = np.random.default_rng(11)
@@ -572,34 +610,44 @@ class TestCohomologyRank:
         for _ in range(3):
             a, b, c = rng.uniform(0.2, 1.5, size=3)
             randos.append(parse(f"({a})*x1^2+({b})*x2^2+({c})*x1", n=2))
-        ranks = [S.cohomology_rank(annulus, p, PHI2,
-                                   check_weights=randos).rank
+        assert S.cohomology_rank(annulus, [PHI2, *randos]).ranks == (1, 1, 0)
+        ranks = [O.spectral_rank(annulus, p, PHI2, check_weights=randos).rank
                  for p in range(3)]
         assert ranks == [1, 1, 0]
 
     def test_vanishing_above_convexity_degree(self, annulus):
         # the ring is 2-convex: harmonic spaces vanish in degree >= 2
         # even though degree 1 survives
-        assert S.cohomology_rank(annulus, 1, 0.0).rank == 1
-        assert S.cohomology_rank(annulus, 2, 0.0).rank == 0
+        rep = S.cohomology_rank(annulus)
+        assert rep.ranks[1] == 1 and rep.ranks[2] == 0
+        assert (rep.components, rep.voids, rep.euler) == (1, 1, 0)
 
     def test_rank_stable_under_refinement(self):
         fine = D.build_complex(
             D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.05, r=ANNULUS_R))
-        assert S.cohomology_rank(fine, 1, 0.0).rank == 1
+        assert S.cohomology_rank(fine).ranks[1] == 1
 
     def test_solid_torus(self):
-        r_, a_ = 0.55, 0.3
-        expr = parse(f"(x1^2+x2^2+x3^2+{r_**2-a_**2})^2"
-                     f"-{4*r_**2}*(x1^2+x2^2)", n=3)
         cx3 = D.build_complex(
             D.GridDomain(((-1.0, 1.0), (-1.0, 1.0), (-0.4, 0.4)),
-                         1 / 16, r=expr))
-        assert [S.cohomology_rank(cx3, p, 0.0).rank
-                for p in range(4)] == [1, 1, 0, 0]
+                         1 / 16, r=_torus_r()))
+        rep = S.cohomology_rank(cx3)
+        assert rep.ranks == (1, 1, 0, 0)
+        assert (rep.components, rep.voids, rep.euler) == (1, 0, 0)
+
+    def test_four_axes_are_refused(self):
+        cx4 = D.build_complex(D.GridDomain(((0.0, 1.0),) * 4, 1 / 2))
+        with pytest.raises(ValueError, match="cohomology supports n ≤ 3"):
+            S.cohomology_rank(cx4)
+
+    def test_underflowing_weight_names_the_cell(self, cx32):
+        # e^{-800 x1} times a vertex's dual area underflows from x1 = 0.9375
+        with pytest.raises(DomainError, match=r"underflowed to 0 at the "
+                           r"barycenter \[0\.9375, 0\.0\] of 0-cell 990"):
+            S.cohomology_rank(cx32, [PHI2, parse("800*x1", n=2)])
 
     def test_basis_is_orthonormal_and_harmonic(self, annulus):
-        rep = S.cohomology_rank(annulus, 1, PHI2)
+        rep = O.spectral_rank(annulus, 1, PHI2)
         m1 = D.mass(annulus, PHI2, 1)
         h = rep.basis[:, 0]
         assert m1.inner(h, h) == pytest.approx(1.0, rel=1e-9)
@@ -608,12 +656,13 @@ class TestCohomologyRank:
         assert np.abs(delta).max() <= 1e-6
 
     def test_ambiguous_gap_raises(self, annulus):
-        with pytest.raises(GapAmbiguous):
-            S.cohomology_rank(annulus, 1, 0.0, floor_factor=0.05)
+        with pytest.raises(O.GapAmbiguous):
+            O.spectral_rank(annulus, 1, 0.0, floor_factor=0.05)
 
     def test_repeat_calls_are_bit_identical(self, fine_ring):
-        one = S.cohomology_rank(fine_ring, 1, PHI2)
-        two = S.cohomology_rank(fine_ring, 1, PHI2)
+        assert S.cohomology_rank(fine_ring) == S.cohomology_rank(fine_ring)
+        one = O.spectral_rank(fine_ring, 1, PHI2)
+        two = O.spectral_rank(fine_ring, 1, PHI2)
         assert one.rank == two.rank == 1
         assert np.array_equal(one.eigenvalues, two.eigenvalues)
         assert np.array_equal(one.basis, two.basis)
@@ -626,8 +675,8 @@ class TestCohomologyRank:
         else:
             cx = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 1 / 6))
             phi = parse("x1^2+x2^2+x3^2", n=3)
-        rep = S.cohomology_rank(cx, p, phi)
-        lap, _ = S._laplacian_matrix(cx, phi, p)
+        rep = O.spectral_rank(cx, p, phi)
+        lap, _ = O.laplacian_matrix(cx, phi, p)
         assert lap.shape[0] > 2 * 30          # the Lanczos path
         scale = float(abs(lap).sum(axis=1).max())
         assert rep.floor == pytest.approx(1e-7 * scale, rel=1e-15)
@@ -640,10 +689,10 @@ class TestCohomologyRank:
         cx = D.build_complex(D.GridDomain(UNIT2, 1 / 4))
         sizes = [cx.num_cells(p) for p in range(3)]
         assert sizes == [25, 40, 16]          # all at most 2·n_eigs
-        reps = [S.cohomology_rank(cx, p, PHI2) for p in range(3)]
+        reps = [O.spectral_rank(cx, p, PHI2) for p in range(3)]
         assert [r.rank for r in reps] == [1, 0, 0]
         assert [len(r.eigenvalues) for r in reps] == [25, 30, 16]
-        lap, _ = S._laplacian_matrix(cx, PHI2, 1)
+        lap, _ = O.laplacian_matrix(cx, PHI2, 1)
         assert np.array_equal(reps[1].eigenvalues,
                               np.linalg.eigh(lap.toarray())[0][:30])
 
@@ -653,10 +702,11 @@ class TestCohomologyRank:
         strips = "*".join(f"((x1-{k + 0.5})^2-0.09)" for k in range(8))
         cx = D.build_complex(D.GridDomain(((0.0, 8.0), (0.0, 1.0)), 1 / 16,
                                           r=parse(strips, n=2)))
-        rep = S.cohomology_rank(cx, 0, 0.0)
+        rep = O.spectral_rank(cx, 0, 0.0)
         assert rep.rank == 8 and len(rep.eigenvalues) == 30
-        with pytest.raises(GapAmbiguous, match="raise n_eigs"):
-            S.cohomology_rank(cx, 0, 0.0, n_eigs=8)
+        assert S.cohomology_rank(cx).ranks[0] == 8
+        with pytest.raises(O.GapAmbiguous, match="raise n_eigs"):
+            O.spectral_rank(cx, 0, 0.0, n_eigs=8)
 
 
 # ---------------------------------------------------------------------------
