@@ -21,6 +21,8 @@ The package is organized in layers:
   log-marginal convexity check.
 * :mod:`pconvex.cli` — batch front-end over INI configs (``pconvex run``,
   ``pconvex list-builtins``).
+
+scipy is loaded only where a complex is built (bounds, solve, cohomology).
 """
 
 from .convexity import (boundary_p_convexity, curvature_bounds_check,

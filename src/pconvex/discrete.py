@@ -24,14 +24,15 @@ its columns.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import DomainError, EmptyDomain, SupportError
 from .exterior import index_list, induced_pairings
@@ -50,6 +51,20 @@ __all__ = [
     "EnergyIdentityReport",
     "energy_identity_residual",
 ]
+
+
+class _LazyModule:
+    """The module ``name``, imported on first attribute access: tasks that
+    never build a complex then run on numpy alone."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr):
+        return getattr(importlib.import_module(self._name), attr)
+
+
+sp = _LazyModule("scipy.sparse")
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +151,11 @@ class CubicalComplex:
             stop = start + int(np.count_nonzero(self.ids[axes] >= 0))
             yield axes, slice(start, stop)
             start = stop
+
+    @cached_property
+    def dual_volumes(self) -> np.ndarray:
+        """Unweighted dual volumes of the vertices, built once per complex."""
+        return mass(self, 0.0, 0).diag
 
     def barycenters(self, p: int) -> np.ndarray:
         """Barycenters of the p-cells, ``(num_cells(p), n)``, in cell order."""

@@ -27,7 +27,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import MembershipError, PreconditionError
 
@@ -35,7 +34,6 @@ __all__ = [
     "dim_forms",
     "index_list",
     "index_rank",
-    "index_unrank",
     "PointForm",
     "oneform",
     "wedge",
@@ -92,14 +90,6 @@ def index_rank(idx: tuple[int, ...], n: int) -> int:
         return table[idx]
     except KeyError:
         raise ValueError(f"{idx!r} is not a strictly increasing multi-index in 1..{n}") from None
-
-
-def index_unrank(rank: int, n: int, p: int) -> tuple[int, ...]:
-    """Inverse of :func:`index_rank`."""
-    lst = index_list(n, p)
-    if not 0 <= rank < len(lst):
-        raise ValueError(f"rank {rank} out of range for C({n},{p}) = {len(lst)}")
-    return lst[rank]
 
 
 @lru_cache(maxsize=None)
@@ -170,26 +160,12 @@ class PointForm:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, n: int, p: int) -> "PointForm":
-        return cls(n, p, np.zeros(dim_forms(n, p)))
-
-    @classmethod
     def basis(cls, n: int, idx: tuple[int, ...]) -> "PointForm":
         """The basis form omega^{i1} ^ ... ^ omega^{ip} for increasing idx."""
         idx = tuple(idx)
         c = np.zeros(dim_forms(n, len(idx)))
         c[index_rank(idx, n)] = 1.0
         return cls(n, len(idx), c)
-
-    @classmethod
-    def from_dict(cls, n: int, p: int, entries: dict[tuple[int, ...], float]) -> "PointForm":
-        """Build from {increasing multi-index: coefficient}; missing = 0."""
-        c = np.zeros(dim_forms(n, p))
-        for idx, v in entries.items():
-            if len(idx) != p:
-                raise ValueError(f"index {idx} has length {len(idx)}, expected {p}")
-            c[index_rank(tuple(idx), n)] = float(v)
-        return cls(n, p, c)
 
     # -- algebra --------------------------------------------------------
     def inner(self, other: "PointForm") -> float:
@@ -345,27 +321,33 @@ def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:
 # (m, C(n, p)), one form per matrix; the functions above are one-row calls.
 
 @lru_cache(maxsize=None)
-def _induced_scatter(n: int, p: int) -> sp.csr_matrix:
-    """Sparse map from theta's n² entries (row-major) to the C(n,p)²
-    entries of its induced matrix: entry ``(pos[k,K], pos[j,K])`` gains
-    ``sgn[k,K] sgn[j,K] theta[k,j]`` for each (p-1)-index K avoiding j, k."""
+def _induced_gather(n: int, p: int):
+    """Flat (row-major) sources in theta of the induced matrix's entries.
+    Entry ``(pos[k,K], pos[j,K])``, k != j, is the one term ``sgn[k,K]
+    sgn[j,K] theta[k,j]``: its targets, sources and signs.  Diagonal entry I
+    sums theta[k,k] over k in I: its sources, ``(C(n,p), p)``, ascending k."""
     pos, sgn = _insertion_table(n, p)
     d = dim_forms(n, p)
-    k, j, K = np.nonzero((pos[:, None, :] >= 0) & (pos[None, :, :] >= 0))
-    return sp.csr_matrix(
-        (sgn[k, K] * sgn[j, K], (pos[k, K] * d + pos[j, K], k * n + j)),
-        shape=(d * d, n * n))
+    both = (pos[:, None, :] >= 0) & (pos[None, :, :] >= 0)
+    k, j, K = np.nonzero(both & ~np.eye(n, dtype=bool)[:, :, None])
+    diag = np.array([[(i - 1) * (n + 1) for i in I] for I in index_list(n, p)])
+    return pos[k, K] * d + pos[j, K], k * n + j, sgn[k, K] * sgn[j, K], diag
 
 
 def induced_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
-    """Induced operators on p-forms, shape ``(m, C(n,p), C(n,p))``."""
+    """Induced operators on p-forms, shape ``(m, C(n,p), C(n,p))``; each
+    entry is 0.0 plus its terms, added left to right (so never -0.0)."""
     thetas = _check_sym(thetas, ndim=3)
     m, n = thetas.shape[:2]
     d = dim_forms(n, p)
-    if p == 0:
-        return np.zeros((m, d, d))
-    flat = thetas.reshape(m, n * n)
-    return (_induced_scatter(n, p) @ flat.T).T.reshape(m, d, d)
+    out = np.zeros((d * d, m))
+    if p > 0:
+        flat = thetas.reshape(m, n * n).T
+        target, source, sign, diag = _induced_gather(n, p)
+        out[target] += sign[:, None] * flat[source]
+        for column in diag.T:
+            out[::d + 1] += flat[column]
+    return out.T.reshape(m, d, d)
 
 
 def _stack(thetas, F, p: int):

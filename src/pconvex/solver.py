@@ -21,12 +21,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .convexity import min_p_trace
-from .discrete import (Cochain, CubicalComplex, coboundary, mass,
-                       sample_cochain, weighted_adjoint)
+from .discrete import (Cochain, CubicalComplex, _LazyModule, coboundary,
+                       mass, sample_cochain, weighted_adjoint)
 from .errors import (CohomologyObstruction, MembershipError, NoConvergence,
                      NotClosed, PreconditionError, TailError)
 from .exterior import induced_pairings, induced_pinv
@@ -52,6 +50,9 @@ __all__ = [
     "CombinedWeight",
     "inverse_quadform_integral",
 ]
+
+sp = _LazyModule("scipy.sparse")
+spla = _LazyModule("scipy.sparse.linalg")
 
 _TOL = 1e-10     # relative weighted residual of every solve
 _SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
@@ -370,7 +371,7 @@ def _node_quadrature(cx: CubicalComplex, g: Cochain, theta, weight,
     ``integrand`` returns one value per row of its block.
     """
     G = _node_components(cx, g)
-    dual = mass(cx, 0.0, 0).diag
+    dual = cx.dual_volumes
     g_max = float(np.abs(G).max()) if G.size else 0.0
     if g_max == 0.0:
         return 0.0

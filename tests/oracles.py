@@ -117,6 +117,32 @@ def t_quadform_matrix(theta: np.ndarray, n: int, p: int) -> np.ndarray:
     return M
 
 
+def scatter_induced_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
+    """Induced matrices of the symmetric stack ``thetas`` (m, n, n) as one
+    sparse product: a CSR map from theta's n² entries (row-major) to the
+    C(n,p)² entries of its induced matrix.  Entry ``(K+k, K+j)`` gains
+    ``sgn(k,K) sgn(j,K) theta[k,j]`` for each (p-1)-index K avoiding j and
+    k, with ``sgn(k,K) = (-1)^#{i in K : i < k}``.  The CSR's canonical
+    form adds the terms of an entry in ascending source order."""
+    m, n = thetas.shape[:2]
+    idx = lex_indices(n, p)
+    d = len(idx)
+    if p == 0:
+        return np.zeros((m, d, d))
+    rank = {I: r for r, I in enumerate(idx)}
+    rows, cols, data = [], [], []
+    for K in lex_indices(n, p - 1):
+        free = [k for k in range(1, n + 1) if k not in K]
+        for k, j in itertools.product(free, free):
+            sign = (-1) ** sum(i < k for i in K) * (-1) ** sum(i < j for i in K)
+            rows.append(rank[tuple(sorted(K + (k,)))] * d
+                        + rank[tuple(sorted(K + (j,)))])
+            cols.append((k - 1) * n + j - 1)
+            data.append(float(sign))
+    scatter = sp.csr_matrix((data, (rows, cols)), shape=(d * d, n * n))
+    return (scatter @ thetas.reshape(m, n * n).T).T.reshape(m, d, d)
+
+
 def fd_jet(f, x: np.ndarray, h: float = 1e-5):
     """Central-difference value/gradient/Hessian oracle for a scalar callable."""
     x = np.asarray(x, dtype=float)

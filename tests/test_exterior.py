@@ -40,7 +40,6 @@ def test_index_roundtrip_matches_itertools():
             assert list(X.index_list(n, p)) == combos
             for r, idx in enumerate(combos):
                 assert X.index_rank(idx, n) == r
-                assert X.index_unrank(r, n, p) == idx
 
 
 def test_index_rank_rejects_bad_indices():
@@ -317,6 +316,21 @@ def test_stacks_match_oracle_and_one_row_calls():
                     X.pairing_quadratic(th[i], g), rel=1e-12, abs=1e-300)
                 assert inv[i] == pytest.approx(
                     X.quadform_pinv(th[i], f).inner(f), rel=1e-12, abs=1e-300)
+
+
+def test_induced_matrices_match_sparse_scatter_bit_for_bit():
+    # exact zeros and -0.0 included: 0.0 + (-0.0) is 0.0 in both routes
+    rng = np.random.default_rng(32)
+    for n in range(1, 7):
+        th = theta_stack(rng, n, 30)
+        th = 0.5 * (th + th.transpose(0, 2, 1))
+        th[1::5] *= -1.0
+        th[2::5, 0, 0] = -0.0
+        for p in range(n + 1):
+            got = X.induced_matrices(th, p)
+            ref = O.scatter_induced_matrices(th, p)
+            assert np.array_equal(got, ref), (n, p)
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), (n, p)
 
 
 def test_stacks_check_symmetry_row_by_row():
