@@ -133,7 +133,10 @@ class FieldRegionReport:
 
 def _region_report(p: int, pts: np.ndarray,
                    traces: np.ndarray) -> FieldRegionReport:
-    """The sampled report; its verdict is that of the smallest trace."""
+    """The sampled report; its verdict is that of the smallest trace.
+    ``traces`` has one entry per point, or one for all of them when the
+    matrices did not depend on the point."""
+    traces = np.broadcast_to(traces, pts.shape[:1]).copy()
     worst = int(np.argmin(traces))
     return FieldRegionReport(p=p, points=pts, traces=traces,
                              verdict=_classify(traces[worst]),

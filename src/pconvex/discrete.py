@@ -311,11 +311,15 @@ def weighted_adjoint(cx: CubicalComplex, phi, p: int) -> sp.csr_matrix:
     """
     if not 1 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 1 <= p <= {cx.n}, got {p}")
-    m_src = mass(cx, phi, p - 1).diag
-    m_tgt = mass(cx, phi, p).diag
-    d = cx._cob[p - 1]
-    return sp.csr_matrix(
-        sp.diags(1.0 / m_src) @ d.T.astype(np.float64) @ sp.diags(m_tgt))
+    return _adjoint(cx, mass(cx, phi, p - 1), mass(cx, phi, p))
+
+
+def _adjoint(cx: CubicalComplex, m_src: WeightedMass,
+             m_tgt: WeightedMass) -> sp.csr_matrix:
+    """:func:`weighted_adjoint` from masses already built."""
+    d = cx._cob[m_src.p]
+    return sp.csr_matrix(sp.diags(1.0 / m_src.diag) @ d.T.astype(np.float64)
+                         @ sp.diags(m_tgt.diag))
 
 
 def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:
@@ -447,7 +451,8 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
         if isinstance(phi, numbers.Real):
             continue
         on = np.flatnonzero(support[rows])
-        quad = induced_pairings(hess[on], G_nodes[:, rows.start + on].T, p)
+        quad = induced_pairings(hess if len(hess) == 1 else hess[on],
+                                G_nodes[:, rows.start + on].T, p)
         rhs_quad += float(np.dot(quad, np.exp(-v[on])))
     rhs_quad *= vol
     phi_g = phi_g.reshape(shape + (n,))

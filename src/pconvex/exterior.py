@@ -318,7 +318,8 @@ def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:
 
 
 # The same operators for a stack ``thetas`` (m, n, n) and coefficient rows
-# (m, C(n, p)), one form per matrix; the functions above are one-row calls.
+# (m, C(n, p)), one form per matrix, or for one matrix (1, n, n) that serves
+# every row; the functions above are one-row calls.
 
 @lru_cache(maxsize=None)
 def _induced_gather(n: int, p: int):
@@ -351,12 +352,14 @@ def induced_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
 
 
 def _stack(thetas, F, p: int):
-    """Checked, symmetrised ``thetas`` and coefficient rows ``F``."""
+    """Checked, symmetrised ``thetas`` and coefficient rows ``F``; one
+    matrix may serve all rows."""
     thetas = _check_sym(thetas, ndim=3)
     F = np.asarray(F, dtype=np.float64)
-    want = (len(thetas), dim_forms(thetas.shape[-1], p))
-    if F.shape != want:
-        raise ValueError(f"expected coefficient rows {want}, got {F.shape}")
+    d = dim_forms(thetas.shape[-1], p)
+    if F.ndim != 2 or F.shape[1] != d or len(thetas) not in (1, len(F)):
+        raise ValueError(f"expected coefficient rows ({len(thetas)}, {d}), "
+                         f"got {F.shape}")
     return thetas, F
 
 
@@ -367,17 +370,24 @@ def induced_pairings(thetas: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return np.zeros(len(G))
     L = _lift(thetas.shape[-1], p, G)       # L[i, j, K] = g_{jK} of row i
+    # a stack of copies sums each row in the order of a stack of distinct
+    # matrices, so one matrix gives the same bits as one per row
+    if len(thetas) != len(G):
+        thetas = np.repeat(thetas, len(G), axis=0)
     return np.einsum("ijk,ijK,ikK->i", thetas, L, L)
 
 
 def induced_pinv(thetas: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
     """Rows ``A_theta^+ f`` for the rows of ``F``, from one ``eigh`` of the
-    stacked induced matrices.  Eigenvalues with ``|w| <= 1e-12·max|w|``
-    are kernel (all of them for theta = 0); the first row outside the image
-    by more than 1e-8 (relative) raises :class:`MembershipError` with its
-    residuals and ``row``."""
+    stacked induced matrices (of the one matrix, when one serves every
+    row, its eigenpairs then repeated over the rows).  Eigenvalues with
+    ``|w| <= 1e-12·max|w|`` are kernel (all of them for theta = 0); the
+    first row outside the image by more than 1e-8 (relative) raises
+    :class:`MembershipError` with its residuals and ``row``."""
     thetas, F = _stack(thetas, F, p)
     w, V = np.linalg.eigh(induced_matrices(thetas, p))
+    if len(thetas) != len(F):
+        w, V = np.repeat(w, len(F), axis=0), np.repeat(V, len(F), axis=0)
     c = np.einsum("iab,ia->ib", V, F)
     kernel = np.abs(w) <= 1e-12 * np.abs(w).max(axis=1, keepdims=True)
     res = np.linalg.norm(np.where(kernel, c, 0.0), axis=1)

@@ -19,9 +19,14 @@ sugared tree).
 Evaluation is batched second-order forward mode.  :meth:`ScalarFieldExpr.jets`
 takes points ``X`` of shape ``(m, n)`` and returns values ``(m,)``,
 gradients ``(m, n)`` and dense symmetric Hessians ``(m, n, n)`` (or the
-values alone), so Hessians are exact, not differenced.  One interpreter
-walks the tree once per block of :data:`BLOCK_ROWS` rows, carrying numpy
-arrays.  Integer powers are expanded by repeated multiplication (valid for
+values alone), so Hessians are exact, not differenced.  A gradient or
+Hessian that does not depend on the row keeps a leading axis of 1 instead
+of m: ``x1^2+x2^2`` gives a ``(1, n, n)`` Hessian and ``0.3*x1+0.3*x2`` a
+``(1, n)`` gradient, and consumers broadcast where they need one row per
+point.  One interpreter walks the tree once per block of
+:data:`BLOCK_ROWS` rows, carrying numpy arrays; it drops derivatives that
+are identically zero, so a value-only walk does no derivative arithmetic.
+Integer powers are expanded by repeated multiplication (valid for
 negative bases); everything else routes through ``exp``/``log`` with strict
 domain checks that surface as :class:`~pconvex.errors.DomainError` naming
 the first offending point in row order.  ``value(x)`` and ``eval_jet2(x)``
@@ -83,9 +88,31 @@ def row_blocks(m: int):
     return [slice(s, s + BLOCK_ROWS) for s in range(0, m, BLOCK_ROWS)]
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise outer products of two ``(m, n)`` stacks."""
-    return a[:, :, None] * b[:, None, :]
+def _outer(a, b):
+    """Row-wise outer products of two gradient stacks; None (identically
+    zero) when either is."""
+    return None if a is None or b is None else a[:, :, None] * b[:, None, :]
+
+
+def _times(c, a):
+    """The derivative stack ``a`` times one factor per row, ``c``."""
+    return None if a is None else c.reshape(c.shape + (1,) * (a.ndim - 1)) * a
+
+
+def _over(a, c):
+    return None if a is None else a / c.reshape(c.shape + (1,) * (a.ndim - 1))
+
+
+def _t(a):
+    return None if a is None else a.transpose(0, 2, 1)
+
+
+def _add(a, b):
+    return a if b is None else b if a is None else a + b
+
+
+def _sub(a, b):
+    return a if b is None else -b if a is None else a - b
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +348,25 @@ def to_text(obj: Union[Node, "ScalarFieldExpr"]) -> str:
 class _Block:
     """One block of rows under interpretation.
 
-    A jet is a ``(value, grad, hess)`` triple of arrays shaped ``(m,)``,
-    ``(m, k)`` and ``(m, k, k)``: ``k = n`` for 2-jets and ``k = 0`` for
-    values alone, where the derivative arithmetic runs on empty arrays.  A
-    row that leaves the domain is recorded rather than raised at once, so
+    A jet is a ``(value, grad, hess)`` triple.  Each part has leading axis
+    ``m`` (the block's rows) or 1 when it does not depend on the row, and a
+    derivative that is identically zero is ``None``: a constant is
+    ``((1,), None, None)`` and ``x_i`` is ``((m,), e_i of shape (1, n),
+    None)``.  So ``x1^2+x2^2`` carries a ``(1, n, n)`` Hessian and builds no
+    stack of outer products, and a value-only walk (``order=0``, where every
+    variable has gradient ``None``) does no derivative arithmetic at all.
+    Broadcasting a part to ``m`` rows gives the bits of carrying it per row,
+    up to the sign of an exact zero where a zero term is dropped.
+
+    A row that leaves the domain is recorded rather than raised at once, so
     that the error can name the first bad row whichever node it failed at;
-    the rows that follow it carry NaN harmlessly.
+    the rows that follow it carry NaN harmlessly.  A fault of a
+    row-independent part fails every row, so it names row 0.
     """
 
     def __init__(self, X: np.ndarray, order: int):
         self.X = X
-        self.k = X.shape[1] if order else 0
+        self.order = order
         self.bad = np.zeros(X.shape[0], dtype=bool)
         self.faults = []          # (rows first failing here, message, operand)
 
@@ -346,20 +381,21 @@ class _Block:
         for rows, message, operand in self.faults:
             if rows[i]:
                 if operand is not None:
-                    message = message.format(float(operand[i]))
+                    message = message.format(
+                        float(np.broadcast_to(operand, rows.shape)[i]))
                 raise DomainError(f"{message} at x = {self.X[i].tolist()}")
 
-    def const(self, c: float):
-        m, k = self.X.shape[0], self.k
-        return np.full(m, c), np.zeros((m, k)), np.zeros((m, k, k))
+    @staticmethod
+    def const(c: float):
+        return np.full(1, c), None, None
 
     def run(self, node: Node):
         if isinstance(node, Num):
             return self.const(node.value)
         if isinstance(node, Var):
-            _, g, h = self.const(0.0)
-            g[:, node.index - 1:node.index] = 1.0     # a no-op when k = 0
-            return self.X[:, node.index - 1], g, h
+            i = node.index - 1
+            g = np.eye(self.X.shape[1])[i:i + 1] if self.order else None
+            return self.X[:, i], g, None
         if isinstance(node, Call):
             return getattr(self, node.fn)(self.run(node.arg))
         left = self.run(node.left)
@@ -374,9 +410,11 @@ class _Block:
                        left[0])
             return self.exp(self.mul(right, self.log(left)))
         right = self.run(node.right)
-        if node.op in "+-":
-            op = np.add if node.op == "+" else np.subtract
-            return tuple(op(u, w) for u, w in zip(left, right))
+        (lv, lg, lh), (rv, rg, rh) = left, right
+        if node.op == "+":
+            return lv + rv, _add(lg, rg), _add(lh, rh)
+        if node.op == "-":
+            return lv - rv, _sub(lg, rg), _sub(lh, rh)
         if node.op == "*":
             return self.mul(left, right)
         return self.div(left, right)
@@ -384,18 +422,18 @@ class _Block:
     def mul(self, a, b):
         (av, ag, ah), (bv, bg, bh) = a, b
         outer = _outer(ag, bg)
-        return (av * bv, av[:, None] * bg + bv[:, None] * ag,
-                av[:, None, None] * bh + bv[:, None, None] * ah
-                + outer + outer.transpose(0, 2, 1))
+        hess = _add(_add(_times(av, bh), _times(bv, ah)), outer)
+        return (av * bv, _add(_times(av, bg), _times(bv, ag)),
+                _add(hess, _t(outer)))
 
     def div(self, a, b):
         (av, ag, ah), (bv, bg, bh) = a, b
         self.fault(bv == 0.0, "division by zero")
         q = av / bv
-        gq = (ag - q[:, None] * bg) / bv[:, None]
+        gq = _over(_sub(ag, _times(q, bg)), bv)
         cross = _outer(gq, bg)
-        return q, gq, ((ah - cross - cross.transpose(0, 2, 1)
-                        - q[:, None, None] * bh) / bv[:, None, None])
+        return q, gq, _over(_sub(_sub(_sub(ah, cross), _t(cross)),
+                                 _times(q, bh)), bv)
 
     def powi(self, a, k: int):
         """Integer power by repeated multiplication (negative bases allowed)."""
@@ -414,36 +452,57 @@ class _Block:
         e = np.exp(av)
         self.fault(np.isinf(e) & np.isfinite(av),
                    "exp overflow at argument {!r}", av)
-        return e, e[:, None] * ag, e[:, None, None] * (ah + _outer(ag, ag))
+        return e, _times(e, ag), _times(e, _add(ah, _outer(ag, ag)))
 
     def log(self, a):
         av, ag, ah = a
         self.fault(av <= 0.0, "log of non-positive value {!r}", av)
-        return (np.log(av), ag / av[:, None],
-                ah / av[:, None, None]
-                - _outer(ag, ag) / (av**2)[:, None, None])
+        if ag is None:
+            return np.log(av), None, None
+        return (np.log(av), _over(ag, av),
+                _sub(_over(ah, av), _over(_outer(ag, ag), av**2)))
 
     def sqrt(self, a):
         av, ag, ah = a
         self.fault(av <= 0.0, "sqrt of non-positive value {!r} "
                    "(jets are singular at 0)", av)
         s = np.sqrt(av)
-        return (s, ag / (2.0 * s)[:, None],
-                ah / (2.0 * s)[:, None, None]
-                - _outer(ag, ag) / (4.0 * s**3)[:, None, None])
+        if ag is None:
+            return s, None, None
+        return (s, _over(ag, 2.0 * s),
+                _sub(_over(ah, 2.0 * s), _over(_outer(ag, ag), 4.0 * s**3)))
 
 
 def _interpret(root: Node, X: np.ndarray, order: int):
+    """Values ``(m,)``, or values with gradients and Hessians whose leading
+    axis is ``m`` or 1, at the rows of one block ``X``."""
+    m, n = X.shape
     block = _Block(X, order)
     with np.errstate(all="ignore"):
         v, g, h = block.run(root)
-        finite = (np.isfinite(v) & np.isfinite(g).all(axis=1)
-                  & np.isfinite(h).all(axis=(1, 2)))
+        finite = np.isfinite(v)
+        for d in (g, h):
+            if d is not None:
+                finite = finite & np.isfinite(d).reshape(len(d), -1).all(axis=1)
     block.fault(~finite, "evaluation produced a non-finite "
                 + ("jet" if order else "value"))
     if block.bad.any():
         block.raise_first()
-    return (v, g, h) if order else v
+    if len(v) != m:
+        v = np.full(m, v[0])
+    if not order:
+        return v
+    return (v, np.zeros((1, n)) if g is None else g,
+            np.zeros((1, n, n)) if h is None else h)
+
+
+def _join(parts):
+    """One array from the per-block ones.  With several blocks the first
+    is full, so a leading axis of 1 there means the part does not depend on
+    the row, and it is the same in every block."""
+    if len(parts) > 1 and len(parts[0]) == 1:
+        return parts[0]
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +552,13 @@ class ScalarFieldExpr(BatchedField):
     def jets(self, X, order: int = 2):
         """Exact 2-jets at the rows of ``X`` (shape ``(m, n)``).
 
-        Returns values ``(m,)``, gradients ``(m, n)`` and Hessians
-        ``(m, n, n)``; with ``order=0`` the values alone, which skips the
-        derivative work and checks only that values are finite.  A row
-        outside the field's domain raises
+        Returns values ``(m,)``, gradients ``(m, n)`` or ``(1, n)`` and
+        Hessians ``(m, n, n)`` or ``(1, n, n)``: a leading axis of 1 means
+        the array does not depend on the row (the Hessian of a quadratic,
+        the gradient of a linear field), so broadcasting it over the rows
+        gives every row's derivative.  With ``order=0`` the values alone,
+        which skips the derivative work and checks only that values are
+        finite.  A row outside the field's domain raises
         :class:`~pconvex.errors.DomainError` naming the first such point.
         """
         X = np.asarray(X, dtype=np.float64)
@@ -506,8 +568,8 @@ class ScalarFieldExpr(BatchedField):
         parts = [_interpret(self.root, X[rows], order)
                  for rows in row_blocks(max(X.shape[0], 1))]
         if not order:
-            return np.concatenate(parts)
-        return tuple(np.concatenate(p) for p in zip(*parts))
+            return _join(parts)
+        return tuple(_join(p) for p in zip(*parts))
 
     # Also bound in this class's own namespace: the benchmark's tracer
     # (bench/spans.py) wraps these three names through vars(ScalarFieldExpr).
@@ -521,9 +583,11 @@ class ScalarFieldExpr(BatchedField):
 
 def field_jets(w, X, order: int = 2):
     """Values (``order=0``) or 2-jets of a weight-like input at the rows of
-    ``X``, in the layout of :meth:`ScalarFieldExpr.jets`.
+    ``X``, in the layout of :meth:`ScalarFieldExpr.jets`: values have
+    leading axis m, derivatives m or 1.
 
-    ``None`` is the zero weight and a real number a constant one.  Objects
+    ``None`` is the zero weight and a real number a constant one; their
+    derivatives are one zero row.  Objects
     with a batched ``jets`` method (fields, piecewise and combined weights)
     are evaluated in one call.  Anything else is evaluated one row at a
     time: foreign objects through ``eval_jet2`` (jets) or ``value``, plain
@@ -534,7 +598,7 @@ def field_jets(w, X, order: int = 2):
     m, n = X.shape
     if w is None or isinstance(w, numbers.Real):
         v = np.full(m, 0.0 if w is None else float(w))
-        return v if not order else (v, np.zeros((m, n)), np.zeros((m, n, n)))
+        return v if not order else (v, np.zeros((1, n)), np.zeros((1, n, n)))
     if hasattr(w, "jets"):
         return w.jets(X, order)
     if not order:

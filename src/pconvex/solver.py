@@ -17,14 +17,16 @@ convexity of log-marginals of convex densities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .convexity import min_p_trace
-from .discrete import (Cochain, CubicalComplex, _LazyModule, coboundary,
-                       mass, sample_cochain, weighted_adjoint)
+from .discrete import (Cochain, CubicalComplex, WeightedMass, _LazyModule,
+                       _adjoint, coboundary, mass, sample_cochain,
+                       weighted_adjoint)
 from .errors import (CohomologyObstruction, MembershipError, NoConvergence,
                      NotClosed, PreconditionError, TailError)
 from .exterior import induced_pairings, induced_pinv
@@ -81,7 +83,8 @@ class CombinedWeight(BatchedField):
         self.extra = extra
 
     def jets(self, X, order: int = 2):
-        """Batched values (``order=0``) or 2-jets of the sum."""
+        """Batched values (``order=0``) or 2-jets of the sum; a derivative
+        has leading axis 1 when both parts' do, else m."""
         a = field_jets(self.base, X, order)
         b = field_jets(self.extra, X, order)
         if not order:
@@ -111,7 +114,9 @@ class MinimalSolution:
     iterations; ``residual`` is ``‖du − f‖_M/‖f‖_M`` in the degree-p mass;
     ``harmonic_obstruction`` is the weighted norm of the part of ``f`` the
     solve could not reach (at convergence this is the harmonic component,
-    below tolerance).
+    below tolerance).  ``weight`` is the weight of the solve and
+    ``source_mass`` its degree-(p−1) mass (None when ``f = 0``), so that a
+    report in the same weight builds that mass once.
     """
 
     u: Cochain
@@ -119,6 +124,8 @@ class MinimalSolution:
     residual: float
     harmonic_obstruction: float
     method: str
+    weight: object = field(repr=False, compare=False)
+    source_mass: Optional[WeightedMass] = field(repr=False, compare=False)
 
 
 def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
@@ -192,7 +199,7 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
     n_src = cx.num_cells(p - 1)
     if f_norm == 0.0:
         return MinimalSolution(Cochain(p - 1, np.zeros(n_src)), 0, 0.0, 0.0,
-                               "primitive")
+                               "primitive", phi, None)
 
     if p < cx.n:
         df = coboundary(cx, p) @ f.values
@@ -207,13 +214,14 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
         r = f.values - coboundary(cx, p - 1) @ u
         return math.sqrt(m_tgt.inner(r, r))
 
-    m_src = mass(cx, phi, p - 1).diag
+    source = mass(cx, phi, p - 1)
+    m_src = source.diag
     if p == 1:
         u = _forest_primitive(cx, f.values, m_src)
         r_norm = weighted_residual(u)
         if r_norm / f_norm <= _TOL:
             return MinimalSolution(Cochain(0, u), 0, r_norm / f_norm, r_norm,
-                                   "primitive")
+                                   "primitive", phi, source)
 
     d = coboundary(cx, p - 1).astype(np.float64)
     w_tgt = np.sqrt(m_tgt.diag)
@@ -232,7 +240,8 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
     r_norm = weighted_residual(u)
     rel = r_norm / f_norm
     if rel <= _TOL:
-        return MinimalSolution(Cochain(p - 1, u), iters, rel, r_norm, "lsmr")
+        return MinimalSolution(Cochain(p - 1, u), iters, rel, r_norm, "lsmr",
+                               phi, source)
     # istop 2: D̃ᵀr vanished, so r is the harmonic part of f; istop 0: so
     # did D̃ᵀ(M_p^{1/2} f) before the first step
     if istop in (0, 2):
@@ -428,7 +437,10 @@ def _require_p_positive(points: np.ndarray,
     entry plus one.
 
     Blocks are checked in row order, so the error names the first failing
-    point; each block's stack is reduced before the next is built.
+    point; each block's stack is reduced before the next is built.  A
+    block whose stack is one matrix ``(1, n, n)`` (it does not vary by
+    row) is reduced with one ``eigvalsh``, and its failure names the
+    block's first row.
     """
     for rows in row_blocks(len(points)):
         X = points[rows]
@@ -459,12 +471,14 @@ def _neg_exp_hessian(w):
 
 
 def _shifted_hessian(curved, tilt, omega):
-    """Block builder of ``omega²·D²curved − ∇tilt⊗∇tilt``."""
+    """Block builder of ``omega²·D²curved − ∇tilt⊗∇tilt``; a real
+    ``omega`` keeps a row-independent stack at one matrix."""
     def mats(X):
         h = field_jets(curved, X)[2]
         g = field_jets(tilt, X)[1]
-        om = field_jets(omega, X, order=0)
-        return (om * om)[:, None, None] * h - np.einsum("mi,mj->mij", g, g)
+        om = (float(omega) if isinstance(omega, numbers.Real)
+              else field_jets(omega, X, order=0)[:, None, None])
+        return om * om * h - np.einsum("mi,mj->mij", g, g)
     return mats
 
 
@@ -555,7 +569,10 @@ def _estimate(test: str, cx: CubicalComplex, f: Cochain, sol: MinimalSolution,
     (p−1)-cells, with ``modifier`` evaluated on all barycenters at once;
     with no modifier ``lhs`` is exactly the weighted mass norm."""
     u = sol.u.values
-    md = mass(cx, weight, f.p - 1).diag
+    if sol.weight is weight and sol.source_mass is not None:
+        md = sol.source_mass.diag
+    else:
+        md = mass(cx, weight, f.p - 1).diag
     if modifier is not None:
         md = md * modifier(cx.barycenters(f.p - 1))
     lhs = float(np.dot(u, md * u))
@@ -610,8 +627,8 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
     rng = np.random.default_rng(0) if rng is None else rng
     w_plus = _combine(phi, 1.0, psi)
     if p < cx.n:
-        coexact = weighted_adjoint(cx, w_plus, p + 1)
         m_up = mass(cx, w_plus, p + 1)
+        coexact = _adjoint(cx, mass(cx, w_plus, p), m_up)
     twist = weighted_adjoint(cx, _combine(phi, sigma, psi), p)
     m_down = mass(cx, w_plus, p - 1)
     worst = 0.0

@@ -227,7 +227,10 @@ class PiecewiseWeight(BatchedField):
         return self.base.n
 
     def jets(self, X, order: int = 2):
-        """Batched 2-jets (or values, ``order=0``) by the chain rule."""
+        """Batched 2-jets (or values, ``order=0``) by the chain rule, in the
+        layout of :meth:`~pconvex.fieldexpr.ScalarFieldExpr.jets`:
+        derivatives have leading axis m, or 1 when they do not vary by row
+        (with no modifiers, those of the base)."""
         if not order:
             v = field_jets(self.base, X, 0)
             for m in self.modifiers:
@@ -292,7 +295,7 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float], samples,
     shell_of = np.clip(np.searchsorted(sublevels, v, side="right") - 1,
                        0, n_shells - 1)
     checked = (shell_of > 0) if exempt_first_shell else np.ones(v.size, bool)
-    lam = min_p_trace(hess, p)
+    lam = np.broadcast_to(min_p_trace(hess, p), v.shape)
     bad = np.flatnonzero(checked & (lam <= 0.0))
     if bad.size:
         i = bad[0]
@@ -581,8 +584,8 @@ def stiffness_floor(r, phi, samples, p: int,
             f"(modulus {sigma:.3e})")
     phi_grad_sq = float(np.einsum("mi,mi->m", phi_g, phi_g).max())
 
-    r_grad = np.linalg.norm(r_g, axis=1)
-    r_hess = np.linalg.norm(r_h, 2, axis=(1, 2))
+    r_grad = np.broadcast_to(np.linalg.norm(r_g, axis=1), depth.shape)
+    r_hess = np.broadcast_to(np.linalg.norm(r_h, 2, axis=(1, 2)), depth.shape)
     grad_floor = float(r_grad[collar].min())
     if grad_floor <= 0:
         raise PreconditionError("defining function has a critical point "

@@ -226,12 +226,19 @@ def _sample(kind, n, rng):
     return rng.normal(size=n)
 
 
+def _full(jets, m):
+    """Jets with every array broadcast to one row per point."""
+    v, g, h = jets
+    n = g.shape[1]
+    return v, np.broadcast_to(g, (m, n)), np.broadcast_to(h, (m, n, n))
+
+
 def test_jets_match_sympy():
     rng = np.random.default_rng(20240811)
     for text, n, kind in CASES:
         f = FE.parse(text, n=n)
         X = np.array([_sample(kind, n, rng) for _ in range(10)])
-        vals, grads, hessians = f.jets(X)          # one batched call
+        vals, grads, hessians = _full(f.jets(X), len(X))   # one batched call
         for x, v, g_row, h_row in zip(X, vals, grads, hessians):
             val, g, h = sympy_jet(f, x)
             assert_jet_close(f.eval_jet2(x), val, g, h, 5e-13)
@@ -258,6 +265,61 @@ def test_value_path_is_bit_identical_to_jet_value():
         for _ in range(10):
             x = _sample(kind, n, rng)
             assert f.value(x) == f.eval_jet2(x).value
+        X = np.array([_sample(kind, n, rng) for _ in range(3000)])
+        assert np.array_equal(f.jets(X, order=0), f.jets(X)[0])
+
+
+# ---------------------------------------------------------------------------
+# layout: a derivative that does not vary by row keeps a leading axis of 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text, grad_rows, hess_rows", [
+    ("x1^2+x2^2", 3000, 1),
+    ("0.3*x1+0.3*x2", 1, 1),
+    ("exp(x1)", 3000, 3000),
+])
+def test_row_independent_derivatives_keep_one_row(text, grad_rows, hess_rows):
+    f = FE.parse(text, n=2)
+    X = np.random.default_rng(13).normal(size=(3000, 2))   # three blocks
+    assert X.shape[0] > 2 * FE.BLOCK_ROWS
+    jets = f.jets(X)
+    assert [a.shape for a in jets] == [(3000,), (grad_rows, 2),
+                                       (hess_rows, 2, 2)]
+    v, g, h = _full(jets, len(X))
+    for i in (0, FE.BLOCK_ROWS + 7, len(X) - 1):
+        # the oracles of test_jets_match_sympy and
+        # test_jets_match_finite_differences, on rows of every block
+        val, g_ref, h_ref = sympy_jet(f, X[i])
+        assert_jet_close(FE.Jet2(v[i], g[i], h[i]), val, g_ref, h_ref, 5e-13)
+        val, g_ref, h_ref = fd_jet(f.value, X[i])
+        scale = 1.0 + abs(val) + np.abs(g_ref).max() + np.abs(h_ref).max()
+        np.testing.assert_allclose(g[i], g_ref, atol=5e-5 * scale, rtol=0)
+        np.testing.assert_allclose(h[i], h_ref, atol=5e-4 * scale, rtol=0)
+        # one row on its own gives the same bits
+        one = f.eval_jet2(X[i])
+        assert one.value == v[i]
+        assert np.array_equal(one.grad, g[i])
+        assert np.array_equal(one.hess, h[i])
+
+
+def test_row_independent_fault_names_row_zero():
+    f = FE.parse("x1^2 + log(0-1)", n=2)
+    X = np.random.default_rng(14).normal(size=(3000, 2))
+    for order in (2, 0):
+        with pytest.raises(DomainError, match="log of non-positive") as exc:
+            f.jets(X, order=order)
+        assert str(X[0].tolist()) in str(exc.value)
+
+
+def test_row_dependent_fault_past_the_first_block_names_its_row():
+    f = FE.parse("log(0.6-x1)", n=2)
+    X = np.column_stack([np.linspace(0.0, 1.0, 3000), np.zeros(3000)])
+    first = int(np.argmax(0.6 - X[:, 0] <= 0.0))
+    assert first > FE.BLOCK_ROWS
+    for order in (2, 0):
+        with pytest.raises(DomainError, match="log of non-positive") as exc:
+            f.jets(X, order=order)
+        assert str(X[first].tolist()) in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,29 @@ class TestBaselineReport:
         with pytest.raises(PreconditionError):
             S.hormander_report(cx32, f32, parse("0-x1^2-x2^2", n=2), 1)
 
+    def test_constant_failing_hessian_names_the_first_barycenter(self, cx32,
+                                                                 f32):
+        phi = parse("-(x1^2+x2^2)", n=2)
+        X = cx32.barycenters(1)
+        assert S._hessian(phi)(X).shape == (1, 2, 2)   # one matrix per block
+        with pytest.raises(PreconditionError) as exc:
+            S.hormander_report(cx32, f32, phi, 1)
+        assert str(np.round(X[0], 6)) in str(exc.value)
+
+    def test_row_dependent_failure_names_its_first_barycenter(self):
+        # D²phi = diag(2 − 6·x1, 2) fails where x1 > 1/3, first reached in
+        # the second block of rows
+        cx = D.build_complex(D.GridDomain(UNIT2, 1 / 64))
+        X = cx.barycenters(1)
+        d2 = 2.0 - 6.0 * X[:, 0]
+        first = int(np.flatnonzero(
+            d2 < -1e-8 * (np.maximum(np.abs(d2), 2.0) + 1.0))[0])
+        assert first > FE.BLOCK_ROWS
+        zero = D.Cochain(1, np.zeros(cx.num_cells(1)))
+        with pytest.raises(PreconditionError) as exc:
+            S.hormander_report(cx, zero, parse("x1^2+x2^2-x1^3", n=2), 1)
+        assert str(np.round(X[first], 6)) in str(exc.value)
+
     def test_membership_error_names_first_bad_support_node(self):
         # D²theta = diag(1, 1) for x1 < 0.7 and diag(1, 0) from there on,
         # so the first node past it with a dx2 part leaves the image
@@ -553,6 +576,33 @@ def test_record_carries_apriori(cx32, f32):
         "test", "lhs", "rhs", "constant", "ratio", "h", "method",
         "iterations", "residual", "harmonic_obstruction", "num_cells",
         "pass"}
+
+
+def test_reports_build_each_mass_once(monkeypatch):
+    # one mass per (weight object, degree) per report: the estimate takes
+    # the solve's degree-0 mass and the apriori check the degree-2 mass of
+    # its coexact adjoint; the rest are the solve's degrees 1 and 2, the
+    # dual volumes and the apriori check's own weights
+    calls = []
+
+    def counting(cx, phi, p):
+        calls.append((phi, p))
+        return mass(cx, phi, p)
+
+    mass = D.mass
+    monkeypatch.setattr(D, "mass", counting)
+    monkeypatch.setattr(S, "mass", counting)
+    psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
+    reports = [
+        (4, lambda cx, f: S.hormander_report(cx, f, PHI2, 1)),
+        (9, lambda cx, f: S.berndtsson_report(cx, f, PHI2, psi, 0.3, 1))]
+    for count, report in reports:
+        cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
+        f = S.closed_form_from_potential(cx, 1, [pot])
+        calls.clear()
+        report(cx, f)
+        assert len(calls) == count
+        assert len({(id(w), p) for w, p in calls}) == count
 
 
 # ---------------------------------------------------------------------------
