@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateGradient
-from .exterior import PointForm, dim_forms, index_list, index_rank
+from .exterior import (PointForm, _insertion_table, _lift, dim_forms,
+                       index_list)
 from .fieldexpr import field_jets
 
 __all__ = [
@@ -219,22 +220,16 @@ def index_swap_two_forms(g: PointForm) -> np.ndarray:
         raise ValueError("need n >= 2 for 2-forms")
     if p < 1:
         raise ValueError("need p >= 1")
+    # I = i_a K: swapping i_a for i gives (-1)^(a-1) g_{iK}, and
+    # w^i ^ w^{i_a} = turn[i, i_a] e_{pair[i, i_a]}; each (I, pair) takes at
+    # most one term, from the free index i not in I (g_{iK} = 0 for i in K)
+    pos, sgn = _insertion_table(n, p)
+    pair, turn = _insertion_table(n, 2)
+    L = _lift(n, p, g.coeffs)                 # L[i, K] = g_{iK}
+    a, K, i = np.nonzero((pos[:, :, None] >= 0) & (L.T[None] != 0.0)
+                         & (pair.T[:, None] >= 0))
     out = np.zeros((dim_forms(n, p), dim_forms(n, 2)))
-    for r, I in enumerate(index_list(n, p)):
-        members = set(I)
-        for a, ia in enumerate(I):
-            for i in range(1, n + 1):
-                if i in members:       # repeat kills the coefficient, i = i_a kills the wedge
-                    continue
-                seq = list(I)
-                seq[a] = i
-                coeff = g.coefficient(tuple(seq))
-                if coeff == 0.0:
-                    continue
-                if i < ia:
-                    out[r, index_rank((i, ia), n)] += coeff
-                else:
-                    out[r, index_rank((ia, i), n)] -= coeff
+    out[pos[a, K], pair[i, a]] = sgn[a, K] * turn[i, a] * L[i, K]
     return out
 
 

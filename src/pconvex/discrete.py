@@ -35,7 +35,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DomainError, EmptyDomain, SupportError
-from .exterior import index_list, induced_pairings
+from .exterior import (_insertion_table, dim_forms, index_list,
+                       induced_pairings)
 from .fieldexpr import field_jets, row_blocks
 
 __all__ = [
@@ -75,8 +76,9 @@ sp = _LazyModule("scipy.sparse")
 class GridDomain:
     """An axis-aligned box grid, optionally cut down to ``{r < 0}``.
 
-    ``box`` is a per-axis sequence of ``(lo, hi)`` pairs and ``h`` the
-    requested spacing; each axis gets ``max(2, round(length/h))`` cells, so
+    ``box`` is a per-axis sequence of ``(lo, hi)`` pairs, ``h`` the
+    requested spacing and ``r`` anything :func:`~pconvex.fieldexpr.field_jets`
+    evaluates; each axis gets ``max(2, round(length/h))`` cells, so
     the effective per-axis ``spacings`` may differ slightly from ``h`` when
     the length is not a multiple of it.
     """
@@ -98,8 +100,12 @@ class GridDomain:
             m = max(2, int(round((hi - lo) / self.h)))
             counts.append(m)
             spacings.append((hi - lo) / m)
-        if self.r is not None and not hasattr(self.r, "value"):
-            raise TypeError("r must expose .value(x) or be None")
+        r = self.r
+        if not (r is None or isinstance(r, numbers.Real) or hasattr(r, "jets")
+                or callable(getattr(r, "value", r))):
+            raise TypeError("r must be None or what field_jets evaluates: a "
+                            "number, a callable, or an object with jets or "
+                            f"value(x); got {type(r).__name__}")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "counts", tuple(counts))
         object.__setattr__(self, "spacings", tuple(spacings))
@@ -186,16 +192,18 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     for p in range(n + 1):
         found_p, spanned_p, rows, cols, data = [], [], [], [], []
         start = 0
-        for axes in itertools.combinations(range(n), p):
+        # facet rK = axes less a enters d with the sign of inserting a into it
+        pos, sgn = _insertion_table(n, p) if p else (np.zeros((n, 0)), None)
+        for rS, axes in enumerate(itertools.combinations(range(n), p)):
             shape = [m if i in axes else m + 1 for i, m in enumerate(counts)]
             ok = np.ones(shape, dtype=bool)
             faces = []
-            for j, a in enumerate(axes):
-                facet = ids[axes[:j] + axes[j + 1:]]
+            for a, rK in zip(*np.nonzero(pos == rS)):
+                facet = ids[tuple(b for b in axes if b != a)]
                 back = facet[(slice(None),) * a + (slice(None, -1),)]
                 front = facet[(slice(None),) * a + (slice(1, None),)]
                 ok &= (back >= 0) & (front >= 0)
-                faces.append((1 if j % 2 == 0 else -1, back, front))
+                faces.append((sgn[a, rK], back, front))
             found = np.argwhere(ok)
             if dom.r is not None:
                 bary = np.stack(
@@ -369,11 +377,6 @@ class EnergyIdentityReport:
     residual: float
 
 
-def _insertion_sign(j: int, rest: Tuple[int, ...]) -> int:
-    k = sum(1 for b in rest if b < j)
-    return 1 if k % 2 == 0 else -1
-
-
 def _erode(mask: np.ndarray, rounds: int) -> np.ndarray:
     """Keep the entries of ``mask`` whose face neighbours along every axis
     are set, ``rounds`` times over; entries outside the grid count as
@@ -418,9 +421,8 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
         G[k] = field_jets(f, X, order=0).reshape(shape)
 
     gmax = np.abs(G).max()
-    report_zero = EnergyIdentityReport(0.0, 0.0, 0.0, 0.0)
     if gmax == 0.0:
-        return report_zero
+        return EnergyIdentityReport(0.0, 0.0, 0.0, 0.0)
 
     if dom.r is None:
         inside = np.ones(shape, dtype=bool)
@@ -434,14 +436,16 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
             f"boundary (max magnitude {gmax:.3e})")
 
     spac = dom.spacings
-    dG = {I: [np.gradient(G[k], spac[a], axis=a) for a in range(n)]
-          for k, I in enumerate(order)}
+    DG = np.empty((n, len(order), X.shape[0]))  # DG[a, k] = ∂_a g_k
+    for k in range(len(order)):
+        for a in range(n):
+            DG[a, k] = np.gradient(G[k], spac[a], axis=a).reshape(-1)
     vol = float(np.prod(spac))
 
     # weight values and gradients at every node; the Hessian term of the
     # identity is summed over the form's support block by block
     support = np.any(G != 0.0, axis=0).reshape(-1)
-    G_nodes = G.reshape(len(order), -1)
+    G = G.reshape(len(order), -1)
     phi_v = np.empty(X.shape[0])
     phi_g = np.empty(X.shape)
     rhs_quad = 0.0
@@ -452,37 +456,34 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
             continue
         on = np.flatnonzero(support[rows])
         quad = induced_pairings(hess if len(hess) == 1 else hess[on],
-                                G_nodes[:, rows.start + on].T, p)
+                                G[:, rows.start + on].T, p)
         rhs_quad += float(np.dot(quad, np.exp(-v[on])))
     rhs_quad *= vol
-    phi_g = phi_g.reshape(shape + (n,))
-    weight = np.exp(-phi_v).reshape(shape)
+    weight = np.exp(-phi_v)
 
-    # exterior derivative coefficients, degree p+1
-    d_coeffs = {J: np.zeros(shape) for J in index_list(n, p + 1)} \
-        if p < n else {}
-    for I in order:
-        for a in range(n):
-            j = a + 1
-            if j in I:
-                continue
-            J = tuple(sorted(I + (j,)))
-            d_coeffs[J] += _insertion_sign(j, I) * dG[I][a]
-
-    # weighted codifferential coefficients, degree p-1
-    co_coeffs = {M: np.zeros(shape) for M in index_list(n, p - 1)}
-    for k, I in enumerate(order):
-        for j in I:
-            a = j - 1
-            M = tuple(b for b in I if b != j)
-            co_coeffs[M] -= _insertion_sign(j, M) * (
-                dG[I][a] - phi_g[..., a] * G[k])
-
-    sq = sum(v * v for v in d_coeffs.values()) if d_coeffs else 0.0
-    sq = sq + sum(v * v for v in co_coeffs.values())
+    # (dg)_J = sum_{j in J} sgn ∂_j g_{J-j} and (δ_φ g)_M = -sum_{j not in M}
+    # sgn (∂_j - ∂_jφ) g_{jM}, signs from the insertion tables; j runs down
+    # for d and up for δ so that each coefficient adds its terms in the lex
+    # order of the source multi-indices
+    sq = 0.0
+    if p < n:
+        pos, sgn = _insertion_table(n, p + 1)
+        dg = np.zeros((dim_forms(n, p + 1), X.shape[0]))
+        for j in reversed(range(n)):
+            for k in np.flatnonzero(pos[j] >= 0):
+                dg[pos[j, k]] += sgn[j, k] * DG[j, k]
+        sq = sum(v * v for v in dg)
+    pos, sgn = _insertion_table(n, p)
+    co = np.zeros((dim_forms(n, p - 1), X.shape[0]))
+    for j in range(n):
+        for M in np.flatnonzero(pos[j] >= 0):
+            I = pos[j, M]
+            co[M] -= sgn[j, M] * (DG[j, I] - phi_g[:, j] * G[I])
+    sq = sq + sum(v * v for v in co)
     lhs = float(np.sum(sq * weight)) * vol
 
-    grad_sq = sum(dv * dv for partials in dG.values() for dv in partials)
+    grad_sq = sum(DG[a, k] * DG[a, k]
+                  for k in range(len(order)) for a in range(n))
     rhs_grad = float(np.sum(grad_sq * weight)) * vol
 
     rhs = rhs_grad + rhs_quad

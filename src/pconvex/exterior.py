@@ -16,6 +16,13 @@ inequality checks built from them live here.  Everything is dense numpy at
 small ``n`` (the package targets n <= 12; C(12,6) = 924 keeps all tables
 tiny).  The induced matrices, pairings and pseudo-inverses also come for
 stacks of matrices, of which the one-point functions are one-row calls.
+
+Every sign of a permuted multi-index comes from one table, that of
+inserting one index into a sorted multi-index (``_insertion_table``, with
+``_lift`` built on it): wedge, interior product, the induced operator, the
+swap 2-forms of :mod:`pconvex.convexity`, the ``d`` and ``δ_φ`` of
+:func:`pconvex.discrete.energy_identity_residual` and the cubical
+coboundary of :func:`pconvex.discrete.build_complex` all read it.
 """
 
 from __future__ import annotations
@@ -94,7 +101,9 @@ def index_rank(idx: tuple[int, ...], n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _insertion_table(n: int, p: int):
-    """Tables describing insertion of a single index into a (p-1)-index.
+    """Tables describing insertion of a single index into a (p-1)-index,
+    ``omega^j ^ e_K = sgn[j-1, rK] e_{pos[j-1, rK]}``: the one sign
+    convention of the package.
 
     Returns ``(pos, sgn)`` of shape ``(n, C(n, p-1))`` where, for axis ``j``
     (1-based, row ``j-1``) and a (p-1)-index ``K`` of rank ``rK``:
@@ -114,13 +123,10 @@ def _insertion_table(n: int, p: int):
     pos = -np.ones((n, len(km1)), dtype=np.int64)
     sgn = np.zeros((n, len(km1)), dtype=np.float64)
     for rK, K in enumerate(km1):
-        for j in range(1, n + 1):
-            if j in K:
-                continue
-            below = sum(1 for k in K if k < j)
-            merged = tuple(sorted((j,) + K))
-            pos[j - 1, rK] = rank_p[merged]
-            sgn[j - 1, rK] = -1.0 if (below % 2) else 1.0
+        for j in set(range(1, n + 1)).difference(K):
+            below = sum(k < j for k in K)     # omega^j moves past these
+            pos[j - 1, rK] = rank_p[K[:below] + (j,) + K[below:]]
+            sgn[j - 1, rK] = (-1.0) ** below
     return pos, sgn
 
 
@@ -197,20 +203,6 @@ class PointForm:
     def __neg__(self) -> "PointForm":
         return PointForm(self.n, self.p, -self.coeffs)
 
-    def coefficient(self, idx: tuple[int, ...]) -> float:
-        """Coefficient for an arbitrary (possibly unsorted) index sequence.
-
-        Applies the antisymmetric convention: repeated entries give 0 and a
-        permutation contributes its sign.
-        """
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return 0.0
-        inv = sum(1 for a in range(len(idx)) for b in range(a + 1, len(idx))
-                  if idx[a] > idx[b])
-        sign = -1.0 if inv % 2 else 1.0
-        return sign * float(self.coeffs[index_rank(tuple(sorted(idx)), self.n)])
-
 
 def oneform(v: np.ndarray) -> PointForm:
     """The 1-form with coefficient vector v (the Euclidean flat of a vector)."""
@@ -218,34 +210,24 @@ def oneform(v: np.ndarray) -> PointForm:
     return PointForm(v.shape[0], 1, v)
 
 
-def _merge_sign(a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    inv = sum(1 for x in a for y in b if y < x)
-    return -1.0 if inv % 2 else 1.0
-
-
 def wedge(a: PointForm, b: PointForm) -> PointForm:
-    """Wedge product of two forms on the same R^n."""
+    """Wedge product of two forms on the same R^n, by repeated insertion:
+    ``omega^A ^ b = omega^{A_1} ^ (... ^ (omega^{A_p} ^ b))``."""
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
     n, p, q = a.n, a.p, b.p
     if p + q > n:
         raise ValueError(f"wedge degree {p}+{q} exceeds ambient dimension {n}")
     out = np.zeros(dim_forms(n, p + q))
-    rank_out = _rank_of(n, p + q)
-    ia, ib = index_list(n, p), index_list(n, q)
-    for ra, A in enumerate(ia):
-        ca = a.coeffs[ra]
-        if ca == 0.0:
-            continue
-        sa = set(A)
-        for rb, B in enumerate(ib):
-            if sa & set(B):
-                continue
-            cb = b.coeffs[rb]
-            if cb == 0.0:
-                continue
-            merged = tuple(sorted(A + B))
-            out[rank_out[merged]] += _merge_sign(A, B) * ca * cb
+    for A, ca in zip(index_list(n, p), a.coeffs):
+        c = b.coeffs
+        for deg, j in enumerate(reversed(A), start=q + 1):
+            pos, sgn = _insertion_table(n, deg)
+            ok = pos[j - 1] >= 0
+            step = np.zeros(dim_forms(n, deg))
+            step[pos[j - 1, ok]] = sgn[j - 1, ok] * c[ok]
+            c = step
+        out += ca * c
     return PointForm(n, p + q, out)
 
 

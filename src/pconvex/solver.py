@@ -819,7 +819,7 @@ class PrekopaReport:
     skipped: bool
     x_samples: np.ndarray
     marginal: np.ndarray        # tilde-phi at the x samples
-    second_diffs: np.ndarray    # (samples, x_dim)
+    second_diffs: np.ndarray    # (samples, 1)
     min_second_diff: float
 
     @property
@@ -827,7 +827,7 @@ class PrekopaReport:
         return (not self.skipped) and self.min_second_diff >= -1e-6
 
 
-def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
+def prekopa_check(phi_joint, x_samples, y_box, *,
                   y_points: int = 601) -> PrekopaReport:
     """Convexity check of ``-log ∫ e^{-phi(x,y)} dy`` by quadrature.
 
@@ -840,9 +840,7 @@ def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
     then asserted through second central differences with step 0.1 (exact
     for quadratic joints) at every x sample.
     """
-    xs = np.atleast_2d(np.asarray(x_samples, dtype=np.float64))
-    if xs.shape[1] != x_dim:
-        xs = xs.reshape(-1, x_dim)
+    xs = np.asarray(x_samples, dtype=np.float64).reshape(-1, 1)
     y_box = tuple((float(lo), float(hi)) for lo, hi in y_box)
 
     mids = [lo + (hi - lo) * (np.arange(y_points) + 0.5) / y_points
@@ -858,20 +856,19 @@ def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
     # sampled convexity of the joint weight
     delta = 0.1
     probe_x = np.unique(np.concatenate(
-        [xs + delta * sign * np.eye(x_dim)[i]
-         for i in range(x_dim) for sign in (-1.0, 0.0, 1.0)]), axis=0)
+        [xs + delta * sign for sign in (-1.0, 0.0, 1.0)]), axis=0)
     probe_y = ys[:: max(1, ys.shape[0] // 9)]
     probes = np.array([np.concatenate([px, py])
                        for px in probe_x for py in probe_y])
     hess = field_jets(phi_joint, probes)[2]
     scale = np.abs(hess).max(axis=(1, 2)) + 1.0
-    if np.any(np.linalg.eigvalsh(hess)[:, 0] < -1e-10 * scale):
+    if np.any(min_p_trace(hess, 1) < -1e-10 * scale):
         return PrekopaReport(False, True, xs, np.array([]),
-                             np.zeros((0, x_dim)), math.nan)
+                             np.zeros((0, 1)), math.nan)
 
     def marginal(px: np.ndarray) -> float:
         vals = field_jets(phi_joint, np.hstack(
-            [np.broadcast_to(px, (ys.shape[0], x_dim)), ys]), order=0)
+            [np.broadcast_to(px, (ys.shape[0], 1)), ys]), order=0)
         base = float(vals.min())
         dens = np.exp(-(vals - base))
         if float(dens[on_edge].max()) > 1e-12 * float(dens.max()):
@@ -882,11 +879,8 @@ def prekopa_check(phi_joint, x_samples, y_box, *, x_dim: int = 1,
         return base - math.log(float(dens.sum()) * cell)
 
     center = np.array([marginal(px) for px in xs])
-    second = np.empty((xs.shape[0], x_dim))
-    for i in range(x_dim):
-        step = delta * np.eye(x_dim)[i]
-        for j, px in enumerate(xs):
-            second[j, i] = (marginal(px + step) - 2.0 * center[j]
-                            + marginal(px - step)) / delta ** 2
+    second = np.array([[(marginal(px + delta) - 2.0 * c
+                         + marginal(px - delta)) / delta ** 2]
+                       for px, c in zip(xs, center)])
     return PrekopaReport(True, False, xs, center, second,
                          float(second.min()))

@@ -41,7 +41,6 @@ __all__ = [
     "CubicHinge",
     "IdentityPlus",
     "PiecewiseWeight",
-    "cubic_hinge",
     "convexify",
     "integrability_modifier",
     "diameter_weight",
@@ -151,7 +150,8 @@ class SmoothRamp(ScalarMap):
 
 
 class CubicHinge(ScalarMap):
-    """``t -> strength * max(t, 0)^3``: C², convex, flat left of zero."""
+    """``t -> strength * max(t, 0)^3``: C², convex, flat left of zero,
+    increasing in ``strength``."""
 
     def __init__(self, strength: float):
         strength = float(strength)
@@ -170,11 +170,6 @@ class CubicHinge(ScalarMap):
 
     def check_points(self) -> np.ndarray:
         return np.linspace(-2.0, 4.0, 201)
-
-
-def cubic_hinge(strength: float) -> CubicHinge:
-    """Member of the hinge family, increasing in ``strength``."""
-    return CubicHinge(strength)
 
 
 class IdentityPlus(ScalarMap):

@@ -79,6 +79,28 @@ class TestGridDomain:
         with pytest.raises(TypeError):
             D.GridDomain(((0.0, 1.0),), 0.1, r="x1-1")
 
+    def test_jets_only_defining_function(self):
+        # every consumer reads r through field_jets, so a batched field
+        # with jets and no value(x) cuts the same domain as the expression
+        disk = parse("x1^2+x2^2-1", n=2)
+
+        class JetsOnly:
+            def jets(self, X, order=2):
+                return disk.jets(X, order)
+
+        box = ((-1.0, 1.0), (-1.0, 1.0))
+        cx = D.build_complex(D.GridDomain(box, 1 / 8, r=JetsOnly()))
+        ref = D.build_complex(D.GridDomain(box, 1 / 8, r=disk))
+        assert [cx.num_cells(p) for p in range(3)] == \
+            [ref.num_cells(p) for p in range(3)]
+        g = [lambda x: bump(x[0], -0.4, 0.4) * bump(x[1], -0.4, 0.4), 0.0]
+        assert D.energy_identity_residual(
+            g, disk, D.GridDomain(box, 1 / 16, r=JetsOnly()), 1) == \
+            D.energy_identity_residual(
+                g, disk, D.GridDomain(box, 1 / 16, r=disk), 1)
+        with pytest.raises(TypeError, match="field_jets evaluates"):
+            D.GridDomain(box, 0.1, r=object())
+
 
 # ---------------------------------------------------------------------------
 # complex construction
@@ -395,6 +417,15 @@ def g_second(x):
     return bump(x[0], 0.35, 0.7) * bump(x[1], 0.3, 0.65)
 
 
+def bump_form_coefficient(n, k):
+    """A product bump in [0.3, 0.7]^n, shifted per coefficient k."""
+    def g(x):
+        return math.prod(
+            bump(x[i], 0.3 + 0.05 * ((k + i) % 2), 0.7 - 0.05 * (k % 3))
+            for i in range(n))
+    return g
+
+
 UNIT2 = ((0.0, 1.0), (0.0, 1.0))
 
 
@@ -408,11 +439,18 @@ class TestEnergyIdentity:
     def test_flat_weight_is_summation_by_parts_exact(self):
         # centered differences are skew-adjoint on compactly supported
         # samples, so with a flat weight both sides agree to roundoff at
-        # every resolution — the discretization error lives in the weight
-        for h in (1 / 8, 1 / 16):
+        # every resolution and degree — the discretization error lives in
+        # the weight, and a wrong sign in d or δ at any degree shows here
+        cases = [(2, 1, 1 / 8, [g_single, g_second])]
+        for n in range(1, 5):
+            for p in range(1, n + 1):
+                coeffs = [bump_form_coefficient(n, k)
+                          for k in range(math.comb(n, p))]
+                cases.append((n, p, 1 / 8 if n == 4 else 1 / 16, coeffs))
+        for n, p, h, coeffs in cases:
             rep = D.energy_identity_residual(
-                [g_single, g_second], 0.0, D.GridDomain(UNIT2, h), 1)
-            assert rep.residual < 1e-12
+                coeffs, 0.0, D.GridDomain(((0.0, 1.0),) * n, h), p)
+            assert rep.residual < 1e-12, (n, p)
             assert rep.rhs_quadform_term == 0.0
             assert rep.lhs > 0.0
 

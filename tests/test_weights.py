@@ -116,18 +116,18 @@ class TestSmoothRamp:
 class TestCubicHinge:
 
     def test_vanishes_left_of_zero(self):
-        m = W.cubic_hinge(5.0)
+        m = W.CubicHinge(5.0)
         assert m.value(-2.0) == 0.0
         assert m.d1(-2.0) == 0.0 and m.d2(-2.0) == 0.0
 
     def test_unit_values_increase_with_strength(self):
-        assert W.cubic_hinge(2.0).value(1.0) == 2.0
-        vals = [W.cubic_hinge(float(s)).value(1.0) for s in range(1, 9)]
+        assert W.CubicHinge(2.0).value(1.0) == 2.0
+        vals = [W.CubicHinge(float(s)).value(1.0) for s in range(1, 9)]
         assert vals == [float(s) for s in range(1, 9)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_curvature_closed_form_and_continuity(self):
-        m = W.cubic_hinge(3.0)
+        m = W.CubicHinge(3.0)
         for t in np.linspace(0.0, 4.0, 41):
             assert m.d2(float(t)) == pytest.approx(6 * 3.0 * t, abs=1e-14)
         assert m.d2(1e-9) < 2e-8 and m.d2(-1e-9) == 0.0
@@ -135,11 +135,11 @@ class TestCubicHinge:
     def test_family_monotone_pointwise(self):
         grid = np.linspace(-3.0, 3.0, 121)
         for s in range(1, 6):
-            lo, hi = W.cubic_hinge(float(s)), W.cubic_hinge(float(s + 1))
+            lo, hi = W.CubicHinge(float(s)), W.CubicHinge(float(s + 1))
             assert all(lo.value(float(t)) <= hi.value(float(t)) for t in grid)
 
     def test_second_difference_convexity(self):
-        m = W.cubic_hinge(2.0)
+        m = W.CubicHinge(2.0)
         h = 1e-3
         for t in np.linspace(-2.0, 4.0, 301):
             second = m.value(t + h) - 2 * m.value(t) + m.value(t - h)
@@ -147,7 +147,7 @@ class TestCubicHinge:
 
     def test_strength_validation(self):
         with pytest.raises(ValueError):
-            W.cubic_hinge(0.5)
+            W.CubicHinge(0.5)
 
 
 # ---------------------------------------------------------------------------
