@@ -452,8 +452,6 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     for rows in row_blocks(X.shape[0]):
         v, g, hess = field_jets(phi, X[rows])
         phi_v[rows], phi_g[rows] = v, g
-        if isinstance(phi, numbers.Real):
-            continue
         on = np.flatnonzero(support[rows])
         quad = induced_pairings(hess if len(hess) == 1 else hess[on],
                                 G[:, rows.start + on].T, p)

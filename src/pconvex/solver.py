@@ -55,6 +55,7 @@ __all__ = [
 
 sp = _LazyModule("scipy.sparse")
 spla = _LazyModule("scipy.sparse.linalg")
+csgraph = _LazyModule("scipy.sparse.csgraph")
 
 _TOL = 1e-10     # relative weighted residual of every solve
 _SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
@@ -115,8 +116,8 @@ class MinimalSolution:
     ``harmonic_obstruction`` is the weighted norm of the part of ``f`` the
     solve could not reach (at convergence this is the harmonic component,
     below tolerance).  ``weight`` is the weight of the solve and
-    ``source_mass`` its degree-(p−1) mass (None when ``f = 0``), so that a
-    report in the same weight builds that mass once.
+    ``source_mass`` its degree-(p−1) mass, so that a caller in the same
+    weight builds that mass once.
     """
 
     u: Cochain
@@ -125,7 +126,7 @@ class MinimalSolution:
     harmonic_obstruction: float
     method: str
     weight: object = field(repr=False, compare=False)
-    source_mass: Optional[WeightedMass] = field(repr=False, compare=False)
+    source_mass: WeightedMass = field(repr=False, compare=False)
 
 
 def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
@@ -139,8 +140,6 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
     ``v``) from an extra vertex joined to each component's lowest node, so
     a node's predecessor is its tree edge.
     """
-    # imported here: csgraph adds about 1 MiB to every process that loads it
-    from scipy.sparse import csgraph
     d = coboundary(cx, 0)
     n_e, n0 = d.shape
     ends = d.indices + n_e
@@ -195,11 +194,11 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
     if f.values.size != cx.num_cells(p):
         raise ValueError("cochain length does not match the complex")
     m_tgt = mass(cx, phi, p)
+    source = mass(cx, phi, p - 1)
     f_norm = math.sqrt(m_tgt.inner(f.values, f.values))
-    n_src = cx.num_cells(p - 1)
     if f_norm == 0.0:
-        return MinimalSolution(Cochain(p - 1, np.zeros(n_src)), 0, 0.0, 0.0,
-                               "primitive", phi, None)
+        return MinimalSolution(Cochain(p - 1, np.zeros(cx.num_cells(p - 1))),
+                               0, 0.0, 0.0, "primitive", phi, source)
 
     if p < cx.n:
         df = coboundary(cx, p) @ f.values
@@ -214,7 +213,6 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
         r = f.values - coboundary(cx, p - 1) @ u
         return math.sqrt(m_tgt.inner(r, r))
 
-    source = mass(cx, phi, p - 1)
     m_src = source.diag
     if p == 1:
         u = _forest_primitive(cx, f.values, m_src)
@@ -313,8 +311,7 @@ def monotonicity_check(potential_coeffs, p: int, *,
                     "inner box is not contained in the outer box")
         sols = [minimal_solution(c, closed_form_from_potential(
             c, p, potential_coeffs), phi) for c in (inner, outer)]
-        norms = [mass(c, phi, p - 1).inner(s.u.values, s.u.values)
-                 for c, s in zip((inner, outer), sols)]
+        norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
         lesser, greater = norms
         mode = "domains"
     else:
@@ -329,8 +326,7 @@ def monotonicity_check(potential_coeffs, p: int, *,
                 f"weights are not ordered at {np.round(X[bad[0]], 6)}")
         f = closed_form_from_potential(cx, p, potential_coeffs)
         sols = [minimal_solution(cx, f, w) for w in (lo_w, hi_w)]
-        norms = [mass(cx, w, p - 1).inner(s.u.values, s.u.values)
-                 for w, s in zip((lo_w, hi_w), sols)]
+        norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
         lesser, greater = norms[1], norms[0]
         mode = "weights"
     satisfied = lesser <= greater * (1.0 + 1e-8) + 1e-8
@@ -569,7 +565,7 @@ def _estimate(test: str, cx: CubicalComplex, f: Cochain, sol: MinimalSolution,
     (p−1)-cells, with ``modifier`` evaluated on all barycenters at once;
     with no modifier ``lhs`` is exactly the weighted mass norm."""
     u = sol.u.values
-    if sol.weight is weight and sol.source_mass is not None:
+    if sol.weight is weight:
         md = sol.source_mass.diag
     else:
         md = mass(cx, weight, f.p - 1).diag
@@ -778,8 +774,6 @@ def cohomology_rank(cx: CubicalComplex,
     for w in weights:
         for q in range(n + 1):
             mass(cx, w, q)
-    # imported here, as in _forest_primitive
-    from scipy.sparse import csgraph
     free = np.ones([2 * m + 3 for m in cx.dom.counts], dtype=bool)
     for anchors, spanned in zip(cx.anchors, cx.spanned):
         free[tuple((2 * anchors.astype(np.intp) + spanned + 1).T)] = False
@@ -841,6 +835,8 @@ def prekopa_check(phi_joint, x_samples, y_box, *,
     for quadratic joints) at every x sample.
     """
     xs = np.asarray(x_samples, dtype=np.float64).reshape(-1, 1)
+    if xs.size == 0:
+        raise ValueError("need at least one sample point")
     y_box = tuple((float(lo), float(hi)) for lo, hi in y_box)
 
     mids = [lo + (hi - lo) * (np.arange(y_points) + 0.5) / y_points

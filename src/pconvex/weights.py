@@ -3,8 +3,8 @@
 Everything here manufactures scalar weights with controlled Hessians:
 
 * :class:`SmoothRamp`, :class:`CubicHinge`, :class:`IdentityPlus` — C²
-  convex scalar reparametrizations stored as value/first/second-derivative
-  evaluators.
+  convex scalar reparametrizations, each evaluated through one ``jets``
+  call that returns its value, first and second derivative.
 * :class:`PiecewiseWeight` — a base field composed with a chain of those
   maps; its 2-jets follow the chain rule
   ``D²(κ∘φ) = κ′(φ)·D²φ + κ″(φ)·∇φ⊗∇φ``.
@@ -57,18 +57,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class ScalarMap:
-    """A C² map R -> R exposed through value/d1/d2 evaluators.
+    """A C² map R -> R exposed through its 2-jet.
 
-    Each evaluator takes a number or an array and applies elementwise.
+    :meth:`jets` takes a number or an array and applies elementwise.
     """
 
-    def value(self, t: float) -> float:
-        raise NotImplementedError
-
-    def d1(self, t: float) -> float:
-        raise NotImplementedError
-
-    def d2(self, t: float) -> float:
+    def jets(self, t):
+        """``(value, first derivative, second derivative)`` at ``t``."""
         raise NotImplementedError
 
     def check_points(self) -> np.ndarray:
@@ -108,40 +103,27 @@ class SmoothRamp(ScalarMap):
         piece = widths * (levels[:-1] + levels[1:]) / 2.0
         self._cum = np.concatenate([[0.0], np.cumsum(piece)])
 
-    def _locate(self, t):
-        """Piece index (-1 left of the knots, ``size - 1`` right of them),
-        the nearest inner piece, its width and the local coordinate."""
+    def jets(self, t):
+        # piece i is -1 left of the knots and size - 1 right of them; j is
+        # the nearest inner piece and u the local coordinate on it
         t = np.asarray(t, dtype=np.float64)
-        k = self.knots
+        k, lv = self.knots, self.levels
         i = np.searchsorted(k, t, side="right") - 1
+        left, right = i < 0, i >= k.size - 1
         j = np.clip(i, 0, k.size - 2)
         width = k[j + 1] - k[j]
         u = np.clip((t - k[j]) / width, 0.0, 1.0)
-        return t, (i < 0, i >= k.size - 1), j, width, u
-
-    def value(self, t):
-        t, (left, right), j, width, u = self._locate(t)
-        k, lv = self.knots, self.levels
         dl = lv[j + 1] - lv[j]
-        return np.select(
+        value = np.select(
             [left, right],
             [self.anchor + lv[0] * (t - k[0]),
              self.anchor + self._cum[-1] + lv[-1] * (t - k[-1])],
             self.anchor + self._cum[j]
             + width * (lv[j] * u + dl * (u**3 - 0.5 * u**4)))[()]
-
-    def d1(self, t):
-        _, (left, right), j, _, u = self._locate(t)
-        lv = self.levels
-        return np.select([left, right], [lv[0], lv[-1]],
-                         lv[j] + (lv[j + 1] - lv[j])
-                         * (3.0 * u**2 - 2.0 * u**3))[()]
-
-    def d2(self, t):
-        _, (left, right), j, width, u = self._locate(t)
-        dl = self.levels[j + 1] - self.levels[j]
-        return np.where(left | right, 0.0,
-                        dl * 6.0 * u * (1.0 - u) / width)[()]
+        d1 = np.select([left, right], [lv[0], lv[-1]],
+                       lv[j] + dl * (3.0 * u**2 - 2.0 * u**3))[()]
+        d2 = np.where(left | right, 0.0, dl * 6.0 * u * (1.0 - u) / width)[()]
+        return value, d1, d2
 
     def check_points(self) -> np.ndarray:
         span = self.knots[-1] - self.knots[0]
@@ -159,14 +141,9 @@ class CubicHinge(ScalarMap):
             raise ValueError(f"hinge strength must be >= 1, got {strength}")
         self.strength = strength
 
-    def value(self, t):
-        return self.strength * np.maximum(t, 0.0) ** 3
-
-    def d1(self, t):
-        return 3.0 * self.strength * np.maximum(t, 0.0) ** 2
-
-    def d2(self, t):
-        return 6.0 * self.strength * np.maximum(t, 0.0)
+    def jets(self, t):
+        s, tp = self.strength, np.maximum(t, 0.0)
+        return s * tp ** 3, 3.0 * s * tp ** 2, 6.0 * s * tp
 
     def check_points(self) -> np.ndarray:
         return np.linspace(-2.0, 4.0, 201)
@@ -178,14 +155,9 @@ class IdentityPlus(ScalarMap):
     def __init__(self, inner: ScalarMap):
         self.inner = inner
 
-    def value(self, t):
-        return t + self.inner.value(t)
-
-    def d1(self, t):
-        return 1.0 + self.inner.d1(t)
-
-    def d2(self, t):
-        return self.inner.d2(t)
+    def jets(self, t):
+        value, d1, d2 = self.inner.jets(t)
+        return t + value, 1.0 + d1, d2
 
     def check_points(self) -> np.ndarray:
         return self.inner.check_points()
@@ -211,7 +183,7 @@ class PiecewiseWeight(BatchedField):
 
     def __post_init__(self):
         for m in self.modifiers:
-            worst = float(np.min(m.d2(m.check_points())))
+            worst = float(np.min(m.jets(m.check_points())[2]))
             if worst < -1e-12:
                 raise PreconditionError(
                     f"modifier {type(m).__name__} has negative second "
@@ -229,15 +201,14 @@ class PiecewiseWeight(BatchedField):
         if not order:
             v = field_jets(self.base, X, 0)
             for m in self.modifiers:
-                v = m.value(v)
+                v = m.jets(v)[0]
             return v
         v, g, h = field_jets(self.base, X)
         for m in self.modifiers:
-            d1, d2 = m.d1(v), m.d2(v)
+            v, d1, d2 = m.jets(v)
             h = (d1[:, None, None] * h
                  + d2[:, None, None] * np.einsum("mi,mj->mij", g, g))
             g = d1[:, None] * g
-            v = m.value(v)
         return v, g, h
 
     def with_modifier(self, extra: ScalarMap, **kw) -> "PiecewiseWeight":

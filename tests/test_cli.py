@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pconvex import cli
+from pconvex import cli, discrete, errors, solver
 from pconvex.errors import ConfigError
 
 
@@ -481,6 +481,32 @@ potential = bump(0.25, 0.75)
         csv = (out / "series.csv").read_text().splitlines()
         assert csv[0] == "h,cells,iterations,residual"
 
+    def test_norm_reuses_the_solve_mass(self, tmp_path, monkeypatch):
+        # per rung: the solve's degrees 1 and 2, and its degree-0 mass,
+        # which the solution's norm reads back instead of building again
+        calls = []
+
+        def counting(cx, phi, p):
+            calls.append(p)
+            return mass(cx, phi, p)
+
+        mass = discrete.mass
+        monkeypatch.setattr(discrete, "mass", counting)
+        monkeypatch.setattr(solver, "mass", counting)
+        code, _, _ = run(tmp_path, """
+[domain]
+box = 0:1, 0:1
+ladder = 1/8, 1/16
+[weights]
+phi = x1^2+x2^2
+[task]
+name = solve
+p = 1
+potential = bump(0.25, 0.75)
+""")
+        assert code == 0
+        assert sorted(calls) == [0, 0, 1, 1, 2, 2]
+
     def test_degree_two_runs_lsmr(self, tmp_path):
         code, report, _ = run(tmp_path, """
 [domain]
@@ -693,6 +719,16 @@ def test_shipped_config_runs_as_documented(tmp_path, name):
 
 def test_config_corpus_is_nonempty():
     assert len(list(REPO_CONFIGS.glob("*.ini"))) >= 13
+
+
+def test_task_errors_catch_every_error_type():
+    # a task that raises any of the package's errors gets a failed record
+    # and exit 1, not a traceback
+    types = [obj for obj in vars(errors).values()
+             if isinstance(obj, type) and issubclass(obj, Exception)
+             and not issubclass(obj, Warning)]
+    assert len(types) == 14
+    assert all(issubclass(t, cli._TASK_ERRORS) for t in types)
 
 
 # ---------------------------------------------------------------------------

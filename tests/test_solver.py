@@ -802,6 +802,10 @@ class TestPrekopa:
             S.prekopa_check(parse("x1^2+x2^2", n=2), self.XS,
                             [(-2.0, 2.0)])
 
+    def test_empty_samples_refused_by_name(self):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            S.prekopa_check(parse("x1^2+x2^2", n=2), [], [(-6.0, 6.0)])
+
 
 # ---------------------------------------------------------------------------
 # batched field evaluation

@@ -32,8 +32,8 @@ class TestSmoothRamp:
         m = ramp_example()
         h = 1e-6
         for t in np.linspace(-1.0, 5.0, 163):
-            fd = (m.value(t + h) - m.value(t - h)) / (2 * h)
-            assert abs(m.d1(t) - fd) < 5e-9 * (1 + abs(m.d1(t)))
+            fd = (m.jets(t + h)[0] - m.jets(t - h)[0]) / (2 * h)
+            assert abs(m.jets(t)[1] - fd) < 5e-9 * (1 + abs(m.jets(t)[1]))
 
     def test_second_derivative_matches_slope_differences(self):
         m = ramp_example()
@@ -41,34 +41,34 @@ class TestSmoothRamp:
         for t in np.linspace(-1.0, 5.0, 163):
             if np.min(np.abs(m.knots - t)) <= 2 * h:
                 continue        # d2 kinks at knots; central diff straddles
-            fd = (m.d1(t + h) - m.d1(t - h)) / (2 * h)
-            assert abs(m.d2(t) - fd) < 1e-6 * (1 + abs(m.d2(t)))
+            fd = (m.jets(t + h)[1] - m.jets(t - h)[1]) / (2 * h)
+            assert abs(m.jets(t)[2] - fd) < 1e-6 * (1 + abs(m.jets(t)[2]))
 
     def test_continuity_at_knots(self):
         m = ramp_example()
         eps = 1e-9
         for k in m.knots:
-            assert abs(m.value(k + eps) - m.value(k - eps)) < 1e-7
-            assert abs(m.d1(k + eps) - m.d1(k - eps)) < 1e-7
+            assert abs(m.jets(k + eps)[0] - m.jets(k - eps)[0]) < 1e-7
+            assert abs(m.jets(k + eps)[1] - m.jets(k - eps)[1]) < 1e-7
             # the smoothstep interpolation parks the curvature at zero
             # on every knot, so d2 is continuous there too
-            assert m.d2(float(k)) == 0.0
-            assert abs(m.d2(k + eps)) < 1e-7 and abs(m.d2(k - eps)) < 1e-7
+            assert m.jets(float(k))[2] == 0.0
+            assert abs(m.jets(k + eps)[2]) < 1e-7 and abs(m.jets(k - eps)[2]) < 1e-7
 
     def test_linear_extensions_and_anchor(self):
         m = ramp_example()
-        assert m.value(0.0) == 2.0                      # anchor at first knot
-        assert m.value(-2.0) == 2.0 + 1.0 * (-2.0)      # left: slope levels[0]
-        assert m.d2(-2.0) == 0.0 and m.d2(9.0) == 0.0
-        assert m.d1(-2.0) == 1.0 and m.d1(9.0) == 7.5
-        span = m.value(4.0)
-        assert m.value(6.0) == pytest.approx(span + 7.5 * 2.0, rel=1e-14)
+        assert m.jets(0.0)[0] == 2.0                      # anchor at first knot
+        assert m.jets(-2.0)[0] == 2.0 + 1.0 * (-2.0)      # left: slope levels[0]
+        assert m.jets(-2.0)[2] == 0.0 and m.jets(9.0)[2] == 0.0
+        assert m.jets(-2.0)[1] == 1.0 and m.jets(9.0)[1] == 7.5
+        span = m.jets(4.0)[0]
+        assert m.jets(6.0)[0] == pytest.approx(span + 7.5 * 2.0, rel=1e-14)
 
     def test_piece_increment_is_trapezoid_of_levels(self):
         m = ramp_example()
         k, l = m.knots, m.levels
         for i in range(k.size - 1):
-            inc = m.value(float(k[i + 1])) - m.value(float(k[i]))
+            inc = m.jets(float(k[i + 1]))[0] - m.jets(float(k[i]))[0]
             assert inc == pytest.approx(
                 (k[i + 1] - k[i]) * (l[i] + l[i + 1]) / 2.0, rel=1e-13)
 
@@ -94,15 +94,15 @@ class TestSmoothRamp:
         levels = np.cumsum(raw_steps[:knots.size])
         m = W.SmoothRamp(knots, levels)
         ts = m.check_points()
-        assert all(m.d2(float(t)) >= 0.0 for t in ts)
-        d1s = [m.d1(float(t)) for t in ts]
+        assert all(m.jets(float(t))[2] >= 0.0 for t in ts)
+        d1s = [m.jets(float(t))[1] for t in ts]
         assert all(b >= a - 1e-12 for a, b in zip(d1s, d1s[1:]))
         # on an array the maps act elementwise; numpy's vectorized power may
         # round its last bit differently from the scalar one
         for fmap in (m, W.IdentityPlus(W.CubicHinge(1.0 + levels[0]))):
-            for name in ("value", "d1", "d2"):
-                batch = getattr(fmap, name)(ts)
-                single = np.array([getattr(fmap, name)(float(t)) for t in ts])
+            for k in range(3):
+                batch = fmap.jets(ts)[k]
+                single = np.array([fmap.jets(float(t))[k] for t in ts])
                 eps = 4 * np.finfo(float).eps
                 np.testing.assert_allclose(
                     batch, single, rtol=eps,
@@ -117,32 +117,32 @@ class TestCubicHinge:
 
     def test_vanishes_left_of_zero(self):
         m = W.CubicHinge(5.0)
-        assert m.value(-2.0) == 0.0
-        assert m.d1(-2.0) == 0.0 and m.d2(-2.0) == 0.0
+        assert m.jets(-2.0)[0] == 0.0
+        assert m.jets(-2.0)[1] == 0.0 and m.jets(-2.0)[2] == 0.0
 
     def test_unit_values_increase_with_strength(self):
-        assert W.CubicHinge(2.0).value(1.0) == 2.0
-        vals = [W.CubicHinge(float(s)).value(1.0) for s in range(1, 9)]
+        assert W.CubicHinge(2.0).jets(1.0)[0] == 2.0
+        vals = [W.CubicHinge(float(s)).jets(1.0)[0] for s in range(1, 9)]
         assert vals == [float(s) for s in range(1, 9)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_curvature_closed_form_and_continuity(self):
         m = W.CubicHinge(3.0)
         for t in np.linspace(0.0, 4.0, 41):
-            assert m.d2(float(t)) == pytest.approx(6 * 3.0 * t, abs=1e-14)
-        assert m.d2(1e-9) < 2e-8 and m.d2(-1e-9) == 0.0
+            assert m.jets(float(t))[2] == pytest.approx(6 * 3.0 * t, abs=1e-14)
+        assert m.jets(1e-9)[2] < 2e-8 and m.jets(-1e-9)[2] == 0.0
 
     def test_family_monotone_pointwise(self):
         grid = np.linspace(-3.0, 3.0, 121)
         for s in range(1, 6):
             lo, hi = W.CubicHinge(float(s)), W.CubicHinge(float(s + 1))
-            assert all(lo.value(float(t)) <= hi.value(float(t)) for t in grid)
+            assert all(lo.jets(float(t))[0] <= hi.jets(float(t))[0] for t in grid)
 
     def test_second_difference_convexity(self):
         m = W.CubicHinge(2.0)
         h = 1e-3
         for t in np.linspace(-2.0, 4.0, 301):
-            second = m.value(t + h) - 2 * m.value(t) + m.value(t - h)
+            second = m.jets(t + h)[0] - 2 * m.jets(t)[0] + m.jets(t - h)[0]
             assert second >= -1e-12
 
     def test_strength_validation(self):
@@ -191,8 +191,8 @@ class TestPiecewiseWeight:
         hinge, ramp = W.CubicHinge(1.0), W.SmoothRamp([0.0, 10.0], [2.0, 2.0])
         w = W.PiecewiseWeight(base, (hinge, ramp))
         x = np.array([2.0])
-        assert w.value(x) == pytest.approx(ramp.value(hinge.value(2.0)), rel=1e-15)
-        assert w.value(x) != pytest.approx(hinge.value(ramp.value(2.0)), rel=1e-3)
+        assert w.value(x) == pytest.approx(ramp.jets(hinge.jets(2.0)[0])[0], rel=1e-15)
+        assert w.value(x) != pytest.approx(hinge.jets(ramp.jets(2.0)[0])[0], rel=1e-3)
 
     def test_value_agrees_with_jet_value(self):
         base = parse("x1^2+0.5*x2^2", n=2)
@@ -200,16 +200,26 @@ class TestPiecewiseWeight:
         for x in np.random.default_rng(0).uniform(-2, 2, size=(10, 2)):
             assert w.value(x) == w.eval_jet2(x).value
 
+    def test_one_jets_call_per_modifier(self):
+        calls = []
+
+        class Counted(W.CubicHinge):
+            def jets(self, t):
+                calls.append(self)
+                return super().jets(t)
+
+        mods = (Counted(1.0), Counted(2.0))
+        w = W.PiecewiseWeight(parse("x1^2+x2^2", n=2), mods)
+        X = np.random.default_rng(1).uniform(-1.0, 1.0, size=(7, 2))
+        for order in (0, 2):
+            calls.clear()
+            w.jets(X, order)
+            assert calls == list(mods)
+
     def test_concave_modifier_rejected(self):
         class Concave(W.ScalarMap):
-            def value(self, t):
-                return -t * t
-
-            def d1(self, t):
-                return -2.0 * t
-
-            def d2(self, t):
-                return -2.0
+            def jets(self, t):
+                return -t * t, -2.0 * t, -2.0
 
         base = parse("x1^2", n=1)
         with pytest.raises(PreconditionError):
@@ -233,7 +243,7 @@ class TestConvexify:
         assert np.all(ramp.levels == 1.0)
         for x in samples[::7]:
             assert out.value(x) == pytest.approx(PHI2.value(x), abs=1e-12)
-            assert ramp.d1(PHI2.value(x)) == 1.0
+            assert ramp.jets(PHI2.value(x))[1] == 1.0
 
     def test_constant_defect_on_ball(self):
         # base Hessian 2*Id has minimal 1-trace 2, so slope must clear
@@ -242,7 +252,7 @@ class TestConvexify:
         out = W.convexify(PHI2, -3.0, 1, [0.0, 1.0, 2.0, 3.0, 4.0], samples)
         ramp = out.modifiers[-1]
         assert np.allclose(ramp.levels, 1.65, rtol=1e-12)
-        assert all(ramp.d1(float(t)) > 1.5 for t in np.linspace(0.0, 4.0, 81))
+        assert all(ramp.jets(float(t))[1] > 1.5 for t in np.linspace(0.0, 4.0, 81))
         for x in samples:
             assert min_p_trace(out.eval_jet2(x).hess, 1) - 3.0 > 0.0
 
@@ -266,8 +276,8 @@ class TestConvexify:
         for _ in range(25):
             x = rng.uniform(-1.9, 1.9, size=2)
             base = PHI2.eval_jet2(x)
-            expect = (ramp.d1(base.value) * base.hess
-                      + ramp.d2(base.value) * np.outer(base.grad, base.grad))
+            expect = (ramp.jets(base.value)[1] * base.hess
+                      + ramp.jets(base.value)[2] * np.outer(base.grad, base.grad))
             assert np.allclose(out.eval_jet2(x).hess, expect, atol=1e-10)
 
     def test_non_psh_base_raises(self):
@@ -336,8 +346,8 @@ class TestIntegrabilityModifier:
         out = W.integrability_modifier(phi, 0.0, tails)
         gamma = out.modifiers[-1].inner
         for v in range(1, 5):
-            assert gamma.value(float(v)) > v + math.log(tails[v - 1])
-        assert gamma.value(0.0) == 0.0
+            assert gamma.jets(float(v))[0] > v + math.log(tails[v - 1])
+        assert gamma.jets(0.0)[0] == 0.0
 
     def test_reweighted_shell_masses_decay(self):
         phi = parse("x1^2", n=1)
@@ -355,7 +365,7 @@ class TestIntegrabilityModifier:
         phi = parse("x1^2", n=1)
         out = W.integrability_modifier(phi, 2.0, [math.e ** 4, math.e ** 7])
         gamma = out.modifiers[-1].inner
-        assert all(gamma.value(t) == 0.0 for t in [-3.0, 0.0, 1.99, 2.0])
+        assert all(gamma.jets(t)[0] == 0.0 for t in [-3.0, 0.0, 1.99, 2.0])
         for x in [0.3, -1.0, 1.4]:
             assert out.value(np.array([x])) == phi.value(np.array([x]))
 
