@@ -8,7 +8,7 @@ A config is a small INI file with three sections::
     r = annulus(0.5, 1.0)   ; optional defining function (builtin or expression)
 
     [weights]
-    phi = x1^2+x2^2         ; number, expression, or builtin call
+    phi = x1^2+x2^2         ; number, expression, or weight builtin call
     psi = cor42(p=1, D=1.4142135623730951, center=0.5:0.5)
     omega = 0.4
 
@@ -278,16 +278,16 @@ def list_builtins() -> str:
     return "\n".join(lines)
 
 
-def _call(text: str, ctx: "_Context", domain: bool):
-    """Build ``text`` if it calls a builtin of the wanted sort; else None."""
+def _call(text: str, ctx: "_Context", kinds: str):
+    """Build ``text`` if it calls a builtin; its kind must be one of
+    ``kinds`` ("weight or field", say).  None if ``text`` calls none."""
     call = _parse_call(text)
     if call is None:
         return None
     name, args, kwargs = call
     kind, params, _, builder = BUILTINS[name]
-    if (kind == "domain") != domain:
-        raise ConfigError(f"{name} is a {kind} builtin, not a "
-                          + ("domain" if domain else "weight or field"))
+    if kind not in kinds.split(" or "):
+        raise ConfigError(f"{name} is a {kind} builtin, not a {kinds}")
     b = _bind(name, params, args, kwargs)
     if "center" in b:
         b["center"] = (np.zeros(ctx.n) if b["center"] is None
@@ -340,9 +340,10 @@ def _checked(where: str, parser: Callable, text: str, ctx: _Context):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _field(text: str, ctx: _Context):
-    """A config value: number, builtin call, or field expression."""
-    built = _call(text, ctx, domain=False)
+def _field(text: str, ctx: _Context, kinds: str):
+    """A config value: number, builtin call of one of ``kinds``, or field
+    expression."""
+    built = _call(text, ctx, kinds)
     if built is not None:
         return built
     try:
@@ -355,7 +356,8 @@ def _field_list(text: str, ctx: _Context, degree: int) -> List[object]:
     """Semicolon-separated components of a ``degree``-form; a single entry
     is padded with zeros (the form supported on the first multi-index)."""
     count = exterior.dim_forms(ctx.n, degree)
-    fields = [_field(t.strip(), ctx) for t in _split_top(text, ";")]
+    fields = [_field(t.strip(), ctx, "weight or field")
+              for t in _split_top(text, ";")]
     if len(fields) == 1:
         fields += [0.0] * (count - 1)
     if len(fields) != count:
@@ -721,16 +723,18 @@ _KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
         _numbers,
         lambda v, ctx: 0 < v[-1] and all(b < a for a, b in zip(v, v[1:])),
         "h values must be positive and strictly decreasing")),
-    "r": ("domain", lambda text, ctx: parse(_call(text, ctx, domain=True)
+    "r": ("domain", lambda text, ctx: parse(_call(text, ctx, "domain")
                                             or text, ctx.n)),
     "name": ("task", None),
     "n": ("task", _valid(_integer, lambda v, ctx: 1 <= v <= exterior._MAX_N,
                          f"must lie in [1, {exterior._MAX_N}], got {{v}}")),
     "p": ("task", _valid(_integer, lambda v, ctx: 1 <= v <= ctx.n,
                          "must lie in [1, {ctx.n}], got {v}")),
-    "phi": ("weights", _field),
-    "psi": ("weights", _field),
-    "omega": ("weights", _field),
+    # phi and psi are read by their 2-jets, which a field builtin lacks
+    "phi": ("weights", lambda text, ctx: _field(text, ctx, "weight")),
+    "psi": ("weights", lambda text, ctx: _field(text, ctx, "weight")),
+    "omega": ("weights", lambda text, ctx: _field(text, ctx,
+                                                  "weight or field")),
     "seed": ("task", _at_least(0)),
     "per_axis": ("task", _at_least(2)),
     "check_weights": ("task", _at_least(0)),

@@ -171,17 +171,18 @@ def test_builtin_signatures_and_center_default():
     # an absent center is the origin of the domain's own dimension
     ctx = cli._Context(n=3)
     X = np.random.default_rng(2).uniform(-1, 1, (20, 3))
-    implicit = cli._field("cor42(p=2, D=1.5)", ctx)
-    explicit = cli._field("cor42(p=2, D=1.5, center=0:0:0)", ctx)
+    implicit = cli._field("cor42(p=2, D=1.5)", ctx, "weight")
+    explicit = cli._field("cor42(p=2, D=1.5, center=0:0:0)", ctx,
+                          "weight")
     assert np.array_equal(implicit.jets(X, 0), explicit.jets(X, 0))
     with pytest.raises(ConfigError, match="center has 2 components"):
-        cli._field("cor42(center=0:0)", ctx)
+        cli._field("cor42(center=0:0)", ctx, "weight")
 
 
 def test_bump_is_a_batched_field():
     assert "bump(lo=0.25, hi=0.75) -> field" in cli.list_builtins()
     lo, hi = 0.3, 0.7
-    bump = cli._field(f"bump({lo}, {hi})", cli._Context(n=3))
+    bump = cli._field(f"bump({lo}, {hi})", cli._Context(n=3), "field")
 
     def scalar(x):
         w, out = (hi - lo) / 2.0, 1.0
@@ -332,6 +333,32 @@ name = cohomology
 
     def test_expression_typo(self, tmp_path):
         self.check(tmp_path, KMH_CFG.replace("x1^2+x2^2", "x1^2+x3^2"))
+
+    # a field builtin has values but no 2-jets, so phi and psi refuse it
+    # when the config loads, before any task can die on it without a
+    # report; omega, potential and g are read by value and take it
+    @pytest.mark.parametrize("cfg, old, new", [
+        (HORMANDER_CFG, "phi = x1^2+x2^2", "phi = bump(0.25, 0.75)"),
+        (CHECK_PSH_CFG, "phi = x1^2+x2^2", "phi = bump()"),
+        (BERNDTSSON_CFG, "psi = cor42(p=1, D=1.4142135623730951, "
+         "center=0.5:0.5)", "psi = bump(lo=0.2, hi=0.8)"),
+        (PREKOPA_CFG, "phi = x1^2+x2^2", "phi = bump(0.25, 0.75)"),
+    ], ids=["hormander-phi", "check-psh-phi", "berndtsson-psi",
+            "prekopa-phi"])
+    def test_field_builtin_is_not_a_weight(self, tmp_path, capsys, cfg, old,
+                                           new):
+        key = new.split()[0]
+        self.check(tmp_path, cfg.replace(old, new))
+        assert (f"config error: [weights] {key}: bump is a field builtin"
+                in capsys.readouterr().err)
+
+    def test_omega_takes_a_field_builtin(self, tmp_path):
+        cfg = HORMANDER_CFG.replace("bound = hormander", "bound = nonpsh\n"
+                                    "alpha = 0.5").replace(
+            "phi = x1^2+x2^2", "phi = x1^2+x2^2\npsi = 0.0\n"
+                               "omega = bump(0.25, 0.75)")
+        exp = cli.load_config(write(tmp_path, cfg))
+        assert exp.omega.jets(np.full((1, 2), 0.5), 0)[0] == 1.0
 
     def test_df_requires_domain_r(self, tmp_path):
         self.check(tmp_path, HORMANDER_CFG.replace(
@@ -742,9 +769,10 @@ NUMPY_ONLY_TASKS = ("check-psh", "boundary-convexity", "df-search", "kmh",
 
 def test_cli_import_leaves_lazy_scipy_modules_unloaded(tmp_path):
     # every process imports the cli; scipy.ndimage would add 0.1 s or more
-    # to each start, and csgraph is imported only where a count needs it.
-    # The tasks that build no complex run on numpy alone: scipy.sparse and
-    # its submodules load only where a complex is built.
+    # to each start, so only a cohomology count loads it, and csgraph is
+    # imported only where a degree-1 solve needs it.  The tasks that build
+    # no complex run on numpy alone: scipy.sparse and its submodules load
+    # only where a complex is built.
     configs = sorted(str(path) for path in REPO_CONFIGS.glob("*.ini")
                      if cli.load_config(str(path)).task in NUMPY_ONLY_TASKS)
     assert len(configs) == 9
@@ -770,3 +798,27 @@ print(json.dumps([at_import, codes, after_runs]))
     # exit 1: check_psh_indefinite's checks fail by design
     assert set(codes) <= {0, 1}, dict(zip(configs, codes))
     assert after_runs == []
+
+
+def test_cohomology_loads_neither_csgraph_nor_sparse_linalg(tmp_path):
+    # the count labels a voxel grid with scipy.ndimage; csgraph, and the
+    # scipy.sparse.linalg it imports, belong to the solves alone
+    configs = sorted(str(path) for path in REPO_CONFIGS.glob("betti_*.ini"))
+    assert len(configs) == 3
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = f"""
+import json, sys
+from pconvex import cli
+codes = [cli.run(path, out_dir={str(tmp_path)!r} + '/' + str(i))
+         for i, path in enumerate({configs!r})]
+print(json.dumps([codes, sorted(m for m in sys.modules
+                                if m.startswith('scipy.sparse.'))]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert "scipy.sparse.csgraph" not in loaded
+    assert "scipy.sparse.linalg" not in loaded
