@@ -23,9 +23,11 @@ values alone), so Hessians are exact, not differenced.  A gradient or
 Hessian that does not depend on the row keeps a leading axis of 1 instead
 of m: ``x1^2+x2^2`` gives a ``(1, n, n)`` Hessian and ``0.3*x1+0.3*x2`` a
 ``(1, n)`` gradient, and consumers broadcast where they need one row per
-point.  One interpreter walks the tree once per block of
-:data:`BLOCK_ROWS` rows, carrying numpy arrays; it drops derivatives that
-are identically zero, so a value-only walk does no derivative arithmetic.
+point.  One interpreter walks the tree once per block of :data:`BLOCK_ROWS`
+rows (:data:`VALUE_BLOCK_ROWS` for values alone), carrying numpy arrays; it
+drops derivatives that are identically zero, so a value-only walk does no
+derivative arithmetic.  The layout depends only on the tree, so the first
+block of several rows shows it for every block.
 Integer powers are expanded by repeated multiplication (valid for
 negative bases); everything else routes through ``exp``/``log`` with strict
 domain checks that surface as :class:`~pconvex.errors.DomainError` naming
@@ -69,9 +71,11 @@ __all__ = [
 _FUNCS = ("exp", "log", "sqrt")
 _MAX_INT_POW = 512
 
-#: Rows interpreted per block.  Temporaries scale with the block, not the
-#: point set, so evaluating 10^5 points costs a few MiB of memory at most.
+#: Rows interpreted per block of a jet walk.  Temporaries scale with the
+#: block, not the point set, so evaluating 10^5 points costs a few MiB of
+#: memory at most.  Value walks carry no derivatives and take 16 times more.
 BLOCK_ROWS = 1024
+VALUE_BLOCK_ROWS = 16 * BLOCK_ROWS
 
 
 @dataclass
@@ -83,9 +87,9 @@ class Jet2:
     hess: np.ndarray
 
 
-def row_blocks(m: int):
-    """Slices covering ``range(m)`` in consecutive blocks of BLOCK_ROWS."""
-    return [slice(s, s + BLOCK_ROWS) for s in range(0, m, BLOCK_ROWS)]
+def row_blocks(m: int, size: int = BLOCK_ROWS):
+    """Slices covering ``range(m)`` in consecutive blocks of ``size``."""
+    return [slice(s, s + size) for s in range(0, m, size)]
 
 
 def _outer(a, b):
@@ -557,16 +561,18 @@ class ScalarFieldExpr(BatchedField):
         the array does not depend on the row (the Hessian of a quadratic,
         the gradient of a linear field), so broadcasting it over the rows
         gives every row's derivative.  With ``order=0`` the values alone,
-        which skips the derivative work and checks only that values are
-        finite.  A row outside the field's domain raises
-        :class:`~pconvex.errors.DomainError` naming the first such point.
+        which skips the derivative work, checks only that values are finite
+        and walks :data:`VALUE_BLOCK_ROWS` rows at a time.  A row outside
+        the field's domain raises :class:`~pconvex.errors.DomainError`
+        naming the first such point.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n:
             raise ValueError(
                 f"points have shape {X.shape}, expected (m, {self.n})")
+        size = BLOCK_ROWS if order else VALUE_BLOCK_ROWS
         parts = [_interpret(self.root, X[rows], order)
-                 for rows in row_blocks(max(X.shape[0], 1))]
+                 for rows in row_blocks(max(X.shape[0], 1), size)]
         if not order:
             return _join(parts)
         return tuple(_join(p) for p in zip(*parts))

@@ -374,7 +374,9 @@ def _node_quadrature(cx: CubicalComplex, g: Cochain, theta, weight,
 
     Only nodes where some component exceeds 1e-14 of the largest one take
     part (a node where all vanish contributes nothing), in blocks of rows;
-    ``integrand`` returns one value per row of its block.
+    ``integrand`` returns one value per row of its block.  A ``(1, n, n)``
+    Hessian of ``theta`` from the first block serves every later one, which
+    then walk only the values of ``weight``.
     """
     G = _node_components(cx, g)
     dual = cx.dual_volumes
@@ -383,11 +385,12 @@ def _node_quadrature(cx: CubicalComplex, g: Cochain, theta, weight,
         return 0.0
     support = np.flatnonzero(np.abs(G).max(axis=1) > 1e-14 * g_max)
     nodes = cx.barycenters(0)
-    total = 0.0
+    total, hess = 0.0, None
     for rows in row_blocks(support.size):
         idx = support[rows]
         X = nodes[idx]
-        hess = field_jets(theta, X)[2]
+        if hess is None or len(hess) > 1:
+            hess = field_jets(theta, X)[2]
         dens = np.exp(-field_jets(weight, X, order=0))
         total += float(np.dot(integrand(X, hess, G[idx]) * dens, dual[idx]))
     return total
@@ -434,10 +437,11 @@ def _require_p_positive(points: np.ndarray,
     entry plus one.
 
     Blocks are checked in row order, so the error names the first failing
-    point; each block's stack is reduced before the next is built.  A
-    block whose stack is one matrix ``(1, n, n)`` (it does not vary by
-    row) is reduced with one ``eigvalsh``, and its failure names the
-    block's first row.
+    point; each block's stack is reduced before the next is built.  When
+    the first block of several rows gives one matrix ``(1, n, n)``, the
+    stack does not vary by row: that matrix is reduced with one
+    ``eigvalsh``, its failure names row 0, and the sweep stops there, so
+    later rows are never evaluated.
     """
     for rows in row_blocks(len(points)):
         X = points[rows]
@@ -450,6 +454,8 @@ def _require_p_positive(points: np.ndarray,
             raise PreconditionError(
                 f"{label} is not {p}-positive at {np.round(X[i], 6)}: "
                 f"min {p}-trace {traces[i]:.3e}")
+        if len(a) < len(X):
+            return
 
 
 def _hessian(w):

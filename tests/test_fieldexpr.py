@@ -313,13 +313,37 @@ def test_row_independent_fault_names_row_zero():
 
 def test_row_dependent_fault_past_the_first_block_names_its_row():
     f = FE.parse("log(0.6-x1)", n=2)
-    X = np.column_stack([np.linspace(0.0, 1.0, 3000), np.zeros(3000)])
+    X = np.column_stack([np.linspace(0.0, 1.0, 40000), np.zeros(40000)])
     first = int(np.argmax(0.6 - X[:, 0] <= 0.0))
-    assert first > FE.BLOCK_ROWS
+    # past the first block of a jet walk and of a value walk
+    assert first > FE.VALUE_BLOCK_ROWS > FE.BLOCK_ROWS
     for order in (2, 0):
         with pytest.raises(DomainError, match="log of non-positive") as exc:
             f.jets(X, order=order)
         assert str(X[first].tolist()) in str(exc.value)
+
+
+@pytest.mark.parametrize("text", [
+    "exp(x1-x2)/log(x1+2)",
+    "sqrt(x1^2+x2^2)*x2",
+    "x1^(0-2)-x2^3",
+    "x1^0.5+x1^x2",
+    "x2*(0-x1)/(x1+1)",
+    "log(x1)*x2^2-exp(0-x2)",
+])
+def test_value_walk_in_large_blocks_gives_the_same_bits(text):
+    f = FE.parse(text, n=2)
+    rng = np.random.default_rng(15)
+    m = 2 * FE.VALUE_BLOCK_ROWS + 123          # three value blocks
+    X = np.column_stack([rng.uniform(0.5, 2.0, m), rng.uniform(-1.0, 1.0, m)])
+    X[::7, 1] = 0.0                            # signed zeros where x2 = 0
+    values = f.jets(X, order=0)
+    small = np.concatenate([FE._interpret(f.root, X[rows], 0)
+                            for rows in FE.row_blocks(m)])
+    jet_values = f.jets(X)[0]
+    # bit for bit, the sign of zero included
+    assert np.array_equal(values.view(np.int64), small.view(np.int64))
+    assert np.array_equal(values.view(np.int64), jet_values.view(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,59 @@ class TestBaselineReport:
             S.hormander_report(cx, zero, parse("x1^2+x2^2-x1^3", n=2), 1)
         assert str(np.round(X[first], 6)) in str(exc.value)
 
+    @pytest.mark.parametrize("text, per_row", [("x1^2+x2^2", False),
+                                               ("x1^2+x2^2-x1^3", True)])
+    def test_row_independent_stack_is_built_once(self, text, per_row):
+        # D²phi = diag(2 − 6·x1, 2) is p-positive for x1 < 1/3
+        X = np.random.default_rng(16).uniform(0.0, 0.3, size=(3000, 2))
+        blocks = len(FE.row_blocks(len(X)))
+        assert blocks > 1
+        mats, calls = S._hessian(parse(text, n=2)), []
+        S._require_p_positive(X, lambda B: calls.append(len(B)) or mats(B),
+                              1, "D²phi")
+        # the first block decides: one matrix there is one matrix everywhere
+        assert len(calls) == (blocks if per_row else 1)
+        assert sum(calls) == (len(X) if per_row else FE.BLOCK_ROWS)
+
+    @pytest.mark.parametrize("text, per_row", [("x1^2+x2^2", False),
+                                               ("x1^2+x2^2+x1^3", True)])
+    def test_row_independent_quadrature_hessian_is_walked_once(self, text,
+                                                               per_row):
+        class Counted:
+            def __init__(self, field):
+                self.field, self.orders = field, []
+
+            def jets(self, X, order=2):
+                self.orders.append(order)
+                return self.field.jets(X, order)
+
+        cx = D.build_complex(D.GridDomain(UNIT2, 1 / 64))
+        f = S.closed_form_from_potential(cx, 1, [parse("x1*x2", n=2)])
+        blocks = len(FE.row_blocks(np.count_nonzero(
+            np.abs(S._node_components(cx, f)).max(axis=1) > 0.0)))
+        assert blocks > 1
+        phi = parse(text, n=2)
+        theta, weight = Counted(phi), Counted(phi)
+        total = S.inverse_quadform_integral(cx, f, theta, weight)
+        assert theta.orders == [2] * (blocks if per_row else 1)
+        assert weight.orders == [0] * blocks
+        assert total == S.inverse_quadform_integral(cx, f, phi, phi)
+
+    def test_sweep_stops_at_a_row_independent_hessian(self):
+        # the one behaviour the early stop changes: the value of phi
+        # overflows from 1-cell 3,770 of 8,320 on, past the sweep's first
+        # block, and its Hessian is one matrix; the sweep no longer walks
+        # those rows, and the report's value walk raises at the same point
+        cx = D.build_complex(D.GridDomain(((0.0, 2.0), (0.0, 2.0)), 1 / 32))
+        f = S.closed_form_from_potential(cx, 1, [parse("x1*x2", n=2)])
+        phi = parse("x1^2+x2^2+1e308*x1", n=2)
+        X = cx.barycenters(1)
+        assert X[3770].tolist() == [1.828125, 0.0] and 3770 > FE.BLOCK_ROWS
+        S._require_p_positive(X, S._hessian(phi), 1, "D²phi")
+        with pytest.raises(DomainError, match="non-finite") as exc:
+            S.hormander_report(cx, f, phi, 1)
+        assert str(X[3770].tolist()) in str(exc.value)
+
     def test_membership_error_names_first_bad_support_node(self):
         # D²theta = diag(1, 1) for x1 < 0.7 and diag(1, 0) from there on,
         # so the first node past it with a dx2 part leaves the image
