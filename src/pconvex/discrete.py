@@ -18,8 +18,8 @@ holding each present cell's row.  Rows are ordered by axes combination in
 ``itertools.combinations`` order, then by anchor in C order, so the cells
 spanning one combination are one contiguous block.  A cell enters the
 complex iff its barycenter lies in the domain and all of its facets
-entered — so closure holds by construction and every coboundary row finds
-its columns.
+entered — so closure holds by construction and every row of ``d_p`` finds
+its 2(p+1) columns, written in the CSR order :func:`coboundary` states.
 """
 
 from __future__ import annotations
@@ -129,14 +129,12 @@ class CubicalComplex:
     cell's row where it is present and -1 where it is not.
     """
 
-    def __init__(self, dom: GridDomain, anchors, spanned, ids, coboundaries,
-                 inclusion_rule):
+    def __init__(self, dom: GridDomain, anchors, spanned, ids, coboundaries):
         self.dom = dom
         self.anchors: Tuple[np.ndarray, ...] = anchors
         self.spanned: Tuple[np.ndarray, ...] = spanned
         self.ids = ids
         self._cob = coboundaries
-        self.inclusion_rule = inclusion_rule
 
     @property
     def n(self) -> int:
@@ -179,8 +177,9 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     ``r`` is evaluated once over the vertex grid and once per
     axes-combination over the barycenters whose facets all entered.  Cells
     are ordered by axes combination (``itertools.combinations`` order), then
-    by anchor in C order.  The coboundary rows of the cells spanning
-    ``axes`` are looked up in the facet id grids shifted along each axis.
+    by anchor in C order.  The coboundary columns of the cells spanning
+    ``axes`` are looked up in the facet id grids shifted along each axis,
+    one ``(cells, 2 len(axes))`` array per block, with one sign row tiled.
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
     n, counts = dom.n, dom.counts
@@ -190,20 +189,22 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     small = np.min_scalar_type(max(counts))
     ids, anchors, spanned, cob = {}, [], [], []
     for p in range(n + 1):
-        found_p, spanned_p, rows, cols, data = [], [], [], [], []
+        found_p, spanned_p, cols, data = [], [], [], []
         start = 0
-        # facet rK = axes less a enters d with the sign of inserting a into it
+        # facet rK = axes less a enters d with the sign of inserting a into
+        # it; a descending, back before front: each row's columns ascend
         pos, sgn = _insertion_table(n, p) if p else (np.zeros((n, 0)), None)
         for rS, axes in enumerate(itertools.combinations(range(n), p)):
             shape = [m if i in axes else m + 1 for i, m in enumerate(counts)]
             ok = np.ones(shape, dtype=bool)
-            faces = []
-            for a, rK in zip(*np.nonzero(pos == rS)):
+            faces, signs = [], []
+            for a, rK in np.argwhere(pos == rS)[::-1]:
                 facet = ids[tuple(b for b in axes if b != a)]
                 back = facet[(slice(None),) * a + (slice(None, -1),)]
                 front = facet[(slice(None),) * a + (slice(1, None),)]
                 ok &= (back >= 0) & (front >= 0)
-                faces.append((sgn[a, rK], back, front))
+                faces += [back, front]
+                signs += [-sgn[a, rK], sgn[a, rK]]
             found = np.argwhere(ok)
             if dom.r is not None:
                 bary = np.stack(
@@ -211,40 +212,38 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
                      for i in range(n)], axis=1)
                 found = found[field_jets(dom.r, bary, order=0) < 0.0]
             at = tuple(found.T)
-            row = np.arange(start, start + len(found))
             ids[axes] = np.full(shape, -1, dtype=np.intp)
-            ids[axes][at] = row
+            ids[axes][at] = np.arange(start, start + len(found))
             start += len(found)
             found_p.append(found.astype(small))
             spanned_p.append(np.broadcast_to(np.isin(np.arange(n), axes),
                                              found.shape))
-            for sign, back, front in faces:
-                rows += [row, row]
-                cols += [front[at], back[at]]
-                data += [np.full(len(row), sign, dtype=np.int64),
-                         np.full(len(row), -sign, dtype=np.int64)]
+            if p:
+                cols.append(np.stack([f[at] for f in faces], axis=1))
+                data.append(np.tile(np.array(signs, np.int64), len(found)))
         if start == 0 and p == 0:
             raise EmptyDomain("no grid vertex satisfies r < 0")
         anchors.append(np.concatenate(found_p))
         spanned.append(np.concatenate(spanned_p))
         if p:
             cob.append(sp.csr_matrix(
-                (np.concatenate(data),
-                 (np.concatenate(rows), np.concatenate(cols))),
+                (np.concatenate(data), np.concatenate(cols).ravel(),
+                 np.arange(0, 2 * p * start + 1, 2 * p)),
                 shape=(start, len(anchors[p - 1]))))
 
     for p in range(n - 1):
         prod = cob[p + 1] @ cob[p]
         if prod.nnz and np.any(prod.data != 0):
             raise AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
-    rule = ("all cells of the box" if dom.r is None
-            else "barycenter satisfies r < 0, closed under facets")
-    return CubicalComplex(dom, tuple(anchors), tuple(spanned), ids,
-                          tuple(cob), rule)
+    return CubicalComplex(dom, tuple(anchors), tuple(spanned), ids, tuple(cob))
 
 
 def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
-    """The integer matrix of ``d`` from p-cochains to (p+1)-cochains."""
+    """The integer matrix of ``d`` from p-cochains to (p+1)-cochains, laid
+    out as guaranteed: canonical CSR with 2(p+1) ascending columns per row,
+    facet blocks in descending order of the removed axis and each back facet
+    before its front one, so row e of ``d_0`` is -1, +1 at its lower and
+    higher node."""
     if not 0 <= p < cx.n:
         raise ValueError(f"degree must satisfy 0 <= p < {cx.n}, got {p}")
     return cx._cob[p]

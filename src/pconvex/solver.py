@@ -135,11 +135,11 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
     """``u`` with ``du = f`` on a breadth-first spanning forest of the
     1-skeleton, less its ``m0``-weighted mean on each component.
 
-    Row ``e`` of ``d₀`` is ``-1, +1`` at its lower and higher node, so
-    ``indices`` in pairs are the edge list.  The search runs on the
-    incidence graph (vertex ``e < n_e`` is edge ``e``, ``n_e + v`` is node
-    ``v``) from an extra vertex joined to each component's lowest node, so
-    a node's predecessor is its tree edge.
+    As :func:`~pconvex.discrete.coboundary` guarantees, row ``e`` of ``d₀``
+    is ``-1, +1`` at its lower and higher node: ``indices`` in pairs are the
+    edge list.  The search runs on the incidence graph (vertex ``e < n_e``
+    is edge ``e``, ``n_e + v`` is node ``v``) from an extra vertex joined to
+    each component's lowest node, so a node's predecessor is its tree edge.
     """
     d = coboundary(cx, 0)
     n_e, n0 = d.shape

@@ -29,6 +29,22 @@ def annulus_complex(h=0.1):
         D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), h, r=ANNULUS_R))
 
 
+# the complexes whose coboundary layout is pinned: the desk-scale boxes, a
+# 4-D box, the refined ring and the solid torus of criterion 10
+_R, _A = 0.55, 0.3
+LAYOUT_DOMAINS = {
+    "box-128x128": lambda: D.GridDomain(((0.0, 1.0),) * 2, 1 / 128),
+    "box-32x32x32": lambda: D.GridDomain(((0.0, 1.0),) * 3, 1 / 32),
+    "box-6x6x6x6": lambda: D.GridDomain(((0.0, 1.0),) * 4, 1 / 6),
+    "ring": lambda: D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.05,
+                                 r=ANNULUS_R),
+    "solid-torus": lambda: D.GridDomain(
+        ((-1.0, 1.0), (-1.0, 1.0), (-0.4, 0.4)), 1 / 16,
+        r=parse(f"(x1^2+x2^2+x3^2+{_R ** 2 - _A ** 2})^2"
+                f"-{4 * _R ** 2}*(x1^2+x2^2)", n=3)),
+}
+
+
 def harmonic_dimension(cx, phi, p):
     """Betti oracle: nullity of the dense weighted cochain Laplacian."""
     n = cx.n
@@ -190,10 +206,6 @@ class TestBuildComplex:
             prod = D.coboundary(cx3, p + 1) @ D.coboundary(cx3, p)
             assert prod.nnz == 0 or not np.any(prod.data)
 
-    def test_inclusion_rule_recorded(self):
-        assert "box" in box_complex().inclusion_rule
-        assert "r < 0" in annulus_complex(0.2).inclusion_rule
-
     @given(st.integers(2, 5), st.integers(2, 5))
     @settings(max_examples=20, deadline=None)
     def test_any_full_box_is_contractible(self, a, b):
@@ -225,6 +237,29 @@ class TestCoboundary:
         cx = box_complex(0.25)
         d0 = D.coboundary(cx, 0).toarray()
         assert np.linalg.matrix_rank(d0) == cx.num_cells(0) - 1
+
+    @pytest.mark.parametrize("name", LAYOUT_DOMAINS)
+    def test_rows_are_written_in_canonical_csr_order(self, name):
+        # the layout solver._forest_primitive reads: 2(p+1) ascending
+        # columns per row, and row e of d_0 is -1, +1 at its lower and
+        # higher node; the arrays equal the per-cell reference's CSR
+        dom = LAYOUT_DOMAINS[name]()
+        cx = D.build_complex(dom)
+        cob = O.reference_complex(dom)[2]
+        for p in range(cx.n):
+            d, stride = D.coboundary(cx, p), 2 * (p + 1)
+            assert np.array_equal(
+                d.indptr, np.arange(0, stride * d.shape[0] + 1, stride))
+            assert d.has_canonical_format
+            for got, want in ((d.indptr, cob[p].indptr),
+                              (d.indices, cob[p].indices),
+                              (d.data, cob[p].data)):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        d0 = D.coboundary(cx, 0)
+        assert (d0.data.reshape(-1, 2) == [-1, 1]).all()
+        lower, higher = cx.anchors[0].astype(int)[d0.indices.reshape(-1, 2).T]
+        assert (higher - lower == cx.spanned[1]).all()
 
     def test_degree_bounds(self):
         cx = box_complex()
