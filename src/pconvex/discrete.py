@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError, EmptyDomain, SupportError
 from .exterior import (_insertion_table, dim_forms, index_list,
                        induced_pairings)
-from .fieldexpr import field_jets, row_blocks
+from .fieldexpr import BLOCK_ROWS, field_jets
 
 __all__ = [
     "GridDomain",
@@ -125,7 +125,7 @@ class CubicalComplex:
 
     ``anchors[p]`` and ``spanned[p]`` are the ``(num_cells(p), n)`` anchors
     and spanned-axis masks of the p-cells, in cell order.  ``ids[axes]`` is
-    an integer grid over the anchors of the cells spanning ``axes``: the
+    an int32 grid over the anchors of the cells spanning ``axes``: the
     cell's row where it is present and -1 where it is not.
     """
 
@@ -180,6 +180,7 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     by anchor in C order.  The coboundary columns of the cells spanning
     ``axes`` are looked up in the facet id grids shifted along each axis,
     one ``(cells, 2 len(axes))`` array per block, with one sign row tiled.
+    Ids and CSR arrays are int32 (``ValueError`` if a degree outgrows it).
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
     n, counts = dom.n, dom.counts
@@ -212,9 +213,14 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
                      for i in range(n)], axis=1)
                 found = found[field_jets(dom.r, bary, order=0) < 0.0]
             at = tuple(found.T)
-            ids[axes] = np.full(shape, -1, dtype=np.intp)
-            ids[axes][at] = np.arange(start, start + len(found))
-            start += len(found)
+            stop = start + len(found)
+            if max(1, 2 * p) * stop > np.iinfo(np.int32).max:
+                raise ValueError(
+                    f"the complex has {stop:,} {p}-cells or more: their ids "
+                    "and coboundary entries must fit in int32")
+            ids[axes] = np.full(shape, -1, dtype=np.int32)
+            ids[axes][at] = np.arange(start, stop)
+            start = stop
             found_p.append(found.astype(small))
             spanned_p.append(np.broadcast_to(np.isin(np.arange(n), axes),
                                              found.shape))
@@ -228,7 +234,7 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
         if p:
             cob.append(sp.csr_matrix(
                 (np.concatenate(data), np.concatenate(cols).ravel(),
-                 np.arange(0, 2 * p * start + 1, 2 * p)),
+                 np.arange(0, 2 * p * start + 1, 2 * p, dtype=np.int32)),
                 shape=(start, len(anchors[p - 1]))))
 
     for p in range(n - 1):
@@ -391,6 +397,8 @@ def _erode(mask: np.ndarray, rounds: int) -> np.ndarray:
     return mask
 
 
+# a non-finite sum raises below, naming its node: no warnings on the way
+@np.errstate(over="ignore", invalid="ignore")
 def energy_identity_residual(coeffs, phi, dom: GridDomain,
                              p: int) -> EnergyIdentityReport:
     """Check the weighted energy identity on node samples of a smooth form.
@@ -402,6 +410,11 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     identity exact in the continuum; :class:`~pconvex.errors.SupportError`
     otherwise.  Derivatives are centered differences on the node grid and
     integrals plain node quadrature, so the residual shrinks like O(h²).
+    ``phi`` is evaluated at every node, but differentiated only where the
+    form is nonzero, the only nodes its gradient and Hessian reach; a
+    non-finite side of the identity raises
+    :class:`~pconvex.errors.DomainError` naming the first node whose
+    integrand is not finite.
     """
     n = dom.n
     if not 1 <= p <= n:
@@ -441,22 +454,20 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
             DG[a, k] = np.gradient(G[k], spac[a], axis=a).reshape(-1)
     vol = float(np.prod(spac))
 
-    # weight values and gradients at every node; the Hessian term of the
-    # identity is summed over the form's support block by block
-    support = np.any(G != 0.0, axis=0).reshape(-1)
+    # the weight at every node, ∂φ and D²φ only where g != 0 (∂φ·g is 0
+    # elsewhere); the Hessian term is summed per BLOCK_ROWS nodes, as always
     G = G.reshape(len(order), -1)
-    phi_v = np.empty(X.shape[0])
-    phi_g = np.empty(X.shape)
+    weight = np.exp(-field_jets(phi, X, order=0))
+    on = np.flatnonzero(np.any(G != 0.0, axis=0))
+    _, grad, hess = field_jets(phi, X[on])
+    phi_g = np.zeros(X.shape)
+    phi_g[on] = grad
+    quad = induced_pairings(hess, G[:, on].T, p)
+    cuts = np.searchsorted(on, np.arange(BLOCK_ROWS, X.shape[0], BLOCK_ROWS))
     rhs_quad = 0.0
-    for rows in row_blocks(X.shape[0]):
-        v, g, hess = field_jets(phi, X[rows])
-        phi_v[rows], phi_g[rows] = v, g
-        on = np.flatnonzero(support[rows])
-        quad = induced_pairings(hess if len(hess) == 1 else hess[on],
-                                G[:, rows.start + on].T, p)
-        rhs_quad += float(np.dot(quad, np.exp(-v[on])))
+    for q, w in zip(np.split(quad, cuts), np.split(weight[on], cuts)):
+        rhs_quad += float(np.dot(q, w))
     rhs_quad *= vol
-    weight = np.exp(-phi_v)
 
     # (dg)_J = sum_{j in J} sgn ∂_j g_{J-j} and (δ_φ g)_M = -sum_{j not in M}
     # sgn (∂_j - ∂_jφ) g_{jM}, signs from the insertion tables; j runs down
@@ -482,6 +493,15 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     grad_sq = sum(DG[a, k] * DG[a, k]
                   for k in range(len(order)) for a in range(n))
     rhs_grad = float(np.sum(grad_sq * weight)) * vol
+    if not np.isfinite([lhs, rhs_grad, rhs_quad]).all():
+        bad = ~np.isfinite(sq * weight) | ~np.isfinite(grad_sq * weight)
+        bad[on] |= ~np.isfinite(quad * weight[on])
+        raise DomainError(
+            f"energy identity is not finite (lhs {lhs}, gradient term "
+            f"{rhs_grad}, Hessian term {rhs_quad}): " + (
+                f"the integrand is not finite at x = "
+                f"{X[np.argmax(bad)].tolist()}" if bad.any()
+                else "every node's integrand is finite, but a sum overflows"))
 
     rhs = rhs_grad + rhs_quad
     denom = abs(lhs) + abs(rhs)

@@ -360,7 +360,8 @@ def _node_components(cx: CubicalComplex, f: Cochain) -> np.ndarray:
         for pick in corners:
             offset = np.zeros(cx.n, dtype=np.intp)
             offset[list(axes)] = pick
-            node = cx.ids[()][tuple((anchors + offset).T)]
+            # int32 ids, cast once here rather than by each add.at
+            node = cx.ids[()][tuple((anchors + offset).T)].astype(np.intp)
             np.add.at(G[:, k], node, coeff)
             np.add.at(hits[:, k], node, 1.0)
     np.divide(G, hits, out=G, where=hits > 0)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pconvex import discrete as D
+from pconvex import fieldexpr as FE
 from pconvex.errors import DomainError, EmptyDomain, SupportError
 from pconvex.fieldexpr import parse
 from pconvex.solver import _node_components
@@ -557,6 +558,96 @@ class TestEnergyIdentity:
             mask = rng.random(shape) < rng.uniform(0.5, 0.95)
             want = ndi.binary_erosion(mask, iterations=2, border_value=0)
             assert np.array_equal(D._erode(mask, 2), want)
+
+
+class ProductBump:
+    """``bump(lo, hi)`` of the configs: ``prod_i (max(0, (x_i - lo)(hi -
+    x_i)) / w²)⁴`` with ``w = (hi - lo)/2``, values only, in one batch."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+
+    def jets(self, X, order=0):
+        assert order == 0
+        w = (self.hi - self.lo) / 2.0
+        return np.prod((np.maximum(0.0, (X - self.lo) * (self.hi - X))
+                        / w ** 2) ** 4, axis=1)
+
+
+BUMP_DX1 = [ProductBump(0.3, 0.7), 0.0]
+
+
+class TestEnergyIdentityWeight:
+    """The weight's values are walked at every node, its 2-jet only where
+    the form is nonzero."""
+
+    @pytest.mark.parametrize("n, h, want", [
+        (2, 1 / 128, (2.370304258962056, 2.3801022513853427,
+                      -0.009836659814630494, 8.156696887317006e-06)),
+        (3, 1 / 16, (0.2836355561068874, 0.28454747177810835,
+                     -0.0011786215762438566, 0.0004703771294463167))])
+    def test_hessian_term_keeps_its_bits_and_walks_only_the_support(
+            self, monkeypatch, n, h, want):
+        # D²phi = diag(2 − 6·x1, 2, ...) differs by row, and the support
+        # (2,601 of 16,641 nodes in 2-D, 343 of 4,913 in 3-D) meets eight and
+        # three blocks of BLOCK_ROWS; the four floats are those of the
+        # whole-box walk, whose Hessian term was summed block by block (in
+        # 3-D one sum over the support gives other bits)
+        dom = D.GridDomain(((0.0, 1.0),) * n, h)
+        interpret, walks = FE._interpret, []
+
+        def counted(root, X, order):
+            walks.append((order, X))
+            return interpret(root, X, order)
+
+        monkeypatch.setattr(FE, "_interpret", counted)
+        rep = D.energy_identity_residual(
+            [ProductBump(0.3, 0.7)] + [0.0] * (n - 1),
+            parse("x1^2+x2^2-x1^3", n=n), dom, 1)
+        assert rep == D.EnergyIdentityReport(*want)
+
+        X = np.stack(np.meshgrid(*dom.node_axes(), indexing="ij"),
+                     -1).reshape(-1, n)
+        support = np.flatnonzero(ProductBump(0.3, 0.7).jets(X))
+        assert len(set(support // FE.BLOCK_ROWS)) >= 3
+        values = [rows for order, rows in walks if order == 0]
+        jets = [rows for order, rows in walks if order == 2]
+        assert np.array_equal(np.concatenate(values), X)
+        assert np.array_equal(np.concatenate(jets), X[support])
+        assert len(jets) == len(FE.row_blocks(len(support)))
+
+    def test_jet_faults_off_the_support_are_not_evaluated(self):
+        # the value is finite at every node (at most 8e302 at x1 = 1), but
+        # the 2-jet overflows there, where g = 0: only the value is needed
+        phi = parse("8e302*(x1^40)^50", n=2)
+        with pytest.raises(DomainError, match="non-finite jet"):
+            phi.jets(np.array([[1.0, 0.0]]))
+        rep = D.energy_identity_residual(
+            BUMP_DX1, phi, D.GridDomain(UNIT2, 1 / 32), 1)
+        assert all(math.isfinite(v) for v in
+                   (rep.lhs, rep.rhs_gradient_term, rep.rhs_quadform_term))
+        assert 0.0 < rep.rhs_quadform_term < 1e-20
+        assert rep.residual < 1e-12
+
+    def test_value_faults_raise_at_their_first_node(self):
+        with pytest.raises(DomainError, match=r"log of non-positive value "
+                           r"-0\.05 at x = \[0\.0, 0\.0\]"):
+            D.energy_identity_residual(
+                BUMP_DX1, parse("log(x1-0.05)", n=2),
+                D.GridDomain(UNIT2, 1 / 32), 1)
+
+    @pytest.mark.parametrize("phi, match", [
+        # ∂φ·g overflows where 1e307·x1³ meets the bump, and there the
+        # weight has underflowed to 0: inf · 0 made the left side NaN, and
+        # NaN > 0 is false, so the residual read 0
+        (parse("1e307*x1^4", n=2),
+         r"lhs nan.*not finite at x = \[0\.3125, 0\.3125\]"),
+        # e^705 is finite, and so is every node's integrand, but not their sum
+        (-705.0, r"lhs inf.*every node's integrand is finite")])
+    def test_non_finite_report_raises(self, phi, match):
+        with pytest.raises(DomainError, match=match):
+            D.energy_identity_residual(BUMP_DX1, phi,
+                                       D.GridDomain(UNIT2, 1 / 32), 1)
 
 
 # ---------------------------------------------------------------------------
