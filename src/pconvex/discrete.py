@@ -411,10 +411,10 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     otherwise.  Derivatives are centered differences on the node grid and
     integrals plain node quadrature, so the residual shrinks like O(h²).
     ``phi`` is evaluated at every node, but differentiated only where the
-    form is nonzero, the only nodes its gradient and Hessian reach; a
-    non-finite side of the identity raises
-    :class:`~pconvex.errors.DomainError` naming the first node whose
-    integrand is not finite.
+    form is nonzero, the only nodes its gradient and Hessian reach, and the
+    form only on the box of those nodes grown by two layers; a non-finite
+    side of the identity raises :class:`~pconvex.errors.DomainError`
+    naming the first node whose integrand is not finite.
     """
     n = dom.n
     if not 1 <= p <= n:
@@ -447,21 +447,30 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
             f"form reaches {unsafe_mag:.3e} within two node layers of the "
             f"boundary (max magnitude {gmax:.3e})")
 
+    # the form is differenced on the window of its nonzero nodes grown by
+    # two layers, where centred differences equal the whole grid's; off it
+    # each integrand is 0·weight, so sums over every node keep their bits
+    nz = np.any(G != 0.0, axis=0)
+    at = np.argwhere(nz)
+    win = tuple(map(slice, np.maximum(at.min(0) - 2, 0), at.max(0) + 3))
+    Gw = G[(slice(None),) + win]
     spac = dom.spacings
-    DG = np.empty((n, len(order), X.shape[0]))  # DG[a, k] = ∂_a g_k
+    DG = np.empty((n, len(order), Gw[0].size))  # DG[a, k] = ∂_a g_k
     for k in range(len(order)):
         for a in range(n):
-            DG[a, k] = np.gradient(G[k], spac[a], axis=a).reshape(-1)
+            DG[a, k] = np.gradient(Gw[k], spac[a], axis=a).reshape(-1)
+    Gw = Gw.reshape(len(order), -1)
     vol = float(np.prod(spac))
 
     # the weight at every node, ∂φ and D²φ only where g != 0 (∂φ·g is 0
     # elsewhere); the Hessian term is summed per BLOCK_ROWS nodes, as always
     G = G.reshape(len(order), -1)
     weight = np.exp(-field_jets(phi, X, order=0))
-    on = np.flatnonzero(np.any(G != 0.0, axis=0))
+    on = np.flatnonzero(nz)
     _, grad, hess = field_jets(phi, X[on])
-    phi_g = np.zeros(X.shape)
-    phi_g[on] = grad
+    phi_g = np.zeros(shape + (n,))
+    phi_g.reshape(-1, n)[on] = grad
+    phi_g = phi_g[win].reshape(-1, n)
     quad = induced_pairings(hess, G[:, on].T, p)
     cuts = np.searchsorted(on, np.arange(BLOCK_ROWS, X.shape[0], BLOCK_ROWS))
     rhs_quad = 0.0
@@ -476,25 +485,28 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     sq = 0.0
     if p < n:
         pos, sgn = _insertion_table(n, p + 1)
-        dg = np.zeros((dim_forms(n, p + 1), X.shape[0]))
+        dg = np.zeros((dim_forms(n, p + 1), Gw.shape[1]))
         for j in reversed(range(n)):
             for k in np.flatnonzero(pos[j] >= 0):
                 dg[pos[j, k]] += sgn[j, k] * DG[j, k]
         sq = sum(v * v for v in dg)
     pos, sgn = _insertion_table(n, p)
-    co = np.zeros((dim_forms(n, p - 1), X.shape[0]))
+    co = np.zeros((dim_forms(n, p - 1), Gw.shape[1]))
     for j in range(n):
         for M in np.flatnonzero(pos[j] >= 0):
             I = pos[j, M]
-            co[M] -= sgn[j, M] * (DG[j, I] - phi_g[:, j] * G[I])
+            co[M] -= sgn[j, M] * (DG[j, I] - phi_g[:, j] * Gw[I])
     sq = sq + sum(v * v for v in co)
-    lhs = float(np.sum(sq * weight)) * vol
-
     grad_sq = sum(DG[a, k] * DG[a, k]
                   for k in range(len(order)) for a in range(n))
-    rhs_grad = float(np.sum(grad_sq * weight)) * vol
+    weight_w = weight.reshape(shape)[win]
+    lhs_int, grad_int = 0.0 * weight, 0.0 * weight
+    lhs_int.reshape(shape)[win] = sq.reshape(weight_w.shape) * weight_w
+    grad_int.reshape(shape)[win] = grad_sq.reshape(weight_w.shape) * weight_w
+    lhs = float(np.sum(lhs_int)) * vol
+    rhs_grad = float(np.sum(grad_int)) * vol
     if not np.isfinite([lhs, rhs_grad, rhs_quad]).all():
-        bad = ~np.isfinite(sq * weight) | ~np.isfinite(grad_sq * weight)
+        bad = ~np.isfinite(lhs_int) | ~np.isfinite(grad_int)
         bad[on] |= ~np.isfinite(quad * weight[on])
         raise DomainError(
             f"energy identity is not finite (lhs {lhs}, gradient term "

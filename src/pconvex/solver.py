@@ -132,15 +132,29 @@ class MinimalSolution:
 
 def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
                       m0: np.ndarray) -> np.ndarray:
-    """``u`` with ``du = f`` on a breadth-first spanning forest of the
-    1-skeleton, less its ``m0``-weighted mean on each component.
+    """``u`` with ``du = f`` on a spanning forest of the 1-skeleton, less its
+    ``m0``-weighted mean on each component.
 
-    As :func:`~pconvex.discrete.coboundary` guarantees, row ``e`` of ``d₀``
-    is ``-1, +1`` at its lower and higher node: ``indices`` in pairs are the
-    edge list.  The search runs on the incidence graph (vertex ``e < n_e``
-    is edge ``e``, ``n_e + v`` is node ``v``) from an extra vertex joined to
-    each component's lowest node, so a node's predecessor is its tree edge.
+    On a box (no ``r``) a node's parent is its lower neighbour along the
+    first axis that has one: ``u`` is summed along each axis, last to first,
+    where the earlier axes are 0, and its mean in row order as below (a dot
+    product changes its last bits).  Elsewhere csgraph searches breadth
+    first: as :func:`~pconvex.discrete.coboundary` guarantees, row ``e`` of
+    ``d₀`` is ``-1, +1`` at its lower and higher node, so ``indices`` in
+    pairs are the edge list.  The search runs on the incidence graph (vertex
+    ``e < n_e`` is edge ``e``, ``n_e + v`` is node ``v``) from an extra
+    vertex joined to each component's lowest node, so a node's predecessor
+    is its tree edge.
     """
+    if cx.dom.r is None:
+        counts = cx.dom.counts
+        u = np.zeros([m + 1 for m in counts])
+        for (a,), rows in reversed(list(cx.blocks(1))):
+            f_a = f[rows].reshape([m + (i != a) for i, m in enumerate(counts)])
+            line, f_a = u[(0,) * a], f_a[(0,) * a]
+            line[1:] = line[:1] + np.cumsum(f_a, axis=0)
+        u, labels = u.ravel(), np.zeros(u.size, np.intp)
+        return u - np.bincount(labels, m0 * u)[0] / np.bincount(labels, m0)[0]
     d = coboundary(cx, 0)
     n_e, n0 = d.shape
     ends = d.indices + n_e

@@ -770,9 +770,9 @@ NUMPY_ONLY_TASKS = ("check-psh", "boundary-convexity", "df-search", "kmh",
 def test_cli_import_leaves_lazy_scipy_modules_unloaded(tmp_path):
     # every process imports the cli; scipy.ndimage would add 0.1 s or more
     # to each start, so only a cohomology count loads it, and csgraph is
-    # imported only where a degree-1 solve needs it.  The tasks that build
-    # no complex run on numpy alone: scipy.sparse and its submodules load
-    # only where a complex is built.
+    # imported only where a degree-1 solve on a domain with r needs it.  The
+    # tasks that build no complex run on numpy alone: scipy.sparse and its
+    # submodules load only where a complex is built.
     configs = sorted(str(path) for path in REPO_CONFIGS.glob("*.ini")
                      if cli.load_config(str(path)).task in NUMPY_ONLY_TASKS)
     assert len(configs) == 9
@@ -800,11 +800,9 @@ print(json.dumps([at_import, codes, after_runs]))
     assert after_runs == []
 
 
-def test_cohomology_loads_neither_csgraph_nor_sparse_linalg(tmp_path):
-    # the count labels a voxel grid with scipy.ndimage; csgraph, and the
-    # scipy.sparse.linalg it imports, belong to the solves alone
-    configs = sorted(str(path) for path in REPO_CONFIGS.glob("betti_*.ini"))
-    assert len(configs) == 3
+def _sparse_modules_after(configs, tmp_path):
+    """Exit codes of ``configs`` run in one fresh process, and the
+    ``scipy.sparse`` submodules loaded after them."""
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     script = f"""
@@ -818,7 +816,26 @@ print(json.dumps([codes, sorted(m for m in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cohomology_loads_neither_csgraph_nor_sparse_linalg(tmp_path):
+    # the count labels a voxel grid with scipy.ndimage; csgraph, and the
+    # scipy.sparse.linalg it imports, belong to the solves alone
+    configs = sorted(str(path) for path in REPO_CONFIGS.glob("betti_*.ini"))
+    assert len(configs) == 3
+    codes, loaded = _sparse_modules_after(configs, tmp_path)
     assert codes == [0, 0, 0]
+    assert "scipy.sparse.csgraph" not in loaded
+    assert "scipy.sparse.linalg" not in loaded
+
+
+def test_box_solves_load_neither_csgraph_nor_sparse_linalg(tmp_path):
+    # on a box the degree-1 primitive is summed along a fixed tree, so a
+    # bound report or solve there needs no graph search, and no LSMR
+    configs = [str(REPO_CONFIGS / name)
+               for name in ("hormander_ladder.ini", "solve_min_norm.ini")]
+    codes, loaded = _sparse_modules_after(configs, tmp_path)
+    assert codes == [0, 0]
     assert "scipy.sparse.csgraph" not in loaded
     assert "scipy.sparse.linalg" not in loaded

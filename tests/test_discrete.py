@@ -579,7 +579,8 @@ BUMP_DX1 = [ProductBump(0.3, 0.7), 0.0]
 
 class TestEnergyIdentityWeight:
     """The weight's values are walked at every node, its 2-jet only where
-    the form is nonzero."""
+    the form is nonzero, and the form is differenced only on the window of
+    its nonzero nodes grown by two layers."""
 
     @pytest.mark.parametrize("n, h, want", [
         (2, 1 / 128, (2.370304258962056, 2.3801022513853427,
@@ -636,6 +637,26 @@ class TestEnergyIdentityWeight:
                 BUMP_DX1, parse("log(x1-0.05)", n=2),
                 D.GridDomain(UNIT2, 1 / 32), 1)
 
+    @pytest.mark.parametrize("n, h, want", [
+        (2, 1 / 32, (2.141464476129069, 2.150698122339869,
+                     -0.009836658553486768, 0.00014081420964857415)),
+        (3, 1 / 16, (0.2836355561068866, 0.2845474717781085,
+                     -0.0011786215762447513, 0.00047037712944622))])
+    def test_window_clipped_at_the_grid_edge_keeps_the_bits(self, n, h, want):
+        # 1e-13·(x1 + 1) is nonzero at every node but passes the support
+        # check, so the window of nonzero nodes is the whole grid, whose
+        # edges take one-sided differences; the four floats are those of
+        # the whole-grid arithmetic
+        class Tilted(ProductBump):
+            def jets(self, X, order=0):
+                return super().jets(X, order) + 1e-13 * (X[:, 0] + 1.0)
+
+        rep = D.energy_identity_residual(
+            [Tilted(0.3, 0.7)] + [0.0] * (n - 1),
+            parse("x1^2+x2^2-x1^3", n=n), D.GridDomain(((0.0, 1.0),) * n, h),
+            1)
+        assert rep == D.EnergyIdentityReport(*want)
+
     @pytest.mark.parametrize("phi, match", [
         # ∂φ·g overflows where 1e307·x1³ meets the bump, and there the
         # weight has underflowed to 0: inf · 0 made the left side NaN, and
@@ -643,7 +664,11 @@ class TestEnergyIdentityWeight:
         (parse("1e307*x1^4", n=2),
          r"lhs nan.*not finite at x = \[0\.3125, 0\.3125\]"),
         # e^705 is finite, and so is every node's integrand, but not their sum
-        (-705.0, r"lhs inf.*every node's integrand is finite")])
+        (-705.0, r"lhs inf.*every node's integrand is finite"),
+        # e^800 overflows at every node, so the integrand 0·e^800 is NaN
+        # off the form's window too, and the first node is named
+        (parse("-800-x1", n=2),
+         r"lhs nan.*not finite at x = \[0\.0, 0\.0\]")])
     def test_non_finite_report_raises(self, phi, match):
         with pytest.raises(DomainError, match=match):
             D.energy_identity_residual(BUMP_DX1, phi,

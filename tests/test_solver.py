@@ -106,14 +106,17 @@ class TestMinimalSolution:
         assert sol.residual <= 1e-10
         assert m0.inner(sol.u.values, sol.u.values) <= m0.inner(v, v)
 
-    @pytest.mark.parametrize("shape", ["islands", "ring"])
-    def test_degree_one_is_the_centred_potential(self, shape, fine_ring):
+    @pytest.mark.parametrize("shape", ["islands", "ring", "box2d", "box3d"])
+    def test_degree_one_is_the_centred_potential(self, shape, fine_ring,
+                                                 monkeypatch):
         """For p = 1, Ker d is the locally constant functions, so the
         minimal solution of du = d(pot) is pot less its weighted mean on
-        each component of the 1-skeleton."""
+        each component of the 1-skeleton.  On a box the primitive is summed
+        along a fixed tree, with no graph search."""
+        n = 3 if shape == "box3d" else 2
         if shape == "ring":
             cx = fine_ring
-        else:
+        elif shape == "islands":
             # eight strips and three single nodes between them
             strips = "*".join(f"((x1-{k + 0.5})^2-0.09)" for k in range(8))
             dots = "*".join(f"((x1-{k})^2+(x2-0.5)^2-0.0005)"
@@ -121,8 +124,15 @@ class TestMinimalSolution:
             cx = D.build_complex(D.GridDomain(
                 ((0.0, 8.0), (0.0, 1.0)), 1 / 16,
                 r=parse(f"{strips}*{dots}", n=2)))
-        phi = parse("0.1*x1^2+x2^2", n=2)
-        coeffs = [parse("exp(0.3*x1)*x2+x1^2", n=2)]
+        else:
+            # unequal counts per axis: 32 x 12, and 8 x 4 x 6
+            box = (((0.0, 2.0), (0.0, 0.75)) if n == 2 else
+                   ((0.0, 1.0), (-0.5, 0.0), (0.0, 0.75)))
+            cx = D.build_complex(D.GridDomain(box, 1 / (16 if n == 2 else 8)))
+            assert len(set(cx.dom.counts)) == n
+            monkeypatch.setattr(S, "csgraph", None)
+        phi = parse("0.1*x1^2+x2^2" + "+0.5*x3^2" * (n == 3), n=n)
+        coeffs = [parse("exp(0.3*x1)*x2+x1^2" + "+x2*x3^3" * (n == 3), n=n)]
         sol = S.minimal_solution(
             cx, S.closed_form_from_potential(cx, 1, coeffs), phi)
         assert (sol.method, sol.iterations) == ("primitive", 0)
