@@ -76,13 +76,11 @@ class ConvexityReport:
     witness_values: np.ndarray
     witness_vectors: np.ndarray
 
-    def ok(self, mode: str = "semi") -> bool:
+    def ok(self, mode: str) -> bool:
         """Whether the verdict meets the requested mode."""
-        if mode == "strict":
-            return self.verdict == "strict"
-        if mode == "semi":
-            return self.verdict in ("strict", "semi")
-        raise ValueError(f"mode must be 'strict' or 'semi', got {mode!r}")
+        if mode not in ("strict", "semi"):
+            raise ValueError(f"mode must be 'strict' or 'semi', got {mode!r}")
+        return self.verdict in ("strict", mode)
 
 
 def _classify(value: float) -> str:

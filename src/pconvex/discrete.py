@@ -95,8 +95,8 @@ class GridDomain:
             raise ValueError(f"spacing must be positive, got {self.h}")
         counts, spacings = [], []
         for lo, hi in box:
-            if not (hi > lo):
-                raise ValueError(f"empty axis range [{lo}, {hi}]")
+            if not 0 < hi - lo < math.inf:
+                raise ValueError(f"need a finite lo < hi, got [{lo}, {hi}]")
             m = max(2, int(round((hi - lo) / self.h)))
             counts.append(m)
             spacings.append((hi - lo) / m)

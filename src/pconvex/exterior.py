@@ -187,22 +187,6 @@ class PointForm:
             raise ValueError(
                 f"degree/dimension mismatch: ({self.n},{self.p}) vs ({other.n},{other.p})")
 
-    def __add__(self, other: "PointForm") -> "PointForm":
-        self._compat(other)
-        return PointForm(self.n, self.p, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "PointForm") -> "PointForm":
-        self._compat(other)
-        return PointForm(self.n, self.p, self.coeffs - other.coeffs)
-
-    def __mul__(self, s: float) -> "PointForm":
-        return PointForm(self.n, self.p, self.coeffs * float(s))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "PointForm":
-        return PointForm(self.n, self.p, -self.coeffs)
-
 
 def oneform(v: np.ndarray) -> PointForm:
     """The 1-form with coefficient vector v (the Euclidean flat of a vector)."""
@@ -402,9 +386,6 @@ class FormSpectrum:
     base_vectors: np.ndarray         # (n, n) columns
     values: np.ndarray               # (C(n,p),) sums over indices
     indices: tuple[tuple[int, ...], ...]
-
-    def min_value(self) -> float:
-        return float(self.values.min()) if self.values.size else 0.0
 
 
 def quadform_eigen(theta: np.ndarray, p: int) -> FormSpectrum:

@@ -79,7 +79,7 @@ class CombinedWeight(BatchedField):
     constant shifts in the scaling-covariance checks.
     """
 
-    def __init__(self, base, coeff: float = 1.0, extra=None):
+    def __init__(self, base, coeff: float, extra):
         self.base = base
         self.coeff = float(coeff)
         self.extra = extra
@@ -305,11 +305,12 @@ def monotonicity_check(potential_coeffs, p: int, *,
     """Compare weighted norms of minimal solutions under growing domains or
     growing weights.
 
-    Domain mode (``domains=(inner, outer)``): the inner solve's weighted
-    norm must not exceed the outer's.  Weight mode (``weights=(lo, hi)`` on
-    one complex ``cx`` with ``lo ≤ hi`` pointwise): the hi-weight norm must
-    not exceed the lo-weight norm.  The right-hand side is ``d`` of the
-    sampled potential so it is exactly closed on every complex involved.
+    Domain mode (``domains=(inner, outer)``, every inner cell's barycenter
+    in the outer domain): the inner solve's weighted norm must not exceed
+    the outer's.  Weight mode (``weights=(lo, hi)`` on one complex ``cx``
+    with ``lo ≤ hi`` pointwise): the hi-weight norm must not exceed the
+    lo-weight norm.  The right-hand side is ``d`` of the sampled potential
+    so it is exactly closed on every complex involved.
     """
     if (domains is None) == (weights is None):
         raise ValueError("pass exactly one of domains= or weights=")
@@ -319,11 +320,16 @@ def monotonicity_check(potential_coeffs, p: int, *,
             raise PreconditionError(
                 f"inner complex is {inner.n}-dimensional but the outer "
                 f"complex is {outer.n}-dimensional")
-        for lo, hi, lo2, hi2 in (ax + ax2 for ax, ax2 in
-                                 zip(inner.dom.box, outer.dom.box)):
-            if lo < lo2 - 1e-12 or hi > hi2 + 1e-12:
+        lo, hi = np.array(outer.dom.box).T
+        for q in range(inner.n + 1):
+            X = inner.barycenters(q)
+            out = np.any((X < lo - 1e-12) | (X > hi + 1e-12), axis=1)
+            if outer.dom.r is not None:
+                out[~out] = field_jets(outer.dom.r, X[~out], order=0) >= 0.0
+            if out.any():
                 raise PreconditionError(
-                    "inner box is not contained in the outer box")
+                    f"inner {q}-cell at {np.round(X[out.argmax()], 6)} lies "
+                    f"outside the outer domain")
         sols = [minimal_solution(c, closed_form_from_potential(
             c, p, potential_coeffs), phi) for c in (inner, outer)]
         norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
@@ -638,7 +644,7 @@ def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
 
 
 def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
-                   rng=None) -> AprioriCheck:
+                   rng) -> AprioriCheck:
     """``‖δ_{φ+σψ}g‖²_{φ+ψ} + ‖dg‖²_{φ+ψ} ≥ σ²∫⟨F_ψ g,g⟩e^{−φ−ψ}`` on
     three random coexact p-cochains (the quantifier over all of
     ``Dom(d*)`` is sampled, not proved)."""

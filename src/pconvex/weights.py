@@ -179,7 +179,6 @@ class PiecewiseWeight(BatchedField):
 
     base: object                     # a field, or anything field_jets takes
     modifiers: Tuple[ScalarMap, ...] = ()
-    first_shell_exempt: bool = False
 
     def __post_init__(self):
         for m in self.modifiers:
@@ -188,10 +187,6 @@ class PiecewiseWeight(BatchedField):
                 raise PreconditionError(
                     f"modifier {type(m).__name__} has negative second "
                     f"derivative {worst:.3e} on its active range")
-
-    @property
-    def n(self) -> int:
-        return self.base.n
 
     def jets(self, X, order: int = 2):
         """Batched 2-jets (or values, ``order=0``) by the chain rule, in the
@@ -211,8 +206,8 @@ class PiecewiseWeight(BatchedField):
             g = d1[:, None] * g
         return v, g, h
 
-    def with_modifier(self, extra: ScalarMap, **kw) -> "PiecewiseWeight":
-        return PiecewiseWeight(self.base, self.modifiers + (extra,), **kw)
+    def with_modifier(self, extra: ScalarMap) -> "PiecewiseWeight":
+        return PiecewiseWeight(self.base, self.modifiers + (extra,))
 
 
 def _as_weight(phi) -> PiecewiseWeight:
@@ -241,7 +236,7 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float], samples,
     With ``exempt_first_shell`` the first shell contributes no slope
     requirement and is excluded from verification — the variant used when
     the base field is only p-psh outside a compact region that a hinge
-    precomposition has flattened.  The returned weight carries the flag.
+    precomposition has flattened.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -280,7 +275,7 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float], samples,
     levels[n_shells] = max(1.0, running)
 
     ramp = SmoothRamp(sublevels, levels, anchor=float(sublevels[0]))
-    out = phi_w.with_modifier(ramp, first_shell_exempt=exempt_first_shell)
+    out = phi_w.with_modifier(ramp)
 
     trace = min_p_trace(out.jets(samples)[2], p)
     failed = np.flatnonzero(checked & (trace + om_vals <= 0.0))
@@ -576,7 +571,7 @@ def stiffness_floor(r, phi, samples, p: int,
         n_collar=int(collar.sum()), n_interior=int(interior.sum()))
 
 
-def lattice_samples(r, box, per_axis: int = 24,
+def lattice_samples(r, box, per_axis: int,
                     min_depth: float = 0.0) -> np.ndarray:
     """Cell-center lattice points of ``box`` where ``r < -min_depth``;
     every point when ``r`` is None.

@@ -98,7 +98,6 @@ phi = x1^2+x2^2
 
 [task]
 name = prekopa
-x_count = 7
 """
 
 BATTERY_CFG = """
@@ -106,7 +105,6 @@ BATTERY_CFG = """
 name = algebra-battery
 n = 3
 p = 2
-cases = 120
 """
 
 
@@ -238,16 +236,23 @@ potential = bump()
     def test_removed_key_flagged(self, tmp_path, key, value):
         self.check(tmp_path, KMH_CFG + f"{key} = {value}\n")
 
+    # keys whose one value in use is now a constant of their task
+    @pytest.mark.parametrize("cfg, line", [
+        (BATTERY_CFG, "cases = 500"), (PREKOPA_CFG, "x_range = -1:1"),
+        (PREKOPA_CFG, "x_count = 7"), (KMH_CFG, "final_max = 2e-2")],
+        ids=["cases", "x_range", "x_count", "final_max"])
+    def test_fixed_value_key_flagged(self, tmp_path, capsys, cfg, line):
+        self.check(tmp_path, cfg + line + "\n")
+        key = line.split(" =")[0]
+        assert f"[task] {key}: unknown key" in capsys.readouterr().err
+
     # a key only another task reads used to be accepted and ignored; the
     # error names the section, the key and the task
     @pytest.mark.parametrize("cfg, line, where", [
-        (HORMANDER_CFG, "cases = 7", "[task] cases: task bounds"),
         (HORMANDER_CFG, "expect = 9", "[task] expect: task bounds"),
-        (HORMANDER_CFG, "x_count = 3", "[task] x_count: task bounds"),
         (HORMANDER_CFG, "n = 5", "[task] n: task bounds"),
         (CHECK_PSH_CFG, "psi = x1", "[weights] psi: task check-psh"),
-    ], ids=["bounds-cases", "bounds-expect", "bounds-x_count", "bounds-n",
-            "check-psh-psi"])
+    ], ids=["bounds-expect", "bounds-n", "check-psh-psi"])
     def test_key_its_task_does_not_read(self, tmp_path, capsys, cfg, line,
                                         where):
         self.check(tmp_path, cfg + line + "\n")
@@ -283,17 +288,40 @@ name = cohomology
         assert "[domain] box: cohomology supports n ≤ 3, got 4 axes" in \
             capsys.readouterr().err
 
+    def test_boundary_degree_checked_at_load(self, tmp_path, monkeypatch):
+        # tangential planes of a boundary in R^n have n - 1 axes; p = n is
+        # refused by load_config, before any lattice is sampled
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the task ran")
+        monkeypatch.setattr(cli.weights, "lattice_samples", unreachable)
+        text = """
+[domain]
+box = -1:1, -1:1
+r = disk(1.0)
+[task]
+name = boundary-convexity
+p = 2
+"""
+        with pytest.raises(ConfigError, match=r"\[task\] p: tangential "
+                           r"planes need p <= 1"):
+            cli.load_config(write(tmp_path, text))
+        self.check(tmp_path, text)
+
+    @pytest.mark.parametrize("box", ["0:inf", "-inf:1, 0:1", "0:nan"])
+    def test_box_bound_not_finite(self, tmp_path, capsys, box):
+        # 0:inf used to crash in GridDomain with an OverflowError traceback
+        solve = HORMANDER_CFG.replace("name = bounds\nbound = hormander",
+                                      "name = solve")
+        self.check(tmp_path, solve.replace("box = 0:1, 0:1", f"box = {box}"))
+        assert "[domain] box: want finite lo:hi" in capsys.readouterr().err
+
     # values that used to run vacuously, crash, or fail inside the task
     @pytest.mark.parametrize("cfg, extra, where", [
-        (BATTERY_CFG.replace("cases = 120", "cases = 0"), (), "[task] cases"),
         (BERNDTSSON_CFG.replace("seed = 7", "seed = -1"), (), "[task] seed"),
         (BERNDTSSON_CFG, ("--seed", "-1"), "--seed"),
         (CHECK_PSH_CFG.replace("p = 1", "p = 1\nper_axis = 1"), (),
          "[task] per_axis"),
-        (PREKOPA_CFG.replace("x_count = 7", "x_count = 0"), (),
-         "[task] x_count"),
-    ], ids=["cases-0", "seed-negative", "seed-flag-negative", "per_axis-1",
-            "x_count-0"])
+    ], ids=["seed-negative", "seed-flag-negative", "per_axis-1"])
     def test_out_of_range_value(self, tmp_path, capsys, cfg, extra, where):
         code, report, _ = run(tmp_path, cfg, *extra)
         assert code == 2 and report == []
@@ -641,8 +669,6 @@ box = -6:6
 phi = x1^2+x2^2
 [task]
 name = prekopa
-x_range = -1:1
-x_count = 7
 """)
         assert code == 0
         rec = report[1]
@@ -660,7 +686,6 @@ class TestAlgebraBattery:
 name = algebra-battery
 n = 3
 p = 2
-cases = 120
 seed = 11
 """)
         assert code == 0

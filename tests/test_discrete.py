@@ -96,6 +96,14 @@ class TestGridDomain:
         with pytest.raises(TypeError):
             D.GridDomain(((0.0, 1.0),), 0.1, r="x1-1")
 
+    @pytest.mark.parametrize("box", [((0.0, math.inf),),
+                                     ((-math.inf, 1.0), (0.0, 1.0)),
+                                     ((-1e308, 1e308),)])
+    def test_non_finite_bound(self, box):
+        # an infinite axis used to overflow in the cell count
+        with pytest.raises(ValueError, match="need a finite lo < hi"):
+            D.GridDomain(box, 1 / 16)
+
     def test_jets_only_defining_function(self):
         # every consumer reads r through field_jets, so a batched field
         # with jets and no value(x) cuts the same domain as the expression

@@ -242,6 +242,33 @@ class TestMonotonicity:
         with pytest.raises(PreconditionError, match="2-dim.*3-dim"):
             S.monotonicity_check([pot], 1, domains=(cx32, outer))
 
+    def test_inner_outside_outer_disk_rejected(self):
+        # the bounding boxes agree, but the unit box's corners lie outside
+        # the disk; comparing boxes alone let this through to a solve that
+        # reported lesser 0.00823 > greater 0.00782
+        box = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
+        disk = D.build_complex(D.GridDomain(UNIT2, 1 / 16, r=parse(
+            "(x1-0.5)^2+(x2-0.5)^2-0.16", n=2)))
+        with pytest.raises(PreconditionError,
+                           match=r"inner 0-cell at \[0\. 0\.\] lies outside"):
+            S.monotonicity_check([pot], 1, domains=(box, disk), phi=PHI2)
+
+    def test_inner_square_over_outer_hole_rejected(self):
+        # every node and edge midpoint of the inner grid avoids the outer
+        # domain's small hole, but one square's barycenter is its center
+        hole = parse("0.00024414062-(x1-0.53125)^2-(x2-0.53125)^2", n=2)
+        inner = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
+        outer = D.build_complex(D.GridDomain(UNIT2, 1 / 32, r=hole))
+        with pytest.raises(PreconditionError, match=r"inner 2-cell at "
+                           r"\[0\.53125 0\.53125\] lies outside"):
+            S.monotonicity_check([pot], 1, domains=(inner, outer))
+
+    def test_inner_box_past_outer_box_rejected(self, cx32):
+        inner = D.build_complex(D.GridDomain(((0.0, 1.5), (0.0, 1.0)), 1 / 8))
+        with pytest.raises(PreconditionError,
+                           match=r"inner 0-cell at \[1\.125 0\. *\]"):
+            S.monotonicity_check([pot], 1, domains=(inner, cx32))
+
     def test_constant_weight_shift_scales_by_exp(self, cx32):
         hi = S.CombinedWeight(PHI2, 1.0, 1.0)
         rec = S.monotonicity_check([pot], 1, weights=(PHI2, hi), cx=cx32)
@@ -463,6 +490,18 @@ class TestTwoWeightReport:
         with pytest.raises(PreconditionError):
             S.berndtsson_report(cx32, f32, PHI2, psi, 1.0, 1)
 
+    def test_top_degree(self):
+        # p = n: no (p+1)-cells, so the apriori check draws g directly and
+        # has no ‖dg‖ term
+        cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
+        f = S.closed_form_from_potential(cx, 2, [pot, 0.0])
+        psi = diameter_weight(2, math.sqrt(2.0), (0.5, 0.5))
+        rep = S.berndtsson_report(cx, f, PHI2, psi, 0.3, 2,
+                                  rng=np.random.default_rng(0))
+        assert rep.passed and rep.solve.method == "lsmr"
+        assert rep.apriori.samples == 3
+        assert 0.0 < rep.apriori.worst_ratio <= 1.0
+
 
 # ---------------------------------------------------------------------------
 # minimal-solution estimate with a comparison weight
@@ -493,6 +532,16 @@ class TestMinimalEstimate:
         zero = D.Cochain(1, np.zeros(cx32.num_cells(1)))
         rep = S.minimal_estimate_report(cx32, zero, PHI2, 3.0, 0.0, 0.0, 1)
         assert rep.vacuous and rep.passed and rep.constant == 1.0
+
+    @pytest.mark.parametrize("omega, where", [
+        (lambda x: 2.0 * x[0], r"got 1\.03125 at \[0\.515625 0\. +\]"),
+        (lambda x: -0.1, r"got -0\.1 at \[0\.015625 0\. +\]")],
+        ids=["above-1", "negative"])
+    def test_omega_range_names_the_point(self, cx32, f32, omega, where):
+        psi = parse("0.1*(x1^2+x2^2)", n=2)
+        with pytest.raises(PreconditionError,
+                           match=r"0 <= omega < 1\.0; " + where):
+            S.minimal_estimate_report(cx32, f32, PHI2, psi, omega, 0.5, 1)
 
     def test_psd_hypothesis_enforced(self, cx32, f32):
         # omega too small for psi's own gradient term
@@ -566,6 +615,12 @@ class TestNonPshReport:
     def test_alpha_range(self, cx32, f32):
         with pytest.raises(PreconditionError):
             S.nonpsh_report(cx32, f32, PHI2, self.PSI_L, None, 2.0, 1)
+
+    def test_omega_range_names_the_point(self, cx32, f32):
+        with pytest.raises(PreconditionError, match=r"0 <= omega < 2\.0; "
+                           r"got 2\.0625 at \[0\.515625 0\. +\]"):
+            S.nonpsh_report(cx32, f32, PHI2, self.PSI_L,
+                            lambda x: 4.0 * x[0], 0.5, 1)
 
 
 # ---------------------------------------------------------------------------
