@@ -715,11 +715,13 @@ _KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
                            for a in v),
         "want finite lo:hi with hi > lo on every axis")),
     "h": ("domain", _valid(lambda text: [_number(text)],
-                           lambda v, ctx: v[0] > 0, "must be positive")),
+                           lambda v, ctx: 0 < v[0] < math.inf,
+                           "must be positive and finite, got {v[0]}")),
     "ladder": ("domain", _valid(
         _numbers,
-        lambda v, ctx: 0 < v[-1] and all(b < a for a, b in zip(v, v[1:])),
-        "h values must be positive and strictly decreasing")),
+        lambda v, ctx: 0 < v[-1] and v[0] < math.inf
+        and all(b < a for a, b in zip(v, v[1:])),
+        "h values must be positive, finite and strictly decreasing")),
     "r": ("domain", lambda text, ctx: parse(_call(text, ctx, "domain")
                                             or text, ctx.n)),
     "name": ("task", None),

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGradient
+from .errors import DegenerateGradient, raise_first
 from .exterior import (PointForm, _insertion_table, _lift, dim_forms,
                        index_list)
 from .fieldexpr import field_jets
@@ -184,11 +184,8 @@ def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
         raise ValueError(f"p must be in [1, {n - 1}] for tangential p-planes, got {p}")
     _, grads, hess = field_jets(defining_field, pts)
     gnorms = np.linalg.norm(grads, axis=1)
-    bad = np.flatnonzero(gnorms <= 1e-8)
-    if bad.size:
-        i = bad[0]
-        raise DegenerateGradient(
-            f"|grad r| = {gnorms[i]:.3e} <= 1.0e-08 at boundary sample {pts[i]}")
+    raise_first(DegenerateGradient, gnorms <= 1e-8, pts, lambda i: (
+        f"|grad r| = {gnorms[i]:.3e} <= 1.0e-08 on the boundary"))
     # the last n-1 right singular vectors of the unit normal (one row) are
     # an orthonormal basis of the tangent space: (m, n-1, n)
     tangent = np.linalg.svd(grads[:, None, :] / gnorms[:, None, None])[2][:, 1:]

@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, EmptyDomain, SupportError
+from .errors import DomainError, EmptyDomain, SupportError, raise_first
 from .exterior import (_insertion_table, dim_forms, index_list,
                        induced_pairings)
 from .fieldexpr import BLOCK_ROWS, field_jets
@@ -91,8 +91,9 @@ class GridDomain:
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         if not box:
             raise ValueError("box needs at least one axis")
-        if not (self.h > 0):
-            raise ValueError(f"spacing must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"spacing must be positive and finite, "
+                             f"got {self.h}")
         counts, spacings = [], []
         for lo, hi in box:
             if not 0 < hi - lo < math.inf:
@@ -305,13 +306,11 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     bary = cx.barycenters(p)
     with np.errstate(over="ignore"):
         diag = np.exp(-field_jets(phi, bary, order=0)) * factor
-    bad = np.flatnonzero(~np.isfinite(diag) | (diag <= 0))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(
-            "weight produced a non-positive or overflowed mass entry: "
-            f"{'underflowed to 0' if diag[i] == 0 else 'overflowed'} at the "
-            f"barycenter {np.round(bary[i], 6).tolist()} of {p}-cell {i}")
+    raise_first(DomainError, ~np.isfinite(diag) | (diag <= 0), bary,
+                lambda i: ("weight produced a non-positive or overflowed "
+                           "mass entry: " + ("underflowed to 0" if diag[i] == 0
+                                             else "overflowed")
+                           + f" on {p}-cell {i}"))
     return WeightedMass(p, diag)
 
 
@@ -432,7 +431,8 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     for k, f in enumerate(coeffs):
         G[k] = field_jets(f, X, order=0).reshape(shape)
 
-    gmax = np.abs(G).max()
+    mag = np.abs(G).max(axis=0).reshape(-1)     # per node
+    gmax = mag.max()
     if gmax == 0.0:
         return EnergyIdentityReport(0.0, 0.0, 0.0, 0.0)
 
@@ -440,17 +440,15 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
         inside = np.ones(shape, dtype=bool)
     else:
         inside = field_jets(dom.r, X, order=0).reshape(shape) < 0.0
-    safe = _erode(inside, 2)
-    unsafe_mag = np.abs(G[:, ~safe]).max() if (~safe).any() else 0.0
-    if unsafe_mag > 1e-12 * gmax:
-        raise SupportError(
-            f"form reaches {unsafe_mag:.3e} within two node layers of the "
-            f"boundary (max magnitude {gmax:.3e})")
+    raise_first(SupportError, ~_erode(inside, 2).reshape(-1)
+                & (mag > 1e-12 * gmax), X, lambda i: (
+                    f"form reaches {mag[i]:.3e} within two node layers of "
+                    f"the boundary (max magnitude {gmax:.3e})"))
 
     # the form is differenced on the window of its nonzero nodes grown by
     # two layers, where centred differences equal the whole grid's; off it
     # each integrand is 0·weight, so sums over every node keep their bits
-    nz = np.any(G != 0.0, axis=0)
+    nz = (mag != 0.0).reshape(shape)
     at = np.argwhere(nz)
     win = tuple(map(slice, np.maximum(at.min(0) - 2, 0), at.max(0) + 3))
     Gw = G[(slice(None),) + win]
@@ -508,12 +506,12 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     if not np.isfinite([lhs, rhs_grad, rhs_quad]).all():
         bad = ~np.isfinite(lhs_int) | ~np.isfinite(grad_int)
         bad[on] |= ~np.isfinite(quad * weight[on])
-        raise DomainError(
-            f"energy identity is not finite (lhs {lhs}, gradient term "
-            f"{rhs_grad}, Hessian term {rhs_quad}): " + (
-                f"the integrand is not finite at x = "
-                f"{X[np.argmax(bad)].tolist()}" if bad.any()
-                else "every node's integrand is finite, but a sum overflows"))
+        what = (f"energy identity is not finite (lhs {lhs}, gradient term "
+                f"{rhs_grad}, Hessian term {rhs_quad})")
+        raise_first(DomainError, bad, X,
+                    lambda i: f"{what}: the integrand is not finite")
+        raise DomainError(f"{what}: every node's integrand is finite, but a "
+                          f"sum overflows")
 
     rhs = rhs_grad + rhs_quad
     denom = abs(lhs) + abs(rhs)

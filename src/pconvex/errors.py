@@ -4,9 +4,27 @@ Every error raised on a contract violation subclasses one of these, so callers
 can distinguish "you fed me bad data" (:class:`PreconditionError` family) from
 "the computation could not certify what you asked for"
 (:class:`NoConvergence`).
+
+A check over a point set names the first failing row in row order, through
+:func:`raise_first`: its message ends with that point at full precision,
+as ``at x = [...]``.
 """
 
 from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+
+def raise_first(exc: type, bad: np.ndarray, points: np.ndarray,
+                what: Callable[[int], str]) -> None:
+    """Raise ``exc`` for the first row ``i`` where the mask ``bad`` holds,
+    with the message ``f"{what(i)} at x = {points[i].tolist()}"``; return
+    if no row is bad."""
+    if bad.any():
+        i = int(bad.argmax())
+        raise exc(f"{what(i)} at x = {points[i].tolist()}")
 
 
 class PreconditionError(ValueError):

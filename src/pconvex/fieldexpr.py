@@ -51,7 +51,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ArityError, DomainError, ParseError, UnknownVariable
+from .errors import (ArityError, DomainError, ParseError, UnknownVariable,
+                     raise_first)
 
 __all__ = [
     "Jet2",
@@ -380,14 +381,12 @@ class _Block:
             self.bad |= new
             self.faults.append((new, message, operand))
 
-    def raise_first(self) -> None:
-        i = int(np.argmax(self.bad))
+    def message(self, i: int) -> str:
+        """The fault of bad row ``i``, with its operand there."""
         for rows, message, operand in self.faults:
             if rows[i]:
-                if operand is not None:
-                    message = message.format(
-                        float(np.broadcast_to(operand, rows.shape)[i]))
-                raise DomainError(f"{message} at x = {self.X[i].tolist()}")
+                return message if operand is None else message.format(
+                    float(np.broadcast_to(operand, rows.shape)[i]))
 
     @staticmethod
     def const(c: float):
@@ -490,8 +489,7 @@ def _interpret(root: Node, X: np.ndarray, order: int):
                 finite = finite & np.isfinite(d).reshape(len(d), -1).all(axis=1)
     block.fault(~finite, "evaluation produced a non-finite "
                 + ("jet" if order else "value"))
-    if block.bad.any():
-        block.raise_first()
+    raise_first(DomainError, block.bad, X, block.message)
     if len(v) != m:
         v = np.full(m, v[0])
     if not order:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from .discrete import (Cochain, CubicalComplex, WeightedMass, _LazyModule,
                        _adjoint, coboundary, mass, sample_cochain,
                        weighted_adjoint)
 from .errors import (CohomologyObstruction, MembershipError, NoConvergence,
-                     NotClosed, PreconditionError, TailError)
+                     NotClosed, PreconditionError, TailError, raise_first)
 from .exterior import induced_pairings, induced_pinv
 from .fieldexpr import BatchedField, field_jets, row_blocks
 
@@ -326,10 +327,8 @@ def monotonicity_check(potential_coeffs, p: int, *,
             out = np.any((X < lo - 1e-12) | (X > hi + 1e-12), axis=1)
             if outer.dom.r is not None:
                 out[~out] = field_jets(outer.dom.r, X[~out], order=0) >= 0.0
-            if out.any():
-                raise PreconditionError(
-                    f"inner {q}-cell at {np.round(X[out.argmax()], 6)} lies "
-                    f"outside the outer domain")
+            raise_first(PreconditionError, out, X, lambda i: (
+                f"inner {q}-cell lies outside the outer domain"))
         sols = [minimal_solution(c, closed_form_from_potential(
             c, p, potential_coeffs), phi) for c in (inner, outer)]
         norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
@@ -340,11 +339,9 @@ def monotonicity_check(potential_coeffs, p: int, *,
             raise ValueError("weight mode needs the complex as cx=")
         lo_w, hi_w = weights
         X = cx.barycenters(p)
-        bad = np.flatnonzero(field_jets(lo_w, X, order=0)
-                             > field_jets(hi_w, X, order=0) + 1e-12)
-        if bad.size:
-            raise PreconditionError(
-                f"weights are not ordered at {np.round(X[bad[0]], 6)}")
+        raise_first(PreconditionError, field_jets(lo_w, X, order=0)
+                    > field_jets(hi_w, X, order=0) + 1e-12, X,
+                    lambda i: "weights are not ordered")
         f = closed_form_from_potential(cx, p, potential_coeffs)
         sols = [minimal_solution(cx, f, w) for w in (lo_w, hi_w)]
         norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
@@ -431,10 +428,10 @@ def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta,
         try:
             sol = induced_pinv(hess, F, f.p)
         except MembershipError as exc:
-            raise MembershipError(
-                f"at quadrature node {np.round(X[exc.row], 6)}: {exc}",
-                residual=exc.residual,
-                rel_residual=exc.rel_residual) from exc
+            raise_first(partial(MembershipError, residual=exc.residual,
+                                rel_residual=exc.rel_residual),
+                        np.arange(len(X)) == exc.row, X,
+                        lambda i: f"{exc} on the quadrature node")
         return np.einsum("ia,ia->i", sol, F)
 
     return _node_quadrature(cx, f, theta, weight, inverse_pairings)
@@ -469,12 +466,8 @@ def _require_p_positive(points: np.ndarray,
         a = mats(X)
         traces = min_p_trace(a, p)
         scale = np.abs(a).max(axis=(1, 2)) + 1.0
-        bad = np.flatnonzero(traces < -1e-8 * scale)
-        if bad.size:
-            i = bad[0]
-            raise PreconditionError(
-                f"{label} is not {p}-positive at {np.round(X[i], 6)}: "
-                f"min {p}-trace {traces[i]:.3e}")
+        raise_first(PreconditionError, traces < -1e-8 * scale, X, lambda i: (
+            f"{label} is not {p}-positive (min {p}-trace {traces[i]:.3e})"))
         if len(a) < len(X):
             return
 
@@ -510,12 +503,9 @@ def _check_omega_range(cx: CubicalComplex, omega, p: int,
                        upper: float) -> None:
     X = np.concatenate([cx.barycenters(p), cx.barycenters(0)])
     om = field_jets(omega, X, order=0)
-    bad = np.flatnonzero(~((0.0 <= om) & (om < upper)))
-    if bad.size:
-        i = bad[0]
-        raise PreconditionError(
-            f"omega must satisfy 0 <= omega < {upper}; got {om[i]:.6g} "
-            f"at {np.round(X[i], 6)}")
+    raise_first(PreconditionError, ~((0.0 <= om) & (om < upper)), X,
+                lambda i: (f"omega must satisfy 0 <= omega < {upper}; "
+                           f"got {om[i]:.6g}"))
 
 
 def _check_omega_on_support(cx: CubicalComplex, f: Cochain, omega,
@@ -523,12 +513,9 @@ def _check_omega_on_support(cx: CubicalComplex, f: Cochain, omega,
     mag = np.abs(_node_components(cx, f)).max(axis=1)
     X = cx.barycenters(0)[mag > 1e-12 * mag.max()]
     om = field_jets(omega, X, order=0)
-    bad = np.flatnonzero(om > alpha + 1e-12)
-    if bad.size:
-        i = bad[0]
-        raise PreconditionError(
-            f"omega = {om[i]:.6g} exceeds alpha = {alpha:.6g} on the "
-            f"support of f at {np.round(X[i], 6)}")
+    raise_first(PreconditionError, om > alpha + 1e-12, X, lambda i: (
+        f"omega = {om[i]:.6g} exceeds alpha = {alpha:.6g} on the support "
+        f"of f"))
 
 
 # ---------------------------------------------------------------------------
@@ -889,11 +876,10 @@ def prekopa_check(phi_joint, x_samples, y_box, *,
             [np.broadcast_to(px, (ys.shape[0], 1)), ys]), order=0)
         base = float(vals.min())
         dens = np.exp(-(vals - base))
-        if float(dens[on_edge].max()) > 1e-12 * float(dens.max()):
-            raise TailError(
-                f"density on the quadrature boundary is "
-                f"{float(dens[on_edge].max()) / float(dens.max()):.3e} of "
-                f"its maximum at x = {np.round(px, 6)}; enlarge y_box")
+        edge, top = float(dens[on_edge].max()), float(dens.max())
+        raise_first(TailError, np.array([edge > 1e-12 * top]), px[None],
+                    lambda i: (f"enlarge y_box: density on the quadrature "
+                               f"boundary is {edge / top:.3e} of its maximum"))
         return base - math.log(float(dens.sum()) * cell)
 
     center = np.array([marginal(px) for px in xs])

@@ -32,7 +32,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .convexity import field_p_psh_report, min_p_trace
-from .errors import EmptyDomain, InfeasibleOnGrid, PreconditionError
+from .errors import (EmptyDomain, InfeasibleOnGrid, PreconditionError,
+                     raise_first)
 from .fieldexpr import BatchedField, ScalarFieldExpr, field_jets, parse
 
 __all__ = [
@@ -257,12 +258,8 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float], samples,
                        0, n_shells - 1)
     checked = (shell_of > 0) if exempt_first_shell else np.ones(v.size, bool)
     lam = np.broadcast_to(min_p_trace(hess, p), v.shape)
-    bad = np.flatnonzero(checked & (lam <= 0.0))
-    if bad.size:
-        i = bad[0]
-        raise PreconditionError(
-            f"base field is not strictly p-psh at sample "
-            f"{samples[i].tolist()} (minimal p-trace {lam[i]:.3e})")
+    raise_first(PreconditionError, checked & (lam <= 0.0), samples, lambda i: (
+        f"base field is not strictly p-psh (minimal p-trace {lam[i]:.3e})"))
     needs = np.zeros(n_shells)
     np.maximum.at(needs, shell_of[checked],
                   p * np.maximum(0.0, -om_vals[checked]) / lam[checked])
@@ -278,12 +275,9 @@ def convexify(phi, omega, p: int, sublevels: Sequence[float], samples,
     out = phi_w.with_modifier(ramp)
 
     trace = min_p_trace(out.jets(samples)[2], p)
-    failed = np.flatnonzero(checked & (trace + om_vals <= 0.0))
-    if failed.size:
-        i = failed[0]
-        raise RuntimeError(
-            f"convexification failed verification at {samples[i].tolist()}: "
-            f"p-trace {trace[i]:.6g} + omega {om_vals[i]:.6g} <= 0")
+    raise_first(RuntimeError, checked & (trace + om_vals <= 0.0), samples,
+                lambda i: (f"convexification failed verification: p-trace "
+                           f"{trace[i]:.6g} + omega {om_vals[i]:.6g} <= 0"))
     return out
 
 
@@ -441,14 +435,14 @@ def df_search(r, phi, interior_samples, p: int,
 
     report = field_p_psh_report(phi, samples, p)
     if report.verdict != "strict":
-        raise PreconditionError(
-            f"weight field is not strictly p-psh on the samples "
-            f"(worst p-trace {report.min_trace:.3e} at {report.worst_point})")
+        raise_first(PreconditionError,
+                    np.arange(len(samples)) == report.worst_index, samples,
+                    lambda i: (f"weight field is not strictly p-psh on the "
+                               f"samples (worst p-trace "
+                               f"{report.min_trace:.3e})"))
     r_jets = field_jets(r, samples)
-    if np.any(r_jets[0] >= 0):
-        bad = samples[int(np.argmax(r_jets[0]))]
-        raise PreconditionError(
-            f"defining function is non-negative at sample {bad.tolist()}")
+    raise_first(PreconditionError, r_jets[0] >= 0, samples, lambda i: (
+        f"defining function is non-negative (r = {r_jets[0][i]:.3e})"))
     phi_jets = field_jets(phi, samples)
 
     best = None           # (score, K, eta, traces)
@@ -528,8 +522,8 @@ def stiffness_floor(r, phi, samples, p: int,
     r_val, r_g, r_h = field_jets(r, samples)
     _, phi_g, phi_h = field_jets(phi, samples)
     depth = -r_val
-    if np.any(depth <= 0):
-        raise PreconditionError("all samples must lie strictly inside")
+    raise_first(PreconditionError, depth <= 0, samples, lambda i: (
+        f"all samples must lie strictly inside, but r = {r_val[i]:.3e}"))
     eps = collar_fraction * depth.max()
     collar = depth <= eps
     interior = ~collar
@@ -547,10 +541,10 @@ def stiffness_floor(r, phi, samples, p: int,
 
     r_grad = np.broadcast_to(np.linalg.norm(r_g, axis=1), depth.shape)
     r_hess = np.broadcast_to(np.linalg.norm(r_h, 2, axis=(1, 2)), depth.shape)
+    raise_first(PreconditionError, collar & (r_grad <= 0), samples,
+                lambda i: ("defining function has a critical point on the "
+                           "boundary collar"))
     grad_floor = float(r_grad[collar].min())
-    if grad_floor <= 0:
-        raise PreconditionError("defining function has a critical point "
-                                "on the boundary collar")
     hess_bound = float(p * r_hess[collar].max())
     shear = hess_bound / grad_floor**2
     mixed = hess_bound / (2.0 * grad_floor)

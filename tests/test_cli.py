@@ -327,6 +327,17 @@ p = 2
         assert code == 2 and report == []
         assert f"config error: {where}: must be >= " in capsys.readouterr().err
 
+    # h = inf used to exit 0 with "h": Infinity in report.jsonl, and an
+    # infinite rung to die in the log-log plot with an OverflowError
+    @pytest.mark.parametrize("old, new, where", [
+        ("h = 1/16", "h = inf", "[domain] h: must be positive and finite"),
+        ("h = 1/16", "h = nan", "[domain] h: must be positive and finite"),
+        ("h = 1/16", "ladder = inf, 1/8", "[domain] ladder: h values must "
+         "be positive, finite")], ids=["h-inf", "h-nan", "ladder-inf"])
+    def test_spacing_not_finite(self, tmp_path, capsys, old, new, where):
+        self.check(tmp_path, HORMANDER_CFG.replace(old, new))
+        assert where in capsys.readouterr().err
+
     def test_ladder_must_decrease(self, tmp_path):
         self.check(tmp_path, KMH_CFG.replace("1/8, 1/16, 1/32",
                                              "1/8, 1/8, 1/32"))

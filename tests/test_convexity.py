@@ -172,6 +172,16 @@ def test_boundary_degenerate_gradient_raises():
         C.boundary_p_convexity(r, [np.zeros(2)], 1)
 
 
+def test_boundary_degenerate_gradient_names_the_first_sample():
+    # |grad r| = 2|x|: 2e-9 at row 1, 0 at row 2; row 1 is named
+    r = QuadField(np.eye(2))
+    pts = [np.array([1.0, 0.0]), np.array([0.0, 1e-9]), np.zeros(2)]
+    with pytest.raises(DegenerateGradient) as exc:
+        C.boundary_p_convexity(r, pts, 1)
+    assert str(exc.value) == \
+        "|grad r| = 2.000e-09 <= 1.0e-08 on the boundary at x = [0.0, 1e-09]"
+
+
 def test_boundary_degree_cap():
     r = QuadField(np.eye(2), c=-1.0)
     with pytest.raises(ValueError):

@@ -104,6 +104,14 @@ class TestGridDomain:
         with pytest.raises(ValueError, match="need a finite lo < hi"):
             D.GridDomain(box, 1 / 16)
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan])
+    def test_non_finite_spacing(self, h):
+        # h = inf used to give two cells per axis and a run that wrote
+        # "h": Infinity into its report
+        with pytest.raises(ValueError, match="spacing must be positive and "
+                           "finite"):
+            D.GridDomain(((0.0, 1.0),), h)
+
     def test_jets_only_defining_function(self):
         # every consumer reads r through field_jets, so a batched field
         # with jets and no value(x) cuts the same domain as the expression
@@ -541,6 +549,16 @@ class TestEnergyIdentity:
         dom = D.GridDomain(UNIT2, 1 / 8)
         with pytest.raises(SupportError):
             D.energy_identity_residual([lambda x: 1.0, 0.0], 0.0, dom, 1)
+
+    def test_boundary_support_names_the_first_node(self):
+        # g = x1 vanishes on the nodes x1 = 0 (rows 0 to 8); the first node
+        # past them, (1/8, 0), lies on the boundary
+        dom = D.GridDomain(UNIT2, 1 / 8)
+        with pytest.raises(SupportError) as exc:
+            D.energy_identity_residual([parse("x1", n=2), 0.0], 0.0, dom, 1)
+        assert str(exc.value) == (
+            "form reaches 1.250e-01 within two node layers of the boundary "
+            "(max magnitude 1.000e+00) at x = [0.125, 0.0]")
 
     def test_staircase_rim_support_rejected(self):
         dom = D.GridDomain(((-1.0, 1.0), (-1.0, 1.0)), 1 / 16,

@@ -250,7 +250,8 @@ class TestMonotonicity:
         disk = D.build_complex(D.GridDomain(UNIT2, 1 / 16, r=parse(
             "(x1-0.5)^2+(x2-0.5)^2-0.16", n=2)))
         with pytest.raises(PreconditionError,
-                           match=r"inner 0-cell at \[0\. 0\.\] lies outside"):
+                           match=r"inner 0-cell lies outside the outer "
+                           r"domain at x = \[0\.0, 0\.0\]"):
             S.monotonicity_check([pot], 1, domains=(box, disk), phi=PHI2)
 
     def test_inner_square_over_outer_hole_rejected(self):
@@ -259,14 +260,16 @@ class TestMonotonicity:
         hole = parse("0.00024414062-(x1-0.53125)^2-(x2-0.53125)^2", n=2)
         inner = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
         outer = D.build_complex(D.GridDomain(UNIT2, 1 / 32, r=hole))
-        with pytest.raises(PreconditionError, match=r"inner 2-cell at "
-                           r"\[0\.53125 0\.53125\] lies outside"):
+        with pytest.raises(PreconditionError, match=r"inner 2-cell lies "
+                           r"outside the outer domain at x = "
+                           r"\[0\.53125, 0\.53125\]"):
             S.monotonicity_check([pot], 1, domains=(inner, outer))
 
     def test_inner_box_past_outer_box_rejected(self, cx32):
         inner = D.build_complex(D.GridDomain(((0.0, 1.5), (0.0, 1.0)), 1 / 8))
         with pytest.raises(PreconditionError,
-                           match=r"inner 0-cell at \[1\.125 0\. *\]"):
+                           match=r"inner 0-cell lies outside the outer "
+                           r"domain at x = \[1\.125, 0\.0\]"):
             S.monotonicity_check([pot], 1, domains=(inner, cx32))
 
     def test_constant_weight_shift_scales_by_exp(self, cx32):
@@ -279,6 +282,16 @@ class TestMonotonicity:
     def test_unordered_weights_rejected(self, cx32):
         with pytest.raises(PreconditionError):
             S.monotonicity_check([pot], 1, weights=(PHI2, 0.0), cx=cx32)
+
+    def test_unordered_weights_name_the_first_barycenter(self, cx32):
+        # x1^2+x2^2 > 0.5 first at a 1-cell past row 0, and larger later
+        X = cx32.barycenters(1)
+        first = int(np.flatnonzero((X * X).sum(axis=1) > 0.5 + 1e-12)[0])
+        assert first > 0
+        with pytest.raises(PreconditionError) as exc:
+            S.monotonicity_check([pot], 1, weights=(PHI2, 0.5), cx=cx32)
+        assert str(exc.value) == \
+            f"weights are not ordered at x = {X[first].tolist()}"
 
     def test_mode_selection_validated(self, cx32):
         with pytest.raises(ValueError):
@@ -322,7 +335,7 @@ class TestBaselineReport:
         assert S._hessian(phi)(X).shape == (1, 2, 2)   # one matrix per block
         with pytest.raises(PreconditionError) as exc:
             S.hormander_report(cx32, f32, phi, 1)
-        assert str(np.round(X[0], 6)) in str(exc.value)
+        assert str(exc.value).endswith(f" at x = {X[0].tolist()}")
 
     def test_row_dependent_failure_names_its_first_barycenter(self):
         # D²phi = diag(2 − 6·x1, 2) fails where x1 > 1/3, first reached in
@@ -336,7 +349,7 @@ class TestBaselineReport:
         zero = D.Cochain(1, np.zeros(cx.num_cells(1)))
         with pytest.raises(PreconditionError) as exc:
             S.hormander_report(cx, zero, parse("x1^2+x2^2-x1^3", n=2), 1)
-        assert str(np.round(X[first], 6)) in str(exc.value)
+        assert str(exc.value).endswith(f" at x = {X[first].tolist()}")
 
     @pytest.mark.parametrize("text, per_row", [("x1^2+x2^2", False),
                                                ("x1^2+x2^2-x1^3", True)])
@@ -423,7 +436,7 @@ class TestBaselineReport:
         with pytest.raises(MembershipError) as err:
             S.inverse_quadform_integral(cx, f, Degenerate(), PHI2)
         assert str(err.value) == \
-            f"at quadrature node {np.round(nodes[i], 6)}: {one}"
+            f"{one} on the quadrature node at x = {nodes[i].tolist()}"
         assert (err.value.residual, err.value.rel_residual) == \
             (one.residual, one.rel_residual)
 
@@ -534,8 +547,8 @@ class TestMinimalEstimate:
         assert rep.vacuous and rep.passed and rep.constant == 1.0
 
     @pytest.mark.parametrize("omega, where", [
-        (lambda x: 2.0 * x[0], r"got 1\.03125 at \[0\.515625 0\. +\]"),
-        (lambda x: -0.1, r"got -0\.1 at \[0\.015625 0\. +\]")],
+        (lambda x: 2.0 * x[0], r"got 1\.03125 at x = \[0\.515625, 0\.0\]"),
+        (lambda x: -0.1, r"got -0\.1 at x = \[0\.015625, 0\.0\]")],
         ids=["above-1", "negative"])
     def test_omega_range_names_the_point(self, cx32, f32, omega, where):
         psi = parse("0.1*(x1^2+x2^2)", n=2)
@@ -618,7 +631,7 @@ class TestNonPshReport:
 
     def test_omega_range_names_the_point(self, cx32, f32):
         with pytest.raises(PreconditionError, match=r"0 <= omega < 2\.0; "
-                           r"got 2\.0625 at \[0\.515625 0\. +\]"):
+                           r"got 2\.0625 at x = \[0\.515625, 0\.0\]"):
             S.nonpsh_report(cx32, f32, PHI2, self.PSI_L,
                             lambda x: 4.0 * x[0], 0.5, 1)
 
@@ -810,8 +823,8 @@ class TestCohomologyRank:
 
     def test_underflowing_weight_names_the_cell(self, cx32):
         # e^{-800 x1} times a vertex's dual area underflows from x1 = 0.9375
-        with pytest.raises(DomainError, match=r"underflowed to 0 at the "
-                           r"barycenter \[0\.9375, 0\.0\] of 0-cell 990"):
+        with pytest.raises(DomainError, match=r"underflowed to 0 on 0-cell "
+                           r"990 at x = \[0\.9375, 0\.0\]"):
             S.cohomology_rank(cx32, [PHI2, parse("800*x1", n=2)])
 
     def test_basis_is_orthonormal_and_harmonic(self, annulus):

@@ -286,6 +286,38 @@ class TestConvexify:
         with pytest.raises(PreconditionError):
             W.convexify(saddle, 0.0, 1, [-4.0, 0.0, 4.0], samples)
 
+    def test_non_psh_base_names_the_first_sample(self):
+        # D²phi = diag(2 - 6·x1, 2): minimal 1-trace -1 at row 1, -4 at row 2
+        phi = parse("x1^2+x2^2-x1^3", n=2)
+        samples = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
+        with pytest.raises(PreconditionError) as exc:
+            W.convexify(phi, 0.0, 1, [-1.0, 1.0], samples)
+        assert str(exc.value) == ("base field is not strictly p-psh (minimal "
+                                  "p-trace -1.000e+00) at x = [0.5, 0.0]")
+
+    def test_failed_verification_names_the_first_sample(self):
+        # a base whose Hessian changes after its first evaluation: 2·Id at
+        # the p-psh check, diag(2 - 4·x1, 2) at the verification, which
+        # fails at rows 1 (p-trace -2) and 2 (p-trace -6)
+        class Drifting:
+            calls = 0
+
+            def jets(self, X, order=2):
+                v = (X * X).sum(axis=1)
+                if not order:
+                    return v
+                self.calls += 1
+                h = np.zeros((len(X), 2, 2))
+                h[:, 0, 0] = 2.0 - (4.0 * X[:, 0] if self.calls > 1 else 0.0)
+                h[:, 1, 1] = 2.0
+                return v, 2.0 * X, h
+
+        samples = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(RuntimeError) as exc:
+            W.convexify(Drifting(), 0.0, 1, [-1.0, 5.0], samples)
+        assert str(exc.value) == ("convexification failed verification: "
+                                  "p-trace -2 + omega 0 <= 0 at x = [1.0, 0.0]")
+
     def test_first_shell_exemption(self):
         # hinge-flattened base: identically zero inside the unit disk, so it
         # is p-psh only outside a compact set
@@ -545,6 +577,14 @@ class TestDFSearch:
         with pytest.raises(PreconditionError):
             W.df_search(DISK, PHI2, samples, 1, [1.0], [0.2])
 
+    def test_exterior_sample_named_first_not_largest(self):
+        # r = 0 at row 1 and r = 3 at row 2: the first bad row is named
+        samples = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(PreconditionError) as exc:
+            W.df_search(DISK, PHI2, samples, 1, [1.0], [0.2])
+        assert str(exc.value) == ("defining function is non-negative "
+                                  "(r = 0.000e+00) at x = [1.0, 0.0]")
+
     def test_eccentric_domain_reports_infeasible_grid(self):
         r = parse("x1^2/64+x2^2-1", n=2)
         samples = W.lattice_samples(r, ([-8, -1], [8, 1]), per_axis=31)
@@ -644,3 +684,20 @@ class TestStiffnessFloor:
             W.stiffness_floor(DISK, PHI2, samples, 1, collar_fraction=0.0)
         with pytest.raises(ValueError):
             W.stiffness_floor(DISK, PHI2, samples, 0)
+
+    def test_outside_sample_is_named(self):
+        samples = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(PreconditionError) as exc:
+            W.stiffness_floor(DISK, PHI2, samples, 1)
+        assert str(exc.value) == ("all samples must lie strictly inside, but "
+                                  "r = 0.000e+00 at x = [1.0, 0.0]")
+
+    def test_collar_critical_point_is_named(self):
+        # r = -1/16 - (15/16)(1 - x1^2)^2 is critical at x1 = 0 (deep, not in
+        # the collar) and at x1 = ±1 (depth 1/16, in the collar)
+        r = parse("-0.0625-0.9375*(1-x1^2)^2", n=2)
+        samples = np.array([[0.0, 0.0], [0.9, 0.0], [1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(PreconditionError) as exc:
+            W.stiffness_floor(r, PHI2, samples, 1)
+        assert str(exc.value) == ("defining function has a critical point on "
+                                  "the boundary collar at x = [1.0, 0.0]")
