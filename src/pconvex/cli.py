@@ -172,7 +172,8 @@ def _quadratic_expr(center: np.ndarray) -> str:
 @dataclass(frozen=True)
 class _Bump(BatchedField):
     """``prod_i (max(0, (x_i - lo)(hi - x_i)) / w²)⁴`` with ``w = (hi-lo)/2``;
-    values only, all rows at once."""
+    values only, all rows at once, walked only on rows inside the open box
+    (lo, hi)ⁿ or with a NaN coordinate: the others are 0."""
 
     lo: float
     hi: float
@@ -183,8 +184,15 @@ class _Bump(BatchedField):
                             "2-jets, so it cannot serve as a weight")
         w = (self.hi - self.lo) / 2.0
         u = np.asarray(X, dtype=np.float64)
-        return np.prod((np.maximum(0.0, (u - self.lo) * (self.hi - u))
-                        / w ** 2) ** 4, axis=1)
+        on, nan = np.ones(len(u), dtype=bool), np.zeros(len(u), dtype=bool)
+        for x in u.T:
+            on &= (self.lo < x) & (x < self.hi)
+            nan |= np.isnan(x)
+        on |= nan
+        out, u = np.zeros(len(u)), u[on]
+        out[on] = np.prod((np.maximum(0.0, (u - self.lo) * (self.hi - u))
+                           / w ** 2) ** 4, axis=1)
+        return out
 
 
 def _bi_bump(ctx: "_Context", b):

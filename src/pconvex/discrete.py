@@ -127,15 +127,18 @@ class CubicalComplex:
     ``anchors[p]`` and ``spanned[p]`` are the ``(num_cells(p), n)`` anchors
     and spanned-axis masks of the p-cells, in cell order.  ``ids[axes]`` is
     an int32 grid over the anchors of the cells spanning ``axes``: the
-    cell's row where it is present and -1 where it is not.
+    cell's row where it is present and -1 where it is not.  ``rows[p]``
+    holds the ``(axes, rows)`` blocks of the p-cells, from the build.
     """
 
-    def __init__(self, dom: GridDomain, anchors, spanned, ids, coboundaries):
+    def __init__(self, dom: GridDomain, anchors, spanned, ids, coboundaries,
+                 rows):
         self.dom = dom
         self.anchors: Tuple[np.ndarray, ...] = anchors
         self.spanned: Tuple[np.ndarray, ...] = spanned
         self.ids = ids
         self._cob = coboundaries
+        self._rows = rows
 
     @property
     def n(self) -> int:
@@ -151,11 +154,7 @@ class CubicalComplex:
     def blocks(self, p: int):
         """``(axes, rows)`` per axes combination in cell order: the p-cells
         spanning ``axes`` are the contiguous rows ``rows``."""
-        start = 0
-        for axes in itertools.combinations(range(self.n), p):
-            stop = start + int(np.count_nonzero(self.ids[axes] >= 0))
-            yield axes, slice(start, stop)
-            start = stop
+        return self._rows[p]
 
     @cached_property
     def dual_volumes(self) -> np.ndarray:
@@ -164,10 +163,14 @@ class CubicalComplex:
 
     def barycenters(self, p: int) -> np.ndarray:
         """Barycenters of the p-cells, ``(num_cells(p), n)``, in cell order."""
-        lo = np.array([lo for lo, _ in self.dom.box])
-        s = np.array(self.dom.spacings)
-        return lo + self.anchors[p] * s + np.where(self.spanned[p], 0.5 * s,
-                                                   0.0)
+        anchors, bary = self.anchors[p], np.empty(self.anchors[p].shape)
+        for axes, rows in self.blocks(p):
+            for i, ((lo, _), s) in enumerate(zip(self.dom.box,
+                                                 self.dom.spacings)):
+                bary[rows, i] = anchors[rows, i] * s + lo
+                if i in axes:
+                    bary[rows, i] += 0.5 * s
+        return bary
 
 
 def build_complex(dom: GridDomain) -> CubicalComplex:
@@ -178,9 +181,10 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     ``r`` is evaluated once over the vertex grid and once per
     axes-combination over the barycenters whose facets all entered.  Cells
     are ordered by axes combination (``itertools.combinations`` order), then
-    by anchor in C order.  The coboundary columns of the cells spanning
-    ``axes`` are looked up in the facet id grids shifted along each axis,
-    one ``(cells, 2 len(axes))`` array per block, with one sign row tiled.
+    by anchor in C order.  Each block's ids, anchors, coboundary columns
+    (the facet id grids shifted along each axis) and signs are written once,
+    through its presence mask, into one array per degree; the block row
+    ranges are kept for :meth:`CubicalComplex.blocks`.
     Ids and CSR arrays are int32 (``ValueError`` if a degree outgrows it).
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
@@ -189,52 +193,56 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
              for (lo, _), m, s in zip(dom.box, counts, dom.spacings)]
     mids = [x[:-1] + 0.5 * s for x, s in zip(nodes, dom.spacings)]
     small = np.min_scalar_type(max(counts))
-    ids, anchors, spanned, cob = {}, [], [], []
+    ids, anchors, spanned, cob, rows = {}, [], [], [], []
     for p in range(n + 1):
-        found_p, spanned_p, cols, data = [], [], [], []
-        start = 0
+        blocks, start = [], 0
         # facet rK = axes less a enters d with the sign of inserting a into
         # it; a descending, back before front: each row's columns ascend
-        pos, sgn = _insertion_table(n, p) if p else (np.zeros((n, 0)), None)
+        pos, sgn = _insertion_table(n, p) if p else (None, None)
         for rS, axes in enumerate(itertools.combinations(range(n), p)):
             shape = [m if i in axes else m + 1 for i, m in enumerate(counts)]
             ok = np.ones(shape, dtype=bool)
             faces, signs = [], []
-            for a, rK in np.argwhere(pos == rS)[::-1]:
+            for a in reversed(axes):
+                rK = pos[a].tolist().index(rS)
                 facet = ids[tuple(b for b in axes if b != a)]
                 back = facet[(slice(None),) * a + (slice(None, -1),)]
                 front = facet[(slice(None),) * a + (slice(1, None),)]
                 ok &= (back >= 0) & (front >= 0)
                 faces += [back, front]
                 signs += [-sgn[a, rK], sgn[a, rK]]
-            found = np.argwhere(ok)
+            found = np.argwhere(ok).astype(small)
             if dom.r is not None:
                 bary = np.stack(
                     [(mids if i in axes else nodes)[i][found[:, i]]
                      for i in range(n)], axis=1)
-                found = found[field_jets(dom.r, bary, order=0) < 0.0]
-            at = tuple(found.T)
+                keep = field_jets(dom.r, bary, order=0) < 0.0
+                found, ok[ok] = found[keep], keep
             stop = start + len(found)
             if max(1, 2 * p) * stop > np.iinfo(np.int32).max:
                 raise ValueError(
                     f"the complex has {stop:,} {p}-cells or more: their ids "
                     "and coboundary entries must fit in int32")
             ids[axes] = np.full(shape, -1, dtype=np.int32)
-            ids[axes][at] = np.arange(start, stop)
+            ids[axes][ok] = np.arange(start, stop, dtype=np.int32)
+            blocks.append((axes, slice(start, stop), ok, found, faces, signs))
             start = stop
-            found_p.append(found.astype(small))
-            spanned_p.append(np.broadcast_to(np.isin(np.arange(n), axes),
-                                             found.shape))
-            if p:
-                cols.append(np.stack([f[at] for f in faces], axis=1))
-                data.append(np.tile(np.array(signs, np.int64), len(found)))
         if start == 0 and p == 0:
             raise EmptyDomain("no grid vertex satisfies r < 0")
-        anchors.append(np.concatenate(found_p))
-        spanned.append(np.concatenate(spanned_p))
+        anchors.append(np.empty((start, n), dtype=small))
+        spanned.append(np.zeros((start, n), dtype=bool))
+        cols = np.empty((start, 2 * p), dtype=np.int32)
+        data = np.empty((start, 2 * p), dtype=np.int64)
+        for axes, at, ok, found, faces, signs in blocks:
+            anchors[p][at] = found
+            spanned[p][at, list(axes)] = True
+            for j, (face, sign) in enumerate(zip(faces, signs)):
+                cols[at, j] = face[ok]
+                data[at, j] = sign
+        rows.append(tuple(b[:2] for b in blocks))
         if p:
             cob.append(sp.csr_matrix(
-                (np.concatenate(data), np.concatenate(cols).ravel(),
+                (data.ravel(), cols.ravel(),
                  np.arange(0, 2 * p * start + 1, 2 * p, dtype=np.int32)),
                 shape=(start, len(anchors[p - 1]))))
 
@@ -242,7 +250,8 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
         prod = cob[p + 1] @ cob[p]
         if prod.nnz and np.any(prod.data != 0):
             raise AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
-    return CubicalComplex(dom, tuple(anchors), tuple(spanned), ids, tuple(cob))
+    return CubicalComplex(dom, tuple(anchors), tuple(spanned), ids,
+                          tuple(cob), tuple(rows))
 
 
 def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
@@ -297,12 +306,16 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     """
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
-    anchors, spanned = cx.anchors[p], cx.spanned[p]
+    anchors = cx.anchors[p]
     factor = np.ones(len(anchors))
-    for a, (s, m) in enumerate(zip(cx.dom.spacings, cx.dom.counts)):
-        inner = (0 < anchors[:, a]) & (anchors[:, a] < m)
-        factor = np.where(spanned[:, a], factor / s,
-                          factor * np.where(inner, s, 0.5 * s))
+    for axes, rows in cx.blocks(p):
+        f = factor[rows]
+        for a, (s, m) in enumerate(zip(cx.dom.spacings, cx.dom.counts)):
+            if a in axes:
+                f /= s
+            else:
+                f *= s
+                f[(anchors[rows, a] == 0) | (anchors[rows, a] == m)] *= 0.5
     bary = cx.barycenters(p)
     with np.errstate(over="ignore"):
         diag = np.exp(-field_jets(phi, bary, order=0)) * factor

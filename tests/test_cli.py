@@ -199,6 +199,27 @@ def test_bump_is_a_batched_field():
         bump.jets(X, 2)
 
 
+def test_bump_walked_on_its_support_keeps_every_bit():
+    # the whole-array formula, walked on every row: off the open box
+    # (lo, hi)ⁿ it gives 0, and NaN on any row with a NaN coordinate
+    lo, hi = 0.3, 0.7
+    bump = cli._field(f"bump({lo}, {hi})", cli._Context(n=3), "field")
+    rng = np.random.default_rng(23)
+    X = rng.uniform(0.1, 0.9, (4000, 3))
+    edge = rng.random(X.shape) < 0.1
+    X[edge] = rng.choice([lo, hi, np.nextafter(lo, 1), np.nextafter(hi, 0),
+                          np.inf, -np.inf, np.nan], np.count_nonzero(edge))
+    X[:4] = [[np.nan, 0.5, 0.5], [np.nan, 0.9, 0.5], [lo, 0.5, 0.5],
+             [0.5, 0.5, 0.5]]
+    w = (hi - lo) / 2.0
+    want = np.prod((np.maximum(0.0, (X - lo) * (hi - X)) / w ** 2) ** 4,
+                   axis=1)
+    got = bump.jets(X, 0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.isnan(got[:2]).all() and got[2] == 0.0 and got[3] == 1.0
+    assert 0 < np.count_nonzero(got > 0) < np.count_nonzero(got == 0)
+
+
 # ---------------------------------------------------------------------------
 # config validation -> exit 2
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cubical complex layer: exact coboundaries, weighted masses and adjoints,
 form sampling, and the node-level energy identity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -231,6 +232,80 @@ class TestBuildComplex:
         assert cx.euler_characteristic == 1
         assert cx.num_cells(0) == (a + 1) * (b + 1)
         assert cx.num_cells(2) == a * b
+
+    @pytest.mark.parametrize("name", ["box-32x32x32", "solid-torus"])
+    def test_build_splits_no_anchors_into_index_tuples(self, name,
+                                                       monkeypatch):
+        # each block's cells are found by one argwhere, for its anchors;
+        # ids, columns and signs go through the block's presence mask
+        argwhere, calls = np.argwhere, []
+
+        class Anchors(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("anchors split into an index tuple")
+
+        def traced(a):
+            calls.append(np.shape(a))
+            return argwhere(a).view(Anchors)
+
+        def no_nonzero(a):
+            raise AssertionError("np.nonzero called in build_complex")
+
+        dom = LAYOUT_DOMAINS[name]()
+        monkeypatch.setattr(np, "argwhere", traced)
+        monkeypatch.setattr(np, "nonzero", no_nonzero)
+        cx = D.build_complex(dom)
+        monkeypatch.undo()
+        assert calls == [cx.ids[axes].shape for p in range(cx.n + 1)
+                         for axes, _ in cx.blocks(p)]
+        assert len(calls) == 2 ** cx.n
+        assert all(type(a) is np.ndarray for a in cx.anchors)
+
+
+def _old_factor(cx, p):
+    """The geometric factor of ``mass`` over all rows at once, axis by axis:
+    the reference its per-block writes must match bit for bit."""
+    anchors, spanned = cx.anchors[p], cx.spanned[p]
+    factor = np.ones(len(anchors))
+    for a, (s, m) in enumerate(zip(cx.dom.spacings, cx.dom.counts)):
+        inner = (0 < anchors[:, a]) & (anchors[:, a] < m)
+        factor = np.where(spanned[:, a], factor / s,
+                          factor * np.where(inner, s, 0.5 * s))
+    return factor
+
+
+def _old_barycenters(cx, p):
+    lo = np.array([lo for lo, _ in cx.dom.box])
+    s = np.array(cx.dom.spacings)
+    return lo + cx.anchors[p] * s + np.where(cx.spanned[p], 0.5 * s, 0.0)
+
+
+GEOMETRY_DOMAINS = dict(
+    LAYOUT_DOMAINS,
+    anisotropic=lambda: D.GridDomain(((0.0, 1.0), (0.0, 0.7), (0.1, 0.33)),
+                                     1 / 27))
+
+
+class TestBlockGeometry:
+
+    @pytest.mark.parametrize("name", GEOMETRY_DOMAINS)
+    def test_blocks_masses_and_barycenters_keep_every_bit(self, name):
+        cx = D.build_complex(GEOMETRY_DOMAINS[name]())
+        for p in range(cx.n + 1):
+            start = 0
+            blocks = list(cx.blocks(p))
+            assert [axes for axes, _ in blocks] == list(
+                itertools.combinations(range(cx.n), p))
+            for axes, rows in blocks:
+                count = int(np.count_nonzero(cx.ids[axes] >= 0))
+                assert rows == slice(start, start + count)
+                start = rows.stop
+            assert start == cx.num_cells(p)
+            for got, want in ((D.mass(cx, 0.0, p).diag, _old_factor(cx, p)),
+                              (cx.barycenters(p), _old_barycenters(cx, p))):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
 
 
 # ---------------------------------------------------------------------------
