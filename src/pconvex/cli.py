@@ -50,8 +50,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import convexity, discrete, exterior, solver, weights
-from .errors import (ConfigError, DomainError, EmptyDomain, NoConvergence,
-                     ParseError)
+from .errors import ConfigError, DomainError, EmptyDomain, NoConvergence
 from .fieldexpr import BatchedField, compose_df, parse
 
 __all__ = ["ExperimentConfig", "load_config", "run", "list_builtins", "main"]
@@ -197,8 +196,8 @@ class _Bump(BatchedField):
 
 def _bi_bump(ctx: "_Context", b):
     lo, hi = _number(b["lo"]), _number(b["hi"])
-    if hi <= lo:
-        raise ConfigError(f"bump: need lo < hi, got {lo} >= {hi}")
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"bump: need finite lo < hi, got {lo}, {hi}")
     return _Bump(lo, hi)
 
 
@@ -341,10 +340,10 @@ class ExperimentConfig:
 
 
 def _checked(where: str, parser: Callable, text: str, ctx: _Context):
-    """``parser(text, ctx)``, with any parse error prefixed by ``where``."""
+    """``parser(text, ctx)``, with any ``ValueError`` prefixed by ``where``."""
     try:
         return parser(text.strip(), ctx)
-    except (ConfigError, ParseError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -748,8 +747,9 @@ _KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
     "alpha": ("task", lambda text, ctx: _number(text)),
     "min_depth": ("task", lambda text, ctx: _number(text)),
     "ratio_min": ("task", lambda text, ctx: _number(text)),
-    "k_grid": ("task", _valid(_numbers, lambda v, ctx: min(v) > 0,
-                              "values must be > 0")),
+    "k_grid": ("task", _valid(_numbers,
+                              lambda v, ctx: all(0 < x < math.inf for x in v),
+                              "values must be finite and > 0")),
     "eta_grid": ("task", _valid(_numbers,
                                 lambda v, ctx: all(0 < x < 1 for x in v),
                                 "values must lie in (0, 1)")),

@@ -12,14 +12,15 @@ Two layers deliberately coexist:
 
 A cell is an integer vertex multi-index, its anchor, together with the
 strictly increasing tuple ``axes`` of axis numbers (0-based) along which it
-extends.  The complex stores them as arrays: per degree the anchors and
-spanned-axis masks, one row per cell, and per axes combination an id grid
-holding each present cell's row.  Rows are ordered by axes combination in
-``itertools.combinations`` order, then by anchor in C order, so the cells
-spanning one combination are one contiguous block.  A cell enters the
-complex iff its barycenter lies in the domain and all of its facets
-entered — so closure holds by construction and every row of ``d_p`` finds
-its 2(p+1) columns, written in the CSR order :func:`coboundary` states.
+extends.  The complex stores per degree the anchors, one row per cell, and
+per axes combination an id grid holding each present cell's row at its
+position: cells are found by position through these grids alone.  Rows
+are ordered by axes combination in ``itertools.combinations`` order, then
+by anchor in C order, so the cells spanning one combination are one
+contiguous block.  A cell enters the complex iff its barycenter lies in
+the domain and all of its facets entered — so closure holds by
+construction and every row of ``d_p`` finds its 2(p+1) columns, written
+in the CSR order :func:`coboundary` states.
 """
 
 from __future__ import annotations
@@ -124,18 +125,16 @@ class GridDomain:
 class CubicalComplex:
     """Cells and verified coboundaries of a gridded domain, as arrays.
 
-    ``anchors[p]`` and ``spanned[p]`` are the ``(num_cells(p), n)`` anchors
-    and spanned-axis masks of the p-cells, in cell order.  ``ids[axes]`` is
-    an int32 grid over the anchors of the cells spanning ``axes``: the
-    cell's row where it is present and -1 where it is not.  ``rows[p]``
-    holds the ``(axes, rows)`` blocks of the p-cells, from the build.
+    ``anchors[p]`` is the ``(num_cells(p), n)`` array of the p-cells'
+    anchors, in cell order.  ``ids[axes]`` is an int32 grid over the
+    anchors of the cells spanning ``axes``: the cell's row where it is
+    present and -1 where it is not.  ``rows[p]`` holds the
+    ``(axes, rows)`` blocks of the p-cells, from the build.
     """
 
-    def __init__(self, dom: GridDomain, anchors, spanned, ids, coboundaries,
-                 rows):
+    def __init__(self, dom: GridDomain, anchors, ids, coboundaries, rows):
         self.dom = dom
         self.anchors: Tuple[np.ndarray, ...] = anchors
-        self.spanned: Tuple[np.ndarray, ...] = spanned
         self.ids = ids
         self._cob = coboundaries
         self._rows = rows
@@ -193,7 +192,7 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
              for (lo, _), m, s in zip(dom.box, counts, dom.spacings)]
     mids = [x[:-1] + 0.5 * s for x, s in zip(nodes, dom.spacings)]
     small = np.min_scalar_type(max(counts))
-    ids, anchors, spanned, cob, rows = {}, [], [], [], []
+    ids, anchors, cob, rows = {}, [], [], []
     for p in range(n + 1):
         blocks, start = [], 0
         # facet rK = axes less a enters d with the sign of inserting a into
@@ -230,12 +229,10 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
         if start == 0 and p == 0:
             raise EmptyDomain("no grid vertex satisfies r < 0")
         anchors.append(np.empty((start, n), dtype=small))
-        spanned.append(np.zeros((start, n), dtype=bool))
         cols = np.empty((start, 2 * p), dtype=np.int32)
         data = np.empty((start, 2 * p), dtype=np.int64)
         for axes, at, ok, found, faces, signs in blocks:
             anchors[p][at] = found
-            spanned[p][at, list(axes)] = True
             for j, (face, sign) in enumerate(zip(faces, signs)):
                 cols[at, j] = face[ok]
                 data[at, j] = sign
@@ -250,8 +247,7 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
         prod = cob[p + 1] @ cob[p]
         if prod.nnz and np.any(prod.data != 0):
             raise AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
-    return CubicalComplex(dom, tuple(anchors), tuple(spanned), ids,
-                          tuple(cob), tuple(rows))
+    return CubicalComplex(dom, tuple(anchors), ids, tuple(cob), tuple(rows))
 
 
 def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:

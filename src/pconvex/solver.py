@@ -361,28 +361,29 @@ def _node_components(cx: CubicalComplex, f: Cochain) -> np.ndarray:
     """Per-node component vectors of a p-cochain, lex-ordered.
 
     A p-cell's coefficient (cochain value over the spanned volume) is
-    averaged onto its 2^p corner nodes; staggered averaging is O(h²)
-    accurate, and nodes are the only locations where every component of
-    the form is available simultaneously.
+    averaged onto its 2^p corner nodes by shifts of its id grid; staggered
+    averaging is O(h²) accurate, and nodes are the only locations where
+    every component of the form is available simultaneously.
     """
-    p = f.p
-    G = np.zeros((cx.num_cells(0), math.comb(cx.n, p)))
-    hits = np.zeros_like(G)
+    p, nodes = f.p, cx.ids[()] >= 0
+    G = np.zeros((math.comb(cx.n, p),) + nodes.shape)
+    hits = np.zeros(G.shape, dtype=np.int32)
     # corners from (1, …, 1) down to (0, …, 0): each node then adds its
     # cells by increasing row, the order of a per-cell loop
     corners = list(np.ndindex((2,) * p))[::-1]
     for k, (axes, rows) in enumerate(cx.blocks(p)):
-        anchors = cx.anchors[p][rows]
-        coeff = f.values[rows] / math.prod(cx.dom.spacings[a] for a in axes)
+        ok = cx.ids[axes] >= 0
+        coeff = np.zeros(ok.shape)
+        coeff[ok] = f.values[rows] / math.prod(cx.dom.spacings[a]
+                                               for a in axes)
         for pick in corners:
-            offset = np.zeros(cx.n, dtype=np.intp)
-            offset[list(axes)] = pick
-            # int32 ids, cast once here rather than by each add.at
-            node = cx.ids[()][tuple((anchors + offset).T)].astype(np.intp)
-            np.add.at(G[:, k], node, coeff)
-            np.add.at(hits[:, k], node, 1.0)
+            at = [slice(None)] * cx.n
+            for a, b in zip(axes, pick):
+                at[a] = slice(1, None) if b else slice(None, -1)
+            G[(k, *at)] += coeff
+            hits[(k, *at)] += ok
     np.divide(G, hits, out=G, where=hits > 0)
-    return G
+    return G.reshape(len(G), -1).compress(nodes.ravel(), axis=1).T
 
 
 def _node_quadrature(cx: CubicalComplex, g: Cochain, theta, weight,
@@ -774,10 +775,11 @@ def cohomology_rank(cx: CubicalComplex,
     raises :class:`~pconvex.errors.DomainError` naming the cell where it
     is not).
 
-    The count puts cell ``(anchor, spanned)`` at voxel
-    ``2·anchor + spanned + 1`` of the doubled grid, padded with one free
-    voxel per side; face-adjacent voxels there are exactly cell/facet
-    pairs, and face connectivity is ``scipy.ndimage.label``'s default.
+    The count lays the id grid of each axes combination on the doubled
+    grid, padded with one free voxel per side, as its sub-grid of step 2
+    from voxel 2 along the spanned axes and from voxel 1 across the
+    others; face-adjacent voxels there are exactly cell/facet pairs, and
+    face connectivity is ``scipy.ndimage.label``'s default.
     ``b_0`` is the number of labels of the occupied voxels, ``b_{n−1}``
     that of the free voxels less the unbounded one (Alexander duality),
     and ``b_n = 0``.  In 3-D ``b_1`` follows from the Euler
@@ -791,8 +793,9 @@ def cohomology_rank(cx: CubicalComplex,
         for q in range(n + 1):
             mass(cx, w, q)
     free = np.ones([2 * m + 3 for m in cx.dom.counts], dtype=bool)
-    for anchors, spanned in zip(cx.anchors, cx.spanned):
-        free[tuple((2 * anchors.astype(np.intp) + spanned + 1).T)] = False
+    for axes, ids in cx.ids.items():
+        free[tuple(slice(2, -2, 2) if i in axes else slice(1, -1, 2)
+                   for i in range(n))] = ids < 0
     components = ndimage.label(~free)[1]
     voids = ndimage.label(free)[1] - 1
     euler = cx.euler_characteristic

@@ -428,9 +428,9 @@ def df_search(r, phi, interior_samples, p: int,
     eta_grid = [float(e) for e in eta_grid]
     if not K_grid or not eta_grid:
         raise ValueError("grids must be non-empty")
-    if min(K_grid) <= 0:
-        raise ValueError("stiffness values must be positive")
-    if min(eta_grid) <= 0 or max(eta_grid) >= 1:
+    if not all(0 < k < math.inf for k in K_grid):
+        raise ValueError("stiffness values must be finite and positive")
+    if not all(0 < e < 1 for e in eta_grid):
         raise ValueError("exponent values must lie in (0, 1)")
 
     report = field_p_psh_report(phi, samples, p)
@@ -532,11 +532,11 @@ def stiffness_floor(r, phi, samples, p: int,
             "need samples on both sides of the collar split; "
             "sample more densely or adjust collar_fraction")
 
-    sigma = float(min_p_trace(phi_h, p).min())
-    if sigma <= 0:
-        raise PreconditionError(
-            f"weight field is not strictly p-psh on the samples "
-            f"(modulus {sigma:.3e})")
+    traces = min_p_trace(phi_h, p)
+    raise_first(PreconditionError, traces <= 0, samples, lambda i: (
+        f"weight field is not strictly p-psh (minimal p-trace "
+        f"{traces[i]:.3e})"))
+    sigma = float(traces.min())
     phi_grad_sq = float(np.einsum("mi,mi->m", phi_g, phi_g).max())
 
     r_grad = np.broadcast_to(np.linalg.norm(r_g, axis=1), depth.shape)

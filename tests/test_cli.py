@@ -359,6 +359,38 @@ p = 2
         self.check(tmp_path, HORMANDER_CFG.replace(old, new))
         assert where in capsys.readouterr().err
 
+    # each used to print a traceback and exit 1 (the builtin raised a
+    # plain ValueError), run vacuously on a zero potential, run LSMR on NaN
+    # data to its budget, drop a NaN pair or write "K": Infinity
+    @pytest.mark.parametrize("cfg, old, new, where", [
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "df(K=0.5, eta=0)",
+         "[weights] phi: eta must lie in (0, 1]"),
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "df(K=-1, eta=0.5)",
+         "[weights] phi: K must be positive"),
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "cor42(p=0, D=1)",
+         "[weights] phi: p must be >= 1"),
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "cor42(p=1, D=0)",
+         "[weights] phi: diameter must be positive"),
+        ("hormander_ladder", "bump(0.25, 0.75)", "bump(nan, 0.75)",
+         "[task] potential: bump: need finite lo < hi"),
+        ("hormander_ladder", "bump(0.25, 0.75)", "bump(0.25, inf)",
+         "[task] potential: bump: need finite lo < hi"),
+        ("hormander_ladder", "bump(0.25, 0.75)", "bump(-inf, 0.75)",
+         "[task] potential: bump: need finite lo < hi"),
+        ("df_search_disk", "k_grid = 0.25, 0.5, 1, 2, 4", "k_grid = 0.5, nan",
+         "[task] k_grid: values must be finite and > 0"),
+        ("df_search_disk", "k_grid = 0.25, 0.5, 1, 2, 4", "k_grid = inf",
+         "[task] k_grid: values must be finite and > 0"),
+    ], ids=["df-eta-0", "df-K-negative", "cor42-p-0", "cor42-D-0",
+            "bump-nan", "bump-inf", "bump-minus-inf", "k_grid-nan",
+            "k_grid-inf"])
+    def test_shipped_config_value_out_of_range(self, tmp_path, capsys, cfg,
+                                               old, new, where):
+        text = (REPO_CONFIGS / f"{cfg}.ini").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        self.check(tmp_path, text.replace(old, new))
+        assert f"config error: {where}" in capsys.readouterr().err
+
     def test_ladder_must_decrease(self, tmp_path):
         self.check(tmp_path, KMH_CFG.replace("1/8, 1/16, 1/32",
                                              "1/8, 1/8, 1/32"))

@@ -3,6 +3,7 @@ form sampling, and the node-level energy identity."""
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.integrate import quad
 
 from pconvex import discrete as D
 from pconvex import fieldexpr as FE
+from pconvex import solver as S
 from pconvex.errors import DomainError, EmptyDomain, SupportError
 from pconvex.fieldexpr import parse
 from pconvex.solver import _node_components
@@ -45,6 +47,15 @@ LAYOUT_DOMAINS = {
         r=parse(f"(x1^2+x2^2+x3^2+{_R ** 2 - _A ** 2})^2"
                 f"-{4 * _R ** 2}*(x1^2+x2^2)", n=3)),
 }
+
+
+def spanned_mask(cx, p):
+    """The ``(num_cells(p), n)`` spanned-axis masks of the p-cells, in cell
+    order, from the complex's blocks."""
+    mask = np.zeros((cx.num_cells(p), cx.n), dtype=bool)
+    for axes, rows in cx.blocks(p):
+        mask[rows, list(axes)] = True
+    return mask
 
 
 def harmonic_dimension(cx, phi, p):
@@ -168,7 +179,7 @@ class TestBuildComplex:
                         facet = cx.ids[sub][tuple(corner.T)]
                         assert (facet >= 0).all()
                         assert (cx.anchors[p - 1][facet] == corner).all()
-                        assert (cx.spanned[p - 1][facet]
+                        assert (spanned_mask(cx, p - 1)[facet]
                                 == np.isin(np.arange(cx.n), sub)).all()
 
     def test_included_barycenters_satisfy_r(self):
@@ -179,7 +190,6 @@ class TestBuildComplex:
             bary = cx.barycenters(p)
             for axes, rows in cx.blocks(p):
                 spanned = np.isin(np.arange(cx.n), axes)
-                assert (cx.spanned[p][rows] == spanned).all()
                 assert np.allclose(bary[rows],
                                    lo + (cx.anchors[p][rows] + 0.5 * spanned)
                                    * s, rtol=0, atol=1e-14)
@@ -203,7 +213,7 @@ class TestBuildComplex:
         rng = np.random.default_rng(seed)
         for p in range(n + 1):
             assert cx.anchors[p].tolist() == [list(a) for a, _ in cells[p]]
-            assert cx.spanned[p].tolist() == [
+            assert spanned_mask(cx, p).tolist() == [
                 [i in axes for i in range(n)] for _, axes in cells[p]]
             for axes, rows in cx.blocks(p):
                 grid = cx.ids[axes]
@@ -265,7 +275,7 @@ class TestBuildComplex:
 def _old_factor(cx, p):
     """The geometric factor of ``mass`` over all rows at once, axis by axis:
     the reference its per-block writes must match bit for bit."""
-    anchors, spanned = cx.anchors[p], cx.spanned[p]
+    anchors, spanned = cx.anchors[p], spanned_mask(cx, p)
     factor = np.ones(len(anchors))
     for a, (s, m) in enumerate(zip(cx.dom.spacings, cx.dom.counts)):
         inner = (0 < anchors[:, a]) & (anchors[:, a] < m)
@@ -277,7 +287,8 @@ def _old_factor(cx, p):
 def _old_barycenters(cx, p):
     lo = np.array([lo for lo, _ in cx.dom.box])
     s = np.array(cx.dom.spacings)
-    return lo + cx.anchors[p] * s + np.where(cx.spanned[p], 0.5 * s, 0.0)
+    return lo + cx.anchors[p] * s + np.where(spanned_mask(cx, p), 0.5 * s,
+                                             0.0)
 
 
 GEOMETRY_DOMAINS = dict(
@@ -306,6 +317,71 @@ class TestBlockGeometry:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64))
+
+
+def _old_node_components(cx, f):
+    """Node averaging through the anchors and ``np.add.at``: the reference
+    the id-grid shifts of ``_node_components`` must match bit for bit."""
+    p = f.p
+    G = np.zeros((cx.num_cells(0), math.comb(cx.n, p)))
+    hits = np.zeros_like(G)
+    for k, (axes, rows) in enumerate(cx.blocks(p)):
+        anchors = cx.anchors[p][rows]
+        coeff = f.values[rows] / math.prod(cx.dom.spacings[a] for a in axes)
+        for pick in list(np.ndindex((2,) * p))[::-1]:
+            offset = np.zeros(cx.n, dtype=np.intp)
+            offset[list(axes)] = pick
+            node = cx.ids[()][tuple((anchors + offset).T)].astype(np.intp)
+            np.add.at(G[:, k], node, coeff)
+            np.add.at(hits[:, k], node, 1.0)
+    np.divide(G, hits, out=G, where=hits > 0)
+    return G
+
+
+def _old_voxels(cx):
+    """The free voxels of ``cohomology_rank``'s doubled grid, each cell
+    scattered to voxel ``2·anchor + spanned + 1``."""
+    free = np.ones([2 * m + 3 for m in cx.dom.counts], dtype=bool)
+    for p, anchors in enumerate(cx.anchors):
+        free[tuple((2 * anchors.astype(np.intp) + spanned_mask(cx, p)
+                    + 1).T)] = False
+    return free
+
+
+class TestIdGridReads:
+
+    @pytest.mark.parametrize("name", GEOMETRY_DOMAINS)
+    def test_node_components_keep_every_bit(self, name):
+        cx = D.build_complex(GEOMETRY_DOMAINS[name]())
+        rng = np.random.default_rng(25)
+        for p in range(cx.n + 1):
+            # values over 16 decades, some zero and some -0.0: the sums'
+            # rounding depends on the order each node adds its cells
+            values = (rng.standard_normal(cx.num_cells(p))
+                      * 10.0 ** rng.integers(-8, 8, cx.num_cells(p)))
+            values[rng.random(len(values)) < 0.05] = 0.0
+            values[rng.random(len(values)) < 0.05] = -0.0
+            f = D.Cochain(p, values)
+            got, want = _node_components(cx, f), _old_node_components(cx, f)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("name", [k for k in GEOMETRY_DOMAINS
+                                      if k != "box-6x6x6x6"])
+    def test_voxel_grid_keeps_every_voxel(self, name, monkeypatch):
+        cx = D.build_complex(GEOMETRY_DOMAINS[name]())
+        seen = []
+
+        def label(a):
+            seen.append(a.copy())
+            return ndi.label(a)
+
+        monkeypatch.setattr(S, "ndimage", types.SimpleNamespace(label=label))
+        S.cohomology_rank(cx)
+        free = _old_voxels(cx)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], ~free)
+        assert np.array_equal(seen[1], free)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +427,7 @@ class TestCoboundary:
         d0 = D.coboundary(cx, 0)
         assert (d0.data.reshape(-1, 2) == [-1, 1]).all()
         lower, higher = cx.anchors[0].astype(int)[d0.indices.reshape(-1, 2).T]
-        assert (higher - lower == cx.spanned[1]).all()
+        assert (higher - lower == spanned_mask(cx, 1)).all()
 
     def test_degree_bounds(self):
         cx = box_complex()

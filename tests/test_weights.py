@@ -637,6 +637,21 @@ class TestDFSearch:
         with pytest.raises(ValueError):
             W.df_search(DISK, PHI2, samples, 0, [1.0], [0.2])
 
+    # a NaN stiffness used to be dropped from the search, an infinite one
+    # scored NaN, and a NaN exponent passed the range check
+    @pytest.mark.parametrize("K_grid, eta_grid, match", [
+        ([0.5, math.nan], [0.2], "stiffness values must be finite and "
+         "positive"),
+        ([math.inf], [0.2], "stiffness values must be finite and positive"),
+        ([-math.inf, 1.0], [0.2], "stiffness values must be finite and "
+         "positive"),
+        ([1.0], [0.2, math.nan], r"exponent values must lie in \(0, 1\)"),
+    ], ids=["K-nan", "K-inf", "K-minus-inf", "eta-nan"])
+    def test_non_finite_grid_value_rejected(self, K_grid, eta_grid, match):
+        with pytest.raises(ValueError, match=match):
+            W.df_search(DISK, PHI2, disk_samples(per_axis=9), 1, K_grid,
+                        eta_grid)
+
 
 # ---------------------------------------------------------------------------
 # sufficient stiffness scales
@@ -691,6 +706,17 @@ class TestStiffnessFloor:
             W.stiffness_floor(DISK, PHI2, samples, 1)
         assert str(exc.value) == ("all samples must lie strictly inside, but "
                                   "r = 0.000e+00 at x = [1.0, 0.0]")
+
+    def test_non_psh_weight_names_the_first_sample(self):
+        # D²phi = diag(6·x1, 2): the p-trace is -1.5 at row 2 and -3 at
+        # row 3; the first, not the worst, is named
+        samples = np.array([[0.5, 0.0], [0.99, 0.0], [-0.25, 0.0],
+                            [-0.5, 0.0]])
+        with pytest.raises(PreconditionError) as exc:
+            W.stiffness_floor(DISK, parse("x1^3+x2^2", n=2), samples, 1)
+        assert str(exc.value) == ("weight field is not strictly p-psh "
+                                  "(minimal p-trace -1.500e+00) at "
+                                  "x = [-0.25, 0.0]")
 
     def test_collar_critical_point_is_named(self):
         # r = -1/16 - (15/16)(1 - x1^2)^2 is critical at x1 = 0 (deep, not in
