@@ -22,7 +22,8 @@ The package is organized in layers:
 * :mod:`pconvex.cli` — batch front-end over INI configs (``pconvex run``,
   ``pconvex list-builtins``).
 
-scipy is loaded only where a complex is built (bounds, solve, cohomology).
+scipy is loaded only where a complex is built (bounds, solve, cohomology),
+and a degree-1 bound or solve on a box loads none of it.
 """
 
 from .convexity import (boundary_p_convexity, curvature_bounds_check,

@@ -213,15 +213,23 @@ def _bi_df(ctx: "_Context", b):
     return compose_df(ctx.r, quad, _number(b["K"]), _number(b["eta"]))
 
 
+def _finite(name: str, b, *keys) -> List[float]:
+    """Builtin ``name``'s parameters ``keys``, each a finite number."""
+    for key in keys:
+        if not math.isfinite(_number(b[key])):
+            raise ConfigError(f"{name}: {key} must be finite, got {b[key]}")
+    return [_number(b[key]) for key in keys]
+
+
 def _bi_disk(ctx: "_Context", b):
-    radius = _number(b["radius"])
+    radius, = _finite("disk", b, "radius")
     if radius <= 0:
         raise ConfigError("disk: radius must be positive")
     return f"{_quadratic_expr(b['center'])}+({-radius * radius})"
 
 
 def _bi_annulus(ctx: "_Context", b):
-    ri, ro = _number(b["inner"]), _number(b["outer"])
+    ri, ro = _finite("annulus", b, "inner", "outer")
     if not 0 < ri < ro:
         raise ConfigError("annulus: need 0 < inner < outer")
     q = _quadratic_expr(b["center"])
@@ -229,7 +237,7 @@ def _bi_annulus(ctx: "_Context", b):
 
 
 def _bi_torus(ctx: "_Context", b):
-    ring, tube = _number(b["ring"]), _number(b["tube"])
+    ring, tube = _finite("torus", b, "ring", "tube")
     if not 0 < tube < ring:
         raise ConfigError("torus: need 0 < tube < ring")
     if ctx.n != 3:
@@ -302,6 +310,8 @@ def _call(text: str, ctx: "_Context", kinds: str):
         if b["center"].size != ctx.n:
             raise ConfigError(f"center has {b['center'].size} components, "
                               f"domain has {ctx.n}")
+        if not np.isfinite(b["center"]).all():
+            raise ConfigError(f"{name}: center must be finite")
     return builder(ctx, b)
 
 

@@ -2,8 +2,8 @@
 
 Two layers deliberately coexist:
 
-* the *cochain layer* — integer coboundary matrices with ``d∘d = 0`` exactly,
-  diagonal weighted mass matrices, and the weighted adjoint
+* the *cochain layer* — integer coboundaries with ``d∘d = 0`` exactly,
+  applied as gathers, diagonal weighted mass matrices, and the weighted adjoint
   ``M_{p-1}^{-1} dᵀ M_p``.  Everything here is exact linear algebra, which
   is what solving ``du = f`` and counting cohomology require.
 * the *node layer* — centered differences on node samples of smooth forms,
@@ -57,7 +57,7 @@ __all__ = [
 
 class _LazyModule:
     """The module ``name``, imported on first attribute access: tasks that
-    never build a complex then run on numpy alone."""
+    need no CSR matrix then run on numpy alone."""
 
     def __init__(self, name: str):
         self._name = name
@@ -129,14 +129,17 @@ class CubicalComplex:
     anchors, in cell order.  ``ids[axes]`` is an int32 grid over the
     anchors of the cells spanning ``axes``: the cell's row where it is
     present and -1 where it is not.  ``rows[p]`` holds the
-    ``(axes, rows)`` blocks of the p-cells, from the build.
+    ``(axes, rows)`` blocks of the p-cells, from the build.  ``d_p`` is the
+    int32 ``(num_cells(p+1), 2(p+1))`` columns ``cols[p]``, in the order
+    :func:`coboundary` states, and ``signs[p]``, per block and column.
     """
 
-    def __init__(self, dom: GridDomain, anchors, ids, coboundaries, rows):
+    def __init__(self, dom: GridDomain, anchors, ids, cols, signs, rows):
         self.dom = dom
         self.anchors: Tuple[np.ndarray, ...] = anchors
         self.ids = ids
-        self._cob = coboundaries
+        self._cols = cols
+        self._signs = signs
         self._rows = rows
 
     @property
@@ -180,11 +183,11 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     ``r`` is evaluated once over the vertex grid and once per
     axes-combination over the barycenters whose facets all entered.  Cells
     are ordered by axes combination (``itertools.combinations`` order), then
-    by anchor in C order.  Each block's ids, anchors, coboundary columns
-    (the facet id grids shifted along each axis) and signs are written once,
-    through its presence mask, into one array per degree; the block row
-    ranges are kept for :meth:`CubicalComplex.blocks`.
-    Ids and CSR arrays are int32 (``ValueError`` if a degree outgrows it).
+    by anchor in C order.  Each block's ids, anchors and coboundary columns
+    (the facet id grids shifted along each axis) are written once, through
+    its presence mask, into one array per degree, and its signs once; the
+    block row ranges are kept for :meth:`CubicalComplex.blocks`.  Ids and
+    columns are int32 (``ValueError`` if a degree outgrows it).
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
     n, counts = dom.n, dom.counts
@@ -192,7 +195,7 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
              for (lo, _), m, s in zip(dom.box, counts, dom.spacings)]
     mids = [x[:-1] + 0.5 * s for x, s in zip(nodes, dom.spacings)]
     small = np.min_scalar_type(max(counts))
-    ids, anchors, cob, rows = {}, [], [], []
+    ids, anchors, cols, signs, rows = {}, [], [], [], []
     for p in range(n + 1):
         blocks, start = [], 0
         # facet rK = axes less a enters d with the sign of inserting a into
@@ -201,7 +204,7 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
         for rS, axes in enumerate(itertools.combinations(range(n), p)):
             shape = [m if i in axes else m + 1 for i, m in enumerate(counts)]
             ok = np.ones(shape, dtype=bool)
-            faces, signs = [], []
+            faces, slots = [], []
             for a in reversed(axes):
                 rK = pos[a].tolist().index(rS)
                 facet = ids[tuple(b for b in axes if b != a)]
@@ -209,45 +212,72 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
                 front = facet[(slice(None),) * a + (slice(1, None),)]
                 ok &= (back >= 0) & (front >= 0)
                 faces += [back, front]
-                signs += [-sgn[a, rK], sgn[a, rK]]
-            found = np.argwhere(ok).astype(small)
+                slots += [-sgn[a, rK], sgn[a, rK]]
+            found = np.nonzero(ok)
             if dom.r is not None:
-                bary = np.stack(
-                    [(mids if i in axes else nodes)[i][found[:, i]]
-                     for i in range(n)], axis=1)
+                bary = np.stack([(mids if i in axes else nodes)[i][found[i]]
+                                 for i in range(n)], axis=1)
                 keep = field_jets(dom.r, bary, order=0) < 0.0
-                found, ok[ok] = found[keep], keep
-            stop = start + len(found)
+                found, ok[ok] = tuple(f[keep] for f in found), keep
+            stop = start + len(found[0])
             if max(1, 2 * p) * stop > np.iinfo(np.int32).max:
                 raise ValueError(
                     f"the complex has {stop:,} {p}-cells or more: their ids "
                     "and coboundary entries must fit in int32")
             ids[axes] = np.full(shape, -1, dtype=np.int32)
             ids[axes][ok] = np.arange(start, stop, dtype=np.int32)
-            blocks.append((axes, slice(start, stop), ok, found, faces, signs))
+            blocks.append((axes, slice(start, stop), ok, found, faces, slots))
             start = stop
         if start == 0 and p == 0:
             raise EmptyDomain("no grid vertex satisfies r < 0")
         anchors.append(np.empty((start, n), dtype=small))
-        cols = np.empty((start, 2 * p), dtype=np.int32)
-        data = np.empty((start, 2 * p), dtype=np.int64)
-        for axes, at, ok, found, faces, signs in blocks:
-            anchors[p][at] = found
-            for j, (face, sign) in enumerate(zip(faces, signs)):
-                cols[at, j] = face[ok]
-                data[at, j] = sign
-        rows.append(tuple(b[:2] for b in blocks))
         if p:
-            cob.append(sp.csr_matrix(
-                (data.ravel(), cols.ravel(),
-                 np.arange(0, 2 * p * start + 1, 2 * p, dtype=np.int32)),
-                shape=(start, len(anchors[p - 1]))))
+            cols.append(np.empty((start, 2 * p), dtype=np.int32))
+            signs.append(np.array([b[5] for b in blocks], dtype=np.int64))
+        for axes, at, ok, found, faces, _ in blocks:
+            for i, f in enumerate(found):
+                anchors[p][at, i] = f
+            for j, face in enumerate(faces):
+                cols[-1][at, j] = face[ok]
+        rows.append(tuple(b[:2] for b in blocks))
+    cx = CubicalComplex(dom, tuple(anchors), ids, tuple(cols), tuple(signs),
+                        tuple(rows))
+    _check_closed(cx)
+    return cx
 
-    for p in range(n - 1):
-        prod = cob[p + 1] @ cob[p]
-        if prod.nnz and np.any(prod.data != 0):
-            raise AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
-    return CubicalComplex(dom, tuple(anchors), ids, tuple(cob), tuple(rows))
+
+def _check_closed(cx: CubicalComplex) -> None:
+    """Raise ``AssertionError`` unless ``d_{p+1} d_p = 0`` exactly: in each
+    block of (p+2)-cells the (slot, sub-slot) entries of the first row pair
+    up by equal column, every row shows equal columns at each pair, each
+    slot's facets lie in one lower block, whose sign table then holds, and
+    the signs at each pair are opposite; so every entry of the product
+    cancels a distinct partner."""
+    for p in range(cx.n - 1):
+        hi, lo, lower = cx._cols[p + 1], cx._cols[p], cx.blocks(p + 1)
+        lo_cols = [np.ascontiguousarray(c) for c in lo.T]
+        stops = [r.stop for _, r in lower]
+        fail = AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
+        for (_, rows), s_hi in zip(cx.blocks(p + 2), cx._signs[p + 1]):
+            if rows.stop == rows.start:
+                continue
+            at = np.searchsorted(stops, hi[rows.start], side="right")
+            facets = [hi[rows, j].astype(np.intp) for j in range(len(at))]
+            if not all(b < len(stops) and lower[b][1].start <= f.min()
+                       and f.max() < stops[b]
+                       for f, b in zip(facets, at.tolist())):
+                raise fail
+            c0 = lo[hi[rows.start]].ravel()
+            pairs = np.argsort(c0).reshape(-1, 2)
+            c = c0[pairs]
+            sign = (s_hi[:, None] * cx._signs[p][at]).ravel()[pairs]
+            if np.any(c[:, 0] != c[:, 1]) or np.any(sign.sum(axis=1)):
+                raise fail
+            j, k = np.divmod(pairs, len(lo_cols))
+            for (j1, j2), (k1, k2) in zip(j.tolist(), k.tolist()):
+                if not np.array_equal(lo_cols[k1].take(facets[j1]),
+                                      lo_cols[k2].take(facets[j2])):
+                    raise fail
 
 
 def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
@@ -255,10 +285,31 @@ def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
     out as guaranteed: canonical CSR with 2(p+1) ascending columns per row,
     facet blocks in descending order of the removed axis and each back facet
     before its front one, so row e of ``d_0`` is -1, +1 at its lower and
-    higher node."""
+    higher node.  Built on each call, from the complex's columns and signs."""
     if not 0 <= p < cx.n:
         raise ValueError(f"degree must satisfy 0 <= p < {cx.n}, got {p}")
-    return cx._cob[p]
+    cols = cx._cols[p]
+    indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
+    return sp.csr_matrix((_row_signs(cx, p).ravel(), cols.ravel(), indptr),
+                         shape=(len(cols), cx.num_cells(p)))
+
+
+def _row_signs(cx: CubicalComplex, p: int) -> np.ndarray:
+    """The int64 entries of ``d_p`` per row and slot, ``cols[p]``'s shape."""
+    return np.repeat(cx._signs[p], [r.stop - r.start
+                                    for _, r in cx.blocks(p + 1)], axis=0)
+
+
+def _apply_d(cx: CubicalComplex, p: int, u: np.ndarray) -> np.ndarray:
+    """``d_p @ u`` with the bits of CSR's product: from zeros, each block
+    adds or subtracts ``u`` at each slot's columns, slot by slot."""
+    cols, out = cx._cols[p], np.zeros(len(cx._cols[p]))
+    for (_, rows), signs in zip(cx.blocks(p + 1), cx._signs[p]):
+        acc = out[rows]
+        for j, s in enumerate(signs.tolist()):
+            (np.add if s > 0 else np.subtract)(acc, u.take(cols[rows, j]),
+                                               out=acc)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +354,15 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
     anchors = cx.anchors[p]
-    factor = np.ones(len(anchors))
+    # per axis and anchor: the spacing, halved at both box faces
+    tables = [np.r_[0.5 * s, np.full(m - 1, s), 0.5 * s]
+              for s, m in zip(cx.dom.spacings, cx.dom.counts)]
+    factor = np.empty(len(anchors))
     for axes, rows in cx.blocks(p):
-        f = factor[rows]
-        for a, (s, m) in enumerate(zip(cx.dom.spacings, cx.dom.counts)):
-            if a in axes:
-                f /= s
-            else:
-                f *= s
-                f[(anchors[rows, a] == 0) | (anchors[rows, a] == m)] *= 0.5
+        f = np.ones(rows.stop - rows.start)
+        for a, (s, t) in enumerate(zip(cx.dom.spacings, tables)):
+            f = f / s if a in axes else f * t.take(anchors[rows, a])
+        factor[rows] = f
     bary = cx.barycenters(p)
     with np.errstate(over="ignore"):
         diag = np.exp(-field_jets(phi, bary, order=0)) * factor
@@ -332,15 +383,21 @@ def weighted_adjoint(cx: CubicalComplex, phi, p: int) -> sp.csr_matrix:
     """
     if not 1 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 1 <= p <= {cx.n}, got {p}")
-    return _adjoint(cx, mass(cx, phi, p - 1), mass(cx, phi, p))
+    a, b = 1.0 / mass(cx, phi, p - 1).diag, mass(cx, phi, p).diag
+    return sp.csr_matrix(sp.diags(a) @ coboundary(cx, p - 1).T.astype(
+        np.float64) @ sp.diags(b))
 
 
-def _adjoint(cx: CubicalComplex, m_src: WeightedMass,
-             m_tgt: WeightedMass) -> sp.csr_matrix:
-    """:func:`weighted_adjoint` from masses already built."""
-    d = cx._cob[m_src.p]
-    return sp.csr_matrix(sp.diags(1.0 / m_src.diag) @ d.T.astype(np.float64)
-                         @ sp.diags(m_tgt.diag))
+def _adjoint(cx: CubicalComplex, m_src: WeightedMass, m_tgt: WeightedMass):
+    """:func:`weighted_adjoint` from masses already built, as a function of
+    the values ``v``: the entries ``(a_i·d_ji)·b_j`` of ``d_pᵀ``, with
+    ``a = 1/m_src`` and ``b = m_tgt``, times ``v_j``, summed by bincount in
+    the row order of ``d_p``, so that each value has the CSR product's bits."""
+    p, cols = m_src.p, cx._cols[m_src.p]
+    entries = ((_row_signs(cx, p) * (1.0 / m_src.diag)[cols])
+               * m_tgt.diag[:, None])
+    return lambda v: np.bincount(cols.ravel(), (entries * v[:, None]).ravel(),
+                                 cx.num_cells(p))
 
 
 def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:

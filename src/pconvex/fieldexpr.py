@@ -629,16 +629,16 @@ def compose_df(r: ScalarFieldExpr, phi: ScalarFieldExpr,
                K: float, eta: float) -> ScalarFieldExpr:
     """Build ``rho = -(-r * exp(-K*phi))^eta`` as an expression tree.
 
-    ``K`` must be positive and ``eta`` in ``(0, 1]``; ``eta = 1`` is accepted
-    but degenerate (the power becomes linear) and triggers a warning.
+    ``K`` must be positive and finite, ``eta`` in ``(0, 1]``; ``eta = 1`` is
+    accepted but degenerate (the power becomes linear) and warns.
     Evaluation is only defined where ``r < 0`` — at ``r = 0`` the fractional
     power's jet is singular and evaluation raises
     :class:`~pconvex.errors.DomainError`.
     """
     K = float(K)
     eta = float(eta)
-    if K <= 0.0:
-        raise ValueError(f"K must be positive, got {K}")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     if eta == 1.0:

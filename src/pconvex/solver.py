@@ -26,8 +26,7 @@ import numpy as np
 
 from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, WeightedMass, _LazyModule,
-                       _adjoint, coboundary, mass, sample_cochain,
-                       weighted_adjoint)
+                       _adjoint, _apply_d, coboundary, mass, sample_cochain)
 from .errors import (CohomologyObstruction, MembershipError, NoConvergence,
                      NotClosed, PreconditionError, TailError, raise_first)
 from .exterior import induced_pairings, induced_pinv
@@ -141,8 +140,8 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
     where the earlier axes are 0, and its mean in row order as below (a dot
     product changes its last bits).  Elsewhere csgraph searches breadth
     first: as :func:`~pconvex.discrete.coboundary` guarantees, row ``e`` of
-    ``d₀`` is ``-1, +1`` at its lower and higher node, so ``indices`` in
-    pairs are the edge list.  The search runs on the incidence graph (vertex
+    ``d₀`` is ``-1, +1`` at its lower and higher node, so the rows of its
+    columns are the edge list.  The search runs on the incidence graph (vertex
     ``e < n_e`` is edge ``e``, ``n_e + v`` is node ``v``) from an extra
     vertex joined to each component's lowest node, so a node's predecessor
     is its tree edge.
@@ -156,10 +155,10 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
             line[1:] = line[:1] + np.cumsum(f_a, axis=0)
         u, labels = u.ravel(), np.zeros(u.size, np.intp)
         return u - np.bincount(labels, m0 * u)[0] / np.bincount(labels, m0)[0]
-    d = coboundary(cx, 0)
-    n_e, n0 = d.shape
-    ends = d.indices + n_e
-    indptr = np.concatenate([d.indptr, np.full(n0, 2 * n_e, d.indptr.dtype)])
+    n_e, n0 = len(cx._cols[0]), cx.num_cells(0)
+    ends = cx._cols[0].ravel() + n_e
+    indptr = np.concatenate([np.arange(0, 2 * n_e + 1, 2, dtype=np.int32),
+                             np.full(n0, 2 * n_e, np.int32)])
     incidence = sp.csr_matrix((np.ones(2 * n_e), ends, indptr),
                               shape=(n_e + n0, n_e + n0))
     n_comp, labels = csgraph.connected_components(incidence, directed=False)
@@ -217,7 +216,7 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
                                0, 0.0, 0.0, "primitive", phi, source)
 
     if p < cx.n:
-        df = coboundary(cx, p) @ f.values
+        df = _apply_d(cx, p, f.values)
         df_norm = math.sqrt(mass(cx, phi, p + 1).inner(df, df))
         if df_norm > _TOL * f_norm:
             raise NotClosed(
@@ -226,7 +225,7 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
                 rel_residual=df_norm / f_norm)
 
     def weighted_residual(u):
-        r = f.values - coboundary(cx, p - 1) @ u
+        r = f.values - _apply_d(cx, p - 1, u)
         return math.sqrt(m_tgt.inner(r, r))
 
     m_src = source.diag
@@ -279,7 +278,7 @@ def closed_form_from_potential(cx: CubicalComplex, p: int,
     if not 1 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 1 <= p <= {cx.n}")
     pot = sample_cochain(cx, p - 1, potential_coeffs)
-    return Cochain(p, coboundary(cx, p - 1) @ pot.values)
+    return Cochain(p, _apply_d(cx, p - 1, pot.values))
 
 
 # ---------------------------------------------------------------------------
@@ -641,23 +640,24 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
     if p < cx.n:
         m_up = mass(cx, w_plus, p + 1)
         coexact = _adjoint(cx, mass(cx, w_plus, p), m_up)
-    twist = weighted_adjoint(cx, _combine(phi, sigma, psi), p)
+    w_twist = _combine(phi, sigma, psi)
+    twist = _adjoint(cx, mass(cx, w_twist, p - 1), mass(cx, w_twist, p))
     m_down = mass(cx, w_plus, p - 1)
     worst = 0.0
     done = 0
     for _ in range(3):
         if p < cx.n:
             raw = rng.standard_normal(cx.num_cells(p + 1))
-            g = Cochain(p, coexact @ raw)
+            g = Cochain(p, coexact(raw))
         else:
             g = Cochain(p, rng.standard_normal(cx.num_cells(p)))
         if not np.any(g.values):
             continue
         dg_part = 0.0
         if p < cx.n:
-            dg = coboundary(cx, p) @ g.values
+            dg = _apply_d(cx, p, g.values)
             dg_part = m_up.inner(dg, dg)
-        cg = twist @ g.values
+        cg = twist(g.values)
         lhs_g = m_down.inner(cg, cg) + dg_part
         rhs_g = sigma ** 2 * _pairing_integral(cx, g, psi, w_plus)
         if lhs_g > 0.0:

@@ -339,8 +339,9 @@ def diameter_weight(p: int, diameter: float, center) -> ScalarFieldExpr:
     if p < 1:
         raise ValueError("p must be >= 1")
     diameter = float(diameter)
-    if diameter <= 0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
+    if not 0 < diameter < math.inf:
+        raise ValueError(f"diameter must be positive and finite, got "
+                         f"{diameter}")
     center = np.atleast_1d(np.asarray(center, dtype=np.float64))
     terms = []
     for i, ci in enumerate(center, start=1):

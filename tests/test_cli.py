@@ -381,9 +381,33 @@ p = 2
          "[task] k_grid: values must be finite and > 0"),
         ("df_search_disk", "k_grid = 0.25, 0.5, 1, 2, 4", "k_grid = inf",
          "[task] k_grid: values must be finite and > 0"),
+        # these loaded and failed in the task (exit 1), or put "nan" or
+        # "inf" into a domain's expression text and failed to parse it there
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "df(K=nan, eta=0.5)",
+         "[weights] phi: K must be positive and finite, got nan"),
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "df(K=inf, eta=0.5)",
+         "[weights] phi: K must be positive and finite, got inf"),
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "cor42(p=1, D=inf)",
+         "[weights] phi: diameter must be positive and finite, got inf"),
+        ("check_psh_df_disk", "df(K=0.5, eta=0.05)", "cor42(p=1, D=nan)",
+         "[weights] phi: diameter must be positive and finite, got nan"),
+        ("check_psh_df_disk", "disk(1.0)", "disk(nan)",
+         "[domain] r: disk: radius must be finite, got nan"),
+        ("check_psh_df_disk", "disk(1.0)", "disk(inf)",
+         "[domain] r: disk: radius must be finite, got inf"),
+        ("check_psh_df_disk", "disk(1.0)", "disk(1.0, center=nan:0)",
+         "[domain] r: disk: center must be finite"),
+        ("check_psh_df_disk", "disk(1.0)", "annulus(nan, 1.0)",
+         "[domain] r: annulus: inner must be finite, got nan"),
+        ("check_psh_df_disk", "disk(1.0)", "annulus(0.5, inf)",
+         "[domain] r: annulus: outer must be finite, got inf"),
+        ("betti_torus", "torus(0.55, 0.3)", "torus(inf, 0.3)",
+         "[domain] r: torus: ring must be finite, got inf"),
     ], ids=["df-eta-0", "df-K-negative", "cor42-p-0", "cor42-D-0",
             "bump-nan", "bump-inf", "bump-minus-inf", "k_grid-nan",
-            "k_grid-inf"])
+            "k_grid-inf", "df-K-nan", "df-K-inf", "cor42-D-inf",
+            "cor42-D-nan", "disk-nan", "disk-inf", "disk-center-nan",
+            "annulus-inner-nan", "annulus-outer-inf", "torus-ring-inf"])
     def test_shipped_config_value_out_of_range(self, tmp_path, capsys, cfg,
                                                old, new, where):
         text = (REPO_CONFIGS / f"{cfg}.ini").read_text(encoding="utf-8")
@@ -928,3 +952,20 @@ def test_box_solves_load_neither_csgraph_nor_sparse_linalg(tmp_path):
     assert codes == [0, 0]
     assert "scipy.sparse.csgraph" not in loaded
     assert "scipy.sparse.linalg" not in loaded
+
+
+def test_box_bounds_and_solves_load_no_sparse_matrices(tmp_path):
+    # on a box a degree-1 bound or solve applies d and its weighted adjoint
+    # as gathers over the complex's columns and checks d∘d = 0 by cancelling
+    # pairs, so scipy.sparse is never imported; its import alone adds tens
+    # of MiB to a process
+    configs = [str(REPO_CONFIGS / f"{name}.ini")
+               for name in ("berndtsson_diameter", "composite_route",
+                            "hormander_ladder", "minimal_estimate",
+                            "nonpsh_tilt", "solve_min_norm")]
+    for path in configs:
+        e = cli.load_config(path)
+        assert e.r is None and e.p == 1, path
+    codes, loaded = _sparse_modules_after(configs, tmp_path)
+    assert codes == [0] * 6
+    assert loaded == []

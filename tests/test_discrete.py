@@ -246,24 +246,26 @@ class TestBuildComplex:
     @pytest.mark.parametrize("name", ["box-32x32x32", "solid-torus"])
     def test_build_splits_no_anchors_into_index_tuples(self, name,
                                                        monkeypatch):
-        # each block's cells are found by one argwhere, for its anchors;
-        # ids, columns and signs go through the block's presence mask
-        argwhere, calls = np.argwhere, []
+        # each block's cells are found by one np.nonzero, whose index
+        # arrays are written straight into the anchor columns, never
+        # iterated; ids, columns and signs go through the block's presence
+        # mask, and no argwhere stacks the anchors first
+        nonzero, calls = np.nonzero, []
 
-        class Anchors(np.ndarray):
+        class Index(np.ndarray):
             def __iter__(self):
-                raise AssertionError("anchors split into an index tuple")
+                raise AssertionError("an index array iterated in Python")
 
         def traced(a):
             calls.append(np.shape(a))
-            return argwhere(a).view(Anchors)
+            return tuple(i.view(Index) for i in nonzero(a))
 
-        def no_nonzero(a):
-            raise AssertionError("np.nonzero called in build_complex")
+        def no_argwhere(a):
+            raise AssertionError("np.argwhere called in build_complex")
 
         dom = LAYOUT_DOMAINS[name]()
-        monkeypatch.setattr(np, "argwhere", traced)
-        monkeypatch.setattr(np, "nonzero", no_nonzero)
+        monkeypatch.setattr(np, "nonzero", traced)
+        monkeypatch.setattr(np, "argwhere", no_argwhere)
         cx = D.build_complex(dom)
         monkeypatch.undo()
         assert calls == [cx.ids[axes].shape for p in range(cx.n + 1)
@@ -428,6 +430,58 @@ class TestCoboundary:
         assert (d0.data.reshape(-1, 2) == [-1, 1]).all()
         lower, higher = cx.anchors[0].astype(int)[d0.indices.reshape(-1, 2).T]
         assert (higher - lower == spanned_mask(cx, 1)).all()
+
+    @pytest.mark.parametrize("name", LAYOUT_DOMAINS)
+    def test_products_keep_the_bits_of_the_csr_export(self, name):
+        # d u, dᵀ v (the adjoint under unit masses) and the weighted adjoint
+        # without a matrix, against the CSR export's products as int64
+        # views: -0.0 and +0.0 included
+        cx = D.build_complex(LAYOUT_DOMAINS[name]())
+        rng = np.random.default_rng(7)
+        phi = parse("x1^2+0.3*x2", n=cx.n)
+
+        def sample(size):
+            x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+            x[::5], x[1::7] = -0.0, 0.0
+            return x
+
+        def same(a, b):
+            return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+        for p in range(cx.n):
+            d = D.coboundary(cx, p)
+            u, v = sample(d.shape[1]), sample(d.shape[0])
+            assert same(D._apply_d(cx, p, u), d @ u)
+            unit = D._adjoint(cx, D.WeightedMass(p, np.ones(d.shape[1])),
+                              D.WeightedMass(p + 1, np.ones(d.shape[0])))
+            assert same(unit(v), d.T @ v)
+            assert same(D._apply_d(cx, p, -0.0 * u), d @ (-0.0 * u))
+            adjoint = D._adjoint(cx, D.mass(cx, phi, p),
+                                 D.mass(cx, phi, p + 1))
+            assert same(adjoint(v), D.weighted_adjoint(cx, phi, p + 1) @ v)
+
+    def test_composition_check_catches_a_swapped_column(self):
+        cx = D.build_complex(LAYOUT_DOMAINS["box-32x32x32"]())
+        D._check_closed(cx)
+        for p, row in ((1, 5000), (1, 0), (2, 777), (0, 3000)):
+            cols = cx._cols[p]
+            cols[row, [0, 1]] = cols[row, [1, 0]]
+            with pytest.raises(AssertionError,
+                               match=r"coboundary composition d_\d d_\d != 0"):
+                D._check_closed(cx)
+            cols[row, [0, 1]] = cols[row, [1, 0]]
+        D._check_closed(cx)
+
+    def test_composition_check_catches_a_flipped_sign(self):
+        cx = D.build_complex(LAYOUT_DOMAINS["solid-torus"]())
+        for p in range(cx.n):
+            for block, slot in itertools.product(
+                    range(len(cx._signs[p])), range(2 * (p + 1))):
+                cx._signs[p][block, slot] *= -1
+                with pytest.raises(AssertionError, match=r"d_\d d_\d != 0"):
+                    D._check_closed(cx)
+                cx._signs[p][block, slot] *= -1
+        D._check_closed(cx)
 
     def test_degree_bounds(self):
         cx = box_complex()
