@@ -29,7 +29,7 @@ def main():
     a = rng.standard_normal((3, 3))
     th = a + a.T
     spec = np.sort(quadform_eigen(th, 2).values)
-    dense = np.linalg.eigvalsh(quadform_matrix(th, 3, 2))
+    dense = np.linalg.eigvalsh(quadform_matrix(th, 2))
     print(f"   pair-sum spectrum  {np.round(spec, 6)}")
     print(f"   dense eigenvalues  {np.round(dense, 6)}")
     print(f"   agreement {np.max(np.abs(spec - dense)):.2e}")

@@ -44,12 +44,12 @@ def main():
     psi_q = parse("0.1*(x1^2+x2^2)", n=2)
     psi_l = parse("0.3*x1+0.3*x2", n=2)
     omega = lambda x: math.sqrt(0.2) * math.hypot(x[0], x[1])
-    rows = [hormander_report(cx, f, phi, 1),
-            berndtsson_report(cx, f, phi, psi_d, 0.3, 1,
+    rows = [hormander_report(cx, f, phi),
+            berndtsson_report(cx, f, phi, psi_d, 0.3,
                               rng=np.random.default_rng(5)),
-            minimal_estimate_report(cx, f, phi, psi_q, omega, 0.5, 1),
-            *composite_minimal_estimate(cx, f, phi, psi_d, 0.25, 1),
-            nonpsh_report(cx, f, phi, psi_l, None, 0.3, 1)]
+            minimal_estimate_report(cx, f, phi, psi_q, omega, 0.5),
+            *composite_minimal_estimate(cx, f, phi, psi_d, 0.25),
+            nonpsh_report(cx, f, phi, psi_l, None, 0.3)]
     print(f"   {'test':28s} {'constant':>9s} {'lhs':>10s} "
           f"{'rhs':>10s} {'ratio':>8s}")
     for rep in rows:

@@ -38,9 +38,9 @@ from .exterior import (PointForm, dim_forms, index_list, inverse_bound_check,
 from .fieldexpr import Jet2, ScalarFieldExpr, compose_df, parse
 from .solver import (BoundReport, berndtsson_report, closed_form_from_potential,
                      cohomology_rank, composite_minimal_estimate,
-                     hormander_report, minimal_estimate_report,
-                     minimal_solution, monotonicity_check, nonpsh_report,
-                     prekopa_check)
+                     domain_monotonicity, hormander_report,
+                     minimal_estimate_report, minimal_solution, nonpsh_report,
+                     prekopa_check, weight_monotonicity)
 from .weights import (convexify, df_search, diameter_weight,
                       integrability_modifier, lattice_samples,
                       stiffness_floor)
@@ -66,7 +66,7 @@ __all__ = [
     "energy_identity_residual", "mass", "sample_cochain", "weighted_adjoint",
     # solver
     "BoundReport", "berndtsson_report", "closed_form_from_potential",
-    "cohomology_rank", "composite_minimal_estimate", "hormander_report",
-    "minimal_estimate_report", "minimal_solution", "monotonicity_check",
-    "nonpsh_report", "prekopa_check",
+    "cohomology_rank", "composite_minimal_estimate", "domain_monotonicity",
+    "hormander_report", "minimal_estimate_report", "minimal_solution",
+    "nonpsh_report", "prekopa_check", "weight_monotonicity",
 ]

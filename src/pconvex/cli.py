@@ -474,6 +474,9 @@ def load_config(path: str) -> ExperimentConfig:
                           - {*requires.split(), *takes.split()}):
             raise ConfigError(f"[{_KEYS[key][0]}] {key}: bound {bound} does "
                               f"not read this key")
+        if "alpha" in values:   # in the interval its report checks
+            _checked("[task] alpha", lambda text, _: solver._check_alpha(
+                bound, _number(text)), cp["task"]["alpha"], ctx)
     return ExperimentConfig(
         task=task, n=ctx.n, box=values.get("box"),
         rungs=values.get("h", values.get("ladder", [])), r=ctx.r,
@@ -587,19 +590,19 @@ def _task_solve(exp: ExperimentConfig, rng):
 #: reports on one complex)
 _BOUNDS = {
     "hormander": ("", "", lambda cx, f, e, rng: [
-        solver.hormander_report(cx, f, e.phi, e.p)]),
+        solver.hormander_report(cx, f, e.phi)]),
     "berndtsson": ("psi alpha", "", lambda cx, f, e, rng: [
         solver.berndtsson_report(cx, f, e.phi, e.psi, e.options["alpha"],
-                                 e.p, rng=rng)]),
+                                 rng=rng)]),
     "minimal": ("psi alpha omega", "", lambda cx, f, e, rng: [
         solver.minimal_estimate_report(cx, f, e.phi, e.psi, e.omega,
-                                       e.options["alpha"], e.p)]),
+                                       e.options["alpha"])]),
     "composite": ("psi alpha", "", lambda cx, f, e, rng: list(
         solver.composite_minimal_estimate(cx, f, e.phi, e.psi,
-                                          e.options["alpha"], e.p))),
+                                          e.options["alpha"]))),
     "nonpsh": ("psi alpha", "omega", lambda cx, f, e, rng: [
         solver.nonpsh_report(cx, f, e.phi, e.psi, e.omega,
-                             e.options["alpha"], e.p)]),
+                             e.options["alpha"])]),
 }
 #: the bounds task's keys that only some bounds read
 _BOUND_KEYS = {key for requires, takes, _ in _BOUNDS.values()
@@ -678,7 +681,7 @@ def _task_algebra_battery(exp: ExperimentConfig, rng):
         theta = (sym + sym.T) / 2.0
         g = exterior.PointForm(n, p, rng.standard_normal(dim))
         lhs = exterior.pairing_quadratic(theta, g)
-        mat = exterior.quadform_matrix(theta, n, p)
+        mat = exterior.quadform_matrix(theta, p)
         rhs = float(g.coeffs @ (mat @ g.coeffs))
         scale = 1.0 + abs(lhs)
         err_pair = max(err_pair, abs(lhs - rhs) / scale)
@@ -755,8 +758,10 @@ _KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
     "per_axis": ("task", _at_least(2)),
     "check_weights": ("task", _at_least(0)),
     "alpha": ("task", lambda text, ctx: _number(text)),
-    "min_depth": ("task", lambda text, ctx: _number(text)),
-    "ratio_min": ("task", lambda text, ctx: _number(text)),
+    "min_depth": ("task", _valid(_number, lambda v, ctx: 0 <= v < math.inf,
+                                 "must be finite and >= 0, got {v}")),
+    "ratio_min": ("task", _valid(_number, lambda v, ctx: 0 < v < math.inf,
+                                 "must be finite and > 0, got {v}")),
     "k_grid": ("task", _valid(_numbers,
                               lambda v, ctx: all(0 < x < math.inf for x in v),
                               "values must be finite and > 0")),
@@ -765,8 +770,9 @@ _KEYS: Dict[str, Tuple[str, Optional[Callable]]] = {
                                 "values must lie in (0, 1)")),
     "expect": ("task", _valid(lambda text: [_integer(t)
                                             for t in text.split(",")],
-                              lambda v, ctx: len(v) == ctx.n + 1,
-                              "need one rank per degree 0..{ctx.n}")),
+                              lambda v, ctx: len(v) == ctx.n + 1
+                              and min(v) >= 0,
+                              "need one rank >= 0 per degree 0..{ctx.n}")),
     "bound": ("task", _valid(str, lambda v, ctx: v in _BOUNDS,
                              "choose from " + ", ".join(_BOUNDS))),
     "potential": ("task",

@@ -120,10 +120,6 @@ class FieldRegionReport:
     worst_index: int
 
     @property
-    def worst_point(self) -> np.ndarray:
-        return self.points[self.worst_index]
-
-    @property
     def min_trace(self) -> float:
         return float(self.traces[self.worst_index])
 

@@ -252,7 +252,8 @@ def quadform_action(theta: np.ndarray, g: PointForm) -> PointForm:
     This realizes ``sum_{j,k} theta[j,k] omega^k ^ (e_j _| g)`` and is
     self-adjoint for the Euclidean pairing.
     """
-    return PointForm(g.n, g.p, quadform_matrix(theta, g.n, g.p) @ g.coeffs)
+    mat = induced_matrices(_check_sym(theta, g.n)[None], g.p)[0]
+    return PointForm(g.n, g.p, mat @ g.coeffs)
 
 
 def pairing_quadratic(theta: np.ndarray, g: PointForm) -> float:
@@ -265,9 +266,9 @@ def pairing_quadratic(theta: np.ndarray, g: PointForm) -> float:
     return float(induced_pairings(theta, g.coeffs[None], g.p)[0])
 
 
-def quadform_matrix(theta: np.ndarray, n: int, p: int) -> np.ndarray:
+def quadform_matrix(theta: np.ndarray, p: int) -> np.ndarray:
     """Dense matrix of the induced operator on p-forms (C(n,p) square)."""
-    return induced_matrices(_check_sym(theta, n)[None], p)[0]
+    return induced_matrices(_check_sym(theta)[None], p)[0]
 
 
 def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:

@@ -7,9 +7,11 @@ one orthogonal to ``Ker d`` in the weighted inner product: in degree 1
 the primitive of ``f`` less its weighted mean on each component, else
 LSMR on the mass-scaled coboundary ``M_p^{1/2} d M_{p−1}^{−1/2}``, whose
 Krylov iterates are minimal-norm by construction.  On top of that sit
-verification reports: each one solves, integrates the predicted
-right-hand side, and records whether ``lhs ≤ constant · integral`` held
-with the fixed slack of 5 %.  The module also counts Betti numbers, the
+verification reports: each one takes p from its datum ``f``, solves,
+integrates the predicted right-hand side, and records whether ``lhs ≤
+constant · integral`` held with the fixed slack of 5 %.  The module
+compares minimal solutions on nested domains and under ordered weights,
+counts Betti numbers, the
 dimensions of the weighted harmonic spaces, from the complex, and checks
 convexity of log-marginals of convex densities.
 """
@@ -37,7 +39,8 @@ __all__ = [
     "minimal_solution",
     "closed_form_from_potential",
     "MonotonicityRecord",
-    "monotonicity_check",
+    "domain_monotonicity",
+    "weight_monotonicity",
     "BoundReport",
     "AprioriCheck",
     "hormander_report",
@@ -295,61 +298,51 @@ class MonotonicityRecord:
     residuals: Tuple[float, float]
 
 
-def monotonicity_check(potential_coeffs, p: int, *,
-                       domains: Optional[Tuple[CubicalComplex,
-                                               CubicalComplex]] = None,
-                       phi=0.0,
-                       weights=None,
-                       cx: Optional[CubicalComplex] = None
-                       ) -> MonotonicityRecord:
-    """Compare weighted norms of minimal solutions under growing domains or
-    growing weights.
+def domain_monotonicity(inner: CubicalComplex, outer: CubicalComplex,
+                        potential_coeffs, p: int, phi) -> MonotonicityRecord:
+    """The weighted norm of the minimal solution on ``inner`` must not exceed
+    that on ``outer``, whose domain must hold every inner cell's barycenter.
+    Each right-hand side is ``d`` of the sampled potential, exactly closed."""
+    if inner.n != outer.n:
+        raise PreconditionError(
+            f"inner complex is {inner.n}-dimensional but the outer "
+            f"complex is {outer.n}-dimensional")
+    lo, hi = np.array(outer.dom.box).T
+    for q in range(inner.n + 1):
+        X = inner.barycenters(q)
+        out = np.any((X < lo - 1e-12) | (X > hi + 1e-12), axis=1)
+        if outer.dom.r is not None:
+            out[~out] = field_jets(outer.dom.r, X[~out], order=0) >= 0.0
+        raise_first(PreconditionError, out, X, lambda i: (
+            f"inner {q}-cell lies outside the outer domain"))
+    sols = [minimal_solution(c, closed_form_from_potential(
+        c, p, potential_coeffs), phi) for c in (inner, outer)]
+    return _monotonicity_record("domains", sols, 0)
 
-    Domain mode (``domains=(inner, outer)``, every inner cell's barycenter
-    in the outer domain): the inner solve's weighted norm must not exceed
-    the outer's.  Weight mode (``weights=(lo, hi)`` on one complex ``cx``
-    with ``lo ≤ hi`` pointwise): the hi-weight norm must not exceed the
-    lo-weight norm.  The right-hand side is ``d`` of the sampled potential
-    so it is exactly closed on every complex involved.
-    """
-    if (domains is None) == (weights is None):
-        raise ValueError("pass exactly one of domains= or weights=")
-    if domains is not None:
-        inner, outer = domains
-        if inner.n != outer.n:
-            raise PreconditionError(
-                f"inner complex is {inner.n}-dimensional but the outer "
-                f"complex is {outer.n}-dimensional")
-        lo, hi = np.array(outer.dom.box).T
-        for q in range(inner.n + 1):
-            X = inner.barycenters(q)
-            out = np.any((X < lo - 1e-12) | (X > hi + 1e-12), axis=1)
-            if outer.dom.r is not None:
-                out[~out] = field_jets(outer.dom.r, X[~out], order=0) >= 0.0
-            raise_first(PreconditionError, out, X, lambda i: (
-                f"inner {q}-cell lies outside the outer domain"))
-        sols = [minimal_solution(c, closed_form_from_potential(
-            c, p, potential_coeffs), phi) for c in (inner, outer)]
-        norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
-        lesser, greater = norms
-        mode = "domains"
-    else:
-        if cx is None:
-            raise ValueError("weight mode needs the complex as cx=")
-        lo_w, hi_w = weights
-        X = cx.barycenters(p)
-        raise_first(PreconditionError, field_jets(lo_w, X, order=0)
-                    > field_jets(hi_w, X, order=0) + 1e-12, X,
-                    lambda i: "weights are not ordered")
-        f = closed_form_from_potential(cx, p, potential_coeffs)
-        sols = [minimal_solution(cx, f, w) for w in (lo_w, hi_w)]
-        norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
-        lesser, greater = norms[1], norms[0]
-        mode = "weights"
-    satisfied = lesser <= greater * (1.0 + 1e-8) + 1e-8
-    return MonotonicityRecord(mode, lesser, greater, satisfied,
-                              greater - lesser,
-                              (sols[0].residual, sols[1].residual))
+
+def weight_monotonicity(cx: CubicalComplex, potential_coeffs, p: int, lo,
+                        hi) -> MonotonicityRecord:
+    """The weighted norm of the minimal solution under ``hi`` must not
+    exceed that under ``lo``, where ``lo ≤ hi`` at every p-cell barycenter;
+    the right-hand side is ``d`` of the sampled potential."""
+    X = cx.barycenters(p)
+    raise_first(PreconditionError, field_jets(lo, X, order=0)
+                > field_jets(hi, X, order=0) + 1e-12, X,
+                lambda i: "weights are not ordered")
+    f = closed_form_from_potential(cx, p, potential_coeffs)
+    return _monotonicity_record(
+        "weights", [minimal_solution(cx, f, w) for w in (lo, hi)], 1)
+
+
+def _monotonicity_record(mode: str, sols: Sequence[MinimalSolution],
+                         lesser: int) -> MonotonicityRecord:
+    """The record asserting that the weighted norm of ``sols[lesser]`` does
+    not exceed the other's; ``residuals`` keep the order of ``sols``."""
+    norms = [s.source_mass.inner(s.u.values, s.u.values) for s in sols]
+    small, large = norms[lesser], norms[1 - lesser]
+    return MonotonicityRecord(
+        mode, small, large, small <= large * (1.0 + 1e-8) + 1e-8,
+        large - small, tuple(s.residual for s in sols))
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +523,6 @@ class AprioriCheck:
     sigma: float
     worst_ratio: float
     samples: int
-    label: str = "sampled apriori check"
 
 
 @dataclass(frozen=True)
@@ -594,19 +586,30 @@ def _estimate(test: str, cx: CubicalComplex, f: Cochain, sol: MinimalSolution,
                        vacuous=(integral == 0.0), solve=sol, apriori=apriori)
 
 
-def hormander_report(cx: CubicalComplex, f: Cochain, phi,
-                     p: int) -> BoundReport:
+#: alpha's interval in each two-weight bound, which its report checks:
+#: (the name of alpha, whether 0 is in it, its open upper end)
+_ALPHA = {"berndtsson": ("alpha", True, 1.0), "minimal": ("alpha", True, 1.0),
+          "composite": ("alpha0", False, 1.0), "nonpsh": ("alpha", True, 2.0)}
+
+
+def _check_alpha(bound: str, alpha: float) -> None:
+    """Raise PreconditionError unless alpha lies in its bound's interval."""
+    name, closed, hi = _ALPHA[bound]
+    if not ((0.0 <= alpha if closed else 0.0 < alpha) and alpha < hi):
+        raise PreconditionError(f"{name} must lie in {'[' if closed else '('}"
+                                f"0, {hi:g}); got {alpha}")
+
+
+def hormander_report(cx: CubicalComplex, f: Cochain, phi) -> BoundReport:
     """Baseline estimate: ``‖u‖²_φ ≤ ∫⟨F_φ⁻¹f, f⟩e^{−φ}`` (constant 1) for
-    the minimal solution under a p-plurisubharmonic weight."""
-    if f.p != p:
-        raise ValueError("cochain degree does not match p")
-    _require_p_positive(cx.barycenters(p), _hessian(phi), p, "D²phi")
+    the minimal solution under a p-plurisubharmonic weight, p = ``f.p``."""
+    _require_p_positive(cx.barycenters(f.p), _hessian(phi), f.p, "D²phi")
     sol = minimal_solution(cx, f, phi)
     return _estimate("hormander", cx, f, sol, phi, phi, 1.0)
 
 
 def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
-                      p: int, *, rng=None) -> BoundReport:
+                      *, rng=None) -> BoundReport:
     """Two-weight estimate with constant ``4/(1−α)²``.
 
     Solves minimally in the weight ``φ − αψ`` (isometric to the twisted
@@ -615,10 +618,8 @@ def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
     ``−e^{−ψ}`` p-plurisubharmonic.  Also runs the sampled apriori check
     with ``σ = (1−α)/2`` on three random coexact cochains.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise PreconditionError(f"alpha must lie in [0, 1); got {alpha}")
-    if f.p != p:
-        raise ValueError("cochain degree does not match p")
+    _check_alpha("berndtsson", alpha)
+    p = f.p
     bary = cx.barycenters(p)
     _require_p_positive(bary, _hessian(phi), p, "D²phi")
     _require_p_positive(bary, _neg_exp_hessian(psi), p,
@@ -667,7 +668,7 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
 
 
 def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
-                            alpha: float, p: int) -> BoundReport:
+                            alpha: float) -> BoundReport:
     """Estimate for the φ-minimal solution with constant ``(1+α)/(1−α)``:
     ``∫(1−ω²)|u|²e^{−φ+ψ} ≤ ((1+α)/(1−α))∫⟨F_ψ⁻¹f,f⟩e^{−φ+ψ}``.
 
@@ -675,10 +676,8 @@ def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     everywhere, and ``ω ≤ α`` on the support of ``f``.  The solve weight is
     plain ``φ``; ``ψ`` enters only through the comparison densities.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise PreconditionError(f"alpha must lie in [0, 1); got {alpha}")
-    if f.p != p:
-        raise ValueError("cochain degree does not match p")
+    _check_alpha("minimal", alpha)
+    p = f.p
     bary = cx.barycenters(p)
     _require_p_positive(bary, _hessian(phi), p, "D²phi")
     _check_omega_range(cx, omega, p, 1.0)
@@ -693,7 +692,7 @@ def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
 
 
 def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
-                               alpha0: float, p: int,
+                               alpha0: float
                                ) -> Tuple[BoundReport, BoundReport]:
     """Scaled-weight route to the two-weight bound: apply the minimal
     estimate with ``ψ = α₀ψ₀`` and constant test function ``ω ≡ √α₀``, then
@@ -701,13 +700,12 @@ def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
     e^{−φ+α₀ψ₀}``.  Returns (base report, composite report); both use the
     same φ-minimal solution.
     """
-    if not 0.0 < alpha0 < 1.0:
-        raise PreconditionError(f"alpha0 must lie in (0, 1); got {alpha0}")
-    _require_p_positive(cx.barycenters(p), _neg_exp_hessian(psi0), p,
+    _check_alpha("composite", alpha0)
+    _require_p_positive(cx.barycenters(f.p), _neg_exp_hessian(psi0), f.p,
                         "the Hessian of -exp(-psi0)")
     root = math.sqrt(alpha0)
     psi_scaled = CombinedWeight(None, alpha0, psi0)
-    base = minimal_estimate_report(cx, f, phi, psi_scaled, root, root, p)
+    base = minimal_estimate_report(cx, f, phi, psi_scaled, root, root)
     composite = _estimate("minimal-estimate-composite", cx, f, base.solve,
                           _combine(phi, -alpha0, psi0), psi0,
                           1.0 / (alpha0 * (1.0 - root) ** 2))
@@ -715,7 +713,7 @@ def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
 
 
 def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
-                  alpha: float, p: int) -> BoundReport:
+                  alpha: float) -> BoundReport:
     """Estimate tolerating a non-plurisubharmonic total weight.
 
     Solves minimally in ``φ − ψ/2``.  With a varying ``omega`` (requires
@@ -726,10 +724,8 @@ def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     With ``psi=None`` and ``alpha=0`` both variants reduce to the baseline
     report, reproducing its numbers exactly.
     """
-    if not 0.0 <= alpha < 2.0:
-        raise PreconditionError(f"alpha must lie in [0, 2); got {alpha}")
-    if f.p != p:
-        raise ValueError("cochain degree does not match p")
+    _check_alpha("nonpsh", alpha)
+    p = f.p
     bary = cx.barycenters(p)
     _require_p_positive(bary, _hessian(phi), p, "D²phi")
     if omega is not None:

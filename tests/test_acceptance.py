@@ -135,7 +135,7 @@ def test_criterion_01_algebra_batteries():
                             abs(lhs - rhs) / (1.0 + abs(lhs)))
         # spectrum vs dense eigendecomposition of the assembled matrix
         spec = np.sort(X.quadform_eigen(th, p).values)
-        dense = np.linalg.eigvalsh(X.quadform_matrix(th, n, p))
+        dense = np.linalg.eigvalsh(X.quadform_matrix(th, p))
         worst_spec = max(worst_spec, float(
             np.max(np.abs(spec - dense)) / (1.0 + np.max(np.abs(dense)))))
     worst = max(worst_action, worst_pairing, worst_adjoint, worst_spec)
@@ -324,7 +324,7 @@ def test_criterion_07_baseline_estimate():
     for h in (1 / 16, 1 / 32, 1 / 64):
         cx = D.build_complex(D.GridDomain(UNIT2, h))
         f = S.closed_form_from_potential(cx, 1, [_pot])
-        rep = S.hormander_report(cx, f, PHI2, 1)
+        rep = S.hormander_report(cx, f, PHI2)
         passed = passed and rep.passed and rep.constant == 1.0
         ratios.append(rep.ratio)
     mono = all(b <= a for a, b in zip(ratios, ratios[1:]))
@@ -344,7 +344,7 @@ def test_criterion_08_two_weight_estimate(cx32, f32):
     all_pass = True
     ratios = {}
     for alpha in (0.0, 0.3, 0.6):
-        rep = S.berndtsson_report(cx32, f32, PHI2, psi, alpha, 1,
+        rep = S.berndtsson_report(cx32, f32, PHI2, psi, alpha,
                                   rng=np.random.default_rng(1008))
         want = 4.0 / (1.0 - alpha) ** 2
         all_pass = (all_pass and rep.passed and rep.apriori is not None
@@ -352,7 +352,7 @@ def test_criterion_08_two_weight_estimate(cx32, f32):
         ratios[alpha] = rep.ratio
     # diameter form of the alpha=0 case: the solution's plain weighted norm
     # against (2 D / p) times the datum's, measured route-independently
-    rep0 = S.berndtsson_report(cx32, f32, PHI2, psi, 0.0, 1,
+    rep0 = S.berndtsson_report(cx32, f32, PHI2, psi, 0.0,
                                rng=np.random.default_rng(1008))
     u = rep0.solve.u.values
     norm_u = math.sqrt(D.mass(cx32, PHI2, 0).inner(u, u))
@@ -372,13 +372,13 @@ def test_criterion_08_two_weight_estimate(cx32, f32):
 def test_criterion_09_minimal_and_nonpsh(cx32, f32, cx64, f64):
     psi = parse("0.1*(x1^2+x2^2)", n=2)
     omega = lambda x: math.sqrt(0.2) * math.hypot(x[0], x[1])
-    rep_min = S.minimal_estimate_report(cx32, f32, PHI2, psi, omega, 0.5, 1)
+    rep_min = S.minimal_estimate_report(cx32, f32, PHI2, psi, omega, 0.5)
     base_c, comp_c = S.composite_minimal_estimate(
         cx32, f32, PHI2, diameter_weight(1, math.sqrt(2.0), (0.5, 0.5)),
-        0.25, 1)
+        0.25)
     psi_l = parse("0.3*x1+0.3*x2", n=2)
-    rep_var = S.nonpsh_report(cx32, f32, PHI2, psi_l, 0.4, 0.4, 1)
-    rep_con = S.nonpsh_report(cx32, f32, PHI2, psi_l, None, 0.3, 1)
+    rep_var = S.nonpsh_report(cx32, f32, PHI2, psi_l, 0.4, 0.4)
+    rep_con = S.nonpsh_report(cx32, f32, PHI2, psi_l, None, 0.3)
     batteries_ok = (rep_min.passed and abs(rep_min.constant - 3.0) < 1e-12
                     and base_c.passed and comp_c.passed
                     and rep_var.passed
@@ -387,8 +387,8 @@ def test_criterion_09_minimal_and_nonpsh(cx32, f32, cx64, f64):
                     and abs(rep_con.constant - 4.0 / 1.7 ** 2) < 1e-12)
     # alpha = 0, no comparison weight: must reproduce the baseline numbers
     # bit for bit on the criterion-07 fine grid
-    base = S.hormander_report(cx64, f64, PHI2, 1)
-    red = S.nonpsh_report(cx64, f64, PHI2, None, None, 0.0, 1)
+    base = S.hormander_report(cx64, f64, PHI2)
+    red = S.nonpsh_report(cx64, f64, PHI2, None, None, 0.0)
     degen_ok = (red.constant == 1.0 and red.lhs == base.lhs
                 and red.rhs == base.rhs and red.ratio == base.ratio)
     ok = batteries_ok and degen_ok

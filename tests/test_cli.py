@@ -292,6 +292,14 @@ potential = bump()
                                          f"phi = x1^2+x2^2\n{line}"))
         assert f"{where} does not read this key" in capsys.readouterr().err
 
+    # alpha is checked at load against its own bound's interval: nonpsh
+    # takes 1.5, which berndtsson refuses
+    def test_alpha_inside_its_bound_interval(self, tmp_path):
+        cfg = BERNDTSSON_CFG.replace("bound = berndtsson", "bound = nonpsh")
+        exp = cli.load_config(write(tmp_path, cfg.replace("alpha = 0.3",
+                                                          "alpha = 1.5")))
+        assert exp.options["alpha"] == 1.5
+
     def test_battery_axes_within_form_algebra(self, tmp_path, capsys):
         # exterior handles at most 12 axes; n = 40 used to exit 1 from it
         self.check(tmp_path, BATTERY_CFG.replace("n = 3", "n = 40"))
@@ -403,11 +411,42 @@ p = 2
          "[domain] r: annulus: outer must be finite, got inf"),
         ("betti_torus", "torus(0.55, 0.3)", "torus(inf, 0.3)",
          "[domain] r: torus: ring must be finite, got inf"),
+        # these loaded and failed in the task: a report's PreconditionError
+        # on alpha, a failed rank check, an EmptyDomain or a DomainError
+        # from sampling outside the disk (exit 1); ratio_min = -3 exited 0,
+        # with a check that could not fail
+        ("berndtsson_diameter", "alpha = 0.3", "alpha = 1.0",
+         "[task] alpha: alpha must lie in [0, 1); got 1.0"),
+        ("berndtsson_diameter", "alpha = 0.3", "alpha = nan",
+         "[task] alpha: alpha must lie in [0, 1); got nan"),
+        ("minimal_estimate", "alpha = 0.64", "alpha = -0.2",
+         "[task] alpha: alpha must lie in [0, 1); got -0.2"),
+        ("composite_route", "alpha = 0.25", "alpha = 0",
+         "[task] alpha: alpha0 must lie in (0, 1); got 0.0"),
+        ("nonpsh_tilt", "alpha = 0.3", "alpha = 2",
+         "[task] alpha: alpha must lie in [0, 2); got 2.0"),
+        ("betti_ring", "expect = 1, 1, 0", "expect = -1, 1, 0",
+         "[task] expect: need one rank >= 0 per degree 0..2"),
+        ("kmh_ladder_2d", "ratio_min = 1.5", "ratio_min = nan",
+         "[task] ratio_min: must be finite and > 0, got nan"),
+        ("kmh_ladder_2d", "ratio_min = 1.5", "ratio_min = -3",
+         "[task] ratio_min: must be finite and > 0, got -3.0"),
+        ("check_psh_df_disk", "min_depth = 0.05", "min_depth = nan",
+         "[task] min_depth: must be finite and >= 0, got nan"),
+        ("check_psh_df_disk", "min_depth = 0.05", "min_depth = inf",
+         "[task] min_depth: must be finite and >= 0, got inf"),
+        ("check_psh_df_disk", "min_depth = 0.05", "min_depth = -0.5",
+         "[task] min_depth: must be finite and >= 0, got -0.5"),
     ], ids=["df-eta-0", "df-K-negative", "cor42-p-0", "cor42-D-0",
             "bump-nan", "bump-inf", "bump-minus-inf", "k_grid-nan",
             "k_grid-inf", "df-K-nan", "df-K-inf", "cor42-D-inf",
             "cor42-D-nan", "disk-nan", "disk-inf", "disk-center-nan",
-            "annulus-inner-nan", "annulus-outer-inf", "torus-ring-inf"])
+            "annulus-inner-nan", "annulus-outer-inf", "torus-ring-inf",
+            "berndtsson-alpha-1", "berndtsson-alpha-nan",
+            "minimal-alpha-negative", "composite-alpha-0",
+            "nonpsh-alpha-2", "expect-negative", "ratio_min-nan",
+            "ratio_min-negative", "min_depth-nan", "min_depth-inf",
+            "min_depth-negative"])
     def test_shipped_config_value_out_of_range(self, tmp_path, capsys, cfg,
                                                old, new, where):
         text = (REPO_CONFIGS / f"{cfg}.ini").read_text(encoding="utf-8")

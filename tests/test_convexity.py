@@ -125,7 +125,7 @@ def test_field_report_worst_sample():
     pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([3.0, 0.0])]
     rep = C.field_p_psh_report(hess, pts, 1)
     assert rep.verdict == "fail"
-    np.testing.assert_allclose(rep.worst_point, [3.0, 0.0])
+    np.testing.assert_allclose(rep.points[rep.worst_index], [3.0, 0.0])
     assert rep.min_trace == pytest.approx(-1.0)
     # but 2-positivity still holds everywhere here
     rep2 = C.field_p_psh_report(hess, pts, 2)

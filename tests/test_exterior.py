@@ -207,7 +207,13 @@ def test_pairing_frozen_value():
 
 def test_quadform_matrix_rejects_nonsymmetric():
     with pytest.raises(ValueError):
-        X.quadform_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 2, 1)
+        X.quadform_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+
+def test_quadform_action_checks_theta_against_its_form():
+    # quadform_matrix reads n from theta; the action checks it against g.n
+    with pytest.raises(ValueError, match="theta is 3x3, expected 2x2"):
+        X.quadform_action(np.eye(3), X.PointForm(2, 1, np.ones(2)))
 
 
 def test_spectrum_matches_dense_eigendecomposition():
@@ -216,7 +222,7 @@ def test_spectrum_matches_dense_eigendecomposition():
         n, p = random_case(rng)
         th = sym(rng, n)
         spec = X.quadform_eigen(th, p)
-        dense = np.linalg.eigvalsh(X.quadform_matrix(th, n, p))
+        dense = np.linalg.eigvalsh(X.quadform_matrix(th, p))
         np.testing.assert_allclose(np.sort(spec.values), dense, atol=1e-10)
         # base data really is the eigendecomposition of theta
         np.testing.assert_allclose(
@@ -252,7 +258,7 @@ def test_pinv_composition_is_identity_off_kernel():
     for _ in range(100):
         n, p = random_case(rng)
         th = sym(rng, n)
-        M = X.quadform_matrix(th, n, p)
+        M = X.quadform_matrix(th, p)
         w, V = np.linalg.eigh(M)
         keep = np.abs(w) > 1e-8 * np.abs(w).max()
         if not keep.any():

@@ -229,18 +229,18 @@ class TestMonotonicity:
     def test_nested_domains(self, cx32):
         inner = D.build_complex(
             D.GridDomain(((0.125, 0.875), (0.125, 0.875)), 1 / 32))
-        rec = S.monotonicity_check([pot], 1, domains=(inner, cx32), phi=PHI2)
+        rec = S.domain_monotonicity(inner, cx32, [pot], 1, PHI2)
         assert rec.mode == "domains" and rec.satisfied
         assert rec.lesser < rec.greater
 
     def test_equal_domains_tie(self, cx32):
-        rec = S.monotonicity_check([pot], 1, domains=(cx32, cx32), phi=PHI2)
+        rec = S.domain_monotonicity(cx32, cx32, [pot], 1, PHI2)
         assert rec.satisfied and rec.margin == 0.0
 
     def test_mismatched_dimensions_rejected(self, cx32):
         outer = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 0.25))
         with pytest.raises(PreconditionError, match="2-dim.*3-dim"):
-            S.monotonicity_check([pot], 1, domains=(cx32, outer))
+            S.domain_monotonicity(cx32, outer, [pot], 1, 0.0)
 
     def test_inner_outside_outer_disk_rejected(self):
         # the bounding boxes agree, but the unit box's corners lie outside
@@ -252,7 +252,7 @@ class TestMonotonicity:
         with pytest.raises(PreconditionError,
                            match=r"inner 0-cell lies outside the outer "
                            r"domain at x = \[0\.0, 0\.0\]"):
-            S.monotonicity_check([pot], 1, domains=(box, disk), phi=PHI2)
+            S.domain_monotonicity(box, disk, [pot], 1, PHI2)
 
     def test_inner_square_over_outer_hole_rejected(self):
         # every node and edge midpoint of the inner grid avoids the outer
@@ -263,25 +263,26 @@ class TestMonotonicity:
         with pytest.raises(PreconditionError, match=r"inner 2-cell lies "
                            r"outside the outer domain at x = "
                            r"\[0\.53125, 0\.53125\]"):
-            S.monotonicity_check([pot], 1, domains=(inner, outer))
+            S.domain_monotonicity(inner, outer, [pot], 1, 0.0)
 
     def test_inner_box_past_outer_box_rejected(self, cx32):
         inner = D.build_complex(D.GridDomain(((0.0, 1.5), (0.0, 1.0)), 1 / 8))
         with pytest.raises(PreconditionError,
                            match=r"inner 0-cell lies outside the outer "
                            r"domain at x = \[1\.125, 0\.0\]"):
-            S.monotonicity_check([pot], 1, domains=(inner, cx32))
+            S.domain_monotonicity(inner, cx32, [pot], 1, 0.0)
 
     def test_constant_weight_shift_scales_by_exp(self, cx32):
         hi = S.CombinedWeight(PHI2, 1.0, 1.0)
-        rec = S.monotonicity_check([pot], 1, weights=(PHI2, hi), cx=cx32)
+        rec = S.weight_monotonicity(cx32, [pot], 1, PHI2, hi)
+        assert rec.mode == "weights"
         assert rec.satisfied
         assert rec.lesser / rec.greater == pytest.approx(math.exp(-1.0),
                                                          rel=1e-9)
 
     def test_unordered_weights_rejected(self, cx32):
         with pytest.raises(PreconditionError):
-            S.monotonicity_check([pot], 1, weights=(PHI2, 0.0), cx=cx32)
+            S.weight_monotonicity(cx32, [pot], 1, PHI2, 0.0)
 
     def test_unordered_weights_name_the_first_barycenter(self, cx32):
         # x1^2+x2^2 > 0.5 first at a 1-cell past row 0, and larger later
@@ -289,13 +290,9 @@ class TestMonotonicity:
         first = int(np.flatnonzero((X * X).sum(axis=1) > 0.5 + 1e-12)[0])
         assert first > 0
         with pytest.raises(PreconditionError) as exc:
-            S.monotonicity_check([pot], 1, weights=(PHI2, 0.5), cx=cx32)
+            S.weight_monotonicity(cx32, [pot], 1, PHI2, 0.5)
         assert str(exc.value) == \
             f"weights are not ordered at x = {X[first].tolist()}"
-
-    def test_mode_selection_validated(self, cx32):
-        with pytest.raises(ValueError):
-            S.monotonicity_check([pot], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +306,7 @@ class TestBaselineReport:
         for h in (1 / 16, 1 / 32, 1 / 64):
             cx = D.build_complex(D.GridDomain(UNIT2, h))
             f = S.closed_form_from_potential(cx, 1, [pot])
-            rep = S.hormander_report(cx, f, PHI2, 1)
+            rep = S.hormander_report(cx, f, PHI2)
             assert rep.passed and rep.constant == 1.0
             ratios.append(rep.ratio)
         assert ratios[-1] <= 1.05
@@ -317,16 +314,16 @@ class TestBaselineReport:
 
     def test_zero_rhs_is_vacuous(self, cx32):
         f = D.Cochain(1, np.zeros(cx32.num_cells(1)))
-        rep = S.hormander_report(cx32, f, PHI2, 1)
+        rep = S.hormander_report(cx32, f, PHI2)
         assert rep.vacuous and rep.passed and rep.ratio == 0.0
 
     def test_linear_weight_rejected_through_membership(self, cx32, f32):
         with pytest.raises(MembershipError):
-            S.hormander_report(cx32, f32, parse("x1+x2", n=2), 1)
+            S.hormander_report(cx32, f32, parse("x1+x2", n=2))
 
     def test_concave_weight_rejected(self, cx32, f32):
         with pytest.raises(PreconditionError):
-            S.hormander_report(cx32, f32, parse("0-x1^2-x2^2", n=2), 1)
+            S.hormander_report(cx32, f32, parse("0-x1^2-x2^2", n=2))
 
     def test_constant_failing_hessian_names_the_first_barycenter(self, cx32,
                                                                  f32):
@@ -334,7 +331,7 @@ class TestBaselineReport:
         X = cx32.barycenters(1)
         assert S._hessian(phi)(X).shape == (1, 2, 2)   # one matrix per block
         with pytest.raises(PreconditionError) as exc:
-            S.hormander_report(cx32, f32, phi, 1)
+            S.hormander_report(cx32, f32, phi)
         assert str(exc.value).endswith(f" at x = {X[0].tolist()}")
 
     def test_row_dependent_failure_names_its_first_barycenter(self):
@@ -348,7 +345,7 @@ class TestBaselineReport:
         assert first > FE.BLOCK_ROWS
         zero = D.Cochain(1, np.zeros(cx.num_cells(1)))
         with pytest.raises(PreconditionError) as exc:
-            S.hormander_report(cx, zero, parse("x1^2+x2^2-x1^3", n=2), 1)
+            S.hormander_report(cx, zero, parse("x1^2+x2^2-x1^3", n=2))
         assert str(exc.value).endswith(f" at x = {X[first].tolist()}")
 
     @pytest.mark.parametrize("text, per_row", [("x1^2+x2^2", False),
@@ -401,7 +398,7 @@ class TestBaselineReport:
         assert X[3770].tolist() == [1.828125, 0.0] and 3770 > FE.BLOCK_ROWS
         S._require_p_positive(X, S._hessian(phi), 1, "D²phi")
         with pytest.raises(DomainError, match="non-finite") as exc:
-            S.hormander_report(cx, f, phi, 1)
+            S.hormander_report(cx, f, phi)
         assert str(X[3770].tolist()) in str(exc.value)
 
     def test_membership_error_names_first_bad_support_node(self):
@@ -443,7 +440,7 @@ class TestBaselineReport:
     def test_record_schema(self, cx32, f32):
         f2 = S.closed_form_from_potential(cx32, 2, [pot, 0.0])
         for p, f, method in ((1, f32, "primitive"), (2, f2, "lsmr")):
-            rep = S.hormander_report(cx32, f, PHI2, p)
+            rep = S.hormander_report(cx32, f, PHI2)
             rec = rep.record()
             assert set(rec) == {"test", "lhs", "rhs", "constant", "ratio",
                                 "h", "method", "iterations", "residual",
@@ -457,6 +454,23 @@ class TestBaselineReport:
             assert (rec["iterations"] > 0) == (method == "lsmr")
             assert rec["num_cells"] == cx32.num_cells(p - 1)
 
+    def test_degree_comes_from_the_cochain(self):
+        # D²phi = diag(2, -1, 2): its smallest 2-trace is 1 and its smallest
+        # 1-trace -1, so phi is 2-positive but not 1-positive
+        cx = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 1 / 8))
+        phi = parse("x1^2-0.5*x2^2+x3^2", n=3)
+
+        def pot3(x):
+            return pot(x) * bump01(x[2], 0.25, 0.75)
+
+        f2 = S.closed_form_from_potential(cx, 2, [pot3, 0.0, 0.0])
+        rep = S.hormander_report(cx, f2, phi)
+        assert rep.solve.u.p == 1 and not rep.vacuous and rep.passed
+        f1 = S.closed_form_from_potential(cx, 1, [pot3])
+        with pytest.raises(PreconditionError,
+                           match="D²phi is not 1-positive"):
+            S.hormander_report(cx, f1, phi)
+
 
 # ---------------------------------------------------------------------------
 # two-weight report
@@ -467,13 +481,12 @@ class TestTwoWeightReport:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6])
     def test_passes_with_predicted_constant(self, cx32, f32, alpha):
         psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
-        rep = S.berndtsson_report(cx32, f32, PHI2, psi, alpha, 1)
+        rep = S.berndtsson_report(cx32, f32, PHI2, psi, alpha)
         assert rep.constant == pytest.approx(4.0 / (1.0 - alpha) ** 2)
         assert rep.passed
         assert rep.apriori is not None
         assert rep.apriori.sigma == pytest.approx((1.0 - alpha) / 2.0)
         assert 0.0 < rep.apriori.worst_ratio <= 1.0
-        assert rep.apriori.label == "sampled apriori check"
 
     def test_diameter_weight_rhs_in_closed_form(self, cx32, f32):
         # the induced operator of p|x-c|^2/(2D^2) is (p^2/D^2)·Id on
@@ -488,7 +501,7 @@ class TestTwoWeightReport:
         # α = 0 gives ‖u‖_φ ≤ (2D/p)·‖f‖_φ up to slack
         dia = math.sqrt(2.0)
         psi = diameter_weight(1, dia, (0.5, 0.5))
-        rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.0, 1)
+        rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.0)
         f_sq = S._pairing_integral(cx32, f32,
                                    parse("0.5*(x1^2+x2^2)", n=2), PHI2)
         assert rep.lhs <= (2.0 * dia) ** 2 * f_sq * 1.05
@@ -496,12 +509,12 @@ class TestTwoWeightReport:
     def test_second_weight_must_stay_admissible(self, cx32, f32):
         # -e^{-|x|^2} is not 1-plurisubharmonic on the whole square
         with pytest.raises(PreconditionError):
-            S.berndtsson_report(cx32, f32, PHI2, PHI2, 0.3, 1)
+            S.berndtsson_report(cx32, f32, PHI2, PHI2, 0.3)
 
     def test_alpha_range_checked(self, cx32, f32):
         psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
         with pytest.raises(PreconditionError):
-            S.berndtsson_report(cx32, f32, PHI2, psi, 1.0, 1)
+            S.berndtsson_report(cx32, f32, PHI2, psi, 1.0)
 
     def test_top_degree(self):
         # p = n: no (p+1)-cells, so the apriori check draws g directly and
@@ -509,7 +522,7 @@ class TestTwoWeightReport:
         cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
         f = S.closed_form_from_potential(cx, 2, [pot, 0.0])
         psi = diameter_weight(2, math.sqrt(2.0), (0.5, 0.5))
-        rep = S.berndtsson_report(cx, f, PHI2, psi, 0.3, 2,
+        rep = S.berndtsson_report(cx, f, PHI2, psi, 0.3,
                                   rng=np.random.default_rng(0))
         assert rep.passed and rep.solve.method == "lsmr"
         assert rep.apriori.samples == 3
@@ -529,7 +542,7 @@ class TestMinimalEstimate:
     def test_passes(self, cx32, f32):
         psi = parse("0.1*(x1^2+x2^2)", n=2)
         rep = S.minimal_estimate_report(cx32, f32, PHI2, psi, self.omega,
-                                        0.5, 1)
+                                        0.5)
         assert rep.constant == pytest.approx(3.0)
         assert rep.passed
 
@@ -537,13 +550,13 @@ class TestMinimalEstimate:
         psi = parse("0.1*(x1^2+x2^2)", n=2)
         with pytest.raises(PreconditionError):
             S.minimal_estimate_report(cx32, f32, PHI2, psi, self.omega,
-                                      0.2, 1)
+                                      0.2)
 
     def test_constant_psi_degenerate_unless_zero_rhs(self, cx32, f32):
         with pytest.raises(MembershipError):
-            S.minimal_estimate_report(cx32, f32, PHI2, 3.0, 0.0, 0.0, 1)
+            S.minimal_estimate_report(cx32, f32, PHI2, 3.0, 0.0, 0.0)
         zero = D.Cochain(1, np.zeros(cx32.num_cells(1)))
-        rep = S.minimal_estimate_report(cx32, zero, PHI2, 3.0, 0.0, 0.0, 1)
+        rep = S.minimal_estimate_report(cx32, zero, PHI2, 3.0, 0.0, 0.0)
         assert rep.vacuous and rep.passed and rep.constant == 1.0
 
     @pytest.mark.parametrize("omega, where", [
@@ -554,20 +567,20 @@ class TestMinimalEstimate:
         psi = parse("0.1*(x1^2+x2^2)", n=2)
         with pytest.raises(PreconditionError,
                            match=r"0 <= omega < 1\.0; " + where):
-            S.minimal_estimate_report(cx32, f32, PHI2, psi, omega, 0.5, 1)
+            S.minimal_estimate_report(cx32, f32, PHI2, psi, omega, 0.5)
 
     def test_psd_hypothesis_enforced(self, cx32, f32):
         # omega too small for psi's own gradient term
         psi = parse("0.1*(x1^2+x2^2)", n=2)
         with pytest.raises(PreconditionError):
             S.minimal_estimate_report(cx32, f32, PHI2, psi,
-                                      lambda x: 0.01, 0.5, 1)
+                                      lambda x: 0.01, 0.5)
 
     def test_composite_route(self, cx32, f32):
         psi0 = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
         a0 = 0.25
         base, comp = S.composite_minimal_estimate(cx32, f32, PHI2, psi0,
-                                                  a0, 1)
+                                                  a0)
         assert base.passed and comp.passed
         assert base.constant == pytest.approx(
             (1 + math.sqrt(a0)) / (1 - math.sqrt(a0)))
@@ -581,7 +594,7 @@ class TestMinimalEstimate:
     def test_composite_alpha_range(self, cx32, f32):
         psi0 = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
         with pytest.raises(PreconditionError):
-            S.composite_minimal_estimate(cx32, f32, PHI2, psi0, 0.0, 1)
+            S.composite_minimal_estimate(cx32, f32, PHI2, psi0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -593,18 +606,18 @@ class TestNonPshReport:
     PSI_L = parse("0.3*x1+0.3*x2", n=2)
 
     def test_varying_omega(self, cx32, f32):
-        rep = S.nonpsh_report(cx32, f32, PHI2, self.PSI_L, 0.4, 0.4, 1)
+        rep = S.nonpsh_report(cx32, f32, PHI2, self.PSI_L, 0.4, 0.4)
         assert rep.constant == pytest.approx(2.4 / 1.6)
         assert rep.passed
 
     def test_constant_omega_variant(self, cx32, f32):
-        rep = S.nonpsh_report(cx32, f32, PHI2, self.PSI_L, None, 0.3, 1)
+        rep = S.nonpsh_report(cx32, f32, PHI2, self.PSI_L, None, 0.3)
         assert rep.constant == pytest.approx(4.0 / (2.0 - 0.3) ** 2)
         assert rep.passed
 
     def test_reduces_to_baseline_bit_for_bit(self, cx32, f32):
-        base = S.hormander_report(cx32, f32, PHI2, 1)
-        red = S.nonpsh_report(cx32, f32, PHI2, None, None, 0.0, 1)
+        base = S.hormander_report(cx32, f32, PHI2)
+        red = S.nonpsh_report(cx32, f32, PHI2, None, None, 0.0)
         assert red.constant == 1.0
         assert red.lhs == base.lhs
         assert red.rhs == base.rhs
@@ -616,24 +629,24 @@ class TestNonPshReport:
         psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
         rep = S.nonpsh_report(cx32, f32, S.CombinedWeight(PHI2, 1.0, psi),
                               S.CombinedWeight(None, 1.0 + alpha, psi),
-                              None, 1.0 + alpha, 1)
+                              None, 1.0 + alpha)
         assert rep.constant == pytest.approx(4.0 / (1.0 - alpha) ** 2)
         assert rep.passed
 
     def test_gradient_hypothesis_enforced(self, cx32, f32):
         steep = parse("5*x1+5*x2", n=2)
         with pytest.raises(PreconditionError):
-            S.nonpsh_report(cx32, f32, PHI2, steep, 0.4, 0.4, 1)
+            S.nonpsh_report(cx32, f32, PHI2, steep, 0.4, 0.4)
 
     def test_alpha_range(self, cx32, f32):
         with pytest.raises(PreconditionError):
-            S.nonpsh_report(cx32, f32, PHI2, self.PSI_L, None, 2.0, 1)
+            S.nonpsh_report(cx32, f32, PHI2, self.PSI_L, None, 2.0)
 
     def test_omega_range_names_the_point(self, cx32, f32):
         with pytest.raises(PreconditionError, match=r"0 <= omega < 2\.0; "
                            r"got 2\.0625 at x = \[0\.515625, 0\.0\]"):
             S.nonpsh_report(cx32, f32, PHI2, self.PSI_L,
-                            lambda x: 4.0 * x[0], 0.5, 1)
+                            lambda x: 4.0 * x[0], 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +656,9 @@ class TestNonPshReport:
 class TestScalingCovariance:
 
     def test_constant_shift_scales_both_sides(self, cx32, f32):
-        base = S.hormander_report(cx32, f32, PHI2, 1)
+        base = S.hormander_report(cx32, f32, PHI2)
         shifted = S.hormander_report(cx32, f32,
-                                     S.CombinedWeight(PHI2, 1.0, 2.5), 1)
+                                     S.CombinedWeight(PHI2, 1.0, 2.5))
         assert np.abs(shifted.solve.u.values
                       - base.solve.u.values).max() <= 1e-12
         assert shifted.lhs / base.lhs == pytest.approx(math.exp(-2.5),
@@ -662,19 +675,19 @@ def _six_reports(cx, f):
     quad = parse("0.1*(x1^2+x2^2)", n=2)
     tilt = TestNonPshReport.PSI_L
     omega = TestMinimalEstimate.omega
-    base, comp = S.composite_minimal_estimate(cx, f, PHI2, dia, 0.25, 1)
+    base, comp = S.composite_minimal_estimate(cx, f, PHI2, dia, 0.25)
     return [
-        (S.hormander_report(cx, f, PHI2, 1), PHI2, PHI2, None),
-        (S.berndtsson_report(cx, f, PHI2, dia, 0.3, 1),
+        (S.hormander_report(cx, f, PHI2), PHI2, PHI2, None),
+        (S.berndtsson_report(cx, f, PHI2, dia, 0.3),
          S.CombinedWeight(PHI2, -0.3, dia), dia, None),
-        (S.minimal_estimate_report(cx, f, PHI2, quad, omega, 0.5, 1),
+        (S.minimal_estimate_report(cx, f, PHI2, quad, omega, 0.5),
          S.CombinedWeight(PHI2, -1.0, quad), quad,
          lambda X: 1.0 - FE.field_jets(omega, X, order=0) ** 2),
         (comp, S.CombinedWeight(PHI2, -0.25, dia), dia, None),
-        (S.nonpsh_report(cx, f, PHI2, tilt, 0.4, 0.4, 1),
+        (S.nonpsh_report(cx, f, PHI2, tilt, 0.4, 0.4),
          S.CombinedWeight(PHI2, -1.0, tilt), PHI2,
          lambda X: 1.0 - FE.field_jets(0.4, X, order=0) ** 2 / 4.0),
-        (S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3, 1),
+        (S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3),
          S.CombinedWeight(PHI2, -1.0, tilt), PHI2, None),
     ]
 
@@ -698,12 +711,12 @@ def test_reports_use_their_stated_weight_and_theta(cx32, f32):
 
 def test_record_carries_apriori(cx32, f32):
     psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
-    rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.3, 1)
+    rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.3)
     rec = rep.record()
     assert rec["apriori_sigma"] == rep.apriori.sigma
     assert rec["apriori_worst_ratio"] == rep.apriori.worst_ratio
     assert list(rec)[-2:] == ["apriori_sigma", "apriori_worst_ratio"]
-    assert set(S.hormander_report(cx32, f32, PHI2, 1).record()) == {
+    assert set(S.hormander_report(cx32, f32, PHI2).record()) == {
         "test", "lhs", "rhs", "constant", "ratio", "h", "method",
         "iterations", "residual", "harmonic_obstruction", "num_cells",
         "pass"}
@@ -725,8 +738,8 @@ def test_reports_build_each_mass_once(monkeypatch):
     monkeypatch.setattr(S, "mass", counting)
     psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
     reports = [
-        (4, lambda cx, f: S.hormander_report(cx, f, PHI2, 1)),
-        (9, lambda cx, f: S.berndtsson_report(cx, f, PHI2, psi, 0.3, 1))]
+        (4, lambda cx, f: S.hormander_report(cx, f, PHI2)),
+        (9, lambda cx, f: S.berndtsson_report(cx, f, PHI2, psi, 0.3))]
     for count, report in reports:
         cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
         f = S.closed_form_from_potential(cx, 1, [pot])
@@ -975,10 +988,10 @@ def _run_consumers():
     psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
     omega = parse("0.3+0.05*x1", n=2)
     tilt = TestNonPshReport.PSI_L
-    reports = [S.hormander_report(cx, f, PHI2, 1),
-               S.berndtsson_report(cx, f, PHI2, psi, 0.3, 1),
-               S.nonpsh_report(cx, f, PHI2, tilt, omega, 0.4, 1),
-               S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3, 1)]
+    reports = [S.hormander_report(cx, f, PHI2),
+               S.berndtsson_report(cx, f, PHI2, psi, 0.3),
+               S.nonpsh_report(cx, f, PHI2, tilt, omega, 0.4),
+               S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3)]
     assert all(rep.passed for rep in reports)
     rep = D.energy_identity_residual(
         [pot, 0.0], PHI2, D.GridDomain(UNIT2, 1 / 16, r=r), 1)
