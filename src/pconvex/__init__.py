@@ -22,8 +22,9 @@ The package is organized in layers:
 * :mod:`pconvex.cli` — batch front-end over INI configs (``pconvex run``,
   ``pconvex list-builtins``).
 
-scipy is loaded only where a complex is built (bounds, solve, cohomology),
-and a degree-1 bound or solve on a box loads none of it.
+scipy is loaded only where bounds and solves build a complex, and a
+degree-1 bound or solve on a box loads none of it; a cohomology count runs
+on numpy alone.
 """
 
 from .convexity import (boundary_p_convexity, curvature_bounds_check,

@@ -59,7 +59,6 @@ __all__ = [
 sp = _LazyModule("scipy.sparse")
 spla = _LazyModule("scipy.sparse.linalg")
 csgraph = _LazyModule("scipy.sparse.csgraph")
-ndimage = _LazyModule("scipy.ndimage")
 
 _TOL = 1e-10     # relative weighted residual of every solve
 _SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
@@ -189,6 +188,17 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
     return u - mean[labels]
 
 
+def _check_cochain(cx: CubicalComplex, f: Cochain) -> None:
+    """Raise ValueError unless ``f`` has a degree from 1 to n and one value
+    per cell of that degree."""
+    if not 1 <= f.p <= cx.n:
+        raise ValueError(f"cochain degree must satisfy 1 <= p <= {cx.n}; "
+                         f"got {f.p}")
+    if f.values.size != cx.num_cells(f.p):
+        raise ValueError(f"cochain has {f.values.size} values for "
+                         f"{cx.num_cells(f.p)} {f.p}-cells")
+
+
 def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
     """Minimal-norm ``u`` with ``du = f`` in the weight's inner product.
 
@@ -206,11 +216,8 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
     part of ``f`` and :class:`CohomologyObstruction` carries its norm;
     running out of the iteration budget raises :class:`NoConvergence`.
     """
+    _check_cochain(cx, f)
     p = f.p
-    if not 1 <= p <= cx.n:
-        raise ValueError(f"solve degree must satisfy 1 <= p <= {cx.n}")
-    if f.values.size != cx.num_cells(p):
-        raise ValueError("cochain length does not match the complex")
     m_tgt = mass(cx, phi, p)
     source = mass(cx, phi, p - 1)
     f_norm = math.sqrt(m_tgt.inner(f.values, f.values))
@@ -603,6 +610,7 @@ def _check_alpha(bound: str, alpha: float) -> None:
 def hormander_report(cx: CubicalComplex, f: Cochain, phi) -> BoundReport:
     """Baseline estimate: ``‖u‖²_φ ≤ ∫⟨F_φ⁻¹f, f⟩e^{−φ}`` (constant 1) for
     the minimal solution under a p-plurisubharmonic weight, p = ``f.p``."""
+    _check_cochain(cx, f)
     _require_p_positive(cx.barycenters(f.p), _hessian(phi), f.p, "D²phi")
     sol = minimal_solution(cx, f, phi)
     return _estimate("hormander", cx, f, sol, phi, phi, 1.0)
@@ -618,6 +626,7 @@ def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
     ``−e^{−ψ}`` p-plurisubharmonic.  Also runs the sampled apriori check
     with ``σ = (1−α)/2`` on three random coexact cochains.
     """
+    _check_cochain(cx, f)
     _check_alpha("berndtsson", alpha)
     p = f.p
     bary = cx.barycenters(p)
@@ -676,6 +685,7 @@ def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     everywhere, and ``ω ≤ α`` on the support of ``f``.  The solve weight is
     plain ``φ``; ``ψ`` enters only through the comparison densities.
     """
+    _check_cochain(cx, f)
     _check_alpha("minimal", alpha)
     p = f.p
     bary = cx.barycenters(p)
@@ -700,6 +710,7 @@ def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
     e^{−φ+α₀ψ₀}``.  Returns (base report, composite report); both use the
     same φ-minimal solution.
     """
+    _check_cochain(cx, f)
     _check_alpha("composite", alpha0)
     _require_p_positive(cx.barycenters(f.p), _neg_exp_hessian(psi0), f.p,
                         "the Hessian of -exp(-psi0)")
@@ -724,6 +735,7 @@ def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     With ``psi=None`` and ``alpha=0`` both variants reduce to the baseline
     report, reproducing its numbers exactly.
     """
+    _check_cochain(cx, f)
     _check_alpha("nonpsh", alpha)
     p = f.p
     bary = cx.barycenters(p)
@@ -760,6 +772,40 @@ class CohomologyReport:
     euler: int        # Euler characteristic
 
 
+def _count_components(present: np.ndarray, links) -> int:
+    """Connected components of the grid graph on the cells where
+    ``present`` holds; ``links[a]``, one shorter along axis a, joins each
+    cell to the next along a, and holds only between present cells.
+
+    Runs along the last axis are labelled by a ``cumsum`` of their starts;
+    along each other axis one link is kept per stretch that joins the same
+    two runs, and the runs are merged by hooking each root onto a smaller
+    root it is linked to, then jumping every pointer to its root, until no
+    link joins two roots.
+    """
+    start = present.copy()
+    start[..., 1:] &= ~links[-1]
+    label = np.cumsum(start, dtype=np.int32).reshape(present.shape) - 1
+    u = v = np.zeros(0, np.int32)
+    for a, link in enumerate(links[:-1]):
+        lo = label[(slice(None),) * a + (slice(None, -1),)]
+        hi = label[(slice(None),) * a + (slice(1, None),)]
+        keep = link.copy()
+        keep[..., 1:] &= ~(link[..., :-1] & (lo[..., 1:] == lo[..., :-1])
+                           & (hi[..., 1:] == hi[..., :-1]))
+        u, v = np.append(u, lo[keep]), np.append(v, hi[keep])
+    parent = np.arange(np.count_nonzero(start), dtype=np.int32)
+    while u.size:
+        pu, pv = parent[u], parent[v]
+        live = pu != pv
+        u, v, pu, pv = u[live], v[live], pu[live], pv[live]
+        parent[np.maximum(pu, pv)] = np.minimum(pu, pv)
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+    return int(np.count_nonzero(parent == np.arange(parent.size)))
+
+
 def cohomology_rank(cx: CubicalComplex,
                     weights: Sequence = ()) -> CohomologyReport:
     """Betti numbers ``b_0 … b_n`` of the complex, for ``n ≤ 3``.
@@ -771,16 +817,18 @@ def cohomology_rank(cx: CubicalComplex,
     raises :class:`~pconvex.errors.DomainError` naming the cell where it
     is not).
 
-    The count lays the id grid of each axes combination on the doubled
-    grid, padded with one free voxel per side, as its sub-grid of step 2
-    from voxel 2 along the spanned axes and from voxel 1 across the
-    others; face-adjacent voxels there are exactly cell/facet pairs, and
-    face connectivity is ``scipy.ndimage.label``'s default.
-    ``b_0`` is the number of labels of the occupied voxels, ``b_{n−1}``
-    that of the free voxels less the unbounded one (Alexander duality),
-    and ``b_n = 0``.  In 3-D ``b_1`` follows from the Euler
-    characteristic; in 2-D ``b_0 − b_1`` must equal it.  For ``n ≥ 4``
-    these counts leave the middle ranks open.
+    ``b_0`` counts the components of the node grid, two nodes joined where
+    the 1-cell between them is present.  ``b_{n−1}`` counts those of the
+    absent top cells (Alexander duality), padded by one absent layer per
+    side, two joined where the (n−1)-cell between them is absent, less
+    the unbounded one; ``b_n = 0``.  By closure a present cell has present
+    faces, so its nodes are joined through its 1-cells, and an absent cell
+    absent cofaces, so its top cofaces are joined through its
+    (n−1)-cofaces: both counts equal those of the face-connected occupied
+    and free voxels of the doubled grid, on which each cell is one voxel.
+    In 3-D ``b_1`` follows from the Euler characteristic; in 2-D
+    ``b_0 − b_1`` must equal it.  For ``n ≥ 4`` these counts leave the
+    middle ranks open.
     """
     n = cx.n
     if n > 3:
@@ -788,12 +836,18 @@ def cohomology_rank(cx: CubicalComplex,
     for w in weights:
         for q in range(n + 1):
             mass(cx, w, q)
-    free = np.ones([2 * m + 3 for m in cx.dom.counts], dtype=bool)
-    for axes, ids in cx.ids.items():
-        free[tuple(slice(2, -2, 2) if i in axes else slice(1, -1, 2)
-                   for i in range(n))] = ids < 0
-    components = ndimage.label(~free)[1]
-    voids = ndimage.label(free)[1] - 1
+    components = _count_components(cx.ids[()] >= 0,
+                                   [cx.ids[(a,)] >= 0 for a in range(n)])
+
+    def absent(axes):
+        # padded by one absent layer along each axis the cells span
+        return np.pad(cx.ids[axes] < 0, [(int(i in axes),) * 2
+                                         for i in range(n)],
+                      constant_values=True)
+
+    top = tuple(range(n))
+    voids = _count_components(absent(top), [absent(top[:a] + top[a + 1:])
+                                            for a in range(n)]) - 1
     euler = cx.euler_characteristic
     if n == 1:
         ranks = (components, 0)

@@ -921,10 +921,10 @@ NUMPY_ONLY_TASKS = ("check-psh", "boundary-convexity", "df-search", "kmh",
 
 def test_cli_import_leaves_lazy_scipy_modules_unloaded(tmp_path):
     # every process imports the cli; scipy.ndimage would add 0.1 s or more
-    # to each start, so only a cohomology count loads it, and csgraph is
-    # imported only where a degree-1 solve on a domain with r needs it.  The
-    # tasks that build no complex run on numpy alone: scipy.sparse and its
-    # submodules load only where a complex is built.
+    # to each start, and no task loads it; csgraph is imported only where a
+    # degree-1 solve on a domain with r needs it.  The tasks that build no
+    # complex run on numpy alone: scipy.sparse and its submodules load only
+    # where a complex is built.
     configs = sorted(str(path) for path in REPO_CONFIGS.glob("*.ini")
                      if cli.load_config(str(path)).task in NUMPY_ONLY_TASKS)
     assert len(configs) == 9
@@ -952,9 +952,9 @@ print(json.dumps([at_import, codes, after_runs]))
     assert after_runs == []
 
 
-def _sparse_modules_after(configs, tmp_path):
-    """Exit codes of ``configs`` run in one fresh process, and the
-    ``scipy.sparse`` submodules loaded after them."""
+def _scipy_modules_after(configs, tmp_path):
+    """Exit codes of ``configs`` run in one fresh process, and the ``scipy``
+    modules loaded after them."""
     src = pathlib.Path(cli.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     script = f"""
@@ -963,7 +963,7 @@ from pconvex import cli
 codes = [cli.run(path, out_dir={str(tmp_path)!r} + '/' + str(i))
          for i, path in enumerate({configs!r})]
 print(json.dumps([codes, sorted(m for m in sys.modules
-                                if m.startswith('scipy.sparse.'))]))
+                                if m.split('.')[0] == 'scipy')]))
 """
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
@@ -972,14 +972,15 @@ print(json.dumps([codes, sorted(m for m in sys.modules
 
 
 def test_cohomology_loads_neither_csgraph_nor_sparse_linalg(tmp_path):
-    # the count labels a voxel grid with scipy.ndimage; csgraph, and the
-    # scipy.sparse.linalg it imports, belong to the solves alone
+    # the count merges runs of the complex's own id grids with numpy, so
+    # a cohomology run loads no scipy module at all: neither csgraph and
+    # the scipy.sparse.linalg it imports, which belong to the solves, nor
+    # scipy.ndimage
     configs = sorted(str(path) for path in REPO_CONFIGS.glob("betti_*.ini"))
     assert len(configs) == 3
-    codes, loaded = _sparse_modules_after(configs, tmp_path)
+    codes, loaded = _scipy_modules_after(configs, tmp_path)
     assert codes == [0, 0, 0]
-    assert "scipy.sparse.csgraph" not in loaded
-    assert "scipy.sparse.linalg" not in loaded
+    assert loaded == []
 
 
 def test_box_solves_load_neither_csgraph_nor_sparse_linalg(tmp_path):
@@ -987,7 +988,7 @@ def test_box_solves_load_neither_csgraph_nor_sparse_linalg(tmp_path):
     # bound report or solve there needs no graph search, and no LSMR
     configs = [str(REPO_CONFIGS / name)
                for name in ("hormander_ladder.ini", "solve_min_norm.ini")]
-    codes, loaded = _sparse_modules_after(configs, tmp_path)
+    codes, loaded = _scipy_modules_after(configs, tmp_path)
     assert codes == [0, 0]
     assert "scipy.sparse.csgraph" not in loaded
     assert "scipy.sparse.linalg" not in loaded
@@ -996,8 +997,8 @@ def test_box_solves_load_neither_csgraph_nor_sparse_linalg(tmp_path):
 def test_box_bounds_and_solves_load_no_sparse_matrices(tmp_path):
     # on a box a degree-1 bound or solve applies d and its weighted adjoint
     # as gathers over the complex's columns and checks d∘d = 0 by cancelling
-    # pairs, so scipy.sparse is never imported; its import alone adds tens
-    # of MiB to a process
+    # pairs, so scipy.sparse, or any scipy module, is never imported; its
+    # import alone adds tens of MiB to a process
     configs = [str(REPO_CONFIGS / f"{name}.ini")
                for name in ("berndtsson_diameter", "composite_route",
                             "hormander_ladder", "minimal_estimate",
@@ -1005,6 +1006,6 @@ def test_box_bounds_and_solves_load_no_sparse_matrices(tmp_path):
     for path in configs:
         e = cli.load_config(path)
         assert e.r is None and e.p == 1, path
-    codes, loaded = _sparse_modules_after(configs, tmp_path)
+    codes, loaded = _scipy_modules_after(configs, tmp_path)
     assert codes == [0] * 6
     assert loaded == []

@@ -3,7 +3,6 @@ form sampling, and the node-level energy identity."""
 
 import itertools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -350,6 +349,27 @@ def _old_voxels(cx):
     return free
 
 
+def _doubled(present, links):
+    """The grid on which cell ``i`` is voxel ``2i`` and a link along axis
+    a is the voxel between its two cells: its face-connected labels are the
+    components of the grid graph."""
+    grid = np.zeros([2 * m - 1 for m in present.shape], dtype=bool)
+    grid[(slice(None, None, 2),) * present.ndim] = present
+    for a, link in enumerate(links):
+        grid[tuple(slice(1, None, 2) if i == a else slice(None, None, 2)
+                   for i in range(present.ndim))] = link
+    return grid
+
+
+# the domains of cohomology_rank (n <= 3), with 1-D ones
+COUNT_DOMAINS = dict(
+    {k: v for k, v in GEOMETRY_DOMAINS.items() if k != "box-6x6x6x6"},
+    interval=lambda: D.GridDomain(((0.0, 1.0),), 1 / 16),
+    **{"two-intervals": lambda: D.GridDomain(
+        ((0.0, 3.0),), 1 / 16,
+        r=parse("(x1-0.5)*(x1-1.2)*(x1-1.8)*(x1-2.5)", n=1))})
+
+
 class TestIdGridReads:
 
     @pytest.mark.parametrize("name", GEOMETRY_DOMAINS)
@@ -368,22 +388,44 @@ class TestIdGridReads:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("name", [k for k in GEOMETRY_DOMAINS
-                                      if k != "box-6x6x6x6"])
-    def test_voxel_grid_keeps_every_voxel(self, name, monkeypatch):
-        cx = D.build_complex(GEOMETRY_DOMAINS[name]())
-        seen = []
-
-        def label(a):
-            seen.append(a.copy())
-            return ndi.label(a)
-
-        monkeypatch.setattr(S, "ndimage", types.SimpleNamespace(label=label))
-        S.cohomology_rank(cx)
+    @pytest.mark.parametrize("name", COUNT_DOMAINS)
+    def test_counts_match_voxel_labels(self, name):
+        # the grid-graph counts equal the face-connected labels of the
+        # doubled voxel grid on which each cell is one voxel
+        cx = D.build_complex(COUNT_DOMAINS[name]())
         free = _old_voxels(cx)
-        assert len(seen) == 2
-        assert np.array_equal(seen[0], ~free)
-        assert np.array_equal(seen[1], free)
+        rep = S.cohomology_rank(cx)
+        assert rep.components == ndi.label(~free)[1]
+        assert rep.voids == ndi.label(free)[1] - 1
+
+    def test_count_components_matches_ndimage(self):
+        # serpentines along either axis (one path through every run), an
+        # empty grid, single cells, and random grids near the site
+        # percolation thresholds (0.593 in 2-D, 0.312 in 3-D) or with links
+        # dropped near the bond threshold; a link holds only between
+        # present cells
+        rng = np.random.default_rng(28)
+        snake = np.zeros((301, 301), dtype=bool)
+        snake[::2] = True
+        snake[1::4, -1] = snake[3::4, 0] = True
+        grids = [(snake, 1.0), (snake.T.copy(), 1.0),
+                 (np.zeros((5, 7), dtype=bool), 1.0),
+                 (np.ones((1, 1), dtype=bool), 1.0),
+                 (np.ones((1,), dtype=bool), 1.0)]
+        for _ in range(4):
+            grids += [(rng.random((60, 70)) < 0.593, 1.0),
+                      (rng.random((60, 70)) < 0.8, 0.5),
+                      (rng.random((14, 15, 16)) < 0.312, 1.0),
+                      (rng.random((14, 15, 16)) < 0.6, 0.3),
+                      (rng.random(40) < 0.7, 0.8)]
+        for present, keep in grids:
+            links = []
+            for a in range(present.ndim):
+                lo = present[(slice(None),) * a + (slice(None, -1),)]
+                hi = present[(slice(None),) * a + (slice(1, None),)]
+                links.append(lo & hi & (rng.random(lo.shape) < keep))
+            assert S._count_components(present, links) == ndi.label(
+                _doubled(present, links))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 log-marginal convexity check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -690,6 +691,35 @@ def _six_reports(cx, f):
         (S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3),
          S.CombinedWeight(PHI2, -1.0, tilt), PHI2, None),
     ]
+
+
+DIAMETER = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
+
+# each bound report, called on a cochain of the unit square
+REPORTS = {
+    "hormander": lambda cx, f: S.hormander_report(cx, f, PHI2),
+    "berndtsson": lambda cx, f: S.berndtsson_report(cx, f, PHI2, DIAMETER,
+                                                    0.3),
+    "minimal-estimate": lambda cx, f: S.minimal_estimate_report(
+        cx, f, PHI2, parse("0.1*(x1^2+x2^2)", n=2),
+        TestMinimalEstimate.omega, 0.5),
+    "composite": lambda cx, f: S.composite_minimal_estimate(
+        cx, f, PHI2, DIAMETER, 0.25),
+    "nonpsh": lambda cx, f: S.nonpsh_report(cx, f, PHI2,
+                                            TestNonPshReport.PSI_L, 0.4, 0.4),
+}
+
+
+@pytest.mark.parametrize("report", REPORTS)
+@pytest.mark.parametrize("p, short, message", [
+    (0, 0, "cochain degree must satisfy 1 <= p <= 2; got 0"),
+    (3, 0, "cochain degree must satisfy 1 <= p <= 2; got 3"),
+    (1, 1, "cochain has 2111 values for 2112 1-cells")])
+def test_reports_check_the_cochain_first(cx32, report, p, short, message):
+    # degree and length are checked before any sweep reads the cells
+    size = cx32.num_cells(min(p, 2)) - short
+    with pytest.raises(ValueError, match=re.escape(message)):
+        REPORTS[report](cx32, D.Cochain(p, np.ones(size)))
 
 
 def test_reports_use_their_stated_weight_and_theta(cx32, f32):
