@@ -787,19 +787,6 @@ _TASK_ERRORS = (ValueError, DomainError, NoConvergence)
 # artifacts
 # ---------------------------------------------------------------------------
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays for json.dumps."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
-
-
 def _csv_cell(v) -> str:
     if isinstance(v, str):
         return v
@@ -867,11 +854,8 @@ def _svg_loglog(points: Sequence[Tuple[float, float]], xlabel: str,
     return "\n".join(parts) + "\n"
 
 
-def _write_artifacts(out_dir: str, header: dict, records: List[dict],
-                     series, plot) -> None:
+def _write_artifacts(out_dir: str, lines: List[str], series, plot) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    lines = [json.dumps(_plain(header), sort_keys=True)]
-    lines += [json.dumps(_plain(rec), sort_keys=True) for rec in records]
     with open(os.path.join(out_dir, "report.jsonl"), "w",
               encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -918,12 +902,15 @@ def run(config_path: str, out_dir: Optional[str] = None,
     header = {"timestamp": datetime.now(timezone.utc).isoformat(),
               "config": os.path.basename(config_path),
               "task": exp.task, "seed": exp.seed}
-    _write_artifacts(out, header, records, series, plot)
+    # numpy values that are not floats (np.float64 is one) go through tolist
+    lines = [json.dumps(obj, sort_keys=True, default=lambda o: o.tolist())
+             for obj in [header] + records]
+    _write_artifacts(out, lines, series, plot)
 
     n_pass = sum(1 for r in records if r.get("pass"))
     if verbose:
-        for rec in records:
-            print(json.dumps(_plain(rec), sort_keys=True))
+        for line in lines[1:]:
+            print(line)
     status = "ok" if n_pass == len(records) else "FAIL"
     print(f"{exp.task}: {n_pass}/{len(records)} checks passed [{status}] "
           f"-> {os.path.join(out, 'report.jsonl')}")

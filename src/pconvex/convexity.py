@@ -76,12 +76,6 @@ class ConvexityReport:
     witness_values: np.ndarray
     witness_vectors: np.ndarray
 
-    def ok(self, mode: str) -> bool:
-        """Whether the verdict meets the requested mode."""
-        if mode not in ("strict", "semi"):
-            raise ValueError(f"mode must be 'strict' or 'semi', got {mode!r}")
-        return self.verdict in ("strict", mode)
-
 
 def _classify(value: float) -> str:
     if value > 1e-12:
@@ -122,8 +116,6 @@ class FieldRegionReport:
     @property
     def min_trace(self) -> float:
         return float(self.traces[self.worst_index])
-
-    ok = ConvexityReport.ok
 
 
 def _region_report(p: int, pts: np.ndarray,

@@ -374,26 +374,24 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     return WeightedMass(p, diag)
 
 
-def weighted_adjoint(cx: CubicalComplex, phi, p: int) -> sp.csr_matrix:
-    """Adjoint of ``d`` in the weighted inner products: ``M⁻¹ dᵀ M``.
+def weighted_adjoint(cx: CubicalComplex, m_src: WeightedMass,
+                     m_tgt: WeightedMass):
+    """Adjoint ``δ = M_{p-1}⁻¹ dᵀ M_p`` of ``d`` in the masses ``m_src``
+    (degree p−1) and ``m_tgt`` (degree p), as a function of the values.
 
     Satisfies ``⟨du, v⟩_{M_p} = ⟨u, δ v⟩_{M_{p-1}}`` identically — the
     discrete form of the absolute boundary condition, imposed weakly by
-    the complex itself rather than by constraining values.
+    the complex itself rather than by constraining values.  ``δ v`` sums
+    ``(a_i·d_ji)·b_j·v_j``, ``a = 1/m_src`` and ``b = m_tgt``, by bincount
+    in the row order of ``d``, with the bits of the CSR product.
     """
-    if not 1 <= p <= cx.n:
-        raise ValueError(f"degree must satisfy 1 <= p <= {cx.n}, got {p}")
-    a, b = 1.0 / mass(cx, phi, p - 1).diag, mass(cx, phi, p).diag
-    return sp.csr_matrix(sp.diags(a) @ coboundary(cx, p - 1).T.astype(
-        np.float64) @ sp.diags(b))
-
-
-def _adjoint(cx: CubicalComplex, m_src: WeightedMass, m_tgt: WeightedMass):
-    """:func:`weighted_adjoint` from masses already built, as a function of
-    the values ``v``: the entries ``(a_i·d_ji)·b_j`` of ``d_pᵀ``, with
-    ``a = 1/m_src`` and ``b = m_tgt``, times ``v_j``, summed by bincount in
-    the row order of ``d_p``, so that each value has the CSR product's bits."""
-    p, cols = m_src.p, cx._cols[m_src.p]
+    p, sizes = m_src.p, (m_src.diag.size, m_tgt.diag.size)
+    if not (0 <= p < cx.n and m_tgt.p == p + 1
+            and sizes == (cx.num_cells(p), cx.num_cells(p + 1))):
+        raise ValueError(f"need masses of degrees p-1 and p, 1 <= p <= "
+                         f"{cx.n}, one entry per cell; got degrees "
+                         f"{m_src.p}, {m_tgt.p} with {sizes} entries")
+    cols = cx._cols[p]
     entries = ((_row_signs(cx, p) * (1.0 / m_src.diag)[cols])
                * m_tgt.diag[:, None])
     return lambda v: np.bincount(cols.ravel(), (entries * v[:, None]).ravel(),

@@ -38,8 +38,8 @@ class MembershipError(ValueError):
     for a stacked check the row of the first form that failed.
     """
 
-    def __init__(self, message: str, residual: float = float("nan"),
-                 rel_residual: float = float("nan"), row: int = 0):
+    def __init__(self, message: str, residual: float, rel_residual: float,
+                 row: int):
         super().__init__(message)
         self.residual = residual
         self.rel_residual = rel_residual
@@ -86,7 +86,7 @@ class SupportError(PreconditionError):
 class NotClosed(PreconditionError):
     """The right-hand side is not closed to within the solve tolerance."""
 
-    def __init__(self, message: str, rel_residual: float = float("nan")):
+    def __init__(self, message: str, rel_residual: float):
         super().__init__(message)
         self.rel_residual = rel_residual
 
@@ -94,8 +94,7 @@ class NotClosed(PreconditionError):
 class NoConvergence(RuntimeError):
     """An iterative solve exhausted its budget without meeting tolerance."""
 
-    def __init__(self, message: str, iterations: int = -1,
-                 residual: float = float("nan")):
+    def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual

@@ -28,7 +28,8 @@ import numpy as np
 
 from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, WeightedMass, _LazyModule,
-                       _adjoint, _apply_d, coboundary, mass, sample_cochain)
+                       _apply_d, coboundary, mass, sample_cochain,
+                       weighted_adjoint)
 from .errors import (CohomologyObstruction, MembershipError, NoConvergence,
                      NotClosed, PreconditionError, TailError, raise_first)
 from .exterior import induced_pairings, induced_pinv
@@ -246,10 +247,12 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
             return MinimalSolution(Cochain(0, u), 0, r_norm / f_norm, r_norm,
                                    "primitive", phi, source)
 
-    d = coboundary(cx, p - 1).astype(np.float64)
+    # D̃ in place: the bits of the products diags(w_tgt) @ d @ diags(1/w_src)
     w_tgt = np.sqrt(m_tgt.diag)
     w_src = np.sqrt(m_src)
-    scaled = (sp.diags(w_tgt) @ d @ sp.diags(1.0 / w_src)).tocsr()
+    scaled = coboundary(cx, p - 1)
+    scaled.data = ((scaled.data * np.repeat(w_tgt, 2 * p))
+                   * (1.0 / w_src)[scaled.indices])
     budget = min(max(2000, 4 * f.values.size), 60000)
     # btol is the relative residual LSMR aims for.  atol enters both its
     # compatible-system test (as atol·‖D̃‖·‖v‖) and its least-squares test;
@@ -429,7 +432,7 @@ def inverse_quadform_integral(cx: CubicalComplex, f: Cochain, theta,
             sol = induced_pinv(hess, F, f.p)
         except MembershipError as exc:
             raise_first(partial(MembershipError, residual=exc.residual,
-                                rel_residual=exc.rel_residual),
+                                rel_residual=exc.rel_residual, row=exc.row),
                         np.arange(len(X)) == exc.row, X,
                         lambda i: f"{exc} on the quadrature node")
         return np.einsum("ia,ia->i", sol, F)
@@ -649,9 +652,10 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
     w_plus = _combine(phi, 1.0, psi)
     if p < cx.n:
         m_up = mass(cx, w_plus, p + 1)
-        coexact = _adjoint(cx, mass(cx, w_plus, p), m_up)
+        coexact = weighted_adjoint(cx, mass(cx, w_plus, p), m_up)
     w_twist = _combine(phi, sigma, psi)
-    twist = _adjoint(cx, mass(cx, w_twist, p - 1), mass(cx, w_twist, p))
+    twist = weighted_adjoint(cx, mass(cx, w_twist, p - 1),
+                             mass(cx, w_twist, p))
     m_down = mass(cx, w_plus, p - 1)
     worst = 0.0
     done = 0

@@ -12,10 +12,12 @@ this file intentionally shares no code with it).  Conventions:
   ``(p+q)! / (p! q!)``;
 * contraction with a vector acts on the first slot with no extra factor.
 
-The spectral harmonic rank at the end is the exception: it counts the
-kernel of the weighted cochain Laplacian assembled from the library's own
-coboundaries and masses, so it checks the library's combinatorial Betti
-count by an independent method on the same complex.
+The CSR weighted adjoint and the spectral harmonic rank at the end are the
+exception: both are assembled from the library's own coboundaries and
+masses.  The adjoint is the sparse-matrix reference whose products the
+library's gathered adjoint keeps bit for bit; the rank counts the kernel
+of the weighted cochain Laplacian, so it checks the library's
+combinatorial Betti count by an independent method on the same complex.
 """
 
 from __future__ import annotations
@@ -279,6 +281,16 @@ class SpectralReport:
     eigenvalues: np.ndarray  # the head inspected: 6 from one symmetric
                              # shift-invert factor, n_eigs if 6 were harmonic
     floor: float             # floor_factor times the largest |row sum|
+
+
+def weighted_adjoint_csr(cx: CubicalComplex, phi, p: int) -> sp.csr_matrix:
+    """The weighted adjoint ``M_{p-1}⁻¹ dᵀ M_p`` as the CSR product
+    ``diags(1/m_{p−1}) @ d_{p−1}ᵀ @ diags(m_p)``."""
+    if not 1 <= p <= cx.n:
+        raise ValueError(f"degree must satisfy 1 <= p <= {cx.n}, got {p}")
+    a, b = 1.0 / mass(cx, phi, p - 1).diag, mass(cx, phi, p).diag
+    return sp.csr_matrix(sp.diags(a) @ coboundary(cx, p - 1).T.astype(
+        np.float64) @ sp.diags(b))
 
 
 def laplacian_matrix(cx: CubicalComplex, phi, p: int) -> Tuple[sp.csr_matrix,

@@ -82,11 +82,11 @@ def test_p_positive_implies_p_plus_one_positive(n, seed):
 
 def test_verdict_thresholds():
     rep = C.p_positivity_report(np.diag([1.0, 2.0]), 1)
-    assert rep.verdict == "strict" and rep.ok("strict") and rep.ok("semi")
+    assert rep.verdict == "strict"
     rep = C.p_positivity_report(np.diag([0.0, 2.0]), 1)
-    assert rep.verdict == "semi" and not rep.ok("strict") and rep.ok("semi")
+    assert rep.verdict == "semi"
     rep = C.p_positivity_report(np.diag([-1.0, 2.0]), 1)
-    assert rep.verdict == "fail" and not rep.ok("semi")
+    assert rep.verdict == "fail"
     # the trace can be positive while 1-positivity fails
     rep = C.p_positivity_report(np.diag([-1.0, 5.0]), 2)
     assert rep.verdict == "strict"

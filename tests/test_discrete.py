@@ -494,13 +494,14 @@ class TestCoboundary:
             d = D.coboundary(cx, p)
             u, v = sample(d.shape[1]), sample(d.shape[0])
             assert same(D._apply_d(cx, p, u), d @ u)
-            unit = D._adjoint(cx, D.WeightedMass(p, np.ones(d.shape[1])),
-                              D.WeightedMass(p + 1, np.ones(d.shape[0])))
+            unit = D.weighted_adjoint(
+                cx, D.WeightedMass(p, np.ones(d.shape[1])),
+                D.WeightedMass(p + 1, np.ones(d.shape[0])))
             assert same(unit(v), d.T @ v)
             assert same(D._apply_d(cx, p, -0.0 * u), d @ (-0.0 * u))
-            adjoint = D._adjoint(cx, D.mass(cx, phi, p),
-                                 D.mass(cx, phi, p + 1))
-            assert same(adjoint(v), D.weighted_adjoint(cx, phi, p + 1) @ v)
+            adjoint = D.weighted_adjoint(cx, D.mass(cx, phi, p),
+                                         D.mass(cx, phi, p + 1))
+            assert same(adjoint(v), O.weighted_adjoint_csr(cx, phi, p + 1) @ v)
 
     def test_composition_check_catches_a_swapped_column(self):
         cx = D.build_complex(LAYOUT_DOMAINS["box-32x32x32"]())
@@ -611,26 +612,28 @@ class TestWeightedAdjoint:
         phi = parse("x1^2+0.5*x2^2", n=2)
         rng = np.random.default_rng(0)
         for p in (1, 2):
-            delta = D.weighted_adjoint(cx, phi, p)
             m_tgt = D.mass(cx, phi, p)
             m_src = D.mass(cx, phi, p - 1)
+            delta = D.weighted_adjoint(cx, m_src, m_tgt)
             d = D.coboundary(cx, p - 1)
             for _ in range(5):
                 u = rng.standard_normal(cx.num_cells(p - 1))
                 v = rng.standard_normal(cx.num_cells(p))
                 lhs = m_tgt.inner(d @ u, v)
-                rhs = m_src.inner(u, delta @ v)
+                rhs = m_src.inner(u, delta(v))
                 assert abs(lhs - rhs) <= 1e-12 * (abs(lhs) + abs(rhs) + 1)
 
     def test_composition_vanishes_to_cancellation_level(self):
         cx = box_complex(1 / 8)
         phi = parse("x1*x2", n=2)
-        d1t = D.weighted_adjoint(cx, phi, 1)
-        d2t = D.weighted_adjoint(cx, phi, 2)
+        m0, m1, m2 = (D.mass(cx, phi, p) for p in range(3))
+        d1t = D.weighted_adjoint(cx, m0, m1)
+        d2t = D.weighted_adjoint(cx, m1, m2)
         rng = np.random.default_rng(1)
         w = rng.standard_normal(cx.num_cells(2))
-        out = d1t @ (d2t @ w)
-        floor = (abs(d1t) @ (abs(d2t) @ np.abs(w))).max()
+        out = d1t(d2t(w))
+        floor = (abs(O.weighted_adjoint_csr(cx, phi, 1))
+                 @ (abs(O.weighted_adjoint_csr(cx, phi, 2)) @ np.abs(w))).max()
         assert np.abs(out).max() <= 1e-12 * floor
 
     def test_flat_interval_matches_derivative(self):
@@ -638,7 +641,9 @@ class TestWeightedAdjoint:
         for h in (1 / 32, 1 / 64):
             cx = D.build_complex(D.GridDomain(((0.0, 1.0),), h))
             a = D.sample_cochain(cx, 1, [parse("exp(0.5*x1)", n=1)])
-            out = D.weighted_adjoint(cx, 0.0, 1) @ a.values
+            delta = D.weighted_adjoint(cx, D.mass(cx, 0.0, 0),
+                                       D.mass(cx, 0.0, 1))
+            out = delta(a.values)
             xs = np.linspace(0.0, 1.0, cx.num_cells(0))
             expect = -0.5 * np.exp(0.5 * xs)
             errs.append(np.abs(out[2:-2] - expect[2:-2]).max())
@@ -647,8 +652,17 @@ class TestWeightedAdjoint:
 
     def test_degree_validation(self):
         cx = box_complex()
-        with pytest.raises(ValueError):
-            D.weighted_adjoint(cx, 0.0, 0)
+        m0, m1, m2 = (D.mass(cx, 0.0, p) for p in range(3))
+        m3 = D.WeightedMass(3, np.ones(1))
+        # degrees that are not p-1 and p for 1 <= p <= n, and masses with
+        # one entry too few or too many
+        for src, tgt in ((m0, m0), (m0, m2), (m1, m0), (m2, m3),
+                         (D.WeightedMass(-1, np.ones(1)), m0),
+                         (D.WeightedMass(0, m0.diag[1:]), m1),
+                         (m0, D.WeightedMass(1, np.r_[m1.diag, 1.0]))):
+            with pytest.raises(ValueError, match="need masses of degrees"):
+                D.weighted_adjoint(cx, src, tgt)
+        D.weighted_adjoint(cx, m1, m2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 import pconvex.discrete as D
@@ -191,6 +192,35 @@ class TestMinimalSolution:
             S.minimal_solution(cx32, f, PHI2)
         assert err.value.iterations == 3
         assert 1e-10 < err.value.residual < 1.0
+
+    @pytest.mark.parametrize("n, h", [(2, 1 / 16), (3, 1 / 8)],
+                             ids=["2d", "3d"])
+    def test_lsmr_operator_keeps_the_bits_of_the_diagonal_products(
+            self, n, h, monkeypatch):
+        # D̃ = M_p^{1/2} d M_{p−1}^{−1/2} on a p = 2 box, as LSMR receives
+        # it, against the CSR products diags(w_tgt) @ d @ diags(1/w_src)
+        cx = D.build_complex(D.GridDomain(((0.0, 1.0),) * n, h))
+        phi = parse("+".join(f"x{i + 1}^2" for i in range(n)), n=n)
+        potential = [parse("x1*x2^2", n=n)] + [0.0] * (n - 1)
+        f = S.closed_form_from_potential(cx, 2, potential)
+        seen, lsmr = [], S.spla.lsmr
+
+        def capture(A, *args, **kwargs):
+            seen.append(A)
+            return lsmr(A, *args, **kwargs)
+
+        monkeypatch.setattr(S.spla, "lsmr", capture)
+        assert S.minimal_solution(cx, f, phi).method == "lsmr"
+        w_tgt = np.sqrt(D.mass(cx, phi, 2).diag)
+        w_src = np.sqrt(D.mass(cx, phi, 1).diag)
+        want = (sp.diags(w_tgt) @ D.coboundary(cx, 1).astype(np.float64)
+                @ sp.diags(1.0 / w_src)).tocsr()
+        (got,) = seen
+        assert got.shape == want.shape
+        assert np.array_equal(got.data.view(np.int64),
+                              want.data.view(np.int64))
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.indptr, want.indptr)
 
     @pytest.mark.parametrize("n, h, p, k", [
         (2, 1 / 32, 1, 30), (2, 1 / 32, 1, 100), (2, 1 / 32, 1, 300),
@@ -437,6 +467,8 @@ class TestBaselineReport:
             f"{one} on the quadrature node at x = {nodes[i].tolist()}"
         assert (err.value.residual, err.value.rel_residual) == \
             (one.residual, one.rel_residual)
+        # the row of the failing node within its block, not the first row
+        assert err.value.row == k % FE.BLOCK_ROWS != 0
 
     def test_record_schema(self, cx32, f32):
         f2 = S.closed_form_from_potential(cx32, 2, [pot, 0.0])
@@ -876,7 +908,7 @@ class TestCohomologyRank:
         h = rep.basis[:, 0]
         assert m1.inner(h, h) == pytest.approx(1.0, rel=1e-9)
         assert np.abs(D.coboundary(annulus, 1) @ h).max() <= 1e-6
-        delta = D.weighted_adjoint(annulus, PHI2, 1) @ h
+        delta = O.weighted_adjoint_csr(annulus, PHI2, 1) @ h
         assert np.abs(delta).max() <= 1e-6
 
     def test_ambiguous_gap_raises(self, annulus):
