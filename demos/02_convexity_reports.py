@@ -25,7 +25,7 @@ def main():
     phi = parse("x1^2+x2^2-0.3*x1*x2", n=2)
     grid = np.linspace(-1.0, 1.0, 9)
     pts = np.array([[a, b] for a in grid for b in grid])
-    rep = field_p_psh_report(lambda x: phi.eval_jet2(x).hess, pts, 1)
+    rep = field_p_psh_report(phi, pts, 1)
     print(f"   verdict '{rep.verdict}', worst trace "
           f"{rep.traces.min():.3f} over {len(rep.points)} samples")
 

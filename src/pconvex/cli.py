@@ -51,7 +51,7 @@ import numpy as np
 
 from . import convexity, discrete, exterior, solver, weights
 from .errors import ConfigError, DomainError, EmptyDomain, NoConvergence
-from .fieldexpr import BatchedField, compose_df, parse
+from .fieldexpr import BatchedField, compose_df, field_jets, parse
 
 __all__ = ["ExperimentConfig", "load_config", "run", "list_builtins", "main"]
 
@@ -513,7 +513,7 @@ def _task_check_psh(exp: ExperimentConfig, rng):
 
 def _task_boundary_convexity(exp: ExperimentConfig, rng):
     pts = _interior_lattice(exp, exp.options.get("per_axis", 48), 0.0)
-    vals = np.abs(exp.r.jets(pts, order=0))
+    vals = np.abs(field_jets(exp.r, pts, order=0))
     shell = pts[vals <= 0.05 * float(vals.max())]
     if shell.shape[0] == 0:
         raise EmptyDomain("no lattice point lies within the boundary "
@@ -548,9 +548,7 @@ def _task_kmh(exp: ExperimentConfig, rng):
         rep = discrete.energy_identity_residual(coeffs, exp.phi, dom, exp.p)
         ratio = (prev / rep.residual if prev is not None and rep.residual > 0
                  else None)
-        ok = True
-        if prev is not None and rep.residual > floor and ratio is not None:
-            ok = ratio >= ratio_min
+        ok = ratio is None or rep.residual <= floor or ratio >= ratio_min
         if h == exp.rungs[-1]:
             ok = ok and (rep.residual <= 2e-2)
         records.append({"test": "kmh", "h": h, "p": exp.p,

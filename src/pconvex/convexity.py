@@ -20,7 +20,7 @@ bound hypotheses:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +49,7 @@ def min_p_trace(theta: np.ndarray, p: int):
     """Smallest sum of ``p`` eigenvalues of the symmetric matrix ``theta``.
 
     A stack of matrices ``(m, n, n)`` gives one sum per matrix, ``(m,)``.
+    A matrix with a non-finite entry raises :class:`ValueError`.
     """
     theta = np.asarray(theta, dtype=np.float64)
     n = theta.shape[-1]
@@ -56,6 +57,8 @@ def min_p_trace(theta: np.ndarray, p: int):
         raise ValueError(f"theta must be square, got {theta.shape}")
     if not 1 <= p <= n:
         raise ValueError(f"p must be in [1, {n}], got {p}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     w = np.linalg.eigvalsh(theta)
     if theta.ndim == 3:
         return w[:, :p].sum(axis=1)
@@ -130,26 +133,20 @@ def _region_report(p: int, pts: np.ndarray,
                              worst_index=worst)
 
 
-def field_p_psh_report(hessian_at: Callable[[np.ndarray], np.ndarray],
-                       samples: Sequence[np.ndarray],
+def field_p_psh_report(field, samples: Sequence[np.ndarray],
                        p: int) -> FieldRegionReport:
     """Sampled p-plurisubharmonicity report for a scalar field.
 
-    ``hessian_at`` maps a point to the field's Hessian there; fields (anything
-    :func:`~pconvex.fieldexpr.field_jets` differentiates) are accepted
-    directly and evaluated over all samples in one call.  The global
+    ``field`` is anything :func:`~pconvex.fieldexpr.field_jets`
+    differentiates (``None``, a number, or an object with ``jets``); its
+    Hessians are evaluated over all samples in one call.  The global
     verdict is the worst per-sample verdict, that of the smallest trace;
     the worst sample is recorded.
     """
     pts = np.atleast_2d(np.asarray(list(samples), dtype=np.float64))
     if pts.shape[0] == 0:
         raise ValueError("need at least one sample point")
-    if hasattr(hessian_at, "jets") or hasattr(hessian_at, "eval_jet2"):
-        hess = field_jets(hessian_at, pts)[2]
-    else:
-        hess = np.array([hessian_at(x) for x in pts])
-    traces = min_p_trace(hess, p)
-    return _region_report(p, pts, traces)
+    return _region_report(p, pts, min_p_trace(field_jets(field, pts)[2], p))
 
 
 def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],

@@ -28,7 +28,6 @@ from __future__ import annotations
 import importlib
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import DomainError, EmptyDomain, SupportError, raise_first
 from .exterior import (_insertion_table, dim_forms, index_list,
                        induced_pairings)
-from .fieldexpr import BLOCK_ROWS, field_jets
+from .fieldexpr import BLOCK_ROWS, field_jets, field_kind
 
 __all__ = [
     "GridDomain",
@@ -78,10 +77,10 @@ class GridDomain:
     """An axis-aligned box grid, optionally cut down to ``{r < 0}``.
 
     ``box`` is a per-axis sequence of ``(lo, hi)`` pairs, ``h`` the
-    requested spacing and ``r`` anything :func:`~pconvex.fieldexpr.field_jets`
-    evaluates; each axis gets ``max(2, round(length/h))`` cells, so
-    the effective per-axis ``spacings`` may differ slightly from ``h`` when
-    the length is not a multiple of it.
+    requested spacing and ``r`` a field (checked at construction); each
+    axis gets ``max(2, round(length/h))`` cells, so the effective per-axis
+    ``spacings`` may differ slightly from ``h`` when the length is not a
+    multiple of it.
     """
 
     box: Tuple[Tuple[float, float], ...]
@@ -102,12 +101,7 @@ class GridDomain:
             m = max(2, int(round((hi - lo) / self.h)))
             counts.append(m)
             spacings.append((hi - lo) / m)
-        r = self.r
-        if not (r is None or isinstance(r, numbers.Real) or hasattr(r, "jets")
-                or callable(getattr(r, "value", r))):
-            raise TypeError("r must be None or what field_jets evaluates: a "
-                            "number, a callable, or an object with jets or "
-                            f"value(x); got {type(r).__name__}")
+        field_kind(self.r)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "counts", tuple(counts))
         object.__setattr__(self, "spacings", tuple(spacings))
@@ -401,8 +395,8 @@ def weighted_adjoint(cx: CubicalComplex, m_src: WeightedMass,
 def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:
     """Midpoint-rule cochain of an analytic p-form.
 
-    ``coeffs`` lists one evaluator (number, field, ``.value`` object, or
-    callable; see :func:`pconvex.fieldexpr.field_jets`) per increasing
+    ``coeffs`` lists one field (number, object with ``jets``, or callable
+    of one point; see :func:`pconvex.fieldexpr.field_jets`) per increasing
     multi-index in lexicographic order — the ordering of
     :func:`pconvex.exterior.index_list`.  A p-cell spanning axes ``S``
     receives ``coeff_S(barycenter) · prod(spacings[S])``; each coefficient
@@ -475,9 +469,9 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     integrals plain node quadrature, so the residual shrinks like O(h²).
     ``phi`` is evaluated at every node, but differentiated only where the
     form is nonzero, the only nodes its gradient and Hessian reach, and the
-    form only on the box of those nodes grown by two layers; a non-finite
-    side of the identity raises :class:`~pconvex.errors.DomainError`
-    naming the first node whose integrand is not finite.
+    form only on the box of those nodes grown by two layers.  A Hessian of
+    ``phi`` or a side of the identity that is not finite raises
+    :class:`~pconvex.errors.DomainError` naming the first such node.
     """
     n = dom.n
     if not 1 <= p <= n:
@@ -530,6 +524,8 @@ def energy_identity_residual(coeffs, phi, dom: GridDomain,
     weight = np.exp(-field_jets(phi, X, order=0))
     on = np.flatnonzero(nz)
     _, grad, hess = field_jets(phi, X[on])
+    raise_first(DomainError, ~np.isfinite(hess).all(axis=(1, 2)), X[on],
+                lambda i: "the Hessian of phi is not finite")
     phi_g = np.zeros(shape + (n,))
     phi_g.reshape(-1, n)[on] = grad
     phi_g = phi_g[win].reshape(-1, n)

@@ -229,19 +229,20 @@ def interior(v: np.ndarray, g: PointForm) -> PointForm:
     return PointForm(g.n, g.p - 1, v @ G)
 
 
-def _check_sym(theta: np.ndarray, n: Optional[int] = None,
-               ndim: int = 2) -> np.ndarray:
-    """Check one theta (``ndim=2``) or a stack of them (``ndim=3``) and
-    return it symmetrised."""
+def _check_sym(theta: np.ndarray, n: Optional[int], ndim: int) -> np.ndarray:
+    """Check one theta (``ndim=2``) or a stack (``ndim=3``), ``n x n`` unless
+    ``n`` is None, and return it symmetrised: once per public call."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != ndim or theta.shape[-1] != theta.shape[-2]:
         raise ValueError(f"theta must be square, got shape {theta.shape}")
     k = theta.shape[-1]
     if n is not None and k != n:
         raise ValueError(f"theta is {k}x{k}, expected {n}x{n}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
     flip = np.swapaxes(theta, -1, -2)
     tol = 1e-12 * (1.0 + np.abs(theta).max(axis=(-2, -1), keepdims=True))
-    if not np.isclose(theta, flip, rtol=0.0, atol=tol).all():
+    if not (np.abs(theta - flip) <= tol).all():
         raise ValueError("theta must be symmetric")
     return 0.5 * (theta + flip)
 
@@ -252,7 +253,7 @@ def quadform_action(theta: np.ndarray, g: PointForm) -> PointForm:
     This realizes ``sum_{j,k} theta[j,k] omega^k ^ (e_j _| g)`` and is
     self-adjoint for the Euclidean pairing.
     """
-    mat = induced_matrices(_check_sym(theta, g.n)[None], g.p)[0]
+    mat = _induced(_check_sym(theta, g.n, 2)[None], g.p)[0]
     return PointForm(g.n, g.p, mat @ g.coeffs)
 
 
@@ -262,13 +263,13 @@ def pairing_quadratic(theta: np.ndarray, g: PointForm) -> float:
     Independent route from :func:`quadform_action` followed by
     :meth:`PointForm.inner`; the two agree identically and tests pin that.
     """
-    theta = _check_sym(theta, g.n)[None]
-    return float(induced_pairings(theta, g.coeffs[None], g.p)[0])
+    theta = _check_sym(theta, g.n, 2)[None]
+    return float(_pairings(theta, g.coeffs[None], g.p)[0])
 
 
 def quadform_matrix(theta: np.ndarray, p: int) -> np.ndarray:
     """Dense matrix of the induced operator on p-forms (C(n,p) square)."""
-    return induced_matrices(_check_sym(theta)[None], p)[0]
+    return _induced(_check_sym(theta, None, 2)[None], p)[0]
 
 
 def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:
@@ -279,8 +280,7 @@ def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:
     Eigenvalues up to 1e-12 times the spectral radius are treated as
     kernel.
     """
-    theta = _check_sym(theta, f.n)
-    x = induced_pinv(theta[None], f.coeffs[None], f.p)
+    x = _pinv(_check_sym(theta, f.n, 2)[None], f.coeffs[None], f.p)
     return PointForm(f.n, f.p, x[0])
 
 
@@ -305,7 +305,10 @@ def _induced_gather(n: int, p: int):
 def induced_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
     """Induced operators on p-forms, shape ``(m, C(n,p), C(n,p))``; each
     entry is 0.0 plus its terms, added left to right (so never -0.0)."""
-    thetas = _check_sym(thetas, ndim=3)
+    return _induced(_check_sym(thetas, None, 3), p)
+
+
+def _induced(thetas: np.ndarray, p: int) -> np.ndarray:
     m, n = thetas.shape[:2]
     d = dim_forms(n, p)
     out = np.zeros((d * d, m))
@@ -321,7 +324,7 @@ def induced_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
 def _stack(thetas, F, p: int):
     """Checked, symmetrised ``thetas`` and coefficient rows ``F``; one
     matrix may serve all rows."""
-    thetas = _check_sym(thetas, ndim=3)
+    thetas = _check_sym(thetas, None, 3)
     F = np.asarray(F, dtype=np.float64)
     d = dim_forms(thetas.shape[-1], p)
     if F.ndim != 2 or F.shape[1] != d or len(thetas) not in (1, len(F)):
@@ -333,7 +336,10 @@ def _stack(thetas, F, p: int):
 def induced_pairings(thetas: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     """``<A_theta g, g>`` per matrix and row of ``G`` as the direct sum
     theta_jk g_jK g_kK, shape ``(m,)``."""
-    thetas, G = _stack(thetas, G, p)
+    return _pairings(*_stack(thetas, G, p), p)
+
+
+def _pairings(thetas: np.ndarray, G: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return np.zeros(len(G))
     L = _lift(thetas.shape[-1], p, G)       # L[i, j, K] = g_{jK} of row i
@@ -351,8 +357,11 @@ def induced_pinv(thetas: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
     ``|w| <= 1e-12·max|w|`` are kernel (all of them for theta = 0); the
     first row outside the image by more than 1e-8 (relative) raises
     :class:`MembershipError` with its residuals and ``row``."""
-    thetas, F = _stack(thetas, F, p)
-    w, V = np.linalg.eigh(induced_matrices(thetas, p))
+    return _pinv(*_stack(thetas, F, p), p)
+
+
+def _pinv(thetas: np.ndarray, F: np.ndarray, p: int) -> np.ndarray:
+    w, V = np.linalg.eigh(_induced(thetas, p))
     if len(thetas) != len(F):
         w, V = np.repeat(w, len(F), axis=0), np.repeat(V, len(F), axis=0)
     c = np.einsum("iab,ia->ib", V, F)
@@ -395,11 +404,10 @@ def quadform_eigen(theta: np.ndarray, p: int) -> FormSpectrum:
     Each increasing multi-index ``J`` (into the ascending eigenvalues of
     ``theta``) contributes ``sum_{j in J} lambda_j``.
     """
-    theta = _check_sym(theta)
+    theta = _check_sym(theta, None, 2)
     n = theta.shape[0]
-    _check_np(n, p)
+    idx = index_list(n, p)      # checks n and p
     w, V = np.linalg.eigh(theta)
-    idx = index_list(n, p)
     vals = np.array([sum(w[j - 1] for j in J) for J in idx])
     return FormSpectrum(n=n, p=p, base_values=w, base_vectors=V,
                         values=vals, indices=idx)
@@ -423,16 +431,17 @@ def inverse_bound_check(theta: np.ndarray, g: PointForm) -> InverseBoundReport:
     operator of ``theta^{-1}`` — a genuinely different code path from the
     pseudo-inverse on the left.
     """
-    theta = _check_sym(theta, g.n)
+    theta = _check_sym(theta, g.n, 2)
     w = np.linalg.eigvalsh(theta)
     if w[0] <= 0.0:
         raise PreconditionError(
             f"theta must be positive definite (min eigenvalue {w[0]:.3e})")
     if g.p == 0:
         return InverseBoundReport(0.0, 0.0, True, 0.0)
-    x = quadform_pinv(theta, g)
-    lhs = x.inner(g)
-    rhs = pairing_quadratic(np.linalg.inv(theta), g) / float(g.p) ** 2
+    lhs = float(_pinv(theta[None], g.coeffs[None], g.p)[0] @ g.coeffs)
+    inv = np.linalg.inv(theta)
+    rhs = float(_pairings(0.5 * (inv + inv.T)[None], g.coeffs[None],
+                          g.p)[0]) / float(g.p) ** 2
     scale = max(abs(lhs), abs(rhs), 1.0)
     return InverseBoundReport(lhs=lhs, rhs=rhs,
                               ok=lhs <= rhs + 1e-12 * scale,
@@ -477,7 +486,7 @@ def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
     by the smallest sum of p eigenvalues).
     """
     tau = np.asarray(tau, dtype=np.float64)
-    theta = _check_sym(theta, xi.n)
+    theta = _check_sym(theta, xi.n, 2)
     if tau.shape != (xi.n,):
         raise ValueError(f"tau has shape {tau.shape}, expected ({xi.n},)")
     p = xi.p + 1
@@ -493,8 +502,7 @@ def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
     target = wedge(oneform(tau), xi)
     xi_norm2 = xi.inner(xi)
     try:
-        x = quadform_pinv(theta, target)
-        membership_ok, mres = True, 0.0
+        x = PointForm(xi.n, p, _pinv(theta[None], target.coeffs[None], p)[0])
     except MembershipError as err:
         return RankOneImageReport(
             membership_ok=False, membership_residual=err.residual,
@@ -506,13 +514,14 @@ def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
 
     cross_ok = cross_value = cross_bound = None
     if f is not None:
-        y = quadform_pinv(theta, f)
+        target._compat(f)
+        y = PointForm(f.n, f.p, _pinv(theta[None], f.coeffs[None], f.p)[0])
         cross_value = y.inner(target)
         quad = max(y.inner(f), 0.0)
         cross_bound = math.sqrt(quad) * math.sqrt(max(xi_norm2, 0.0))
         cross_ok = cross_value <= cross_bound + 1e-10 * (1.0 + abs(cross_bound))
 
     return RankOneImageReport(
-        membership_ok=membership_ok, membership_residual=mres,
+        membership_ok=True, membership_residual=0.0,
         self_ok=bool(self_ok), self_value=float(self_value), self_bound=float(xi_norm2),
         cross_ok=cross_ok, cross_value=cross_value, cross_bound=cross_bound)

@@ -34,10 +34,9 @@ domain checks that surface as :class:`~pconvex.errors.DomainError` naming
 the first offending point in row order.  ``value(x)`` and ``eval_jet2(x)``
 are one-row wrappers over the same interpreter.
 
-:func:`field_jets` is the single coercion point for weight-like inputs:
-``None``, numbers, anything with a batched ``jets`` method, and — one row
-at a time, hence much slower — foreign objects that expose only
-``eval_jet2``/``value`` and plain callables.
+:func:`field_jets` evaluates every weight, potential and defining function
+of the package.  A field is ``None`` (zero), a real number, an object with
+a batched ``jets(X, order)``, or a plain callable of one point (values only).
 """
 
 from __future__ import annotations
@@ -63,6 +62,7 @@ __all__ = [
     "ScalarFieldExpr",
     "BatchedField",
     "field_jets",
+    "field_kind",
     "row_blocks",
     "parse",
     "to_text",
@@ -585,40 +585,37 @@ class ScalarFieldExpr(BatchedField):
         return to_text(self.root)
 
 
-def field_jets(w, X, order: int = 2):
-    """Values (``order=0``) or 2-jets of a weight-like input at the rows of
-    ``X``, in the layout of :meth:`ScalarFieldExpr.jets`: values have
-    leading axis m, derivatives m or 1.
+def field_kind(w) -> str:
+    """``"constant"``, ``"jets"`` or ``"values"``: the kind of the field
+    ``w``, found without evaluating it; anything else raises TypeError."""
+    if w is None or isinstance(w, numbers.Real):
+        return "constant"
+    if hasattr(w, "jets"):
+        return "jets"
+    if callable(w):
+        return "values"
+    raise TypeError("not a field: field_jets evaluates None, a real number, "
+                    "an object with jets(X, order) or a callable of one "
+                    f"point; got {type(w).__name__}")
 
-    ``None`` is the zero weight and a real number a constant one; their
-    derivatives are one zero row.  Objects
-    with a batched ``jets`` method (fields, piecewise and combined weights)
-    are evaluated in one call.  Anything else is evaluated one row at a
-    time: foreign objects through ``eval_jet2`` (jets) or ``value``, plain
-    callables (values only) through a call.  That per-point fallback is
-    much slower and exists only for inputs from outside the package.
-    """
+
+def field_jets(w, X, order: int = 2):
+    """Values (``order=0``) or 2-jets of the field ``w`` at the rows of
+    ``X``, in the layout of :meth:`ScalarFieldExpr.jets`: values have
+    leading axis m, derivatives m or 1.  A constant's derivatives are one
+    zero row; a plain callable is called once per row and has no 2-jets."""
+    kind = field_kind(w)
     X = np.asarray(X, dtype=np.float64)
     m, n = X.shape
-    if w is None or isinstance(w, numbers.Real):
+    if kind == "jets":
+        return w.jets(X, order)
+    if kind == "constant":
         v = np.full(m, 0.0 if w is None else float(w))
         return v if not order else (v, np.zeros((1, n)), np.zeros((1, n, n)))
-    if hasattr(w, "jets"):
-        return w.jets(X, order)
-    if not order:
-        fn = getattr(w, "value", w)
-        if not callable(fn):
-            raise TypeError("weight must be a number, a callable, or a "
-                            f"scalar field; got {type(w).__name__}")
-        return np.fromiter((float(fn(x)) for x in X), dtype=np.float64,
-                           count=m)
-    if not hasattr(w, "eval_jet2"):
-        raise TypeError("weight must be a real constant or expose jets or "
-                        f"eval_jet2; got {type(w).__name__}")
-    jets = [w.eval_jet2(x) for x in X]
-    return (np.array([float(j.value) for j in jets]).reshape(m),
-            np.array([j.grad for j in jets]).reshape(m, n),
-            np.array([j.hess for j in jets]).reshape(m, n, n))
+    if order:
+        raise TypeError("a callable field has values only, no 2-jets; got "
+                        f"{type(w).__name__}")
+    return np.fromiter((float(w(x)) for x in X), dtype=np.float64, count=m)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ convexity of log-marginals of convex densities.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
@@ -30,10 +29,11 @@ from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, WeightedMass, _LazyModule,
                        _apply_d, coboundary, mass, sample_cochain,
                        weighted_adjoint)
-from .errors import (CohomologyObstruction, MembershipError, NoConvergence,
-                     NotClosed, PreconditionError, TailError, raise_first)
+from .errors import (CohomologyObstruction, DomainError, MembershipError,
+                     NoConvergence, NotClosed, PreconditionError, TailError,
+                     raise_first)
 from .exterior import induced_pairings, induced_pinv
-from .fieldexpr import BatchedField, field_jets, row_blocks
+from .fieldexpr import BatchedField, field_jets, field_kind, row_blocks
 
 __all__ = [
     "MinimalSolution",
@@ -72,14 +72,13 @@ _SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
 class CombinedWeight(BatchedField):
     """``base + coeff * extra`` evaluated with consistent second-order jets.
 
-    ``base`` and ``extra`` may be real constants or any weight-like input
-    :func:`~pconvex.fieldexpr.field_jets` accepts (field expressions,
-    piecewise weights, foreign objects with ``eval_jet2``); ``None`` stands
-    for zero.  :meth:`jets` evaluates both parts over a whole point set in
-    one call each, as every consumer in the package does; ``value`` and
-    ``eval_jet2`` are the one-point wrappers.  Used for the solve weights
-    of the two-weight bounds (``phi - alpha*psi`` and friends) and for
-    constant shifts in the scaling-covariance checks.
+    ``base`` and ``extra`` are fields (see
+    :func:`~pconvex.fieldexpr.field_jets`; ``None`` is zero).  :meth:`jets`
+    evaluates both parts over a whole point set in one call each, as every
+    consumer in the package does; ``value`` and ``eval_jet2`` are the
+    one-point wrappers.  Used for the solve weights of the two-weight
+    bounds (``phi - alpha*psi`` and friends) and for constant shifts in
+    the scaling-covariance checks.
     """
 
     def __init__(self, base, coeff: float, extra):
@@ -454,8 +453,8 @@ def _require_p_positive(points: np.ndarray,
                         mats: Callable[[np.ndarray], np.ndarray], p: int,
                         label: str) -> None:
     """The matrices ``mats(X)`` builds for each block ``X`` of ``points``
-    must be p-positive semidefinite, up to 1e-8 times their largest
-    entry plus one.
+    must be finite (:class:`DomainError`) and p-positive semidefinite, up
+    to 1e-8 times their largest entry plus one (:class:`PreconditionError`).
 
     Blocks are checked in row order, so the error names the first failing
     point; each block's stack is reduced before the next is built.  When
@@ -466,7 +465,10 @@ def _require_p_positive(points: np.ndarray,
     """
     for rows in row_blocks(len(points)):
         X = points[rows]
-        a = mats(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = mats(X)
+        raise_first(DomainError, ~np.isfinite(a).all(axis=(1, 2)), X,
+                    lambda i: f"{label} is not finite")
         traces = min_p_trace(a, p)
         scale = np.abs(a).max(axis=(1, 2)) + 1.0
         raise_first(PreconditionError, traces < -1e-8 * scale, X, lambda i: (
@@ -491,13 +493,13 @@ def _neg_exp_hessian(w):
 
 
 def _shifted_hessian(curved, tilt, omega):
-    """Block builder of ``omega²·D²curved − ∇tilt⊗∇tilt``; a real
+    """Block builder of ``omega²·D²curved − ∇tilt⊗∇tilt``; a constant
     ``omega`` keeps a row-independent stack at one matrix."""
     def mats(X):
         h = field_jets(curved, X)[2]
         g = field_jets(tilt, X)[1]
-        om = (float(omega) if isinstance(omega, numbers.Real)
-              else field_jets(omega, X, order=0)[:, None, None])
+        rows = X[:1] if field_kind(omega) == "constant" else X
+        om = field_jets(omega, rows, order=0)[:, None, None]
         return om * om * h - np.einsum("mi,mj->mij", g, g)
     return mats
 

@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .convexity import field_p_psh_report, min_p_trace
+from .convexity import _region_report, min_p_trace
 from .errors import (EmptyDomain, InfeasibleOnGrid, PreconditionError,
                      raise_first)
 from .fieldexpr import BatchedField, ScalarFieldExpr, field_jets, parse
@@ -434,7 +434,8 @@ def df_search(r, phi, interior_samples, p: int,
     if not all(0 < e < 1 for e in eta_grid):
         raise ValueError("exponent values must lie in (0, 1)")
 
-    report = field_p_psh_report(phi, samples, p)
+    phi_jets = field_jets(phi, samples)
+    report = _region_report(p, samples, min_p_trace(phi_jets[2], p))
     if report.verdict != "strict":
         raise_first(PreconditionError,
                     np.arange(len(samples)) == report.worst_index, samples,
@@ -444,7 +445,6 @@ def df_search(r, phi, interior_samples, p: int,
     r_jets = field_jets(r, samples)
     raise_first(PreconditionError, r_jets[0] >= 0, samples, lambda i: (
         f"defining function is non-negative (r = {r_jets[0][i]:.3e})"))
-    phi_jets = field_jets(phi, samples)
 
     best = None           # (score, K, eta, traces)
     feasible = []

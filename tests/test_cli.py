@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -894,6 +895,25 @@ def test_shipped_config_runs_as_documented(tmp_path, name):
     assert len(lines) >= 2
     for line in lines:
         json.loads(line)
+
+
+@pytest.mark.parametrize("name", ["check_psh_indefinite", "df_search_disk"])
+def test_constant_phi_is_reported_not_raised(tmp_path, name):
+    # a number is a field with zero Hessian, which is not strictly p-psh:
+    # both tasks write their report and exit 1 (they used to raise
+    # "'float' object is not callable" and write nothing)
+    text = (REPO_CONFIGS / f"{name}.ini").read_text(encoding="utf-8")
+    cfg = write(tmp_path, re.sub(r"(?m)^phi = .*$", "phi = 2.0", text))
+    out = tmp_path / "out"
+    assert cli.run(cfg, out_dir=str(out)) == 1
+    rec = json.loads((out / "report.jsonl").read_text().splitlines()[1])
+    assert rec["pass"] is False
+    if name == "check_psh_indefinite":
+        assert rec["verdict"] == "semi" and rec["min_trace"] == 0.0
+    else:
+        assert rec["error"].startswith(
+            "PreconditionError: weight field is not strictly p-psh on the "
+            "samples (worst p-trace 0.000e+00) at x = ")
 
 
 def test_config_corpus_is_nonempty():

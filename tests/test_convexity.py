@@ -1,7 +1,5 @@
 """Convexity certificates: eigenvalue-sum grading and curvature-term algebra."""
 
-import types
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pconvex import convexity as C
 from pconvex import exterior as X
 from pconvex.errors import DegenerateGradient
+from pconvex.fieldexpr import parse
 
 import oracles as O
 
@@ -19,7 +18,8 @@ def sym(rng, n):
 
 
 class QuadField:
-    """Exact-jet quadratic field x^T A x + b.x + c (test stub)."""
+    """Quadratic field x^T A x + b.x + c with exact batched jets (test
+    stub); its Hessian does not vary by row, so it has leading axis 1."""
 
     def __init__(self, A, b=None, c=0.0):
         self.A = np.asarray(A, dtype=float)
@@ -27,18 +27,24 @@ class QuadField:
         self.b = np.zeros(n) if b is None else np.asarray(b, dtype=float)
         self.c = float(c)
 
-    def eval_jet2(self, x):
-        x = np.asarray(x, dtype=float)
-        return types.SimpleNamespace(
-            value=float(x @ self.A @ x + self.b @ x + self.c),
-            grad=(self.A + self.A.T) @ x + self.b,
-            hess=(self.A + self.A.T).copy(),
-        )
+    def jets(self, X, order=2):
+        X = np.asarray(X, dtype=float)
+        S = self.A + self.A.T
+        v = np.einsum("mi,ij,mj->m", X, self.A, X) + X @ self.b + self.c
+        return v if not order else (v, X @ S.T + self.b, S[None])
 
 
 # ---------------------------------------------------------------------------
 # min_p_trace and verdicts
 # ---------------------------------------------------------------------------
+
+def test_min_p_trace_rejects_non_finite_matrices():
+    # NaN used to give 0.0 here, which grades "semi"
+    for bad in (np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                np.array([[[1.0, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]])):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            C.min_p_trace(bad, 1)
+
 
 def test_min_p_trace_frozen():
     th = np.diag([3.0, -1.0, 2.0])
@@ -118,25 +124,30 @@ def test_witness_directions_realize_the_minimum():
 # ---------------------------------------------------------------------------
 
 def test_field_report_worst_sample():
-    # Hessian diag(2, 2 - x1): fails 1-positivity once x1 > 2
-    def hess(x):
-        return np.diag([2.0, 2.0 - x[0]])
-
+    # Hessian diag(2, 2 - x1) on the line x2 = 0: fails 1-positivity once
+    # x1 > 2
+    phi = parse("x1^2+x2^2-x1*x2^2/2", n=2)
     pts = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([3.0, 0.0])]
-    rep = C.field_p_psh_report(hess, pts, 1)
+    rep = C.field_p_psh_report(phi, pts, 1)
     assert rep.verdict == "fail"
     np.testing.assert_allclose(rep.points[rep.worst_index], [3.0, 0.0])
     assert rep.min_trace == pytest.approx(-1.0)
     # but 2-positivity still holds everywhere here
-    rep2 = C.field_p_psh_report(hess, pts, 2)
+    rep2 = C.field_p_psh_report(phi, pts, 2)
     assert rep2.verdict == "strict"
 
 
-def test_field_report_accepts_jet_objects():
-    field = QuadField(np.diag([0.5, 1.5]))       # Hessian diag(1, 3)
-    rep = C.field_p_psh_report(field, [np.zeros(2), np.ones(2)], 1)
-    assert rep.verdict == "strict"
-    assert rep.min_trace == pytest.approx(1.0)
+def test_field_report_takes_constants():
+    # a number is a field with zero Hessian: semi, not a TypeError
+    rep = C.field_p_psh_report(2.0, [np.zeros(2), np.ones(2)], 1)
+    assert rep.verdict == "semi" and rep.min_trace == 0.0
+    assert rep.traces.tolist() == [0.0, 0.0]
+
+
+def test_field_report_rejects_plain_callables():
+    # a callable of one point has values only
+    with pytest.raises(TypeError, match="no 2-jets; got function"):
+        C.field_p_psh_report(lambda x: x @ x, [np.zeros(2)], 1)
 
 
 # ---------------------------------------------------------------------------

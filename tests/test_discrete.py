@@ -862,6 +862,7 @@ class ProductBump:
 
 
 BUMP_DX1 = [ProductBump(0.3, 0.7), 0.0]
+PHI_Q = parse("x1^2+x2^2", n=2)
 
 
 class TestEnergyIdentityWeight:
@@ -955,7 +956,12 @@ class TestEnergyIdentityWeight:
         # e^800 overflows at every node, so the integrand 0·e^800 is NaN
         # off the form's window too, and the first node is named
         (parse("-800-x1", n=2),
-         r"lhs nan.*not finite at x = \[0\.0, 0\.0\]")])
+         r"lhs nan.*not finite at x = \[0\.0, 0\.0\]"),
+        # a combined weight whose Hessian overflows (the interpreter guards
+        # only expressions) is named at the first node where φ is
+        # differentiated
+        (S.CombinedWeight(PHI_Q, 1e308, PHI_Q),
+         r"^the Hessian of phi is not finite at x = \[0\.3125, 0\.3125\]$")])
     def test_non_finite_report_raises(self, phi, match):
         with pytest.raises(DomainError, match=match):
             D.energy_identity_residual(BUMP_DX1, phi,

@@ -216,6 +216,18 @@ def test_quadform_action_checks_theta_against_its_form():
         X.quadform_action(np.eye(3), X.PointForm(2, 1, np.ones(2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_theta_rejected(bad):
+    # a NaN used to read as "not symmetric", and an inf passed the
+    # symmetry test with a RuntimeWarning
+    th = np.eye(2)
+    th[1, 1] = bad
+    with pytest.raises(ValueError, match="theta must be finite"):
+        X.quadform_matrix(th, 1)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        X.induced_pinv(np.stack([np.eye(2), th]), np.ones((2, 2)), 1)
+
+
 def test_spectrum_matches_dense_eigendecomposition():
     rng = np.random.default_rng(23)
     for _ in range(200):
@@ -456,3 +468,12 @@ def test_rank_one_precondition_violation_raises():
     th = np.diag([1.0, 1.0])  # theta - tau tau^T has eigenvalue -3
     with pytest.raises(PreconditionError):
         X.rank_one_image_check(th, tau, X.PointForm(2, 1, np.array([0.0, 1.0])))
+
+
+def test_rank_one_comparison_form_must_match_the_wedge():
+    # f pairs with tau ^ xi, a 2-form on R^2 here; a 1-form on R^3 is
+    # rejected by name before any pseudo-inverse
+    tau, xi = np.array([1.0, 0.0]), X.PointForm(2, 1, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"mismatch: \(2,2\) vs \(3,1\)"):
+        X.rank_one_image_check(np.eye(2), tau, xi,
+                               X.PointForm(3, 1, np.ones(3)))

@@ -346,6 +346,49 @@ def test_value_walk_in_large_blocks_gives_the_same_bits(text):
     assert np.array_equal(values.view(np.int64), jet_values.view(np.int64))
 
 
+def test_field_jets_takes_the_four_kinds():
+    X = np.array([[0.5, -1.0], [2.0, 3.0]])
+    f = FE.parse("x1*x2", n=2)
+    assert FE.field_jets(None, X, 0).tolist() == [0.0, 0.0]
+    v, g, h = FE.field_jets(2.5, X)
+    assert v.tolist() == [2.5, 2.5] and g.shape == (1, 2) and h.shape == (1, 2, 2)
+    assert np.array_equal(FE.field_jets(f, X)[2], f.jets(X)[2])
+    # a callable of one point gives values only, one call per row
+    assert FE.field_jets(f.value, X, 0).tolist() == [-0.5, 6.0]
+    assert [FE.field_kind(w) for w in (None, 2.5, f, f.value)] == \
+        ["constant", "constant", "jets", "values"]
+
+
+class _Jet2Only:
+    def eval_jet2(self, x):
+        return FE.parse("x1", n=1).eval_jet2(x)
+
+
+class _ValueOnly:
+    def value(self, x):
+        return 1.0
+
+
+@pytest.mark.parametrize("order", [2, 0])
+@pytest.mark.parametrize("w, name", [(_Jet2Only(), "_Jet2Only"),
+                                     (_ValueOnly(), "_ValueOnly"),
+                                     ("x1", "str")])
+def test_field_jets_rejects_other_objects(w, name, order):
+    # no per-point eval_jet2 fallback and no .value lookup: the error
+    # names the type, and field_kind raises it without evaluating
+    with pytest.raises(TypeError, match=f"not a field: .* got {name}$"):
+        FE.field_jets(w, np.zeros((3, 1)), order)
+    with pytest.raises(TypeError, match=f"got {name}$"):
+        FE.field_kind(w)
+
+
+def test_field_jets_gives_a_callable_no_jets():
+    calls = []
+    with pytest.raises(TypeError, match="values only, no 2-jets; got function"):
+        FE.field_jets(lambda x: calls.append(x) or 0.0, np.zeros((3, 1)))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # serialization round trip
 # ---------------------------------------------------------------------------

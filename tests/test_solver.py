@@ -544,6 +544,16 @@ class TestTwoWeightReport:
         with pytest.raises(PreconditionError):
             S.berndtsson_report(cx32, f32, PHI2, PHI2, 0.3)
 
+    def test_overflowing_second_weight_names_its_point(self, cx32, f32):
+        # e^{-psi} overflows at every barycenter: the sweep used to pass
+        # on NaN traces with two RuntimeWarnings, and the report died later
+        # in mass
+        psi = parse("x1^2+x2^2-800", n=2)
+        first = cx32.barycenters(1)[0].tolist()
+        with pytest.raises(DomainError, match=re.escape(
+                f"the Hessian of -exp(-psi) is not finite at x = {first}")):
+            S.berndtsson_report(cx32, f32, PHI2, psi, 0.3)
+
     def test_alpha_range_checked(self, cx32, f32):
         psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
         with pytest.raises(PreconditionError):
