@@ -10,10 +10,9 @@ The package is organized in layers:
   scalar fields, and boundaries, plus curvature-term bounds.
 * :mod:`pconvex.fieldexpr` — a tiny expression language for scalar fields
   with exact first/second derivatives (2-jets), evaluated in batches.
-* :mod:`pconvex.weights` — weight construction: convex reparametrizations,
-  convexification against a defect, integrability tails, the scaled
-  squared-distance weight, and the exponent/stiffness search for
-  boundary-composite weights.
+* :mod:`pconvex.weights` — the scaled squared-distance weight and the
+  exponent/stiffness search for boundary-composite weights, with its
+  stiffness probe and lattice samples.
 * :mod:`pconvex.discrete` — cubical complexes over box/staircase domains,
   weighted cochain calculus, and the discrete energy identity.
 * :mod:`pconvex.solver` — minimal-norm solves of ``du = f``, verified
@@ -42,8 +41,7 @@ from .solver import (BoundReport, berndtsson_report, closed_form_from_potential,
                      domain_monotonicity, hormander_report,
                      minimal_estimate_report, minimal_solution, nonpsh_report,
                      prekopa_check, weight_monotonicity)
-from .weights import (convexify, df_search, diameter_weight,
-                      integrability_modifier, lattice_samples,
+from .weights import (df_search, diameter_weight, lattice_samples,
                       stiffness_floor)
 
 __version__ = "0.1.0"
@@ -60,8 +58,7 @@ __all__ = [
     # fieldexpr
     "Jet2", "ScalarFieldExpr", "compose_df", "parse",
     # weights
-    "convexify", "df_search", "diameter_weight", "integrability_modifier",
-    "lattice_samples", "stiffness_floor",
+    "df_search", "diameter_weight", "lattice_samples", "stiffness_floor",
     # discrete
     "Cochain", "CubicalComplex", "GridDomain", "build_complex", "coboundary",
     "energy_identity_residual", "mass", "sample_cochain", "weighted_adjoint",

@@ -19,7 +19,7 @@ bound hypotheses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +41,21 @@ __all__ = [
     "CurvatureBoundsReport",
     "curvature_bounds_check",
     "signature_count",
-    "curvature_shift_report",
 ]
+
+
+def _check_theta(theta: np.ndarray, p: int, ndims: tuple) -> np.ndarray:
+    """``theta`` as floats, after checking that it is square with one of
+    ``ndims`` dimensions, that ``1 <= p <= n`` and that it is finite."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim not in ndims or theta.shape[-2] != theta.shape[-1]:
+        raise ValueError(f"theta must be square, got {theta.shape}")
+    n = theta.shape[-1]
+    if not 1 <= p <= n:
+        raise ValueError(f"p must be in [1, {n}], got {p}")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
+    return theta
 
 
 def min_p_trace(theta: np.ndarray, p: int):
@@ -51,14 +64,7 @@ def min_p_trace(theta: np.ndarray, p: int):
     A stack of matrices ``(m, n, n)`` gives one sum per matrix, ``(m,)``.
     A matrix with a non-finite entry raises :class:`ValueError`.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    n = theta.shape[-1]
-    if theta.ndim not in (2, 3) or theta.shape[-2] != n:
-        raise ValueError(f"theta must be square, got {theta.shape}")
-    if not 1 <= p <= n:
-        raise ValueError(f"p must be in [1, {n}], got {p}")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta must be finite")
+    theta = _check_theta(theta, p, (2, 3))
     w = np.linalg.eigvalsh(theta)
     if theta.ndim == 3:
         return w[:, :p].sum(axis=1)
@@ -92,12 +98,10 @@ def p_positivity_report(theta: np.ndarray, p: int) -> ConvexityReport:
     """Grade a symmetric matrix: strict / semi / fail p-positivity.
 
     ``strict`` means the minimal p-trace exceeds 1e-12; ``semi`` means it
-    is at least -1e-12; anything lower fails.
+    is at least -1e-12; anything lower fails.  ``theta`` is checked as by
+    :func:`min_p_trace`, and must be one matrix.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    n = theta.shape[0]
-    if not 1 <= p <= n:
-        raise ValueError(f"p must be in [1, {n}], got {p}")
+    theta = _check_theta(theta, p, (2,))
     w, V = np.linalg.eigh(theta)
     value = float(w[:p].sum())
     return ConvexityReport(p=p, min_p_trace=value,
@@ -144,7 +148,7 @@ def field_p_psh_report(field, samples: Sequence[np.ndarray],
     the worst sample is recorded.
     """
     pts = np.atleast_2d(np.asarray(list(samples), dtype=np.float64))
-    if pts.shape[0] == 0:
+    if pts.size == 0:
         raise ValueError("need at least one sample point")
     return _region_report(p, pts, min_p_trace(field_jets(field, pts)[2], p))
 
@@ -162,7 +166,7 @@ def boundary_p_convexity(defining_field, boundary_samples: Sequence[np.ndarray],
     sample, and requires ``p <= n - 1``.
     """
     pts = np.atleast_2d(np.asarray(list(boundary_samples), dtype=np.float64))
-    if pts.shape[0] == 0:
+    if pts.size == 0:
         raise ValueError("need at least one boundary sample")
     n = pts.shape[1]
     if not 1 <= p <= n - 1:
@@ -213,20 +217,33 @@ def index_swap_two_forms(g: PointForm) -> np.ndarray:
     return out
 
 
+def _check_R(R: np.ndarray, n: int) -> np.ndarray:
+    """``R`` as floats, after checking its shape, that it is finite and
+    that it is symmetric to ``1e-12 * (1 + max|R|)``."""
+    R = np.asarray(R, dtype=np.float64)
+    m = dim_forms(n, 2)
+    if R.shape != (m, m):
+        raise ValueError(f"R must be {m}x{m} for n = {n}, got {R.shape}")
+    if not np.isfinite(R).all():
+        raise ValueError("R must be finite")
+    if not (np.abs(R - R.T) <= 1e-12 * (1.0 + np.abs(R).max())).all():
+        raise ValueError("R must be symmetric")
+    return R
+
+
+def _swap_pairing(R: np.ndarray, g: PointForm) -> float:
+    xis = index_swap_two_forms(g)
+    return float(np.einsum("rA,AB,rB->", xis, R, xis))
+
+
 def curvature_term(R: np.ndarray, g: PointForm) -> float:
     """``sum_I <R xi_I, xi_I>`` over the swap 2-forms of ``g``.
 
     ``R`` is a symmetric operator on 2-forms, given as a dense
-    ``C(n,2) x C(n,2)`` matrix in the increasing-pair basis.
+    ``C(n,2) x C(n,2)`` matrix in the increasing-pair basis; a non-finite
+    or non-symmetric ``R`` raises :class:`ValueError`.
     """
-    R = np.asarray(R, dtype=np.float64)
-    m = dim_forms(g.n, 2)
-    if R.shape != (m, m):
-        raise ValueError(f"R must be {m}x{m} for n = {g.n}, got {R.shape}")
-    if not np.allclose(R, R.T, atol=1e-12 * (1.0 + np.abs(R).max())):
-        raise ValueError("R must be symmetric")
-    xis = index_swap_two_forms(g)
-    return float(np.einsum("rA,AB,rB->", xis, R, xis))
+    return _swap_pairing(_check_R(R, g.n), g)
 
 
 @dataclass
@@ -246,15 +263,16 @@ def curvature_bounds_check(R: np.ndarray,
                            g: PointForm) -> CurvatureBoundsReport:
     """Verify ``p(n-p) l_min |g|^2 <= curvature_term <= p(n-p) l_max |g|^2``.
 
-    ``l_min``/``l_max`` are the extreme eigenvalues of ``R`` on 2-forms.
+    ``l_min``/``l_max`` are the extreme eigenvalues of ``R`` on 2-forms;
+    ``R`` is checked as by :func:`curvature_term`.
     """
-    R = np.asarray(R, dtype=np.float64)
+    R = _check_R(R, g.n)
     w = np.linalg.eigvalsh(0.5 * (R + R.T))
     lam, lam_top = float(w[0]), float(w[-1])
     n, p = g.n, g.p
     count = p * (n - p)
     g2 = g.inner(g)
-    term = curvature_term(R, g)
+    term = _swap_pairing(R, g)
     lower = count * lam * g2
     upper = count * lam_top * g2
     scale = 1.0 + max(abs(lower), abs(upper), abs(term))
@@ -291,18 +309,3 @@ def signature_count(n: int, p: int) -> int:
         raise AssertionError(
             f"signature enumeration for (n={n}, p={p}) gave {count}, expected {expected}")
     return count
-
-
-def curvature_shift_report(theta: np.ndarray, curvature_floor: float,
-                           p: int) -> ConvexityReport:
-    """Positivity of the curvature-shifted operator on p-forms.
-
-    Grades ``min_p_trace(theta) + p (n - p) * curvature_floor`` against zero:
-    the smallest eigenvalue of the induced operator plus the curvature shift
-    ``p (n - p) * curvature_floor * Id``.
-    """
-    rep = p_positivity_report(theta, p)
-    n = rep.witness_vectors.shape[0]
-    value = rep.min_p_trace + p * (n - p) * float(curvature_floor)
-    return replace(rep, min_p_trace=value,
-                   verdict=_classify(value))

@@ -44,6 +44,9 @@ def test_min_p_trace_rejects_non_finite_matrices():
                 np.array([[[1.0, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]])):
         with pytest.raises(ValueError, match="theta must be finite"):
             C.min_p_trace(bad, 1)
+    # the report grades nothing it cannot take the p-trace of
+    with pytest.raises(ValueError, match="theta must be finite"):
+        C.p_positivity_report(np.diag([np.nan, 1.0]), 1)
 
 
 def test_min_p_trace_frozen():
@@ -100,8 +103,6 @@ def test_verdict_thresholds():
     for value, verdict in ((2e-12, "strict"), (5e-13, "semi"),
                            (-5e-13, "semi"), (-2e-12, "fail")):
         rep = C.p_positivity_report(np.diag([value, 2.0]), 1)
-        assert rep.min_p_trace == value and rep.verdict == verdict
-        rep = C.curvature_shift_report(np.diag([0.0, 2.0]), value, 1)
         assert rep.min_p_trace == value and rep.verdict == verdict
 
 
@@ -248,6 +249,15 @@ def test_identity_operator_gives_signature_count_times_norm():
         g = X.PointForm(n, p, rng.standard_normal(X.dim_forms(n, p)))
         term = C.curvature_term(np.eye(X.dim_forms(n, 2)), g)
         assert term == pytest.approx(p * (n - p) * g.inner(g), rel=1e-12, abs=1e-12)
+    # a non-finite R is named as such, before the symmetry test, by the
+    # term and by the bounds check, with no RuntimeWarning on the way
+    g = X.PointForm(3, 1, np.array([1.0, 2.0, 3.0]))
+    nan_entry = np.eye(3)
+    nan_entry[0, 0] = np.nan
+    for bad in (nan_entry, np.diag([np.inf, 1.0, 1.0])):
+        for check in (C.curvature_term, C.curvature_bounds_check):
+            with pytest.raises(ValueError, match="R must be finite"):
+                check(bad, g)
 
 
 def test_curvature_bounds_random_battery():
@@ -281,10 +291,93 @@ def test_signature_count_all_small_cases():
             assert C.signature_count(n, p) == p * (n - p)
 
 
-def test_curvature_shift_report_frozen():
-    th = np.diag([1.0, 2.0, 3.0])                # min_2 = 3, p(n-p) = 2
-    assert C.curvature_shift_report(th, -1.0, 2).verdict == "strict"
-    assert C.curvature_shift_report(th, -1.5, 2).verdict == "semi"
-    assert C.curvature_shift_report(th, -2.0, 2).verdict == "fail"
-    rep = C.curvature_shift_report(th, -2.0, 2)
-    assert rep.min_p_trace == pytest.approx(-1.0)
+# ---------------------------------------------------------------------------
+# input checks: shape, then degree, then finiteness, then symmetry
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("check", [C.min_p_trace, C.p_positivity_report],
+                         ids=["min_p_trace", "report"])
+@pytest.mark.parametrize("theta, p, match", [
+    (np.ones((2, 3)), 1, "theta must be square"),
+    (np.ones(3), 1, "theta must be square"),
+    (np.eye(2), 0, r"p must be in \[1, 2\], got 0"),
+    (np.diag([np.nan, 1.0]), 3, r"p must be in \[1, 2\], got 3"),
+    (np.diag([-np.inf, 1.0]), 1, "theta must be finite"),
+], ids=["rectangular", "vector", "p-zero", "p-above-n", "minus-inf"])
+def test_theta_checks(check, theta, p, match):
+    with pytest.raises(ValueError, match=match):
+        check(theta, p)
+
+
+def test_report_grades_one_matrix_not_a_stack():
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    assert C.min_p_trace(stack, 1).tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError, match="theta must be square"):
+        C.p_positivity_report(stack, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_full_degree_p_trace_is_the_trace(n):
+    th = sym(np.random.default_rng(60 + n), n)
+    assert C.min_p_trace(th, n) == pytest.approx(np.trace(th), abs=1e-12)
+    assert C.p_positivity_report(th, n).min_p_trace == \
+        pytest.approx(np.trace(th), abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_stacked_p_traces_match_one_by_one(p):
+    rng = np.random.default_rng(70 + p)
+    stack = np.stack([sym(rng, 3) for _ in range(6)])
+    one_by_one = [C.min_p_trace(th, p) for th in stack]
+    np.testing.assert_allclose(C.min_p_trace(stack, p), one_by_one,
+                               rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("check", [C.curvature_term, C.curvature_bounds_check],
+                         ids=["term", "bounds"])
+@pytest.mark.parametrize("R, match", [
+    (np.full((2, 2), np.nan), r"R must be 3x3 for n = 3, got \(2, 2\)"),
+    (np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     "R must be finite"),
+    (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     "R must be symmetric"),
+], ids=["wrong-shape", "non-finite", "asymmetric"])
+def test_R_checks(check, R, match):
+    g = X.PointForm(3, 1, np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match=match):
+        check(R, g)
+
+
+@pytest.mark.parametrize("check", [C.curvature_term, C.curvature_bounds_check],
+                         ids=["term", "bounds"])
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_R_symmetry_tolerance_scales_with_its_size(check, scale):
+    # asymmetry up to 1e-12 (1 + max|R|) is rounding; twice that is not
+    g = X.PointForm(3, 2, np.array([1.0, -1.0, 0.5]))
+    R = scale * np.eye(3)
+    R[0, 1] = 0.5e-12 * (1.0 + scale)
+    check(R, g)
+    R[0, 1] = 2e-12 * (1.0 + scale)
+    with pytest.raises(ValueError, match="R must be symmetric"):
+        check(R, g)
+
+
+def test_swap_two_forms_need_two_dimensions():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        C.index_swap_two_forms(X.PointForm(1, 1, np.array([1.0])))
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_signature_count_rejects_degree_out_of_range(p):
+    with pytest.raises(ValueError, match=r"p must be in \[1, 4\]"):
+        C.signature_count(4, p)
+
+
+@pytest.mark.parametrize("report", [C.field_p_psh_report,
+                                    C.boundary_p_convexity],
+                         ids=["field", "boundary"])
+def test_reports_need_a_sample(report):
+    # an empty list becomes one row of no columns under np.atleast_2d; it
+    # used to slip past the row count to a broadcast or degree error
+    with pytest.raises(ValueError, match="need at least one"):
+        report(QuadField(np.eye(2), c=-1.0), [], 1)
