@@ -21,9 +21,9 @@ The package is organized in layers:
 * :mod:`pconvex.cli` — batch front-end over INI configs (``pconvex run``,
   ``pconvex list-builtins``).
 
-scipy is loaded only where bounds and solves build a complex, and a
-degree-1 bound or solve on a box loads none of it; a cohomology count runs
-on numpy alone.
+scipy is loaded only by LSMR, for a solve in degree p > 1, and by the
+public ``coboundary``; a degree-1 bound or solve, on any domain, and a
+cohomology count run on numpy alone.
 """
 
 from .convexity import (boundary_p_convexity, curvature_bounds_check,

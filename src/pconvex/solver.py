@@ -57,9 +57,7 @@ __all__ = [
     "inverse_quadform_integral",
 ]
 
-sp = _LazyModule("scipy.sparse")
 spla = _LazyModule("scipy.sparse.linalg")
-csgraph = _LazyModule("scipy.sparse.csgraph")
 
 _TOL = 1e-10     # relative weighted residual of every solve
 _SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
@@ -140,13 +138,10 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
     On a box (no ``r``) a node's parent is its lower neighbour along the
     first axis that has one: ``u`` is summed along each axis, last to first,
     where the earlier axes are 0, and its mean in row order as below (a dot
-    product changes its last bits).  Elsewhere csgraph searches breadth
-    first: as :func:`~pconvex.discrete.coboundary` guarantees, row ``e`` of
-    ``d₀`` is ``-1, +1`` at its lower and higher node, so the rows of its
-    columns are the edge list.  The search runs on the incidence graph (vertex
-    ``e < n_e`` is edge ``e``, ``n_e + v`` is node ``v``) from an extra
-    vertex joined to each component's lowest node, so a node's predecessor
-    is its tree edge.
+    product changes its last bits).  Elsewhere ``u`` is a ``cumsum`` of
+    ``f`` within each run of :func:`_runs` from its first node; each kept
+    link rises by its ``f`` less the difference of those sums at its ends,
+    and :func:`_hook` carries the runs' potentials to their roots.
     """
     if cx.dom.r is None:
         counts = cx.dom.counts
@@ -157,34 +152,19 @@ def _forest_primitive(cx: CubicalComplex, f: np.ndarray,
             line[1:] = line[:1] + np.cumsum(f_a, axis=0)
         u, labels = u.ravel(), np.zeros(u.size, np.intp)
         return u - np.bincount(labels, m0 * u)[0] / np.bincount(labels, m0)[0]
-    n_e, n0 = len(cx._cols[0]), cx.num_cells(0)
-    ends = cx._cols[0].ravel() + n_e
-    indptr = np.concatenate([np.arange(0, 2 * n_e + 1, 2, dtype=np.int32),
-                             np.full(n0, 2 * n_e, np.int32)])
-    incidence = sp.csr_matrix((np.ones(2 * n_e), ends, indptr),
-                              shape=(n_e + n0, n_e + n0))
-    n_comp, labels = csgraph.connected_components(incidence, directed=False)
-    labels = labels[n_e:]
-    roots = np.unique(labels, return_index=True)[1]
-    top = n_e + n0
-    rooted = sp.csr_matrix(
-        (np.ones(2 * n_e + n_comp), np.concatenate([ends, roots + n_e]),
-         np.append(indptr, 2 * n_e + n_comp)), shape=(top + 1, top + 1))
-    pred = csgraph.breadth_first_order(rooted, top, directed=False,
-                                       return_predecessors=True)[1]
-    edge = pred[n_e:top]
-    edge[roots] = 0
-    anc = pred[edge] - n_e
-    anc[roots] = roots
-    u = np.where(ends[1::2][edge] == np.arange(n_e, top), f[edge], -f[edge])
-    u[roots] = 0.0
-    # u[v] is the primitive at v less that at anc[v]; every round doubles
-    # the reach of anc, until each anc is a root, where the primitive is 0
-    while not np.array_equal(anc[anc], anc):
-        u += u[anc]
-        anc = anc[anc]
-    mean = (np.bincount(labels, m0 * u, n_comp)
-            / np.bincount(labels, m0, n_comp))
+    ids, node = cx.ids, cx.ids[()] >= 0
+    starts, label, kept, lo, hi = _runs(
+        node, [ids[(a,)] >= 0 for a in range(cx.n)])
+    last, w = ids[(cx.n - 1,)], np.zeros(node.shape)
+    np.cumsum(np.where(last >= 0, f[last], 0.0), axis=-1, out=w[..., 1:])
+    w -= w.flat[starts][label]
+    rise = np.concatenate([np.zeros(0)] + [
+        f[ids[(a,)][k]] - np.diff(w, axis=a)[k] for a, k in enumerate(kept)])
+    parent, offset = _hook(starts.size, lo, hi, rise)
+    run = label[node]
+    labels = np.unique(parent, return_inverse=True)[1][run]
+    u = offset[run] + w[node]
+    mean = np.bincount(labels, m0 * u) / np.bincount(labels, m0)
     return u - mean[labels]
 
 
@@ -778,37 +758,61 @@ class CohomologyReport:
     euler: int        # Euler characteristic
 
 
-def _count_components(present: np.ndarray, links) -> int:
-    """Connected components of the grid graph on the cells where
-    ``present`` holds; ``links[a]``, one shorter along axis a, joins each
-    cell to the next along a, and holds only between present cells.
+def _runs(present: np.ndarray, links):
+    """Runs along the last axis of the grid graph on the cells where
+    ``present`` holds, and the links kept between them; ``links[a]``, one
+    shorter along axis a, joins each cell to the next along a, and holds
+    only between present cells.
 
-    Runs along the last axis are labelled by a ``cumsum`` of their starts;
-    along each other axis one link is kept per stretch that joins the same
-    two runs, and the runs are merged by hooking each root onto a smaller
-    root it is linked to, then jumping every pointer to its root, until no
-    link joins two roots.
+    Runs are labelled by a ``cumsum`` of their starts; along each other
+    axis one link is kept per stretch that joins the same two runs.
+    Returns the flat indices of the runs' first cells, the label grid, the
+    kept links as masks per axis but the last, and their two ends' runs.
     """
     start = present.copy()
     start[..., 1:] &= ~links[-1]
     label = np.cumsum(start, dtype=np.int32).reshape(present.shape) - 1
-    u = v = np.zeros(0, np.int32)
+    kept, u, v = [], np.zeros(0, np.int32), np.zeros(0, np.int32)
     for a, link in enumerate(links[:-1]):
         lo = label[(slice(None),) * a + (slice(None, -1),)]
         hi = label[(slice(None),) * a + (slice(1, None),)]
         keep = link.copy()
         keep[..., 1:] &= ~(link[..., :-1] & (lo[..., 1:] == lo[..., :-1])
                            & (hi[..., 1:] == hi[..., :-1]))
+        kept.append(keep)
         u, v = np.append(u, lo[keep]), np.append(v, hi[keep])
-    parent = np.arange(np.count_nonzero(start), dtype=np.int32)
-    while u.size:
-        pu, pv = parent[u], parent[v]
+    return np.flatnonzero(start), label, kept, u, v
+
+
+def _hook(runs: int, lo: np.ndarray, hi: np.ndarray, rise: np.ndarray):
+    """Each run's root, and its potential less its root's, where run
+    ``hi[k]``'s potential exceeds run ``lo[k]``'s by ``rise[k]``: each
+    round hooks every linked root onto a smaller root it is linked to, with
+    the offset of a link to the parent kept (a tree edge), then jumps every
+    pointer to its root, adding offsets, until no link joins two roots
+    (Shiloach & Vishkin, J. Algorithms 3, 1982)."""
+    parent, offset = np.arange(runs, dtype=np.int32), np.zeros(runs)
+    while lo.size:
+        pu, pv = parent[lo], parent[hi]
         live = pu != pv
-        u, v, pu, pv = u[live], v[live], pu[live], pv[live]
-        parent[np.maximum(pu, pv)] = np.minimum(pu, pv)
+        lo, hi, rise, pu, pv = (x[live] for x in (lo, hi, rise, pu, pv))
+        big, small = np.maximum(pu, pv), np.minimum(pu, pv)
+        # root pv's potential less root pu's, then big's less small's
+        step = np.where(pv > pu, 1.0, -1.0) * (rise + offset[lo] - offset[hi])
+        parent[big] = small
+        won = parent[big] == small
+        offset[big[won]] = step[won]
         grand = parent[parent]
-        while not np.array_equal(grand, parent):
+        while (grand != parent).any():
+            offset += offset[parent]
             parent, grand = grand, grand[grand]
+    return parent, offset
+
+
+def _count_components(present: np.ndarray, links) -> int:
+    """Connected components of the grid graph of :func:`_runs`."""
+    starts, _, _, lo, hi = _runs(present, links)
+    parent = _hook(starts.size, lo, hi, np.zeros(lo.size))[0]
     return int(np.count_nonzero(parent == np.arange(parent.size)))
 
 
@@ -847,9 +851,10 @@ def cohomology_rank(cx: CubicalComplex,
 
     def absent(axes):
         # padded by one absent layer along each axis the cells span
-        return np.pad(cx.ids[axes] < 0, [(int(i in axes),) * 2
-                                         for i in range(n)],
-                      constant_values=True)
+        grid, pad = cx.ids[axes], [int(i in axes) for i in range(n)]
+        out = np.ones([m + 2 * k for m, k in zip(grid.shape, pad)], bool)
+        out[tuple(slice(k, k + m) for m, k in zip(grid.shape, pad))] = grid < 0
+        return out
 
     top = tuple(range(n))
     voids = _count_components(absent(top), [absent(top[:a] + top[a + 1:])

@@ -230,6 +230,8 @@ def stiffness_floor(r, phi, samples, p: int,
     if not 0 < collar_fraction < 1:
         raise ValueError("collar_fraction must lie in (0, 1)")
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
+    if samples.size == 0:
+        raise ValueError("need at least one sample")
     r_val, r_g, r_h = field_jets(r, samples)
     _, phi_g, phi_h = field_jets(phi, samples)
     depth = -r_val

@@ -941,10 +941,10 @@ NUMPY_ONLY_TASKS = ("check-psh", "boundary-convexity", "df-search", "kmh",
 
 def test_cli_import_leaves_lazy_scipy_modules_unloaded(tmp_path):
     # every process imports the cli; scipy.ndimage would add 0.1 s or more
-    # to each start, and no task loads it; csgraph is imported only where a
-    # degree-1 solve on a domain with r needs it.  The tasks that build no
-    # complex run on numpy alone: scipy.sparse and its submodules load only
-    # where a complex is built.
+    # to each start, and no task loads it; nor does any task load csgraph,
+    # since components are found by hooking runs of the id grids.  The
+    # tasks that build no complex run on numpy alone: scipy.sparse and its
+    # submodules load only where a complex is built.
     configs = sorted(str(path) for path in REPO_CONFIGS.glob("*.ini")
                      if cli.load_config(str(path)).task in NUMPY_ONLY_TASKS)
     assert len(configs) == 9
@@ -1029,3 +1029,17 @@ def test_box_bounds_and_solves_load_no_sparse_matrices(tmp_path):
     codes, loaded = _scipy_modules_after(configs, tmp_path)
     assert codes == [0] * 6
     assert loaded == []
+
+
+def test_disk_solve_loads_no_scipy_and_repeats_its_bytes(tmp_path):
+    # off a box the degree-1 primitive hooks the runs of the node grid with
+    # numpy, so a disk run loads no scipy module; the hooking picks one
+    # link per root and round by rule, so two runs write the same records
+    disk = str(REPO_CONFIGS / "hormander_disk.ini")
+    assert cli.load_config(disk).r is not None
+    codes, loaded = _scipy_modules_after([disk, disk], tmp_path)
+    assert codes == [0, 0]
+    assert loaded == []
+    first, second = ((tmp_path / str(i) / "report.jsonl").read_bytes()
+                     .split(b"\n", 1)[1] for i in (0, 1))
+    assert first and first == second

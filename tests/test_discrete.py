@@ -452,9 +452,10 @@ class TestCoboundary:
 
     @pytest.mark.parametrize("name", LAYOUT_DOMAINS)
     def test_rows_are_written_in_canonical_csr_order(self, name):
-        # the layout solver._forest_primitive reads: 2(p+1) ascending
-        # columns per row, and row e of d_0 is -1, +1 at its lower and
-        # higher node; the arrays equal the per-cell reference's CSR
+        # the layout coboundary guarantees, whose fixed stride LSMR's
+        # in-place scaling reads: 2(p+1) ascending columns per row, and row
+        # e of d_0 is -1, +1 at its lower and higher node; the arrays equal
+        # the per-cell reference's CSR
         dom = LAYOUT_DOMAINS[name]()
         cx = D.build_complex(dom)
         cob = O.reference_complex(dom)[2]

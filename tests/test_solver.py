@@ -57,6 +57,38 @@ def fine_ring():
         D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.05, r=ANNULUS_R))
 
 
+# domains of the degree-1 primitive: a box has no graph search; on the
+# others the node grid's runs are hooked across several components,
+# isolated nodes and holes
+_STRIPS = "*".join(f"((x1-{k + 0.5})^2-0.09)" for k in range(8))
+_DOTS = "*".join(f"((x1-{k})^2+(x2-0.5)^2-0.0005)" for k in (1, 4, 7))
+CENTRED_DOMAINS = {
+    # eight strips and three single nodes between them
+    "islands": lambda: D.GridDomain(((0.0, 8.0), (0.0, 1.0)), 1 / 16,
+                                    r=parse(f"{_STRIPS}*{_DOTS}", n=2)),
+    "ring": lambda: D.GridDomain(((-1.2, 1.2), (-1.2, 1.2)), 0.05,
+                                 r=ANNULUS_R),
+    "box2d": lambda: D.GridDomain(((0.0, 2.0), (0.0, 0.75)), 1 / 16),
+    "box3d": lambda: D.GridDomain(((0.0, 1.0), (-0.5, 0.0), (0.0, 0.75)),
+                                  1 / 8),
+    "two-intervals": lambda: D.GridDomain(
+        ((0.0, 3.0),), 1 / 16,
+        r=parse("(x1-0.5)*(x1-1.2)*(x1-1.8)*(x1-2.5)", n=1)),
+    "ball": lambda: D.GridDomain(((-1.0, 1.0),) * 3, 1 / 16,
+                                 r=parse("x1^2+x2^2+x3^2-0.81", n=3)),
+    "two-balls": lambda: D.GridDomain(
+        ((-1.0, 1.0), (-0.5, 0.5), (-0.5, 0.5)), 1 / 16,
+        r=parse("((x1+0.5)^2+x2^2+x3^2-0.16)*((x1-0.5)^2+x2^2+x3^2-0.16)",
+                n=3)),
+    "solid-torus": lambda: D.GridDomain(
+        ((-1.0, 1.0), (-1.0, 1.0), (-0.4, 0.4)), 1 / 16,
+        r=parse("(x1^2+x2^2+x3^2+0.2125)^2-1.21*(x1^2+x2^2)", n=3)),
+}
+# (components, isolated nodes) where not (1, 0)
+CENTRED_COUNTS = {"islands": (11, 3), "two-intervals": (2, 0),
+                  "two-balls": (2, 0)}
+
+
 # ---------------------------------------------------------------------------
 # minimal solutions
 # ---------------------------------------------------------------------------
@@ -108,33 +140,20 @@ class TestMinimalSolution:
         assert sol.residual <= 1e-10
         assert m0.inner(sol.u.values, sol.u.values) <= m0.inner(v, v)
 
-    @pytest.mark.parametrize("shape", ["islands", "ring", "box2d", "box3d"])
-    def test_degree_one_is_the_centred_potential(self, shape, fine_ring,
-                                                 monkeypatch):
+    @pytest.mark.parametrize("shape", CENTRED_DOMAINS)
+    def test_degree_one_is_the_centred_potential(self, shape):
         """For p = 1, Ker d is the locally constant functions, so the
         minimal solution of du = d(pot) is pot less its weighted mean on
-        each component of the 1-skeleton.  On a box the primitive is summed
-        along a fixed tree, with no graph search."""
-        n = 3 if shape == "box3d" else 2
-        if shape == "ring":
-            cx = fine_ring
-        elif shape == "islands":
-            # eight strips and three single nodes between them
-            strips = "*".join(f"((x1-{k + 0.5})^2-0.09)" for k in range(8))
-            dots = "*".join(f"((x1-{k})^2+(x2-0.5)^2-0.0005)"
-                            for k in (1, 4, 7))
-            cx = D.build_complex(D.GridDomain(
-                ((0.0, 8.0), (0.0, 1.0)), 1 / 16,
-                r=parse(f"{strips}*{dots}", n=2)))
-        else:
-            # unequal counts per axis: 32 x 12, and 8 x 4 x 6
-            box = (((0.0, 2.0), (0.0, 0.75)) if n == 2 else
-                   ((0.0, 1.0), (-0.5, 0.0), (0.0, 0.75)))
-            cx = D.build_complex(D.GridDomain(box, 1 / (16 if n == 2 else 8)))
+        each component of the 1-skeleton, found here by csgraph."""
+        cx = D.build_complex(CENTRED_DOMAINS[shape]())
+        n, (n_comp_want, n_isolated) = cx.n, CENTRED_COUNTS.get(shape, (1, 0))
+        if shape.startswith("box"):
+            # unequal counts per axis
             assert len(set(cx.dom.counts)) == n
-            monkeypatch.setattr(S, "csgraph", None)
-        phi = parse("0.1*x1^2+x2^2" + "+0.5*x3^2" * (n == 3), n=n)
-        coeffs = [parse("exp(0.3*x1)*x2+x1^2" + "+x2*x3^3" * (n == 3), n=n)]
+        phi = parse(["0.1*x1^2", "0.1*x1^2+x2^2",
+                     "0.1*x1^2+x2^2+0.5*x3^2"][n - 1], n=n)
+        coeffs = [parse(["exp(0.3*x1)+x1^2", "exp(0.3*x1)*x2+x1^2",
+                         "exp(0.3*x1)*x2+x1^2+x2*x3^3"][n - 1], n=n)]
         sol = S.minimal_solution(
             cx, S.closed_form_from_potential(cx, 1, coeffs), phi)
         assert (sol.method, sol.iterations) == ("primitive", 0)
@@ -153,8 +172,8 @@ class TestMinimalSolution:
                 1e-12 * u_norm * math.sqrt(m0.inner(ones, ones)))
         assert np.abs(u - expected).max() <= 1e-12 * np.abs(expected).max()
         isolated = np.bincount(d.indices, minlength=u.size) == 0
-        assert isolated.sum() == (3 if shape == "islands" else 0)
-        assert n_comp == (11 if shape == "islands" else 1)
+        assert isolated.sum() == n_isolated
+        assert n_comp == n_comp_want
         assert not np.any(u[isolated])
 
     def test_zero_rhs_gives_zero_solution(self, cx32):

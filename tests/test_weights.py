@@ -335,6 +335,8 @@ class TestStiffnessFloor:
             W.stiffness_floor(DISK, PHI2, samples, 1, collar_fraction=0.0)
         with pytest.raises(ValueError):
             W.stiffness_floor(DISK, PHI2, samples, 0)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            W.stiffness_floor(DISK, PHI2, np.empty((0, 2)), 1)
 
     @pytest.mark.parametrize("fraction", [1.0, -0.1, math.nan],
                              ids=["one", "negative", "nan"])
