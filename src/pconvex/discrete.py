@@ -37,7 +37,7 @@ import numpy as np
 from .errors import DomainError, EmptyDomain, SupportError, raise_first
 from .exterior import (_insertion_table, dim_forms, index_list,
                        induced_pairings)
-from .fieldexpr import BLOCK_ROWS, field_jets, field_kind
+from .fieldexpr import BLOCK_ROWS, VALUE_BLOCK_ROWS, field_jets, field_kind
 
 __all__ = [
     "GridDomain",
@@ -159,14 +159,38 @@ class CubicalComplex:
 
     def barycenters(self, p: int) -> np.ndarray:
         """Barycenters of the p-cells, ``(num_cells(p), n)``, in cell order."""
-        anchors, bary = self.anchors[p], np.empty(self.anchors[p].shape)
-        for axes, rows in self.blocks(p):
-            for i, ((lo, _), s) in enumerate(zip(self.dom.box,
-                                                 self.dom.spacings)):
-                bary[rows, i] = anchors[rows, i] * s + lo
-                if i in axes:
-                    bary[rows, i] += 0.5 * s
-        return bary
+        return _barycenter_rows(self, p, 0, np.empty(self.anchors[p].shape))
+
+
+def _cut_blocks(cx: CubicalComplex, p: int, start: int, stop: int):
+    """The ``(axes, rows)`` blocks of the p-cells cut to rows
+    ``start:stop``, leaving out the blocks the cut misses."""
+    return [(axes, slice(max(r.start, start), min(r.stop, stop)))
+            for axes, r in cx.blocks(p)
+            if max(r.start, start) < min(r.stop, stop)]
+
+
+def _write_barycenters(dom: GridDomain, anchors: np.ndarray, axes,
+                       out: np.ndarray) -> None:
+    """Write into ``out`` the barycenters of the cells spanning ``axes`` at
+    the rows of ``anchors``: ``anchor·s + lo``, plus ``s/2`` along
+    ``axes``, axis by axis in place."""
+    for i, ((lo, _), s) in enumerate(zip(dom.box, dom.spacings)):
+        x = out[:, i]
+        np.multiply(anchors[:, i], s, out=x)
+        x += lo
+        if i in axes:
+            x += 0.5 * s
+
+
+def _barycenter_rows(cx: CubicalComplex, p: int, start: int,
+                     out: np.ndarray) -> np.ndarray:
+    """``out`` holding the barycenters of the p-cells ``start``,
+    ``start + 1``, … in its rows, written block by block."""
+    for axes, rows in _cut_blocks(cx, p, start, start + len(out)):
+        _write_barycenters(cx.dom, cx.anchors[p][rows], axes,
+                           out[rows.start - start:rows.stop - start])
+    return out
 
 
 def build_complex(dom: GridDomain) -> CubicalComplex:
@@ -207,7 +231,8 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
                 ok &= (back >= 0) & (front >= 0)
                 faces += [back, front]
                 slots += [-sgn[a, rK], sgn[a, rK]]
-            found = np.nonzero(ok)
+            # each anchor column in the anchors' own dtype, through ok
+            found = [g[ok] for g in np.indices(shape, dtype=small)]
             if dom.r is not None:
                 bary = np.stack([(mids if i in axes else nodes)[i][found[i]]
                                  for i in range(n)], axis=1)
@@ -240,38 +265,49 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     return cx
 
 
+#: Rows of (p+2)-cells per step of :func:`_check_closed`: each slot's
+#: gathered facet rows stay a few tens of KiB, under the allocator's mmap
+#: threshold (128 KiB at least in glibc), so the check reuses heap memory
+#: instead of faulting in fresh pages for whole-block temporaries.
+_CHECK_ROWS = 4 * BLOCK_ROWS
+
+
 def _check_closed(cx: CubicalComplex) -> None:
     """Raise ``AssertionError`` unless ``d_{p+1} d_p = 0`` exactly: in each
     block of (p+2)-cells the (slot, sub-slot) entries of the first row pair
     up by equal column, every row shows equal columns at each pair, each
     slot's facets lie in one lower block, whose sign table then holds, and
     the signs at each pair are opposite; so every entry of the product
-    cancels a distinct partner."""
+    cancels a distinct partner.  Rows are compared :data:`_CHECK_ROWS` at a
+    time, through each slot's facet rows of ``d_p`` gathered whole."""
     for p in range(cx.n - 1):
         hi, lo, lower = cx._cols[p + 1], cx._cols[p], cx.blocks(p + 1)
-        lo_cols = [np.ascontiguousarray(c) for c in lo.T]
         stops = [r.stop for _, r in lower]
         fail = AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
         for (_, rows), s_hi in zip(cx.blocks(p + 2), cx._signs[p + 1]):
             if rows.stop == rows.start:
                 continue
-            at = np.searchsorted(stops, hi[rows.start], side="right")
-            facets = [hi[rows, j].astype(np.intp) for j in range(len(at))]
+            block = hi[rows]
+            at = np.searchsorted(stops, block[0], side="right")
             if not all(b < len(stops) and lower[b][1].start <= f.min()
                        and f.max() < stops[b]
-                       for f, b in zip(facets, at.tolist())):
+                       for f, b in zip(block.T, at.tolist())):
                 raise fail
-            c0 = lo[hi[rows.start]].ravel()
+            c0 = lo[block[0]].ravel()
             pairs = np.argsort(c0).reshape(-1, 2)
             c = c0[pairs]
             sign = (s_hi[:, None] * cx._signs[p][at]).ravel()[pairs]
             if np.any(c[:, 0] != c[:, 1]) or np.any(sign.sum(axis=1)):
                 raise fail
-            j, k = np.divmod(pairs, len(lo_cols))
-            for (j1, j2), (k1, k2) in zip(j.tolist(), k.tolist()):
-                if not np.array_equal(lo_cols[k1].take(facets[j1]),
-                                      lo_cols[k2].take(facets[j2])):
-                    raise fail
+            j, k = np.divmod(pairs, lo.shape[1])
+            matched = list(zip(j.tolist(), k.tolist()))
+            for start in range(0, len(block), _CHECK_ROWS):
+                rows_of = [lo.take(f, axis=0)
+                           for f in block[start:start + _CHECK_ROWS].T]
+                for (j1, j2), (k1, k2) in matched:
+                    if not np.array_equal(rows_of[j1][:, k1],
+                                          rows_of[j2][:, k2]):
+                        raise fail
 
 
 def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
@@ -344,27 +380,47 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     sitting on a box face contributes half its spacing to the dual extent,
     which is what makes the induced inner product a trapezoid-accurate
     quadrature of ``∫⟨α,β⟩ e^{-phi}``.
+
+    The diagonal is allocated once and filled :data:`VALUE_BLOCK_ROWS` rows
+    at a time, block by block: each slice's barycenters and factors go to
+    scratch rows allocated once per call, ``phi`` is evaluated on them and
+    ``exp(-phi)·factor`` is written in place.  So ``mass`` walks its blocks
+    and builds the barycenter array of :meth:`CubicalComplex.barycenters`
+    only to name a bad entry: one that underflows to 0 or overflows raises
+    :class:`~pconvex.errors.DomainError` naming the first such cell.
     """
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
-    anchors = cx.anchors[p]
+    anchors, spacings = cx.anchors[p], cx.dom.spacings
     # per axis and anchor: the spacing, halved at both box faces
     tables = [np.r_[0.5 * s, np.full(m - 1, s), 0.5 * s]
-              for s, m in zip(cx.dom.spacings, cx.dom.counts)]
-    factor = np.empty(len(anchors))
-    for axes, rows in cx.blocks(p):
-        f = np.ones(rows.stop - rows.start)
-        for a, (s, t) in enumerate(zip(cx.dom.spacings, tables)):
-            f = f / s if a in axes else f * t.take(anchors[rows, a])
-        factor[rows] = f
-    bary = cx.barycenters(p)
-    with np.errstate(over="ignore"):
-        diag = np.exp(-field_jets(phi, bary, order=0)) * factor
-    raise_first(DomainError, ~np.isfinite(diag) | (diag <= 0), bary,
-                lambda i: ("weight produced a non-positive or overflowed "
-                           "mass entry: " + ("underflowed to 0" if diag[i] == 0
-                                             else "overflowed")
-                           + f" on {p}-cell {i}"))
+              for s, m in zip(spacings, cx.dom.counts)]
+    diag = np.empty(len(anchors))
+    bary = np.empty((min(VALUE_BLOCK_ROWS, len(diag)), cx.n))
+    factor = np.empty(len(bary))
+    for start in range(0, len(diag), VALUE_BLOCK_ROWS):
+        d = diag[start:start + VALUE_BLOCK_ROWS]
+        for axes, rows in _cut_blocks(cx, p, start, start + len(d)):
+            at = slice(rows.start - start, rows.stop - start)
+            _write_barycenters(cx.dom, anchors[rows], axes, bary[at])
+            f = factor[at]
+            f.fill(1.0)
+            for a, (s, t) in enumerate(zip(spacings, tables)):
+                if a in axes:
+                    f /= s
+                else:
+                    f *= t.take(anchors[rows, a])
+        with np.errstate(over="ignore"):
+            np.negative(field_jets(phi, bary[:len(d)], order=0), out=d)
+            np.exp(d, out=d)
+            d *= factor[:len(d)]
+    if diag.size and not (diag.min() > 0.0 and diag.max() < math.inf):
+        raise_first(DomainError, ~np.isfinite(diag) | (diag <= 0),
+                    cx.barycenters(p), lambda i: (
+                        "weight produced a non-positive or overflowed mass "
+                        "entry: " + ("underflowed to 0" if diag[i] == 0
+                                     else "overflowed")
+                        + f" on {p}-cell {i}"))
     return WeightedMass(p, diag)
 
 

@@ -27,13 +27,14 @@ import numpy as np
 
 from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, WeightedMass, _LazyModule,
-                       _apply_d, coboundary, mass, sample_cochain,
-                       weighted_adjoint)
+                       _apply_d, _barycenter_rows, coboundary, mass,
+                       sample_cochain, weighted_adjoint)
 from .errors import (CohomologyObstruction, DomainError, MembershipError,
                      NoConvergence, NotClosed, PreconditionError, TailError,
                      raise_first)
 from .exterior import induced_pairings, induced_pinv
-from .fieldexpr import BatchedField, field_jets, field_kind, row_blocks
+from .fieldexpr import (BLOCK_ROWS, BatchedField, field_jets, field_kind,
+                        row_blocks)
 
 __all__ = [
     "MinimalSolution",
@@ -429,22 +430,26 @@ def _pairing_integral(cx: CubicalComplex, g: Cochain, theta, weight) -> float:
 # precondition checks shared by the reports
 # ---------------------------------------------------------------------------
 
-def _require_p_positive(points: np.ndarray,
-                        mats: Callable[[np.ndarray], np.ndarray], p: int,
+def _require_p_positive(cx: CubicalComplex, p: int,
+                        mats: Callable[[np.ndarray], np.ndarray],
                         label: str) -> None:
-    """The matrices ``mats(X)`` builds for each block ``X`` of ``points``
-    must be finite (:class:`DomainError`) and p-positive semidefinite, up
-    to 1e-8 times their largest entry plus one (:class:`PreconditionError`).
+    """The matrices ``mats(X)`` builds for each block ``X`` of the p-cells'
+    barycenters must be finite (:class:`DomainError`) and p-positive
+    semidefinite, up to 1e-8 times their largest entry plus one
+    (:class:`PreconditionError`).
 
     Blocks are checked in row order, so the error names the first failing
-    point; each block's stack is reduced before the next is built.  When
-    the first block of several rows gives one matrix ``(1, n, n)``, the
-    stack does not vary by row: that matrix is reduced with one
-    ``eigvalsh``, its failure names row 0, and the sweep stops there, so
-    later rows are never evaluated.
+    point; each block's barycenters are written when it is reached and its
+    stack is reduced before the next is built, so the sweep never holds
+    the whole barycenter array.  When the first block of several rows
+    gives one matrix ``(1, n, n)``, the stack does not vary by row: that
+    matrix is reduced with one ``eigvalsh``, its failure names row 0, and
+    the sweep stops there, so later rows are never evaluated.
     """
-    for rows in row_blocks(len(points)):
-        X = points[rows]
+    count = cx.num_cells(p)
+    for start in range(0, count, BLOCK_ROWS):
+        X = _barycenter_rows(cx, p, start, np.empty(
+            (min(BLOCK_ROWS, count - start), cx.n)))
         with np.errstate(over="ignore", invalid="ignore"):
             a = mats(X)
         raise_first(DomainError, ~np.isfinite(a).all(axis=(1, 2)), X,
@@ -596,7 +601,7 @@ def hormander_report(cx: CubicalComplex, f: Cochain, phi) -> BoundReport:
     """Baseline estimate: ``‖u‖²_φ ≤ ∫⟨F_φ⁻¹f, f⟩e^{−φ}`` (constant 1) for
     the minimal solution under a p-plurisubharmonic weight, p = ``f.p``."""
     _check_cochain(cx, f)
-    _require_p_positive(cx.barycenters(f.p), _hessian(phi), f.p, "D²phi")
+    _require_p_positive(cx, f.p, _hessian(phi), "D²phi")
     sol = minimal_solution(cx, f, phi)
     return _estimate("hormander", cx, f, sol, phi, phi, 1.0)
 
@@ -614,9 +619,8 @@ def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
     _check_cochain(cx, f)
     _check_alpha("berndtsson", alpha)
     p = f.p
-    bary = cx.barycenters(p)
-    _require_p_positive(bary, _hessian(phi), p, "D²phi")
-    _require_p_positive(bary, _neg_exp_hessian(psi), p,
+    _require_p_positive(cx, p, _hessian(phi), "D²phi")
+    _require_p_positive(cx, p, _neg_exp_hessian(psi),
                         "the Hessian of -exp(-psi)")
     w_solve = _combine(phi, -alpha, psi)
     sol = minimal_solution(cx, f, w_solve)
@@ -674,10 +678,9 @@ def minimal_estimate_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     _check_cochain(cx, f)
     _check_alpha("minimal", alpha)
     p = f.p
-    bary = cx.barycenters(p)
-    _require_p_positive(bary, _hessian(phi), p, "D²phi")
+    _require_p_positive(cx, p, _hessian(phi), "D²phi")
     _check_omega_range(cx, omega, p, 1.0)
-    _require_p_positive(bary, _shifted_hessian(psi, psi, omega), p,
+    _require_p_positive(cx, p, _shifted_hessian(psi, psi, omega),
                         "omega²·D²psi − ∇psi⊗∇psi")
     _check_omega_on_support(cx, f, omega, alpha)
     sol = minimal_solution(cx, f, phi)
@@ -698,7 +701,7 @@ def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
     """
     _check_cochain(cx, f)
     _check_alpha("composite", alpha0)
-    _require_p_positive(cx.barycenters(f.p), _neg_exp_hessian(psi0), f.p,
+    _require_p_positive(cx, f.p, _neg_exp_hessian(psi0),
                         "the Hessian of -exp(-psi0)")
     root = math.sqrt(alpha0)
     psi_scaled = CombinedWeight(None, alpha0, psi0)
@@ -724,13 +727,12 @@ def nonpsh_report(cx: CubicalComplex, f: Cochain, phi, psi, omega,
     _check_cochain(cx, f)
     _check_alpha("nonpsh", alpha)
     p = f.p
-    bary = cx.barycenters(p)
-    _require_p_positive(bary, _hessian(phi), p, "D²phi")
+    _require_p_positive(cx, p, _hessian(phi), "D²phi")
     if omega is not None:
         _check_omega_range(cx, omega, p, 2.0)
     _require_p_positive(
-        bary, _shifted_hessian(phi, psi, alpha if omega is None else omega),
-        p, "omega²·D²phi − ∇psi⊗∇psi")
+        cx, p, _shifted_hessian(phi, psi, alpha if omega is None else omega),
+        "omega²·D²phi − ∇psi⊗∇psi")
     if omega is None:
         label, constant, modifier = ("nonpsh-constant",
                                      4.0 / (2.0 - alpha) ** 2, None)

@@ -3,6 +3,7 @@ form sampling, and the node-level energy identity."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,32 +246,27 @@ class TestBuildComplex:
     @pytest.mark.parametrize("name", ["box-32x32x32", "solid-torus"])
     def test_build_splits_no_anchors_into_index_tuples(self, name,
                                                        monkeypatch):
-        # each block's cells are found by one np.nonzero, whose index
-        # arrays are written straight into the anchor columns, never
-        # iterated; ids, columns and signs go through the block's presence
-        # mask, and no argwhere stacks the anchors first
-        nonzero, calls = np.nonzero, []
-
-        class Index(np.ndarray):
-            def __iter__(self):
-                raise AssertionError("an index array iterated in Python")
-
-        def traced(a):
-            calls.append(np.shape(a))
-            return tuple(i.view(Index) for i in nonzero(a))
-
-        def no_argwhere(a):
-            raise AssertionError("np.argwhere called in build_complex")
+        # each anchor column is the block grid's index along its axis, in
+        # the anchors' own dtype, read through the presence mask: no
+        # np.nonzero index tuples and no np.argwhere stack, and the anchors
+        # are those an argwhere of each id grid lists
+        def refused(what):
+            def call(*args, **kwargs):
+                raise AssertionError(f"np.{what} called in build_complex")
+            return call
 
         dom = LAYOUT_DOMAINS[name]()
-        monkeypatch.setattr(np, "nonzero", traced)
-        monkeypatch.setattr(np, "argwhere", no_argwhere)
+        monkeypatch.setattr(np, "nonzero", refused("nonzero"))
+        monkeypatch.setattr(np, "argwhere", refused("argwhere"))
         cx = D.build_complex(dom)
         monkeypatch.undo()
-        assert calls == [cx.ids[axes].shape for p in range(cx.n + 1)
-                         for axes, _ in cx.blocks(p)]
-        assert len(calls) == 2 ** cx.n
-        assert all(type(a) is np.ndarray for a in cx.anchors)
+        small = np.min_scalar_type(max(dom.counts))
+        for p in range(cx.n + 1):
+            assert type(cx.anchors[p]) is np.ndarray
+            assert cx.anchors[p].dtype == small
+            for axes, rows in cx.blocks(p):
+                assert np.array_equal(cx.anchors[p][rows],
+                                      np.argwhere(cx.ids[axes] >= 0))
 
 
 def _old_factor(cx, p):
@@ -302,19 +298,35 @@ class TestBlockGeometry:
 
     @pytest.mark.parametrize("name", GEOMETRY_DOMAINS)
     def test_blocks_masses_and_barycenters_keep_every_bit(self, name):
+        # mass walks its blocks in VALUE_BLOCK_ROWS slices into one
+        # diagonal; every entry keeps the bits of exp(-phi) over all
+        # barycenters at once times the factor, for a constant, an
+        # expression, a plain callable and a combined weight, also where a
+        # block spans several slices (the 32³ box)
         cx = D.build_complex(GEOMETRY_DOMAINS[name]())
-        for p in range(cx.n + 1):
+        n = cx.n
+        quadratic = parse("+".join(f"x{i}^2" for i in range(1, n + 1)), n=n)
+        weights = [0.0, quadratic, lambda x: 0.3 * x[0] - x[-1],
+                   S.CombinedWeight(quadratic, -0.3, parse("x1", n=n))]
+        if name == "box-32x32x32":
+            assert max(r.stop - r.start for p in range(n + 1)
+                       for _, r in cx.blocks(p)) > FE.VALUE_BLOCK_ROWS
+        for p in range(n + 1):
             start = 0
             blocks = list(cx.blocks(p))
             assert [axes for axes, _ in blocks] == list(
-                itertools.combinations(range(cx.n), p))
+                itertools.combinations(range(n), p))
             for axes, rows in blocks:
                 count = int(np.count_nonzero(cx.ids[axes] >= 0))
                 assert rows == slice(start, start + count)
                 start = rows.stop
             assert start == cx.num_cells(p)
-            for got, want in ((D.mass(cx, 0.0, p).diag, _old_factor(cx, p)),
-                              (cx.barycenters(p), _old_barycenters(cx, p))):
+            bary, factor = _old_barycenters(cx, p), _old_factor(cx, p)
+            pairs = [(cx.barycenters(p), bary)] + [
+                (D.mass(cx, phi, p).diag,
+                 np.exp(-FE.field_jets(phi, bary, order=0)) * factor)
+                for phi in weights]
+            for got, want in pairs:
                 assert got.shape == want.shape
                 assert np.array_equal(got.view(np.int64),
                                       want.view(np.int64))
@@ -595,6 +607,43 @@ class TestMass:
             with pytest.raises(DomainError) as exc:
                 D.mass(cx, phi, 0)
             assert what in str(exc.value) and where in str(exc.value)
+
+    @pytest.mark.parametrize("n, k, text", [
+        (3, 300, "1-cell 25046 at x = [0.703125, 1.0, 1.0]"),
+        (2, 700, "1-cell 296 at x = [0.265625, 1.0]")])
+    def test_underflow_names_first_cell_across_slices(self, n, k, text):
+        # at 32³ row 25,046 lies in the second VALUE_BLOCK_ROWS slice of
+        # the first 1-cell block: the walk still names it by its global
+        # row and its barycenter
+        cx = D.build_complex(D.GridDomain(((0.0, 1.0),) * n, 1 / 32))
+        phi = parse(f"{k}*(" + "+".join(f"x{i}^2" for i in range(1, n + 1))
+                    + ")", n=n)
+        with pytest.raises(DomainError) as exc:
+            D.mass(cx, phi, 1)
+        assert str(exc.value) == ("weight produced a non-positive or "
+                                  "overflowed mass entry: underflowed to 0 "
+                                  "on " + text)
+
+    def test_traced_peak_stays_near_the_diagonal(self, monkeypatch):
+        # the walk allocates the diagonal and per-slice scratch rows only,
+        # and never the barycenter array: one 32³ degree-1 mass peaks near
+        # 2.1 diagonals under tracemalloc, where building the whole
+        # barycenter array first took 6.3
+        cx = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 1 / 32))
+        phi = parse("x1^2+x2^2+x3^2", n=3)
+        size = D.mass(cx, phi, 1).diag.nbytes
+
+        def refused(self, p):
+            raise AssertionError("mass built the barycenter array")
+
+        monkeypatch.setattr(D.CubicalComplex, "barycenters", refused)
+        tracemalloc.start()
+        try:
+            D.mass(cx, phi, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * size
 
     def test_degree_bounds(self):
         cx = box_complex()

@@ -401,16 +401,19 @@ class TestBaselineReport:
     @pytest.mark.parametrize("text, per_row", [("x1^2+x2^2", False),
                                                ("x1^2+x2^2-x1^3", True)])
     def test_row_independent_stack_is_built_once(self, text, per_row):
-        # D²phi = diag(2 − 6·x1, 2) is p-positive for x1 < 1/3
-        X = np.random.default_rng(16).uniform(0.0, 0.3, size=(3000, 2))
+        # D²phi = diag(2 − 6·x1, 2) is p-positive for x1 < 1/3; the sweep
+        # walks the 1-cells' barycenters block by block, in row order
+        cx = D.build_complex(D.GridDomain(((0.0, 0.3),) * 2, 0.3 / 40))
+        X = cx.barycenters(1)
         blocks = len(FE.row_blocks(len(X)))
         assert blocks > 1
         mats, calls = S._hessian(parse(text, n=2)), []
-        S._require_p_positive(X, lambda B: calls.append(len(B)) or mats(B),
-                              1, "D²phi")
+        S._require_p_positive(
+            cx, 1, lambda B: calls.append(B) or mats(B), "D²phi")
         # the first block decides: one matrix there is one matrix everywhere
         assert len(calls) == (blocks if per_row else 1)
-        assert sum(calls) == (len(X) if per_row else FE.BLOCK_ROWS)
+        seen = np.concatenate(calls)
+        assert np.array_equal(seen, X[:len(X) if per_row else FE.BLOCK_ROWS])
 
     @pytest.mark.parametrize("text, per_row", [("x1^2+x2^2", False),
                                                ("x1^2+x2^2+x1^3", True)])
@@ -446,7 +449,7 @@ class TestBaselineReport:
         phi = parse("x1^2+x2^2+1e308*x1", n=2)
         X = cx.barycenters(1)
         assert X[3770].tolist() == [1.828125, 0.0] and 3770 > FE.BLOCK_ROWS
-        S._require_p_positive(X, S._hessian(phi), 1, "D²phi")
+        S._require_p_positive(cx, 1, S._hessian(phi), "D²phi")
         with pytest.raises(DomainError, match="non-finite") as exc:
             S.hormander_report(cx, f, phi)
         assert str(X[3770].tolist()) in str(exc.value)
