@@ -6,8 +6,9 @@ The package is organized in layers:
   lexicographically ordered multi-index coefficients, the induced
   operator of a symmetric matrix on p-forms, its spectrum, pseudo-inverse,
   and rank-one image checks.
-* :mod:`pconvex.convexity` — p-plurisubharmonicity graders for matrices,
-  scalar fields, and boundaries, plus curvature-term bounds.
+* :mod:`pconvex.convexity` — the minimal p-trace of a matrix or a stack,
+  the p-plurisubharmonicity graders for scalar fields and boundaries built
+  on it, plus curvature-term bounds.
 * :mod:`pconvex.fieldexpr` — a tiny expression language for scalar fields
   with exact first/second derivatives (2-jets), evaluated in batches.
 * :mod:`pconvex.weights` — the scaled squared-distance weight and the
@@ -27,8 +28,7 @@ cohomology count run on numpy alone.
 """
 
 from .convexity import (boundary_p_convexity, curvature_bounds_check,
-                        field_p_psh_report, min_p_trace, p_positivity_report,
-                        signature_count)
+                        field_p_psh_report, min_p_trace, signature_count)
 from .discrete import (Cochain, CubicalComplex, GridDomain, build_complex,
                        coboundary, energy_identity_residual, mass,
                        sample_cochain, weighted_adjoint)
@@ -54,7 +54,7 @@ __all__ = [
     "quadform_matrix", "quadform_pinv", "rank_one_image_check",
     # convexity
     "boundary_p_convexity", "curvature_bounds_check", "field_p_psh_report",
-    "min_p_trace", "p_positivity_report", "signature_count",
+    "min_p_trace", "signature_count",
     # fieldexpr
     "Jet2", "ScalarFieldExpr", "compose_df", "parse",
     # weights

@@ -2,19 +2,21 @@
 
 A symmetric matrix is *p-positive* when every sum of ``p`` of its eigenvalues
 is positive — equivalently (and this is what everything here computes) when
-the sum of its ``p`` smallest eigenvalues is.  The module grades matrices,
-sampled Hessian fields, and tangential boundary Hessians against that
-criterion, and carries the curvature-term algebra used by the solver-side
-bound hypotheses:
+the sum of its ``p`` smallest eigenvalues is.  :func:`min_p_trace` is the
+one test of that criterion: sampled Hessian fields and tangential boundary
+Hessians are graded through it.  The module also carries the curvature-term
+algebra used by the solver-side bound hypotheses:
 
 * :func:`index_swap_two_forms` builds, for every degree-``p`` multi-index of a
   form, the 2-form obtained by swapping one index at a time against a free
   index;
-* :func:`curvature_term` pairs those 2-forms against a symmetric operator on
-  2-forms and sums;
-* :func:`curvature_bounds_check` verifies the two-sided eigenvalue bound with
-  the ``p (n - p)`` signature count, and :func:`signature_count` re-derives
-  that count by brute-force enumeration.
+* :func:`curvature_bounds_check` pairs those 2-forms against a symmetric
+  operator on 2-forms, sums, and verifies the two-sided eigenvalue bound
+  with the ``p (n - p)`` signature count; :func:`signature_count`
+  re-derives that count by brute-force enumeration.
+
+Every matrix is checked as by :mod:`pconvex.exterior`: square, of the
+expected size, finite and symmetric.
 """
 
 from __future__ import annotations
@@ -25,65 +27,38 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateGradient, raise_first
-from .exterior import (PointForm, _insertion_table, _lift, dim_forms,
-                       index_list)
+from .exterior import (PointForm, _check_symmetric, _insertion_table, _lift,
+                       dim_forms, index_list)
 from .fieldexpr import field_jets
 
 __all__ = [
     "min_p_trace",
-    "ConvexityReport",
-    "p_positivity_report",
     "FieldRegionReport",
     "field_p_psh_report",
     "boundary_p_convexity",
     "index_swap_two_forms",
-    "curvature_term",
     "CurvatureBoundsReport",
     "curvature_bounds_check",
     "signature_count",
 ]
 
 
-def _check_theta(theta: np.ndarray, p: int, ndims: tuple) -> np.ndarray:
-    """``theta`` as floats, after checking that it is square with one of
-    ``ndims`` dimensions, that ``1 <= p <= n`` and that it is finite."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim not in ndims or theta.shape[-2] != theta.shape[-1]:
-        raise ValueError(f"theta must be square, got {theta.shape}")
-    n = theta.shape[-1]
-    if not 1 <= p <= n:
-        raise ValueError(f"p must be in [1, {n}], got {p}")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta must be finite")
-    return theta
-
-
 def min_p_trace(theta: np.ndarray, p: int):
     """Smallest sum of ``p`` eigenvalues of the symmetric matrix ``theta``.
 
     A stack of matrices ``(m, n, n)`` gives one sum per matrix, ``(m,)``.
-    A matrix with a non-finite entry raises :class:`ValueError`.
+    A matrix that is not square, finite and symmetric (to ``1e-12`` of its
+    largest entry) raises :class:`ValueError`, as does ``p`` outside
+    ``[1, n]``; ``theta`` is reduced as given, not symmetrised.
     """
-    theta = _check_theta(theta, p, (2, 3))
+    theta = _check_symmetric(theta, "theta", (2, 3), None)
+    n = theta.shape[-1]
+    if not 1 <= p <= n:
+        raise ValueError(f"p must be in [1, {n}], got {p}")
     w = np.linalg.eigvalsh(theta)
     if theta.ndim == 3:
         return w[:, :p].sum(axis=1)
     return float(w[:p].sum())
-
-
-@dataclass
-class ConvexityReport:
-    """Three-way p-positivity verdict with the witnessing directions.
-
-    ``witness_values``/``witness_vectors`` are the p smallest eigenvalues and
-    their eigenvectors — the directions realizing the minimal p-trace.
-    """
-
-    p: int
-    min_p_trace: float
-    verdict: str                      # 'strict' | 'semi' | 'fail'
-    witness_values: np.ndarray
-    witness_vectors: np.ndarray
 
 
 def _classify(value: float) -> str:
@@ -92,22 +67,6 @@ def _classify(value: float) -> str:
     if value >= -1e-12:
         return "semi"
     return "fail"
-
-
-def p_positivity_report(theta: np.ndarray, p: int) -> ConvexityReport:
-    """Grade a symmetric matrix: strict / semi / fail p-positivity.
-
-    ``strict`` means the minimal p-trace exceeds 1e-12; ``semi`` means it
-    is at least -1e-12; anything lower fails.  ``theta`` is checked as by
-    :func:`min_p_trace`, and must be one matrix.
-    """
-    theta = _check_theta(theta, p, (2,))
-    w, V = np.linalg.eigh(theta)
-    value = float(w[:p].sum())
-    return ConvexityReport(p=p, min_p_trace=value,
-                           verdict=_classify(value),
-                           witness_values=w[:p].copy(),
-                           witness_vectors=V[:, :p].copy())
 
 
 @dataclass
@@ -217,33 +176,9 @@ def index_swap_two_forms(g: PointForm) -> np.ndarray:
     return out
 
 
-def _check_R(R: np.ndarray, n: int) -> np.ndarray:
-    """``R`` as floats, after checking its shape, that it is finite and
-    that it is symmetric to ``1e-12 * (1 + max|R|)``."""
-    R = np.asarray(R, dtype=np.float64)
-    m = dim_forms(n, 2)
-    if R.shape != (m, m):
-        raise ValueError(f"R must be {m}x{m} for n = {n}, got {R.shape}")
-    if not np.isfinite(R).all():
-        raise ValueError("R must be finite")
-    if not (np.abs(R - R.T) <= 1e-12 * (1.0 + np.abs(R).max())).all():
-        raise ValueError("R must be symmetric")
-    return R
-
-
 def _swap_pairing(R: np.ndarray, g: PointForm) -> float:
     xis = index_swap_two_forms(g)
     return float(np.einsum("rA,AB,rB->", xis, R, xis))
-
-
-def curvature_term(R: np.ndarray, g: PointForm) -> float:
-    """``sum_I <R xi_I, xi_I>`` over the swap 2-forms of ``g``.
-
-    ``R`` is a symmetric operator on 2-forms, given as a dense
-    ``C(n,2) x C(n,2)`` matrix in the increasing-pair basis; a non-finite
-    or non-symmetric ``R`` raises :class:`ValueError`.
-    """
-    return _swap_pairing(_check_R(R, g.n), g)
 
 
 @dataclass
@@ -261,12 +196,16 @@ class CurvatureBoundsReport:
 
 def curvature_bounds_check(R: np.ndarray,
                            g: PointForm) -> CurvatureBoundsReport:
-    """Verify ``p(n-p) l_min |g|^2 <= curvature_term <= p(n-p) l_max |g|^2``.
+    """Verify ``p(n-p) l_min |g|^2 <= term <= p(n-p) l_max |g|^2``.
 
-    ``l_min``/``l_max`` are the extreme eigenvalues of ``R`` on 2-forms;
-    ``R`` is checked as by :func:`curvature_term`.
+    ``term`` is ``sum_I <R xi_I, xi_I>`` over the swap 2-forms ``xi_I`` of
+    ``g`` (:func:`index_swap_two_forms`); ``R`` is a symmetric operator on
+    2-forms, given as a dense ``C(n,2) x C(n,2)`` matrix in the
+    increasing-pair basis, and ``l_min``/``l_max`` are its extreme
+    eigenvalues.  A non-square, non-finite or non-symmetric ``R`` raises
+    :class:`ValueError`.
     """
-    R = _check_R(R, g.n)
+    R = _check_symmetric(R, "R", (2,), dim_forms(g.n, 2))
     w = np.linalg.eigvalsh(0.5 * (R + R.T))
     lam, lam_top = float(w[0]), float(w[-1])
     n, p = g.n, g.p

@@ -386,8 +386,9 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     scratch rows allocated once per call, ``phi`` is evaluated on them and
     ``exp(-phi)·factor`` is written in place.  So ``mass`` walks its blocks
     and builds the barycenter array of :meth:`CubicalComplex.barycenters`
-    only to name a bad entry: one that underflows to 0 or overflows raises
-    :class:`~pconvex.errors.DomainError` naming the first such cell.
+    only to name a bad entry: one that underflows to 0, overflows or is not
+    a number raises :class:`~pconvex.errors.DomainError` naming the first
+    such cell.
     """
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
@@ -419,7 +420,8 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
                     cx.barycenters(p), lambda i: (
                         "weight produced a non-positive or overflowed mass "
                         "entry: " + ("underflowed to 0" if diag[i] == 0
-                                     else "overflowed")
+                                     else "overflowed" if diag[i] > 0
+                                     else "not a number")
                         + f" on {p}-cell {i}"))
     return WeightedMass(p, diag)
 
@@ -456,7 +458,9 @@ def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:
     multi-index in lexicographic order — the ordering of
     :func:`pconvex.exterior.index_list`.  A p-cell spanning axes ``S``
     receives ``coeff_S(barycenter) · prod(spacings[S])``; each coefficient
-    is evaluated over all of its cells in one call.
+    is evaluated over all of its cells in one call.  A value that is not
+    finite raises :class:`~pconvex.errors.DomainError` naming the first
+    such cell.
     """
     if not 0 <= p <= cx.n:
         raise ValueError(f"degree must satisfy 0 <= p <= {cx.n}, got {p}")
@@ -470,6 +474,8 @@ def sample_cochain(cx: CubicalComplex, p: int, coeffs) -> Cochain:
     for (axes, rows), f in zip(cx.blocks(p), coeffs):
         vol = math.prod(cx.dom.spacings[a] for a in axes)
         values[rows] = field_jets(f, bary[rows], order=0) * vol
+    raise_first(DomainError, ~np.isfinite(values), bary, lambda i: (
+        f"sampled value {values[i]} on {p}-cell {i} is not finite"))
     return Cochain(p, values)
 
 

@@ -229,22 +229,32 @@ def interior(v: np.ndarray, g: PointForm) -> PointForm:
     return PointForm(g.n, g.p - 1, v @ G)
 
 
-def _check_sym(theta: np.ndarray, n: Optional[int], ndim: int) -> np.ndarray:
-    """Check one theta (``ndim=2``) or a stack (``ndim=3``), ``n x n`` unless
-    ``n`` is None, and return it symmetrised: once per public call."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.ndim != ndim or theta.shape[-1] != theta.shape[-2]:
-        raise ValueError(f"theta must be square, got shape {theta.shape}")
-    k = theta.shape[-1]
+def _check_symmetric(a: np.ndarray, name: str, ndims: tuple,
+                     n: Optional[int]) -> np.ndarray:
+    """``a`` as floats, after checking that it is one square matrix or a
+    stack of them (``a.ndim`` in ``ndims``), ``n x n`` unless ``n`` is
+    None, finite, and symmetric to ``1e-12 * (1 + max|entry|)`` per matrix:
+    the package's one rule for a symmetric matrix, whose messages name
+    ``a`` as ``name``."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim not in ndims or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {a.shape}")
+    k = a.shape[-1]
     if n is not None and k != n:
-        raise ValueError(f"theta is {k}x{k}, expected {n}x{n}")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta must be finite")
-    flip = np.swapaxes(theta, -1, -2)
-    tol = 1e-12 * (1.0 + np.abs(theta).max(axis=(-2, -1), keepdims=True))
-    if not (np.abs(theta - flip) <= tol).all():
-        raise ValueError("theta must be symmetric")
-    return 0.5 * (theta + flip)
+        raise ValueError(f"{name} is {k}x{k}, expected {n}x{n}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    tol = 1e-12 * (1.0 + np.abs(a).max(axis=(-2, -1), keepdims=True))
+    if not (np.abs(a - np.swapaxes(a, -1, -2)) <= tol).all():
+        raise ValueError(f"{name} must be symmetric")
+    return a
+
+
+def _symmetrised(theta: np.ndarray, n: Optional[int], ndim: int) -> np.ndarray:
+    """One checked theta (``ndim=2``) or a stack (``ndim=3``), symmetrised:
+    once per public call."""
+    theta = _check_symmetric(theta, "theta", (ndim,), n)
+    return 0.5 * (theta + np.swapaxes(theta, -1, -2))
 
 
 def quadform_action(theta: np.ndarray, g: PointForm) -> PointForm:
@@ -253,7 +263,7 @@ def quadform_action(theta: np.ndarray, g: PointForm) -> PointForm:
     This realizes ``sum_{j,k} theta[j,k] omega^k ^ (e_j _| g)`` and is
     self-adjoint for the Euclidean pairing.
     """
-    mat = _induced(_check_sym(theta, g.n, 2)[None], g.p)[0]
+    mat = _induced(_symmetrised(theta, g.n, 2)[None], g.p)[0]
     return PointForm(g.n, g.p, mat @ g.coeffs)
 
 
@@ -263,13 +273,13 @@ def pairing_quadratic(theta: np.ndarray, g: PointForm) -> float:
     Independent route from :func:`quadform_action` followed by
     :meth:`PointForm.inner`; the two agree identically and tests pin that.
     """
-    theta = _check_sym(theta, g.n, 2)[None]
+    theta = _symmetrised(theta, g.n, 2)[None]
     return float(_pairings(theta, g.coeffs[None], g.p)[0])
 
 
 def quadform_matrix(theta: np.ndarray, p: int) -> np.ndarray:
     """Dense matrix of the induced operator on p-forms (C(n,p) square)."""
-    return _induced(_check_sym(theta, None, 2)[None], p)[0]
+    return _induced(_symmetrised(theta, None, 2)[None], p)[0]
 
 
 def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:
@@ -280,7 +290,7 @@ def quadform_pinv(theta: np.ndarray, f: PointForm) -> PointForm:
     Eigenvalues up to 1e-12 times the spectral radius are treated as
     kernel.
     """
-    x = _pinv(_check_sym(theta, f.n, 2)[None], f.coeffs[None], f.p)
+    x = _pinv(_symmetrised(theta, f.n, 2)[None], f.coeffs[None], f.p)
     return PointForm(f.n, f.p, x[0])
 
 
@@ -305,7 +315,7 @@ def _induced_gather(n: int, p: int):
 def induced_matrices(thetas: np.ndarray, p: int) -> np.ndarray:
     """Induced operators on p-forms, shape ``(m, C(n,p), C(n,p))``; each
     entry is 0.0 plus its terms, added left to right (so never -0.0)."""
-    return _induced(_check_sym(thetas, None, 3), p)
+    return _induced(_symmetrised(thetas, None, 3), p)
 
 
 def _induced(thetas: np.ndarray, p: int) -> np.ndarray:
@@ -324,7 +334,7 @@ def _induced(thetas: np.ndarray, p: int) -> np.ndarray:
 def _stack(thetas, F, p: int):
     """Checked, symmetrised ``thetas`` and coefficient rows ``F``; one
     matrix may serve all rows."""
-    thetas = _check_sym(thetas, None, 3)
+    thetas = _symmetrised(thetas, None, 3)
     F = np.asarray(F, dtype=np.float64)
     d = dim_forms(thetas.shape[-1], p)
     if F.ndim != 2 or F.shape[1] != d or len(thetas) not in (1, len(F)):
@@ -404,7 +414,7 @@ def quadform_eigen(theta: np.ndarray, p: int) -> FormSpectrum:
     Each increasing multi-index ``J`` (into the ascending eigenvalues of
     ``theta``) contributes ``sum_{j in J} lambda_j``.
     """
-    theta = _check_sym(theta, None, 2)
+    theta = _symmetrised(theta, None, 2)
     n = theta.shape[0]
     idx = index_list(n, p)      # checks n and p
     w, V = np.linalg.eigh(theta)
@@ -431,7 +441,7 @@ def inverse_bound_check(theta: np.ndarray, g: PointForm) -> InverseBoundReport:
     operator of ``theta^{-1}`` — a genuinely different code path from the
     pseudo-inverse on the left.
     """
-    theta = _check_sym(theta, g.n, 2)
+    theta = _symmetrised(theta, g.n, 2)
     w = np.linalg.eigvalsh(theta)
     if w[0] <= 0.0:
         raise PreconditionError(
@@ -486,7 +496,7 @@ def rank_one_image_check(theta: np.ndarray, tau: np.ndarray, xi: PointForm,
     by the smallest sum of p eigenvalues).
     """
     tau = np.asarray(tau, dtype=np.float64)
-    theta = _check_sym(theta, xi.n, 2)
+    theta = _symmetrised(theta, xi.n, 2)
     if tau.shape != (xi.n,):
         raise ValueError(f"tau has shape {tau.shape}, expected ({xi.n},)")
     p = xi.p + 1

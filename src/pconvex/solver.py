@@ -195,13 +195,21 @@ def minimal_solution(cx: CubicalComplex, f: Cochain, phi) -> MinimalSolution:
     and ``‖D̃v − M_p^{1/2} f‖`` is the weighted residual.  When LSMR stops
     on its least-squares test above 1e-10, that residual is the harmonic
     part of ``f`` and :class:`CohomologyObstruction` carries its norm;
-    running out of the iteration budget raises :class:`NoConvergence`.
+    running out of the iteration budget raises :class:`NoConvergence`.  A
+    right-hand side whose weighted norm is not finite raises
+    :class:`DomainError` before any solve, naming its first non-finite cell
+    if it has one.
     """
     _check_cochain(cx, f)
     p = f.p
     m_tgt = mass(cx, phi, p)
     source = mass(cx, phi, p - 1)
-    f_norm = math.sqrt(m_tgt.inner(f.values, f.values))
+    with np.errstate(over="ignore"):
+        f_norm = math.sqrt(m_tgt.inner(f.values, f.values))
+    if not math.isfinite(f_norm):
+        raise_first(DomainError, ~np.isfinite(f.values), cx.barycenters(p),
+                    lambda i: f"right-hand side is not finite on {p}-cell {i}")
+        raise DomainError("weighted norm of the right-hand side overflowed")
     if f_norm == 0.0:
         return MinimalSolution(Cochain(p - 1, np.zeros(cx.num_cells(p - 1))),
                                0, 0.0, 0.0, "primitive", phi, source)

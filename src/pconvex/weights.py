@@ -212,12 +212,14 @@ class StiffnessReport:
     n_interior: int
 
 
-def stiffness_floor(r, phi, samples, p: int,
-                    collar_fraction: float = 0.1) -> StiffnessReport:
+_COLLAR_FRACTION = 0.1    # the collar: samples with -r <= 0.1 max(-r)
+
+
+def stiffness_floor(r, phi, samples, p: int) -> StiffnessReport:
     """Sampled sufficient (stiffness, exponent) scales for :func:`df_search`.
 
-    Splits the samples at ``-r = collar_fraction * max(-r)`` into a
-    boundary collar and a deep interior, measures the bounds described on
+    Splits the samples at ``-r = 0.1 * max(-r)`` into a boundary collar
+    and a deep interior, measures the bounds described on
     :class:`StiffnessReport`, and combines them into
 
     ``K_floor = (4/sigma) * (shear + sigma^2/(4*phi_grad_sq)
@@ -227,8 +229,6 @@ def stiffness_floor(r, phi, samples, p: int,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not 0 < collar_fraction < 1:
-        raise ValueError("collar_fraction must lie in (0, 1)")
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.size == 0:
         raise ValueError("need at least one sample")
@@ -237,13 +237,13 @@ def stiffness_floor(r, phi, samples, p: int,
     depth = -r_val
     raise_first(PreconditionError, depth <= 0, samples, lambda i: (
         f"all samples must lie strictly inside, but r = {r_val[i]:.3e}"))
-    eps = collar_fraction * depth.max()
+    eps = _COLLAR_FRACTION * depth.max()
     collar = depth <= eps
     interior = ~collar
     if not collar.any() or not interior.any():
         raise PreconditionError(
             "need samples on both sides of the collar split; "
-            "sample more densely or adjust collar_fraction")
+            "sample more densely")
 
     traces = min_p_trace(phi_h, p)
     raise_first(PreconditionError, traces <= 0, samples, lambda i: (

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -740,6 +741,24 @@ class TestBounds:
             "phi = x1^2+x2^2", "phi = x1+x2"))
         assert code == 1
         assert "MembershipError" in report[1]["error"]
+
+    @pytest.mark.parametrize("old, new, error", [
+        ("potential = bump(0.25, 0.75)", "potential = nan",
+         "sampled value nan on 0-cell 0 is not finite at x = [0.0, 0.0]"),
+        ("potential = bump(0.25, 0.75)", "potential = inf",
+         "sampled value inf on 0-cell 0 is not finite at x = [0.0, 0.0]"),
+        ("phi = x1^2+x2^2", "phi = nan",
+         "weight produced a non-positive or overflowed mass entry: not a "
+         "number on 1-cell 0 at x = [0.03125, 0.0]"),
+    ], ids=["potential-nan", "potential-inf", "phi-nan"])
+    def test_non_finite_input_named(self, tmp_path, old, new, error):
+        # named where it enters, not after LSMR has run to its budget on a
+        # NaN residual, and with no warning from d's gather on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report, _ = run(tmp_path, HORMANDER_CFG.replace(old, new))
+        assert code == 1 and caught == []
+        assert report[1]["error"] == f"DomainError: {error}"
 
 
 class TestCohomology:

@@ -44,9 +44,30 @@ def test_min_p_trace_rejects_non_finite_matrices():
                 np.array([[[1.0, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]])):
         with pytest.raises(ValueError, match="theta must be finite"):
             C.min_p_trace(bad, 1)
-    # the report grades nothing it cannot take the p-trace of
-    with pytest.raises(ValueError, match="theta must be finite"):
-        C.p_positivity_report(np.diag([np.nan, 1.0]), 1)
+
+
+def test_min_p_trace_rejects_asymmetric_matrices():
+    # eigvalsh reads one triangle, so unchecked these would grade 1.0 and
+    # -4.0: whichever triangle it read
+    bad = np.array([[1.0, 5.0], [0.0, 1.0]])
+    for theta in (bad, bad.T, np.stack([np.eye(2), bad, np.eye(2)])):
+        with pytest.raises(ValueError, match="theta must be symmetric"):
+            C.min_p_trace(theta, 1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_theta_symmetry_tolerance_is_per_matrix(scale):
+    # asymmetry up to 1e-12 (1 + max|theta|) is rounding; twice that is
+    # not, even beside a larger matrix of the same stack
+    theta = scale * np.eye(2)
+    theta[0, 1] = 0.5e-12 * (1.0 + scale)
+    stack = np.stack([theta, 1e9 * np.eye(2)])
+    assert C.min_p_trace(theta, 1) == pytest.approx(scale)
+    assert C.min_p_trace(stack, 1) == pytest.approx([scale, 1e9])
+    theta[0, 1] = stack[0, 0, 1] = 2e-12 * (1.0 + scale)
+    for bad in (theta, stack):
+        with pytest.raises(ValueError, match="theta must be symmetric"):
+            C.min_p_trace(bad, 1)
 
 
 def test_min_p_trace_frozen():
@@ -90,34 +111,21 @@ def test_p_positive_implies_p_plus_one_positive(n, seed):
 
 
 def test_verdict_thresholds():
-    rep = C.p_positivity_report(np.diag([1.0, 2.0]), 1)
-    assert rep.verdict == "strict"
-    rep = C.p_positivity_report(np.diag([0.0, 2.0]), 1)
-    assert rep.verdict == "semi"
-    rep = C.p_positivity_report(np.diag([-1.0, 2.0]), 1)
-    assert rep.verdict == "fail"
+    # a quadratic field's Hessian is 2A at every sample
+    def verdict(diagonal, p):
+        field = QuadField(np.diag(diagonal) / 2.0)
+        rep = C.field_p_psh_report(field, [[0.0, 0.0], [1.0, -1.0]], p)
+        return rep.min_trace, rep.verdict
+
+    assert verdict([1.0, 2.0], 1)[1] == "strict"
+    assert verdict([0.0, 2.0], 1)[1] == "semi"
+    assert verdict([-1.0, 2.0], 1)[1] == "fail"
     # the trace can be positive while 1-positivity fails
-    rep = C.p_positivity_report(np.diag([-1.0, 5.0]), 2)
-    assert rep.verdict == "strict"
+    assert verdict([-1.0, 5.0], 2)[1] == "strict"
     # the band edges: strict above 1e-12, semi within ±1e-12, fail below
-    for value, verdict in ((2e-12, "strict"), (5e-13, "semi"),
-                           (-5e-13, "semi"), (-2e-12, "fail")):
-        rep = C.p_positivity_report(np.diag([value, 2.0]), 1)
-        assert rep.min_p_trace == value and rep.verdict == verdict
-
-
-def test_witness_directions_realize_the_minimum():
-    rng = np.random.default_rng(41)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        p = int(rng.integers(1, n + 1))
-        th = sym(rng, n)
-        rep = C.p_positivity_report(th, p)
-        # witness vectors are orthonormal and their Rayleigh sums realize it
-        W = rep.witness_vectors
-        np.testing.assert_allclose(W.T @ W, np.eye(p), atol=1e-10)
-        realized = float(np.trace(W.T @ th @ W))
-        assert realized == pytest.approx(rep.min_p_trace, abs=1e-9)
+    for value, want in ((2e-12, "strict"), (5e-13, "semi"),
+                        (-5e-13, "semi"), (-2e-12, "fail")):
+        assert verdict([value, 2.0], 1) == (value, want)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +255,16 @@ def test_identity_operator_gives_signature_count_times_norm():
         n = int(rng.integers(2, 6))
         p = int(rng.integers(1, n + 1))
         g = X.PointForm(n, p, rng.standard_normal(X.dim_forms(n, p)))
-        term = C.curvature_term(np.eye(X.dim_forms(n, 2)), g)
+        term = C.curvature_bounds_check(np.eye(X.dim_forms(n, 2)), g).term
         assert term == pytest.approx(p * (n - p) * g.inner(g), rel=1e-12, abs=1e-12)
-    # a non-finite R is named as such, before the symmetry test, by the
-    # term and by the bounds check, with no RuntimeWarning on the way
+    # a non-finite R is named as such, before the symmetry test, with no
+    # RuntimeWarning on the way
     g = X.PointForm(3, 1, np.array([1.0, 2.0, 3.0]))
     nan_entry = np.eye(3)
     nan_entry[0, 0] = np.nan
     for bad in (nan_entry, np.diag([np.inf, 1.0, 1.0])):
-        for check in (C.curvature_term, C.curvature_bounds_check):
-            with pytest.raises(ValueError, match="R must be finite"):
-                check(bad, g)
+        with pytest.raises(ValueError, match="R must be finite"):
+            C.curvature_bounds_check(bad, g)
 
 
 def test_curvature_bounds_random_battery():
@@ -292,36 +299,31 @@ def test_signature_count_all_small_cases():
 
 
 # ---------------------------------------------------------------------------
-# input checks: shape, then degree, then finiteness, then symmetry
+# input checks: those of exterior's one matrix rule (shape, then
+# finiteness, then symmetry), then the degree
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("check", [C.min_p_trace, C.p_positivity_report],
-                         ids=["min_p_trace", "report"])
 @pytest.mark.parametrize("theta, p, match", [
     (np.ones((2, 3)), 1, "theta must be square"),
     (np.ones(3), 1, "theta must be square"),
     (np.eye(2), 0, r"p must be in \[1, 2\], got 0"),
-    (np.diag([np.nan, 1.0]), 3, r"p must be in \[1, 2\], got 3"),
+    (np.eye(2), 3, r"p must be in \[1, 2\], got 3"),
     (np.diag([-np.inf, 1.0]), 1, "theta must be finite"),
-], ids=["rectangular", "vector", "p-zero", "p-above-n", "minus-inf"])
-def test_theta_checks(check, theta, p, match):
+    (np.diag([np.nan, 1.0]), 3, "theta must be finite"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), 1, "theta must be finite"),
+    (np.array([[1.0, 5.0], [0.0, 1.0]]), 3, "theta must be symmetric"),
+], ids=["rectangular", "vector", "p-zero", "p-above-n",
+        "minus-inf", "nan-before-p", "nan-before-symmetry",
+        "asymmetric-before-p"])
+def test_theta_checks(theta, p, match):
     with pytest.raises(ValueError, match=match):
-        check(theta, p)
-
-
-def test_report_grades_one_matrix_not_a_stack():
-    stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
-    assert C.min_p_trace(stack, 1).tolist() == [1.0, 2.0]
-    with pytest.raises(ValueError, match="theta must be square"):
-        C.p_positivity_report(stack, 1)
+        C.min_p_trace(theta, p)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_full_degree_p_trace_is_the_trace(n):
     th = sym(np.random.default_rng(60 + n), n)
     assert C.min_p_trace(th, n) == pytest.approx(np.trace(th), abs=1e-12)
-    assert C.p_positivity_report(th, n).min_p_trace == \
-        pytest.approx(np.trace(th), abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -333,33 +335,30 @@ def test_stacked_p_traces_match_one_by_one(p):
                                rtol=1e-14, atol=1e-14)
 
 
-@pytest.mark.parametrize("check", [C.curvature_term, C.curvature_bounds_check],
-                         ids=["term", "bounds"])
 @pytest.mark.parametrize("R, match", [
-    (np.full((2, 2), np.nan), r"R must be 3x3 for n = 3, got \(2, 2\)"),
+    (np.full((3, 2), np.nan), r"R must be square, got shape \(3, 2\)"),
+    (np.full((2, 2), np.nan), "R is 2x2, expected 3x3"),
     (np.array([[1.0, np.inf, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
      "R must be finite"),
     (np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
      "R must be symmetric"),
-], ids=["wrong-shape", "non-finite", "asymmetric"])
-def test_R_checks(check, R, match):
+], ids=["not-square", "wrong-size", "non-finite", "asymmetric"])
+def test_R_checks(R, match):
     g = X.PointForm(3, 1, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match=match):
-        check(R, g)
+        C.curvature_bounds_check(R, g)
 
 
-@pytest.mark.parametrize("check", [C.curvature_term, C.curvature_bounds_check],
-                         ids=["term", "bounds"])
 @pytest.mark.parametrize("scale", [1.0, 1e6])
-def test_R_symmetry_tolerance_scales_with_its_size(check, scale):
+def test_R_symmetry_tolerance_scales_with_its_size(scale):
     # asymmetry up to 1e-12 (1 + max|R|) is rounding; twice that is not
     g = X.PointForm(3, 2, np.array([1.0, -1.0, 0.5]))
     R = scale * np.eye(3)
     R[0, 1] = 0.5e-12 * (1.0 + scale)
-    check(R, g)
+    C.curvature_bounds_check(R, g)
     R[0, 1] = 2e-12 * (1.0 + scale)
     with pytest.raises(ValueError, match="R must be symmetric"):
-        check(R, g)
+        C.curvature_bounds_check(R, g)
 
 
 def test_swap_two_forms_need_two_dimensions():

@@ -608,6 +608,15 @@ class TestMass:
                 D.mass(cx, phi, 0)
             assert what in str(exc.value) and where in str(exc.value)
 
+    def test_nan_weight_named_not_a_number(self):
+        # NaN fails both tests of an entry, but nothing overflowed
+        cx = D.build_complex(D.GridDomain(((0.0, 1.0),), 0.25))
+        with pytest.raises(DomainError) as exc:
+            D.mass(cx, math.nan, 1)
+        assert str(exc.value) == ("weight produced a non-positive or "
+                                  "overflowed mass entry: not a number on "
+                                  "1-cell 0 at x = [0.125]")
+
     @pytest.mark.parametrize("n, k, text", [
         (3, 300, "1-cell 25046 at x = [0.703125, 1.0, 1.0]"),
         (2, 700, "1-cell 296 at x = [0.265625, 1.0]")])
@@ -750,6 +759,16 @@ class TestSampleCochain:
             rels.append(np.linalg.norm(r) / np.linalg.norm(a.values))
         assert rels[0] > rels[1] > rels[2]
         assert rels[0] / rels[1] > 3.5 and rels[1] / rels[2] > 3.5
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_named(self, bad):
+        # the first cell in row order whose sampled value is not finite
+        cx = D.build_complex(D.GridDomain(((0.0, 1.0),), 0.25))
+        a = lambda x: bad if x[0] > 0.5 else 1.0
+        with pytest.raises(DomainError) as exc:
+            D.sample_cochain(cx, 1, [a])
+        assert str(exc.value) == (f"sampled value {bad} on 1-cell 2 is not "
+                                  "finite at x = [0.625]")
 
     def test_coefficient_count_checked(self):
         cx = box_complex()

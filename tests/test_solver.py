@@ -95,6 +95,23 @@ CENTRED_COUNTS = {"islands": (11, 3), "two-intervals": (2, 0),
 
 class TestMinimalSolution:
 
+    def test_non_finite_right_hand_side_named_before_any_solve(
+            self, monkeypatch):
+        # LSMR would run to its budget on a NaN residual; a norm that
+        # overflows from finite entries has no cell to name
+        monkeypatch.setattr(S, "spla", None)      # any solve would raise
+        cx = D.build_complex(D.GridDomain(UNIT2, 1 / 8))
+        f = S.closed_form_from_potential(cx, 1, [pot])
+        values = f.values.copy()
+        values[5] = np.nan
+        with pytest.raises(DomainError) as exc:
+            S.minimal_solution(cx, D.Cochain(1, values), PHI2)
+        assert str(exc.value) == ("right-hand side is not finite on 1-cell 5 "
+                                  "at x = [0.0625, 0.625]")
+        with pytest.raises(DomainError, match="weighted norm of the "
+                           "right-hand side overflowed"):
+            S.minimal_solution(cx, D.Cochain(1, 1e200 * f.values), PHI2)
+
     def test_matches_dense_min_norm_oracle_1d(self):
         cx = D.build_complex(D.GridDomain(((0.0, 1.0),), 1 / 64))
         phi = parse("x1^2", n=1)

@@ -332,18 +332,9 @@ class TestStiffnessFloor:
         with pytest.raises(PreconditionError):
             W.stiffness_floor(DISK, PHI2, np.array([[0.0, 0.0]]), 1)
         with pytest.raises(ValueError):
-            W.stiffness_floor(DISK, PHI2, samples, 1, collar_fraction=0.0)
-        with pytest.raises(ValueError):
             W.stiffness_floor(DISK, PHI2, samples, 0)
         with pytest.raises(ValueError, match="need at least one sample"):
             W.stiffness_floor(DISK, PHI2, np.empty((0, 2)), 1)
-
-    @pytest.mark.parametrize("fraction", [1.0, -0.1, math.nan],
-                             ids=["one", "negative", "nan"])
-    def test_collar_fraction_outside_unit_interval_rejected(self, fraction):
-        with pytest.raises(ValueError, match=r"collar_fraction must lie in"):
-            W.stiffness_floor(DISK, PHI2, disk_samples(per_axis=15), 1,
-                              collar_fraction=fraction)
 
     def test_scales_combine_as_documented(self):
         r = parse("x1^2/4+x2^2-1", n=2)
