@@ -51,7 +51,7 @@ import numpy as np
 
 from . import convexity, discrete, exterior, solver, weights
 from .errors import ConfigError, DomainError, EmptyDomain, NoConvergence
-from .fieldexpr import BatchedField, compose_df, field_jets, parse
+from .fieldexpr import compose_df, field_jets, parse
 
 __all__ = ["ExperimentConfig", "load_config", "run", "list_builtins", "main"]
 
@@ -169,7 +169,7 @@ def _quadratic_expr(center: np.ndarray) -> str:
 
 
 @dataclass(frozen=True)
-class _Bump(BatchedField):
+class _Bump:
     """``prod_i (max(0, (x_i - lo)(hi - x_i)) / w²)⁴`` with ``w = (hi-lo)/2``;
     values only, all rows at once, walked only on rows inside the open box
     (lo, hi)ⁿ or with a NaN coordinate: the others are 0."""

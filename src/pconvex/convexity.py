@@ -61,10 +61,13 @@ def min_p_trace(theta: np.ndarray, p: int):
     return float(w[:p].sum())
 
 
+_STRICT = 1e-12     # a p-trace above it is strict, within ±it semi
+
+
 def _classify(value: float) -> str:
-    if value > 1e-12:
+    if value > _STRICT:
         return "strict"
-    if value >= -1e-12:
+    if value >= -_STRICT:
         return "semi"
     return "fail"
 

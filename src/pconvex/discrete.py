@@ -111,9 +111,10 @@ class GridDomain:
         return len(self.box)
 
     def node_axes(self):
-        """Per-axis node coordinates (counts[i] + 1 points)."""
-        return [np.linspace(lo, hi, m + 1)
-                for (lo, hi), m in zip(self.box, self.counts)]
+        """Per-axis node coordinates ``lo + k·s``, ``k = 0..counts[i]``, as
+        every node and barycenter of the complex (the last may round off hi)."""
+        return [lo + np.arange(m + 1) * s
+                for (lo, _), m, s in zip(self.box, self.counts, self.spacings)]
 
 
 class CubicalComplex:
@@ -209,8 +210,7 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
     n, counts = dom.n, dom.counts
-    nodes = [lo + np.arange(m + 1) * s
-             for (lo, _), m, s in zip(dom.box, counts, dom.spacings)]
+    nodes = dom.node_axes()
     mids = [x[:-1] + 0.5 * s for x, s in zip(nodes, dom.spacings)]
     small = np.min_scalar_type(max(counts))
     ids, anchors, cols, signs, rows = {}, [], [], [], []
@@ -418,11 +418,10 @@ def mass(cx: CubicalComplex, phi, p: int) -> WeightedMass:
     if diag.size and not (diag.min() > 0.0 and diag.max() < math.inf):
         raise_first(DomainError, ~np.isfinite(diag) | (diag <= 0),
                     cx.barycenters(p), lambda i: (
-                        "weight produced a non-positive or overflowed mass "
-                        "entry: " + ("underflowed to 0" if diag[i] == 0
-                                     else "overflowed" if diag[i] > 0
-                                     else "not a number")
-                        + f" on {p}-cell {i}"))
+                        "weighted mass entry "
+                        + ("underflowed to 0" if diag[i] == 0
+                           else "overflowed" if diag[i] > 0
+                           else "is not a number") + f" on {p}-cell {i}"))
     return WeightedMass(p, diag)
 
 

@@ -10,11 +10,7 @@ small grammar::
     FUNC    := exp | log | sqrt
     VAR     := x1, x2, ...                   # 1-based coordinates
 
-Unary minus is sugar for ``0 - e``.  Parsing produces an immutable AST;
-:func:`to_text` serializes it back so that ``parse(to_text(e))`` reproduces
-the tree node-for-node (for parser-produced trees; hand-built negative
-literals serialize through the unary-minus sugar and so re-parse to the
-sugared tree).
+Unary minus is sugar for ``0 - e``.  Parsing produces an immutable AST.
 
 Evaluation is batched second-order forward mode.  :meth:`ScalarFieldExpr.jets`
 takes points ``X`` of shape ``(m, n)`` and returns values ``(m,)``,
@@ -31,8 +27,8 @@ block of several rows shows it for every block.
 Integer powers are expanded by repeated multiplication (valid for
 negative bases); everything else routes through ``exp``/``log`` with strict
 domain checks that surface as :class:`~pconvex.errors.DomainError` naming
-the first offending point in row order.  ``value(x)`` and ``eval_jet2(x)``
-are one-row wrappers over the same interpreter.
+the first offending point in row order.  A parsed field's ``value(x)`` and
+``eval_jet2(x)`` are one-row wrappers over the same interpreter.
 
 :func:`field_jets` evaluates every weight, potential and defining function
 of the package.  A field is ``None`` (zero), a real number, an object with
@@ -60,12 +56,10 @@ __all__ = [
     "BinOp",
     "Call",
     "ScalarFieldExpr",
-    "BatchedField",
     "field_jets",
     "field_kind",
     "row_blocks",
     "parse",
-    "to_text",
     "compose_df",
 ]
 
@@ -300,53 +294,6 @@ def parse(text: str, n: Optional[int] = None) -> "ScalarFieldExpr":
 
 
 # ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
-_ATOM = 4
-
-
-def _prec(node: Node) -> int:
-    return _PREC[node.op] if isinstance(node, BinOp) else _ATOM
-
-
-def _node_text(node: Node) -> str:
-    if isinstance(node, Num):
-        if node.value < 0 or (node.value == 0.0 and math.copysign(1.0, node.value) < 0):
-            return f"(0-{repr(-node.value)})"
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"x{node.index}"
-    if isinstance(node, Call):
-        return f"{node.fn}({_node_text(node.arg)})"
-    op = node.op
-    lt, rt = _node_text(node.left), _node_text(node.right)
-    if op in "+-":
-        if _prec(node.right) <= 1:
-            rt = f"({rt})"
-        return f"{lt}{op}{rt}"
-    if op in "*/":
-        if _prec(node.left) < 2:
-            lt = f"({lt})"
-        if _prec(node.right) <= 2:
-            rt = f"({rt})"
-        return f"{lt}{op}{rt}"
-    # '^': base must be an atom; exponent is a factor
-    if _prec(node.left) < _ATOM:
-        lt = f"({lt})"
-    if _prec(node.right) < 3:
-        rt = f"({rt})"
-    return f"{lt}^{rt}"
-
-
-def to_text(obj: Union[Node, "ScalarFieldExpr"]) -> str:
-    """Serialize an AST (or field) to grammar text; inverse of :func:`parse`."""
-    node = obj.root if isinstance(obj, ScalarFieldExpr) else obj
-    return _node_text(node)
-
-
-# ---------------------------------------------------------------------------
 # the batched interpreter
 # ---------------------------------------------------------------------------
 
@@ -518,28 +465,8 @@ def _one_row(x) -> np.ndarray:
     return x[None, :]
 
 
-class BatchedField:
-    """Point access for a field whose ``jets(X, order)`` is batched.
-
-    ``value(x)`` and ``eval_jet2(x)`` evaluate one point as a batch of one
-    row.  That costs far more per point than one batched call over many
-    points, so code inside the package never loops over them.
-    """
-
-    def eval_jet2(self, x) -> Jet2:
-        """Exact value/gradient/Hessian at the single point ``x``."""
-        v, g, h = self.jets(_one_row(x))
-        return Jet2(float(v[0]), g[0], h[0])
-
-    def value(self, x) -> float:
-        """Value at the single point ``x`` (same domain rules as the jet)."""
-        return float(self.jets(_one_row(x), order=0)[0])
-
-    __call__ = value
-
-
 @dataclass(frozen=True)
-class ScalarFieldExpr(BatchedField):
+class ScalarFieldExpr:
     """An immutable scalar field over R^n defined by an expression tree."""
 
     root: Node
@@ -575,14 +502,18 @@ class ScalarFieldExpr(BatchedField):
             return _join(parts)
         return tuple(_join(p) for p in zip(*parts))
 
-    # Also bound in this class's own namespace: the benchmark's tracer
-    # (bench/spans.py) wraps these three names through vars(ScalarFieldExpr).
-    eval_jet2 = BatchedField.eval_jet2
-    value = BatchedField.value
-    __call__ = BatchedField.value
+    # one point as a batch of one row, far dearer per point than jets, so the
+    # package never loops over them; bench/spans.py wraps all three here
+    def eval_jet2(self, x) -> Jet2:
+        """Exact value/gradient/Hessian at the single point ``x``."""
+        v, g, h = self.jets(_one_row(x))
+        return Jet2(float(v[0]), g[0], h[0])
 
-    def to_text(self) -> str:
-        return to_text(self.root)
+    def value(self, x) -> float:
+        """Value at the single point ``x`` (same domain rules as the jet)."""
+        return float(self.jets(_one_row(x), order=0)[0])
+
+    __call__ = value
 
 
 def field_kind(w) -> str:

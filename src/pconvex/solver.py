@@ -33,8 +33,7 @@ from .errors import (CohomologyObstruction, DomainError, MembershipError,
                      NoConvergence, NotClosed, PreconditionError, TailError,
                      raise_first)
 from .exterior import induced_pairings, induced_pinv
-from .fieldexpr import (BLOCK_ROWS, BatchedField, field_jets, field_kind,
-                        row_blocks)
+from .fieldexpr import BLOCK_ROWS, field_jets, field_kind, row_blocks
 
 __all__ = [
     "MinimalSolution",
@@ -68,16 +67,15 @@ _SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
 # weight plumbing
 # ---------------------------------------------------------------------------
 
-class CombinedWeight(BatchedField):
+class CombinedWeight:
     """``base + coeff * extra`` evaluated with consistent second-order jets.
 
     ``base`` and ``extra`` are fields (see
     :func:`~pconvex.fieldexpr.field_jets`; ``None`` is zero).  :meth:`jets`
     evaluates both parts over a whole point set in one call each, as every
-    consumer in the package does; ``value`` and ``eval_jet2`` are the
-    one-point wrappers.  Used for the solve weights of the two-weight
-    bounds (``phi - alpha*psi`` and friends) and for constant shifts in
-    the scaling-covariance checks.
+    consumer in the package does.  Used for the solve weights of the
+    two-weight bounds (``phi - alpha*psi`` and friends) and for constant
+    shifts in the scaling-covariance checks.
     """
 
     def __init__(self, base, coeff: float, extra):

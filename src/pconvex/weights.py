@@ -9,6 +9,9 @@
   for that search.
 * :func:`lattice_samples` — the cell-center lattice points inside a domain,
   the samples the search and the probe are run on.
+
+Both refuse a weight whose minimal p-trace at a sample is at most 1e-12,
+where :mod:`pconvex.convexity` stops grading "strict", naming the first.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .convexity import _region_report, min_p_trace
+from .convexity import _STRICT, min_p_trace
 from .errors import (EmptyDomain, InfeasibleOnGrid, PreconditionError,
                      raise_first)
 from .fieldexpr import ScalarFieldExpr, field_jets, parse
@@ -117,6 +120,16 @@ def _df_core(r_jets, phi_jets, K: float, eta: float):
     return core, norm
 
 
+def _strict_traces(phi_h, p: int, samples) -> np.ndarray:
+    """The weight Hessians' minimal p-traces; PreconditionError names the
+    first sample where one is not strict, for both search and probe."""
+    traces = min_p_trace(phi_h, p)
+    raise_first(PreconditionError, traces <= _STRICT, samples, lambda i: (
+        f"weight field is not strictly p-psh (minimal p-trace "
+        f"{traces[i]:.3e})"))
+    return traces
+
+
 def df_search(r, phi, interior_samples, p: int,
               K_grid: Sequence[float], eta_grid: Sequence[float]) -> DFResult:
     """Search a (stiffness, exponent) grid for a strictly p-psh composite.
@@ -145,13 +158,7 @@ def df_search(r, phi, interior_samples, p: int,
         raise ValueError("exponent values must lie in (0, 1)")
 
     phi_jets = field_jets(phi, samples)
-    report = _region_report(p, samples, min_p_trace(phi_jets[2], p))
-    if report.verdict != "strict":
-        raise_first(PreconditionError,
-                    np.arange(len(samples)) == report.worst_index, samples,
-                    lambda i: (f"weight field is not strictly p-psh on the "
-                               f"samples (worst p-trace "
-                               f"{report.min_trace:.3e})"))
+    _strict_traces(phi_jets[2], p, samples)
     r_jets = field_jets(r, samples)
     raise_first(PreconditionError, r_jets[0] >= 0, samples, lambda i: (
         f"defining function is non-negative (r = {r_jets[0][i]:.3e})"))
@@ -245,11 +252,7 @@ def stiffness_floor(r, phi, samples, p: int) -> StiffnessReport:
             "need samples on both sides of the collar split; "
             "sample more densely")
 
-    traces = min_p_trace(phi_h, p)
-    raise_first(PreconditionError, traces <= 0, samples, lambda i: (
-        f"weight field is not strictly p-psh (minimal p-trace "
-        f"{traces[i]:.3e})"))
-    sigma = float(traces.min())
+    sigma = float(_strict_traces(phi_h, p, samples).min())
     phi_grad_sq = float(np.einsum("mi,mi->m", phi_g, phi_g).max())
 
     r_grad = np.broadcast_to(np.linalg.norm(r_g, axis=1), depth.shape)

@@ -196,7 +196,6 @@ def test_bump_is_a_batched_field():
     # numpy's vectorised power may round the last bit unlike scalar **
     assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
     assert np.count_nonzero(want) > 50
-    assert bump(X[7]) == got[7]
     with pytest.raises(TypeError, match="no 2-jets"):
         bump.jets(X, 2)
 
@@ -748,8 +747,8 @@ class TestBounds:
         ("potential = bump(0.25, 0.75)", "potential = inf",
          "sampled value inf on 0-cell 0 is not finite at x = [0.0, 0.0]"),
         ("phi = x1^2+x2^2", "phi = nan",
-         "weight produced a non-positive or overflowed mass entry: not a "
-         "number on 1-cell 0 at x = [0.03125, 0.0]"),
+         "weighted mass entry is not a number on 1-cell 0 at "
+         "x = [0.03125, 0.0]"),
     ], ids=["potential-nan", "potential-inf", "phi-nan"])
     def test_non_finite_input_named(self, tmp_path, old, new, error):
         # named where it enters, not after LSMR has run to its budget on a
@@ -931,8 +930,8 @@ def test_constant_phi_is_reported_not_raised(tmp_path, name):
         assert rec["verdict"] == "semi" and rec["min_trace"] == 0.0
     else:
         assert rec["error"].startswith(
-            "PreconditionError: weight field is not strictly p-psh on the "
-            "samples (worst p-trace 0.000e+00) at x = ")
+            "PreconditionError: weight field is not strictly p-psh (minimal "
+            "p-trace 0.000e+00) at x = ")
 
 
 def test_config_corpus_is_nonempty():

@@ -359,17 +359,6 @@ class TestStiffnessFloor:
         assert str(exc.value) == ("all samples must lie strictly inside, but "
                                   "r = 0.000e+00 at x = [1.0, 0.0]")
 
-    def test_non_psh_weight_names_the_first_sample(self):
-        # D²phi = diag(6·x1, 2): the p-trace is -1.5 at row 2 and -3 at
-        # row 3; the first, not the worst, is named
-        samples = np.array([[0.5, 0.0], [0.99, 0.0], [-0.25, 0.0],
-                            [-0.5, 0.0]])
-        with pytest.raises(PreconditionError) as exc:
-            W.stiffness_floor(DISK, parse("x1^3+x2^2", n=2), samples, 1)
-        assert str(exc.value) == ("weight field is not strictly p-psh "
-                                  "(minimal p-trace -1.500e+00) at "
-                                  "x = [-0.25, 0.0]")
-
     def test_collar_critical_point_is_named(self):
         # r = -1/16 - (15/16)(1 - x1^2)^2 is critical at x1 = 0 (deep, not in
         # the collar) and at x1 = ±1 (depth 1/16, in the collar)
@@ -379,3 +368,24 @@ class TestStiffnessFloor:
             W.stiffness_floor(r, PHI2, samples, 1)
         assert str(exc.value) == ("defining function has a critical point on "
                                   "the boundary collar at x = [1.0, 0.0]")
+
+
+@pytest.mark.parametrize("check", [
+    lambda phi, pts: W.df_search(DISK, phi, pts, 1, [1.0], [0.2]),
+    lambda phi, pts: W.stiffness_floor(DISK, phi, pts, 1),
+], ids=["df_search", "stiffness_floor"])
+def test_search_and_probe_share_one_strictness_rule(check):
+    # both name the first sample whose p-trace is at most 1e-12, where
+    # convexity stops grading "strict".  D²(x1^3+x2^2) = diag(6·x1, 2):
+    # the p-trace is -1.5 at row 2 and -3, the worst, at row 3.  A
+    # p-trace of 2e-13 is "semi"; 1.2e-12 is strict
+    rows = np.array([[0.5, 0.0], [0.99, 0.0], [-0.25, 0.0], [-0.5, 0.0]])
+    lattice = disk_samples(per_axis=9)
+    for phi, pts, trace, x in (
+            ("x1^3+x2^2", rows, "-1.500e+00", [-0.25, 0.0]),
+            ("1e-13*(x1^2+x2^2)", lattice, "2.000e-13", lattice[0].tolist())):
+        with pytest.raises(PreconditionError) as exc:
+            check(parse(phi, n=2), pts)
+        assert str(exc.value) == ("weight field is not strictly p-psh "
+                                  f"(minimal p-trace {trace}) at x = {x}")
+    check(parse("6e-13*(x1^2+x2^2)", n=2), lattice)
