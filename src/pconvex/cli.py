@@ -177,7 +177,7 @@ class _Bump:
     lo: float
     hi: float
 
-    def jets(self, X, order: int = 2):
+    def jets(self, X, order: int):
         if order:
             raise TypeError("bump is a plain field: it has values but no "
                             "2-jets, so it cannot serve as a weight")
@@ -460,6 +460,8 @@ def load_config(path: str) -> ExperimentConfig:
                 ctx.n = len(values[key]) + (task == "prekopa")
             elif key in ("r", "n", "p"):
                 setattr(ctx, key, values[key])
+    if "min_depth" in given and "r" not in given:
+        raise ConfigError("[task] min_depth: a depth in r; needs [domain] r")
     if task == "cohomology" and ctx.n > 3:
         raise ConfigError(f"[domain] box: cohomology supports n ≤ 3, got "
                           f"{ctx.n} axes")

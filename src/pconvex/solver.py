@@ -9,11 +9,12 @@ LSMR on the mass-scaled coboundary ``M_p^{1/2} d M_{p−1}^{−1/2}``, whose
 Krylov iterates are minimal-norm by construction.  On top of that sit
 verification reports: each one takes p from its datum ``f``, solves,
 integrates the predicted right-hand side, and records whether ``lhs ≤
-constant · integral`` held with the fixed slack of 5 %.  The module
-compares minimal solutions on nested domains and under ordered weights,
-counts Betti numbers, the
-dimensions of the weighted harmonic spaces, from the complex, and checks
-convexity of log-marginals of convex densities.
+constant · integral`` held with the fixed slack of 5 %.  The two-weight
+reports solve and integrate in combined weights such as ``φ − αψ``, each
+one expression tree.  The module compares minimal solutions on nested
+domains and under ordered weights, counts Betti numbers, the dimensions of
+the weighted harmonic spaces, from the complex, and checks convexity of
+log-marginals of convex densities.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .errors import (CohomologyObstruction, DomainError, MembershipError,
                      NoConvergence, NotClosed, PreconditionError, TailError,
                      raise_first)
 from .exterior import induced_pairings, induced_pinv
-from .fieldexpr import BLOCK_ROWS, field_jets, field_kind, row_blocks
+from .fieldexpr import (BLOCK_ROWS, BinOp, Num, ScalarFieldExpr, field_jets,
+                        field_kind, row_blocks)
 
 __all__ = [
     "MinimalSolution",
@@ -53,7 +55,6 @@ __all__ = [
     "cohomology_rank",
     "PrekopaReport",
     "prekopa_check",
-    "CombinedWeight",
     "inverse_quadform_integral",
 ]
 
@@ -67,39 +68,25 @@ _SLACK = 0.05    # a bound report passes with lhs/rhs <= 1 + _SLACK
 # weight plumbing
 # ---------------------------------------------------------------------------
 
-class CombinedWeight:
-    """``base + coeff * extra`` evaluated with consistent second-order jets.
-
-    ``base`` and ``extra`` are fields (see
-    :func:`~pconvex.fieldexpr.field_jets`; ``None`` is zero).  :meth:`jets`
-    evaluates both parts over a whole point set in one call each, as every
-    consumer in the package does.  Used for the solve weights of the
-    two-weight bounds (``phi - alpha*psi`` and friends) and for constant
-    shifts in the scaling-covariance checks.
-    """
-
-    def __init__(self, base, coeff: float, extra):
-        self.base = base
-        self.coeff = float(coeff)
-        self.extra = extra
-
-    def jets(self, X, order: int = 2):
-        """Batched values (``order=0``) or 2-jets of the sum; a derivative
-        has leading axis 1 when both parts' do, else m."""
-        a = field_jets(self.base, X, order)
-        b = field_jets(self.extra, X, order)
-        if not order:
-            return a + self.coeff * b
-        return tuple(u + self.coeff * w for u, w in zip(a, b))
-
-
 def _combine(base, coeff: float, extra):
-    """Weight ``base + coeff*extra``; returns ``base`` itself when the extra
-    term is absent so downstream code paths (masses, solves) are reused
-    bit for bit."""
+    """Weight ``base + coeff*extra``: ``base`` itself when the extra term
+    is absent, so that masses and solves reuse it bit for bit, a number when
+    both parts are numbers, else one expression tree, walked once per block.
+    A part is None (zero), a number or a parsed expression."""
     if extra is None or coeff == 0.0:
         return base
-    return CombinedWeight(base, coeff, extra)
+    parts = [0.0 if w is None else w for w in (base, extra)]
+    for w in parts:
+        if field_kind(w) != "constant" and not isinstance(w, ScalarFieldExpr):
+            raise TypeError("a combined weight takes numbers and parsed "
+                            f"expressions only; got {type(w).__name__}")
+    trees = [w for w in parts if isinstance(w, ScalarFieldExpr)]
+    if not trees:
+        return float(parts[0]) + float(coeff) * float(parts[1])
+    a, b = (w.root if isinstance(w, ScalarFieldExpr) else Num(float(w))
+            for w in parts)
+    return ScalarFieldExpr(BinOp("+", a, BinOp("*", Num(float(coeff)), b)),
+                           max(w.n for w in trees))
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +528,7 @@ class BoundReport:
     h: float
     vacuous: bool
     solve: MinimalSolution
-    apriori: Optional[AprioriCheck] = None
+    apriori: Optional[AprioriCheck]
 
     @property
     def ratio(self) -> float:
@@ -613,7 +600,7 @@ def hormander_report(cx: CubicalComplex, f: Cochain, phi) -> BoundReport:
 
 
 def berndtsson_report(cx: CubicalComplex, f: Cochain, phi, psi, alpha: float,
-                      *, rng=None) -> BoundReport:
+                      *, rng) -> BoundReport:
     """Two-weight estimate with constant ``4/(1−α)²``.
 
     Solves minimally in the weight ``φ − αψ`` (isometric to the twisted
@@ -640,7 +627,6 @@ def _apriori_check(cx: CubicalComplex, phi, psi, sigma: float, p: int, *,
     """``‖δ_{φ+σψ}g‖²_{φ+ψ} + ‖dg‖²_{φ+ψ} ≥ σ²∫⟨F_ψ g,g⟩e^{−φ−ψ}`` on
     three random coexact p-cochains (the quantifier over all of
     ``Dom(d*)`` is sampled, not proved)."""
-    rng = np.random.default_rng(0) if rng is None else rng
     w_plus = _combine(phi, 1.0, psi)
     if p < cx.n:
         m_up = mass(cx, w_plus, p + 1)
@@ -710,7 +696,7 @@ def composite_minimal_estimate(cx: CubicalComplex, f: Cochain, phi, psi0,
     _require_p_positive(cx, f.p, _neg_exp_hessian(psi0),
                         "the Hessian of -exp(-psi0)")
     root = math.sqrt(alpha0)
-    psi_scaled = CombinedWeight(None, alpha0, psi0)
+    psi_scaled = _combine(None, alpha0, psi0)
     base = minimal_estimate_report(cx, f, phi, psi_scaled, root, root)
     composite = _estimate("minimal-estimate-composite", cx, f, base.solve,
                           _combine(phi, -alpha0, psi0), psi0,

@@ -284,7 +284,7 @@ def stiffness_floor(r, phi, samples, p: int) -> StiffnessReport:
 def lattice_samples(r, box, per_axis: int,
                     min_depth: float = 0.0) -> np.ndarray:
     """Cell-center lattice points of ``box`` where ``r < -min_depth``;
-    every point when ``r`` is None.
+    every point when ``r`` is None, which takes no ``min_depth`` but 0.
 
     One uniform lattice covers both the deep interior and the boundary
     collar; raise ``per_axis`` to sample the collar more densely.  Raises
@@ -300,6 +300,8 @@ def lattice_samples(r, box, per_axis: int,
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     if r is None:
+        if min_depth != 0.0:
+            raise ValueError(f"min_depth without r must be 0; got {min_depth}")
         return pts
     keep = field_jets(r, pts, order=0) < -min_depth
     if not keep.any():

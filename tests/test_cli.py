@@ -280,6 +280,23 @@ potential = bump()
         self.check(tmp_path, cfg + line + "\n")
         assert where in capsys.readouterr().err
 
+    # min_depth is a depth in r: without r it used to be ignored, and every
+    # lattice point of the box was sampled
+    def test_min_depth_needs_r(self, tmp_path, capsys):
+        self.check(tmp_path, """
+[domain]
+box = -1:1, -1:1
+[weights]
+phi = x1^2+x2^2
+[task]
+name = check-psh
+p = 1
+per_axis = 4
+min_depth = 0.5
+""")
+        assert ("config error: [task] min_depth: a depth in r; needs "
+                "[domain] r") in capsys.readouterr().err
+
     # a bounds key that only another bound reads is refused the same way;
     # nonpsh may take omega, and minimal requires it
     @pytest.mark.parametrize("cfg, line, where", [

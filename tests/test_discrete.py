@@ -307,7 +307,7 @@ class TestBlockGeometry:
         n = cx.n
         quadratic = parse("+".join(f"x{i}^2" for i in range(1, n + 1)), n=n)
         weights = [0.0, quadratic, lambda x: 0.3 * x[0] - x[-1],
-                   S.CombinedWeight(quadratic, -0.3, parse("x1", n=n))]
+                   S._combine(quadratic, -0.3, parse("x1", n=n))]
         if name == "box-32x32x32":
             assert max(r.stop - r.start for p in range(n + 1)
                        for _, r in cx.blocks(p)) > FE.VALUE_BLOCK_ROWS
@@ -933,6 +933,15 @@ BUMP_DX1 = [ProductBump(0.3, 0.7), 0.0]
 PHI_Q = parse("x1^2+x2^2", n=2)
 
 
+class HessianOverflow:
+    """PHI_Q with its Hessian scaled past the largest double: a field with
+    its own jets, which no interpreter checks."""
+
+    def jets(self, X, order):
+        jets = PHI_Q.jets(X, order)
+        return (*jets[:2], 1e308 * jets[2]) if order else jets
+
+
 class TestEnergyIdentityWeight:
     """The weight's values are walked at every node, its 2-jet only where
     the form is nonzero, and the form is differenced only on the window of
@@ -1025,11 +1034,16 @@ class TestEnergyIdentityWeight:
         # off the form's window too, and the first node is named
         (parse("-800-x1", n=2),
          r"lhs nan.*not finite at x = \[0\.0, 0\.0\]"),
-        # a combined weight whose Hessian overflows (the interpreter guards
-        # only expressions) is named at the first node where φ is
-        # differentiated
-        (S.CombinedWeight(PHI_Q, 1e308, PHI_Q),
-         r"^the Hessian of phi is not finite at x = \[0\.3125, 0\.3125\]$")])
+        # a field with its own jets whose Hessian overflows (the
+        # interpreter guards only expressions) is named at the first node
+        # where φ is differentiated
+        (HessianOverflow(),
+         r"^the Hessian of phi is not finite at x = \[0\.3125, 0\.3125\]$"),
+        # a combined weight is one expression, so the interpreter names the
+        # first node where its value overflows
+        (S._combine(PHI_Q, 1e308, PHI_Q),
+         r"^evaluation produced a non-finite value at x = "
+         r"\[0\.90625, 1\.0\]$")])
     def test_non_finite_report_raises(self, phi, match):
         with pytest.raises(DomainError, match=match):
             D.energy_identity_residual(BUMP_DX1, phi,

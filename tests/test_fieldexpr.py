@@ -14,6 +14,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 import pconvex.fieldexpr as FE
+import pconvex.solver as S
 from pconvex.errors import ArityError, DomainError, ParseError, UnknownVariable
 
 from oracles import fd_jet
@@ -423,6 +424,41 @@ def _full_text(node):
 @given(_tree)
 def test_fully_parenthesised_random_trees_parse_back(tree):
     assert FE.parse(_full_text(tree), n=4).root == tree
+
+
+_number = st.floats(min_value=-1e3, max_value=1e3)
+_expr = _tree.map(lambda tree: FE.ScalarFieldExpr(tree, 4))
+_X4 = np.random.default_rng(16).uniform(-1.5, 1.5, size=(9, 4))
+
+
+def _arrays(w, order):
+    jets = FE.field_jets(w, _X4, order)
+    return list(jets) if order else [jets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.none(), _number, _expr), _number.filter(bool),
+       st.one_of(_number, _expr), st.sampled_from([0, 2]))
+def test_combined_weight_is_the_sum_of_its_parts(a, c, b, order):
+    # a + c·b is one tree, and the interpreter's sum and product rules give
+    # every bit of field_jets(a) + c·field_jets(b), up to the sign of zero;
+    # a derivative keeps a leading axis of 1 when both parts' have one
+    w = S._combine(a, c, b)
+    try:
+        parts = [_arrays(v, order) for v in (a, b)]
+    except DomainError:
+        with pytest.raises(DomainError):
+            _arrays(w, order)
+        return
+    with np.errstate(all="ignore"):
+        want = [u + c * v for u, v in zip(*parts)]
+    if not all(np.isfinite(x).all() for x in want):
+        with pytest.raises(DomainError):
+            _arrays(w, order)
+        return
+    got = _arrays(w, order)
+    assert [x.shape for x in got] == [x.shape for x in want]
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 # ---------------------------------------------------------------------------

@@ -340,7 +340,7 @@ class TestMonotonicity:
             S.domain_monotonicity(inner, cx32, [pot], 1, 0.0)
 
     def test_constant_weight_shift_scales_by_exp(self, cx32):
-        hi = S.CombinedWeight(PHI2, 1.0, 1.0)
+        hi = S._combine(PHI2, 1.0, 1.0)
         rec = S.weight_monotonicity(cx32, [pot], 1, PHI2, hi)
         assert rec.mode == "weights"
         assert rec.satisfied
@@ -553,7 +553,8 @@ class TestTwoWeightReport:
     @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.6])
     def test_passes_with_predicted_constant(self, cx32, f32, alpha):
         psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
-        rep = S.berndtsson_report(cx32, f32, PHI2, psi, alpha)
+        rep = S.berndtsson_report(cx32, f32, PHI2, psi, alpha,
+                                  rng=np.random.default_rng(0))
         assert rep.constant == pytest.approx(4.0 / (1.0 - alpha) ** 2)
         assert rep.passed
         assert rep.apriori is not None
@@ -573,7 +574,8 @@ class TestTwoWeightReport:
         # α = 0 gives ‖u‖_φ ≤ (2D/p)·‖f‖_φ up to slack
         dia = math.sqrt(2.0)
         psi = diameter_weight(1, dia, (0.5, 0.5))
-        rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.0)
+        rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.0,
+                                  rng=np.random.default_rng(0))
         f_sq = S._pairing_integral(cx32, f32,
                                    parse("0.5*(x1^2+x2^2)", n=2), PHI2)
         assert rep.lhs <= (2.0 * dia) ** 2 * f_sq * 1.05
@@ -581,7 +583,8 @@ class TestTwoWeightReport:
     def test_second_weight_must_stay_admissible(self, cx32, f32):
         # -e^{-|x|^2} is not 1-plurisubharmonic on the whole square
         with pytest.raises(PreconditionError):
-            S.berndtsson_report(cx32, f32, PHI2, PHI2, 0.3)
+            S.berndtsson_report(cx32, f32, PHI2, PHI2, 0.3,
+                                rng=np.random.default_rng(0))
 
     def test_overflowing_second_weight_names_its_point(self, cx32, f32):
         # e^{-psi} overflows at every barycenter: the sweep used to pass
@@ -591,12 +594,14 @@ class TestTwoWeightReport:
         first = cx32.barycenters(1)[0].tolist()
         with pytest.raises(DomainError, match=re.escape(
                 f"the Hessian of -exp(-psi) is not finite at x = {first}")):
-            S.berndtsson_report(cx32, f32, PHI2, psi, 0.3)
+            S.berndtsson_report(cx32, f32, PHI2, psi, 0.3,
+                                rng=np.random.default_rng(0))
 
     def test_alpha_range_checked(self, cx32, f32):
         psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
         with pytest.raises(PreconditionError):
-            S.berndtsson_report(cx32, f32, PHI2, psi, 1.0)
+            S.berndtsson_report(cx32, f32, PHI2, psi, 1.0,
+                                rng=np.random.default_rng(0))
 
     def test_top_degree(self):
         # p = n: no (p+1)-cells, so the apriori check draws g directly and
@@ -709,8 +714,8 @@ class TestNonPshReport:
         # phi+psi with (1+alpha)·psi reproduces the 4/(1-alpha)^2 constant
         alpha = 0.3
         psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
-        rep = S.nonpsh_report(cx32, f32, S.CombinedWeight(PHI2, 1.0, psi),
-                              S.CombinedWeight(None, 1.0 + alpha, psi),
+        rep = S.nonpsh_report(cx32, f32, S._combine(PHI2, 1.0, psi),
+                              S._combine(None, 1.0 + alpha, psi),
                               None, 1.0 + alpha)
         assert rep.constant == pytest.approx(4.0 / (1.0 - alpha) ** 2)
         assert rep.passed
@@ -732,6 +737,41 @@ class TestNonPshReport:
 
 
 # ---------------------------------------------------------------------------
+# combined weights
+# ---------------------------------------------------------------------------
+
+class TestCombine:
+
+    def test_parts_give_the_base_a_number_or_one_tree(self):
+        assert S._combine(PHI2, 0.0, PHI2) is PHI2
+        assert S._combine(PHI2, 0.5, None) is PHI2
+        assert S._combine(None, 0.5, None) is None
+        assert S._combine(None, 0.5, 3.0) == 1.5
+        assert S._combine(1.0, -0.5, 3.0) == -0.5
+        w = S._combine(parse("x1", n=1), 2.0, parse("x3", n=3))
+        assert isinstance(w, FE.ScalarFieldExpr) and w.n == 3
+        assert w.root == FE.BinOp("+", FE.Var(1), FE.BinOp(
+            "*", FE.Num(2.0), FE.Var(3)))
+        assert S._combine(None, 2.0, PHI2).root == FE.BinOp(
+            "+", FE.Num(0.0), FE.BinOp("*", FE.Num(2.0), PHI2.root))
+
+    class OwnJets:
+        def jets(self, X, order):
+            return FE.field_jets(PHI2, X, order)
+
+    @pytest.mark.parametrize("field, name", [
+        (OwnJets(), "OwnJets"), (lambda x: x[0], "function")],
+        ids=["jets", "callable"])
+    @pytest.mark.parametrize("side", ["base", "extra"])
+    def test_other_fields_raise_naming_their_type(self, field, name, side):
+        parts = (field, PHI2) if side == "base" else (PHI2, field)
+        with pytest.raises(TypeError, match=(
+                r"^a combined weight takes numbers and parsed expressions "
+                rf"only; got {name}$")):
+            S._combine(parts[0], -0.3, parts[1])
+
+
+# ---------------------------------------------------------------------------
 # shared report properties
 # ---------------------------------------------------------------------------
 
@@ -740,7 +780,7 @@ class TestScalingCovariance:
     def test_constant_shift_scales_both_sides(self, cx32, f32):
         base = S.hormander_report(cx32, f32, PHI2)
         shifted = S.hormander_report(cx32, f32,
-                                     S.CombinedWeight(PHI2, 1.0, 2.5))
+                                     S._combine(PHI2, 1.0, 2.5))
         assert np.abs(shifted.solve.u.values
                       - base.solve.u.values).max() <= 1e-12
         assert shifted.lhs / base.lhs == pytest.approx(math.exp(-2.5),
@@ -760,17 +800,18 @@ def _six_reports(cx, f):
     base, comp = S.composite_minimal_estimate(cx, f, PHI2, dia, 0.25)
     return [
         (S.hormander_report(cx, f, PHI2), PHI2, PHI2, None),
-        (S.berndtsson_report(cx, f, PHI2, dia, 0.3),
-         S.CombinedWeight(PHI2, -0.3, dia), dia, None),
+        (S.berndtsson_report(cx, f, PHI2, dia, 0.3,
+                             rng=np.random.default_rng(0)),
+         S._combine(PHI2, -0.3, dia), dia, None),
         (S.minimal_estimate_report(cx, f, PHI2, quad, omega, 0.5),
-         S.CombinedWeight(PHI2, -1.0, quad), quad,
+         S._combine(PHI2, -1.0, quad), quad,
          lambda X: 1.0 - FE.field_jets(omega, X, order=0) ** 2),
-        (comp, S.CombinedWeight(PHI2, -0.25, dia), dia, None),
+        (comp, S._combine(PHI2, -0.25, dia), dia, None),
         (S.nonpsh_report(cx, f, PHI2, tilt, 0.4, 0.4),
-         S.CombinedWeight(PHI2, -1.0, tilt), PHI2,
+         S._combine(PHI2, -1.0, tilt), PHI2,
          lambda X: 1.0 - FE.field_jets(0.4, X, order=0) ** 2 / 4.0),
         (S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3),
-         S.CombinedWeight(PHI2, -1.0, tilt), PHI2, None),
+         S._combine(PHI2, -1.0, tilt), PHI2, None),
     ]
 
 
@@ -779,8 +820,8 @@ DIAMETER = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
 # each bound report, called on a cochain of the unit square
 REPORTS = {
     "hormander": lambda cx, f: S.hormander_report(cx, f, PHI2),
-    "berndtsson": lambda cx, f: S.berndtsson_report(cx, f, PHI2, DIAMETER,
-                                                    0.3),
+    "berndtsson": lambda cx, f: S.berndtsson_report(
+        cx, f, PHI2, DIAMETER, 0.3, rng=np.random.default_rng(0)),
     "minimal-estimate": lambda cx, f: S.minimal_estimate_report(
         cx, f, PHI2, parse("0.1*(x1^2+x2^2)", n=2),
         TestMinimalEstimate.omega, 0.5),
@@ -822,7 +863,8 @@ def test_reports_use_their_stated_weight_and_theta(cx32, f32):
 
 def test_record_carries_apriori(cx32, f32):
     psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
-    rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.3)
+    rep = S.berndtsson_report(cx32, f32, PHI2, psi, 0.3,
+                              rng=np.random.default_rng(0))
     rec = rep.record()
     assert rec["apriori_sigma"] == rep.apriori.sigma
     assert rec["apriori_worst_ratio"] == rep.apriori.worst_ratio
@@ -850,7 +892,8 @@ def test_reports_build_each_mass_once(monkeypatch):
     psi = diameter_weight(1, math.sqrt(2.0), (0.5, 0.5))
     reports = [
         (4, lambda cx, f: S.hormander_report(cx, f, PHI2)),
-        (9, lambda cx, f: S.berndtsson_report(cx, f, PHI2, psi, 0.3))]
+        (9, lambda cx, f: S.berndtsson_report(
+            cx, f, PHI2, psi, 0.3, rng=np.random.default_rng(0)))]
     for count, report in reports:
         cx = D.build_complex(D.GridDomain(UNIT2, 1 / 16))
         f = S.closed_form_from_potential(cx, 1, [pot])
@@ -1100,7 +1143,8 @@ def _run_consumers():
     omega = parse("0.3+0.05*x1", n=2)
     tilt = TestNonPshReport.PSI_L
     reports = [S.hormander_report(cx, f, PHI2),
-               S.berndtsson_report(cx, f, PHI2, psi, 0.3),
+               S.berndtsson_report(cx, f, PHI2, psi, 0.3,
+                                   rng=np.random.default_rng(0)),
                S.nonpsh_report(cx, f, PHI2, tilt, omega, 0.4),
                S.nonpsh_report(cx, f, PHI2, tilt, None, 0.3)]
     assert all(rep.passed for rep in reports)

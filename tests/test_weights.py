@@ -117,6 +117,13 @@ class TestLatticeSamples:
         assert 0 < tight.shape[0] < loose.shape[0]
         assert all(r.value(x) < -0.5 for x in tight)
 
+    def test_min_depth_needs_r(self):
+        box = ([-1, -1], [1, 1])
+        assert W.lattice_samples(None, box, per_axis=4).shape == (16, 2)
+        with pytest.raises(ValueError, match=r"^min_depth without r must be "
+                           r"0; got 0\.5$"):
+            W.lattice_samples(None, box, per_axis=4, min_depth=0.5)
+
     def test_empty_domain_raises(self):
         r = parse("x1^2+x2^2+1", n=2)
         with pytest.raises(EmptyDomain):
