@@ -13,7 +13,7 @@ differences for Gaussians.
 
 import numpy as np
 
-from pconvex import (GridDomain, build_complex, cohomology_rank, parse,
+from pconvex import (GridDomain, build_complex, cohomology_rank, mass, parse,
                      prekopa_check)
 
 
@@ -44,10 +44,14 @@ def main():
     for _ in range(3):
         a, b, c = rng.uniform(0.2, 1.5, size=3)
         extra.append(parse(f"({a})*x1^2+({b})*x2^2+({c})*x1", n=2))
-    rep = cohomology_rank(ring, [parse("x1^2+x2^2", n=2), *extra])
+    for w in [parse("x1^2+x2^2", n=2), *extra]:
+        for q in range(ring.n + 1):
+            mass(ring, w, q)    # raises DomainError at a bad cell
+    rep = cohomology_rank(ring)
     print(f"   the round weight and 3 random quadratics have positive, "
-          f"finite masses in every degree,\n   so under each of them the "
-          f"degree-1 harmonic space has dimension {rep.ranks[1]}")
+          f"finite masses in every degree,\n   so by the Hodge theorem the "
+          f"degree-1 harmonic space has\n   dimension {rep.ranks[1]} "
+          f"under each of them")
 
     print("\n== log-marginal convexity by quadrature ==")
     xs = np.linspace(-1.0, 1.0, 7)

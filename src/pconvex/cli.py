@@ -325,8 +325,8 @@ class _Context:
     function and the degree, each once it is read."""
 
     n: int
-    r: Optional[object] = None
-    p: Optional[int] = None
+    r: Optional[object]
+    p: Optional[int]
 
 
 @dataclass
@@ -450,7 +450,7 @@ def load_config(path: str) -> ExperimentConfig:
                                   f"required for {what}")
 
     require(TASKS[task][1], task)
-    ctx = _Context(n=0)
+    ctx = _Context(n=0, r=None, p=None)
     values = {}
     for key, (sec, parser) in _KEYS.items():
         if key in given and key != "name":
@@ -501,7 +501,7 @@ def _verdict_records(test: str, p: int, rep) -> List[dict]:
     """The one record of a sampled p-convexity report."""
     return [{"test": test, "p": p, "samples": len(rep.points),
              "verdict": rep.verdict,
-             "min_trace": float(rep.traces[rep.worst_index]),
+             "min_trace": rep.min_trace,
              "worst_x": [float(v) for v in rep.points[rep.worst_index]],
              "pass": rep.verdict == "strict"}]
 
@@ -637,13 +637,19 @@ def _random_quadratic(n: int, rng) -> object:
 
 
 def _task_cohomology(exp: ExperimentConfig, rng):
+    """Betti numbers on each rung, after building the mass of φ and of
+    ``check_weights`` random SPD quadratics in every degree, which raises
+    :class:`~pconvex.errors.DomainError` at the first bad cell."""
     expected = exp.options.get("expect")
     weights = [exp.phi] + [_random_quadratic(exp.n, rng)
                            for _ in range(exp.options.get("check_weights", 0))]
     records = []
     for h in exp.rungs:
         cx = discrete.build_complex(discrete.GridDomain(exp.box, h, exp.r))
-        rep = solver.cohomology_rank(cx, weights)
+        for w in weights:
+            for q in range(cx.n + 1):
+                discrete.mass(cx, w, q)
+        rep = solver.cohomology_rank(cx)
         for q, rank in enumerate(rep.ranks):
             want = expected[q] if expected is not None else None
             records.append({"test": "cohomology", "h": h, "p": q,

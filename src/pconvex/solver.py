@@ -28,8 +28,8 @@ import numpy as np
 
 from .convexity import min_p_trace
 from .discrete import (Cochain, CubicalComplex, WeightedMass, _LazyModule,
-                       _apply_d, _barycenter_rows, coboundary, mass,
-                       sample_cochain, weighted_adjoint)
+                       _apply_d, _barycenter_rows, _write_barycenters,
+                       coboundary, mass, sample_cochain, weighted_adjoint)
 from .errors import (CohomologyObstruction, DomainError, MembershipError,
                      NoConvergence, NotClosed, PreconditionError, TailError,
                      raise_first)
@@ -373,20 +373,18 @@ def _node_quadrature(cx: CubicalComplex, g: Cochain, theta, weight,
     then walk only the values of ``weight``.
     """
     G = _node_components(cx, g)
-    dual = cx.dual_volumes
-    g_max = float(np.abs(G).max()) if G.size else 0.0
-    if g_max == 0.0:
-        return 0.0
-    support = np.flatnonzero(np.abs(G).max(axis=1) > 1e-14 * g_max)
-    nodes = cx.barycenters(0)
+    mag = np.abs(G).max(axis=1)
+    support = np.flatnonzero(mag > 1e-14 * np.max(mag, initial=0.0))
+    pts = np.empty((support.size, cx.n))
+    _write_barycenters(cx.dom, cx.anchors[0][support], (), pts)
+    G, dual = G[support], cx.dual_volumes[support]
     total, hess = 0.0, None
     for rows in row_blocks(support.size):
-        idx = support[rows]
-        X = nodes[idx]
+        X = pts[rows]
         if hess is None or len(hess) > 1:
             hess = field_jets(theta, X)[2]
         dens = np.exp(-field_jets(weight, X, order=0))
-        total += float(np.dot(integrand(X, hess, G[idx]) * dens, dual[idx]))
+        total += float(np.dot(integrand(X, hess, G[rows]) * dens, dual[rows]))
     return total
 
 
@@ -810,16 +808,13 @@ def _count_components(present: np.ndarray, links) -> int:
     return int(np.count_nonzero(parent == np.arange(parent.size)))
 
 
-def cohomology_rank(cx: CubicalComplex,
-                    weights: Sequence = ()) -> CohomologyReport:
+def cohomology_rank(cx: CubicalComplex) -> CohomologyReport:
     """Betti numbers ``b_0 … b_n`` of the complex, for ``n ≤ 3``.
 
     By the discrete Hodge theorem ``b_p`` is the dimension of the degree-p
     harmonic space of the weighted cochain Laplacian for every weight whose
-    mass is positive and finite, so the rank holds for each of ``weights``
-    once its mass is built in every degree (:func:`~pconvex.discrete.mass`
-    raises :class:`~pconvex.errors.DomainError` naming the cell where it
-    is not).
+    mass is positive and finite, so the count reads no weight: only the id
+    grids ``cx.ids`` and the Euler characteristic.
 
     ``b_0`` counts the components of the node grid, two nodes joined where
     the 1-cell between them is present.  ``b_{n−1}`` counts those of the
@@ -837,9 +832,6 @@ def cohomology_rank(cx: CubicalComplex,
     n = cx.n
     if n > 3:
         raise ValueError("cohomology supports n ≤ 3")
-    for w in weights:
-        for q in range(n + 1):
-            mass(cx, w, q)
     components = _count_components(cx.ids[()] >= 0,
                                    [cx.ids[(a,)] >= 0 for a in range(n)])
 

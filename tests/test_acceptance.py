@@ -427,12 +427,11 @@ def test_criterion_10_harmonic_ranks(cx32):
     cx3 = D.build_complex(
         D.GridDomain(((-1.0, 1.0), (-1.0, 1.0), (-0.4, 0.4)), 1 / 16,
                      r=torus_r))
-    # the count, with every weight's mass checked in every degree, and the
-    # spectral oracle, which recounts the box and the ring under each of
-    # the three extra weights
+    # the count, which reads only the complex, and the spectral oracle,
+    # which recounts the box and the ring under each of the three extra
+    # weights, building their masses in every degree
     shapes = ((cx32, wts2), (ann, wts2), (fine, ()), (cx3, ()))
-    counts = [list(S.cohomology_rank(cx, (0.0,) + wts).ranks)
-              for cx, wts in shapes]
+    counts = [list(S.cohomology_rank(cx).ranks) for cx, _ in shapes]
     spectral = [[O.spectral_rank(cx, q, 0.0, check_weights=wts).rank
                  for q in range(cx.n + 1)] for cx, wts in shapes]
     box_ranks, ann_ranks, fine_ranks, torus_ranks = counts

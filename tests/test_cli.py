@@ -169,7 +169,7 @@ def test_builtin_signatures_and_center_default():
                 "torus(ring=0.55, tube=0.3) -> domain"):
         assert sig in lines
     # an absent center is the origin of the domain's own dimension
-    ctx = cli._Context(n=3)
+    ctx = cli._Context(n=3, r=None, p=None)
     X = np.random.default_rng(2).uniform(-1, 1, (20, 3))
     implicit = cli._field("cor42(p=2, D=1.5)", ctx, "weight")
     explicit = cli._field("cor42(p=2, D=1.5, center=0:0:0)", ctx,
@@ -182,7 +182,8 @@ def test_builtin_signatures_and_center_default():
 def test_bump_is_a_batched_field():
     assert "bump(lo=0.25, hi=0.75) -> field" in cli.list_builtins()
     lo, hi = 0.3, 0.7
-    bump = cli._field(f"bump({lo}, {hi})", cli._Context(n=3), "field")
+    bump = cli._field(f"bump({lo}, {hi})",
+                      cli._Context(n=3, r=None, p=None), "field")
 
     def scalar(x):
         w, out = (hi - lo) / 2.0, 1.0
@@ -204,7 +205,8 @@ def test_bump_walked_on_its_support_keeps_every_bit():
     # the whole-array formula, walked on every row: off the open box
     # (lo, hi)ⁿ it gives 0, and NaN on any row with a NaN coordinate
     lo, hi = 0.3, 0.7
-    bump = cli._field(f"bump({lo}, {hi})", cli._Context(n=3), "field")
+    bump = cli._field(f"bump({lo}, {hi})",
+                      cli._Context(n=3, r=None, p=None), "field")
     rng = np.random.default_rng(23)
     X = rng.uniform(0.1, 0.9, (4000, 3))
     edge = rng.random(X.shape) < 0.1
@@ -820,6 +822,38 @@ seed = 3
         assert [r["num_cells"] for r in recs] == [936, 1750, 814]
         assert all((r["components"], r["voids"], r["euler"]) == (1, 1, 0)
                    for r in recs)
+
+    def test_underflowing_weight_is_named(self, tmp_path):
+        # e^{-800 x1} times a vertex's dual area underflows from x1 = 0.9375
+        code, report, _ = run(tmp_path, """
+[domain]
+box = 0:1, 0:1
+h = 1/32
+[weights]
+phi = 800*x1
+[task]
+name = cohomology
+""")
+        assert code == 1
+        assert report[1:] == [{
+            "error": "DomainError: weighted mass entry underflowed to 0 on "
+                     "0-cell 990 at x = [0.9375, 0.0]",
+            "pass": False, "test": "cohomology"}]
+
+    def test_every_weight_is_checked_in_every_degree(self, tmp_path,
+                                                     monkeypatch):
+        # φ and the two check weights, each in degrees 0, 1 and 2
+        calls = []
+
+        def counting(cx, phi, p):
+            calls.append(p)
+            return mass(cx, phi, p)
+
+        mass = discrete.mass
+        monkeypatch.setattr(discrete, "mass", counting)
+        code, _, _ = run(tmp_path, self.CFG)
+        assert code == 0
+        assert calls == [0, 1, 2] * 3
 
 
 class TestPrekopa:
