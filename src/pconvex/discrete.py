@@ -3,9 +3,10 @@
 Two layers deliberately coexist:
 
 * the *cochain layer* — integer coboundaries with ``d∘d = 0`` exactly,
-  applied as gathers, diagonal weighted mass matrices, and the weighted adjoint
-  ``M_{p-1}^{-1} dᵀ M_p``.  Everything here is exact linear algebra, which
-  is what solving ``du = f`` and counting cohomology require.
+  applied by slicing on a box and as gathers elsewhere, diagonal weighted
+  mass matrices, and the weighted adjoint ``M_{p-1}^{-1} dᵀ M_p``.
+  Everything here is exact linear algebra, which is what solving
+  ``du = f`` and counting cohomology require.
 * the *node layer* — centered differences on node samples of smooth forms,
   used by :func:`energy_identity_residual` to verify the weighted energy
   identity, whose pointwise Hessian term has no exact cochain analogue.
@@ -19,9 +20,12 @@ are ordered by axes combination in ``itertools.combinations`` order, then
 by anchor in C order, so the cells spanning one combination are one
 contiguous block.  A cell enters the complex iff its barycenter lies in
 the domain and all of its facets entered — so closure holds by
-construction and every row of ``d_p`` finds its 2(p+1) columns, written
-in the CSR order :func:`coboundary` states.
-"""
+construction, and every (p+1)-cell's 2(p+1) facets lie at its anchor and
+one step up each spanned axis in the facet blocks' id grids.  On a box
+each block is a whole grid, so ``d`` adds shifted slices of the facet
+blocks' values; elsewhere it gathers through int32 columns, written from
+the id grids in the CSR order :func:`coboundary` states the first time a
+caller needs them."""
 
 from __future__ import annotations
 
@@ -124,17 +128,17 @@ class CubicalComplex:
     anchors, in cell order.  ``ids[axes]`` is an int32 grid over the
     anchors of the cells spanning ``axes``: the cell's row where it is
     present and -1 where it is not.  ``rows[p]`` holds the
-    ``(axes, rows)`` blocks of the p-cells, from the build.  ``d_p`` is the
-    int32 ``(num_cells(p+1), 2(p+1))`` columns ``cols[p]``, in the order
-    :func:`coboundary` states, and ``signs[p]``, per block and column.
+    ``(axes, rows)`` blocks of the p-cells, from the build.  ``d_p`` is
+    ``signs[p]``, one sign per block of (p+1)-cells and facet slot, over
+    the facets the id grids locate; :attr:`cols` writes its int32 columns
+    on first use.
     """
 
-    def __init__(self, dom: GridDomain, anchors, ids, cols, signs, rows):
+    def __init__(self, dom: GridDomain, anchors, ids, signs, rows):
         self.dom = dom
         self.anchors: Tuple[np.ndarray, ...] = anchors
         self.ids = ids
-        self._cols = cols
-        self._signs = signs
+        self.signs = signs
         self._rows = rows
 
     @property
@@ -161,6 +165,16 @@ class CubicalComplex:
     def barycenters(self, p: int) -> np.ndarray:
         """Barycenters of the p-cells, ``(num_cells(p), n)``, in cell order."""
         return _barycenter_rows(self, p, 0, np.empty(self.anchors[p].shape))
+
+    @cached_property
+    def cols(self) -> Tuple[np.ndarray, ...]:
+        """``d_p``'s int32 ``(num_cells(p+1), 2(p+1))`` columns ``cols[p]``
+        per degree, in the order :func:`coboundary` states: written from the
+        id grids on first use, and kept only once :func:`_check_closed`
+        passed on them, so a failed check raises again on the next use."""
+        cols = _columns(self)
+        _check_closed(self, cols)
+        return cols
 
 
 def _cut_blocks(cx: CubicalComplex, p: int, start: int, stop: int):
@@ -194,26 +208,40 @@ def _barycenter_rows(cx: CubicalComplex, p: int, start: int,
     return out
 
 
+def _less(axes, a: int):
+    """``axes`` without the axis ``a``: the facet block's axes."""
+    return tuple(b for b in axes if b != a)
+
+
+def _facets(grid: np.ndarray, a: int):
+    """The back and front facets' entries of a block spanning ``a``, taken
+    from ``grid``, the grid of its facet block, which has one more anchor
+    along ``a``: the slices at anchor offsets 0 and 1 along ``a``."""
+    pre = (slice(None),) * a
+    return grid[pre + (slice(None, -1),)], grid[pre + (slice(1, None),)]
+
+
 def build_complex(dom: GridDomain) -> CubicalComplex:
-    """Enumerate cells bottom-up and assemble verified coboundaries.
+    """Enumerate cells bottom-up and sign their coboundaries.
 
     A vertex enters iff it lies in the domain; a higher cell enters iff its
     barycenter does *and* both facets along every spanned axis entered.
     ``r`` is evaluated once over the vertex grid and once per
     axes-combination over the barycenters whose facets all entered.  Cells
     are ordered by axes combination (``itertools.combinations`` order), then
-    by anchor in C order.  Each block's ids, anchors and coboundary columns
-    (the facet id grids shifted along each axis) are written once, through
-    its presence mask, into one array per degree, and its signs once; the
-    block row ranges are kept for :meth:`CubicalComplex.blocks`.  Ids and
-    columns are int32 (``ValueError`` if a degree outgrows it).
+    by anchor in C order.  Each block's ids and anchors are written once,
+    through its presence mask, into one array per degree, and its signs
+    once; the block row ranges are kept for :meth:`CubicalComplex.blocks`.
+    The sign tables pass :func:`_check_signs`; the coboundary columns are
+    left to :attr:`CubicalComplex.cols`.  Ids and columns are int32
+    (``ValueError`` if a degree outgrows it).
     Raises :class:`~pconvex.errors.EmptyDomain` when no vertex qualifies.
     """
     n, counts = dom.n, dom.counts
     nodes = dom.node_axes()
     mids = [x[:-1] + 0.5 * s for x, s in zip(nodes, dom.spacings)]
     small = np.min_scalar_type(max(counts))
-    ids, anchors, cols, signs, rows = {}, [], [], [], []
+    ids, anchors, signs, rows = {}, [], [], []
     for p in range(n + 1):
         blocks, start = [], 0
         # facet rK = axes less a enters d with the sign of inserting a into
@@ -222,14 +250,11 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
         for rS, axes in enumerate(itertools.combinations(range(n), p)):
             shape = [m if i in axes else m + 1 for i, m in enumerate(counts)]
             ok = np.ones(shape, dtype=bool)
-            faces, slots = [], []
+            slots = []
             for a in reversed(axes):
                 rK = pos[a].tolist().index(rS)
-                facet = ids[tuple(b for b in axes if b != a)]
-                back = facet[(slice(None),) * a + (slice(None, -1),)]
-                front = facet[(slice(None),) * a + (slice(1, None),)]
-                ok &= (back >= 0) & (front >= 0)
-                faces += [back, front]
+                for face in _facets(ids[_less(axes, a)], a):
+                    ok &= face >= 0
                 slots += [-sgn[a, rK], sgn[a, rK]]
             # each anchor column in the anchors' own dtype, through ok
             found = [g[ok] for g in np.indices(shape, dtype=small)]
@@ -245,24 +270,63 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
                     "and coboundary entries must fit in int32")
             ids[axes] = np.full(shape, -1, dtype=np.int32)
             ids[axes][ok] = np.arange(start, stop, dtype=np.int32)
-            blocks.append((axes, slice(start, stop), ok, found, faces, slots))
+            blocks.append((axes, slice(start, stop), found, slots))
             start = stop
         if start == 0 and p == 0:
             raise EmptyDomain("no grid vertex satisfies r < 0")
         anchors.append(np.empty((start, n), dtype=small))
         if p:
-            cols.append(np.empty((start, 2 * p), dtype=np.int32))
-            signs.append(np.array([b[5] for b in blocks], dtype=np.int64))
-        for axes, at, ok, found, faces, _ in blocks:
+            signs.append(np.array([b[3] for b in blocks], dtype=np.int64))
+        for axes, at, found, _ in blocks:
             for i, f in enumerate(found):
                 anchors[p][at, i] = f
-            for j, face in enumerate(faces):
-                cols[-1][at, j] = face[ok]
         rows.append(tuple(b[:2] for b in blocks))
-    cx = CubicalComplex(dom, tuple(anchors), ids, tuple(cols), tuple(signs),
-                        tuple(rows))
-    _check_closed(cx)
+    cx = CubicalComplex(dom, tuple(anchors), ids, tuple(signs), tuple(rows))
+    _check_signs(cx)
     return cx
+
+
+def _check_signs(cx: CubicalComplex) -> None:
+    """Raise ``AssertionError`` unless the sign tables make ``d_{p+1} d_p``
+    vanish exactly over the facets of a box, as :func:`_apply_d` slices
+    them: every entry is ±1, each back slot is minus its front one, and for
+    each (p+2)-block S and axes a < b of it the two paths down to S∖{a,b}
+    cancel, ``s(S,a)·s(S∖a,b) + s(S,b)·s(S∖b,a) = 0``, ``s(S,a)`` being
+    the front sign of block S's facet S∖a.  O(C(n,p)·p²) per degree, for
+    any grid size."""
+    n, front = cx.n, []
+    for p, table in enumerate(cx.signs):
+        if not (np.all(np.abs(table) == 1)
+                and np.array_equal(table[:, 0::2], -table[:, 1::2])):
+            q = max(min(p, n - 2), 0)    # a composition this table is in
+            raise AssertionError(f"coboundary composition d_{q+1} d_{q} != 0")
+        front.append({axes: dict(zip(reversed(axes), s))
+                      for (axes, _), s in zip(cx.blocks(p + 1),
+                                              table[:, 1::2].tolist())})
+    for p in range(n - 1):
+        for S, s in front[p + 1].items():
+            for a, b in itertools.combinations(S, 2):
+                if (s[a] * front[p][_less(S, a)][b]
+                        + s[b] * front[p][_less(S, b)][a]):
+                    raise AssertionError(
+                        f"coboundary composition d_{p+1} d_{p} != 0")
+
+
+def _columns(cx: CubicalComplex) -> Tuple[np.ndarray, ...]:
+    """``d_p``'s columns per degree, unchecked: for each block of
+    (p+1)-cells and slot, the back or front facets' ids read through the
+    block's presence mask."""
+    cols = []
+    for p in range(cx.n):
+        out = np.empty((cx.num_cells(p + 1), 2 * (p + 1)), dtype=np.int32)
+        for axes, rows in cx.blocks(p + 1):
+            ok = cx.ids[axes] >= 0
+            faces = [face for a in reversed(axes)
+                     for face in _facets(cx.ids[_less(axes, a)], a)]
+            for j, face in enumerate(faces):
+                out[rows, j] = face[ok]
+        cols.append(out)
+    return tuple(cols)
 
 
 #: Rows of (p+2)-cells per step of :func:`_check_closed`: each slot's
@@ -272,19 +336,20 @@ def build_complex(dom: GridDomain) -> CubicalComplex:
 _CHECK_ROWS = 4 * BLOCK_ROWS
 
 
-def _check_closed(cx: CubicalComplex) -> None:
-    """Raise ``AssertionError`` unless ``d_{p+1} d_p = 0`` exactly: in each
-    block of (p+2)-cells the (slot, sub-slot) entries of the first row pair
-    up by equal column, every row shows equal columns at each pair, each
-    slot's facets lie in one lower block, whose sign table then holds, and
-    the signs at each pair are opposite; so every entry of the product
-    cancels a distinct partner.  Rows are compared :data:`_CHECK_ROWS` at a
-    time, through each slot's facet rows of ``d_p`` gathered whole."""
+def _check_closed(cx: CubicalComplex, cols) -> None:
+    """Raise ``AssertionError`` unless ``d_{p+1} d_p = 0`` exactly over the
+    columns ``cols``: in each block of (p+2)-cells the (slot, sub-slot)
+    entries of the first row pair up by equal column, every row shows equal
+    columns at each pair, each slot's facets lie in one lower block, whose
+    sign table then holds, and the signs at each pair are opposite; so every
+    entry of the product cancels a distinct partner.  Rows are compared
+    :data:`_CHECK_ROWS` at a time, through each slot's facet rows of ``d_p``
+    gathered whole."""
     for p in range(cx.n - 1):
-        hi, lo, lower = cx._cols[p + 1], cx._cols[p], cx.blocks(p + 1)
+        hi, lo, lower = cols[p + 1], cols[p], cx.blocks(p + 1)
         stops = [r.stop for _, r in lower]
         fail = AssertionError(f"coboundary composition d_{p+1} d_{p} != 0")
-        for (_, rows), s_hi in zip(cx.blocks(p + 2), cx._signs[p + 1]):
+        for (_, rows), s_hi in zip(cx.blocks(p + 2), cx.signs[p + 1]):
             if rows.stop == rows.start:
                 continue
             block = hi[rows]
@@ -296,7 +361,7 @@ def _check_closed(cx: CubicalComplex) -> None:
             c0 = lo[block[0]].ravel()
             pairs = np.argsort(c0).reshape(-1, 2)
             c = c0[pairs]
-            sign = (s_hi[:, None] * cx._signs[p][at]).ravel()[pairs]
+            sign = (s_hi[:, None] * cx.signs[p][at]).ravel()[pairs]
             if np.any(c[:, 0] != c[:, 1]) or np.any(sign.sum(axis=1)):
                 raise fail
             j, k = np.divmod(pairs, lo.shape[1])
@@ -315,10 +380,11 @@ def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
     out as guaranteed: canonical CSR with 2(p+1) ascending columns per row,
     facet blocks in descending order of the removed axis and each back facet
     before its front one, so row e of ``d_0`` is -1, +1 at its lower and
-    higher node.  Built on each call, from the complex's columns and signs."""
+    higher node.  Built on each call, from :attr:`CubicalComplex.cols` and
+    the signs."""
     if not 0 <= p < cx.n:
         raise ValueError(f"degree must satisfy 0 <= p < {cx.n}, got {p}")
-    cols = cx._cols[p]
+    cols = cx.cols[p]
     indptr = np.arange(0, cols.size + 1, cols.shape[1], dtype=np.int32)
     return sp.csr_matrix((_row_signs(cx, p).ravel(), cols.ravel(), indptr),
                          shape=(len(cols), cx.num_cells(p)))
@@ -326,19 +392,29 @@ def coboundary(cx: CubicalComplex, p: int) -> sp.csr_matrix:
 
 def _row_signs(cx: CubicalComplex, p: int) -> np.ndarray:
     """The int64 entries of ``d_p`` per row and slot, ``cols[p]``'s shape."""
-    return np.repeat(cx._signs[p], [r.stop - r.start
-                                    for _, r in cx.blocks(p + 1)], axis=0)
+    return np.repeat(cx.signs[p], [r.stop - r.start
+                                   for _, r in cx.blocks(p + 1)], axis=0)
 
 
 def _apply_d(cx: CubicalComplex, p: int, u: np.ndarray) -> np.ndarray:
     """``d_p @ u`` with the bits of CSR's product: from zeros, each block
-    adds or subtracts ``u`` at each slot's columns, slot by slot."""
-    cols, out = cx._cols[p], np.zeros(len(cx._cols[p]))
-    for (_, rows), signs in zip(cx.blocks(p + 1), cx._signs[p]):
-        acc = out[rows]
-        for j, s in enumerate(signs.tolist()):
-            (np.add if s > 0 else np.subtract)(acc, u.take(cols[rows, j]),
-                                               out=acc)
+    adds or subtracts each slot's facet values of ``u``, slot by slot.  On
+    a box every block is a whole grid, so a slot's values are a slice of
+    its facet block's values; elsewhere they are gathered through
+    :attr:`CubicalComplex.cols`."""
+    out, lower = np.zeros(cx.num_cells(p + 1)), dict(cx.blocks(p))
+    for (axes, rows), signs in zip(cx.blocks(p + 1), cx.signs[p]):
+        if cx.dom.r is None:
+            acc, terms = out[rows].reshape(cx.ids[axes].shape), []
+            for a in reversed(axes):
+                facet = _less(axes, a)
+                terms += _facets(u[lower[facet]].reshape(cx.ids[facet].shape),
+                                 a)
+        else:
+            acc = out[rows]
+            terms = (u.take(c) for c in cx.cols[p][rows].T)
+        for term, s in zip(terms, signs.tolist()):
+            (np.add if s > 0 else np.subtract)(acc, term, out=acc)
     return out
 
 
@@ -442,7 +518,7 @@ def weighted_adjoint(cx: CubicalComplex, m_src: WeightedMass,
         raise ValueError(f"need masses of degrees p-1 and p, 1 <= p <= "
                          f"{cx.n}, one entry per cell; got degrees "
                          f"{m_src.p}, {m_tgt.p} with {sizes} entries")
-    cols = cx._cols[p]
+    cols = cx.cols[p]
     entries = ((_row_signs(cx, p) * (1.0 / m_src.diag)[cols])
                * m_tgt.diag[:, None])
     return lambda v: np.bincount(cols.ravel(), (entries * v[:, None]).ravel(),

@@ -49,6 +49,10 @@ LAYOUT_DOMAINS = {
 }
 
 
+# what every failed check of d∘d = 0 raises, on either path
+NOT_CLOSED = r"coboundary composition d_\d d_\d != 0"
+
+
 def spanned_mask(cx, p):
     """The ``(num_cells(p), n)`` spanned-axis masks of the p-cells, in cell
     order, from the complex's blocks."""
@@ -490,7 +494,8 @@ class TestCoboundary:
     def test_products_keep_the_bits_of_the_csr_export(self, name):
         # d u, dᵀ v (the adjoint under unit masses) and the weighted adjoint
         # without a matrix, against the CSR export's products as int64
-        # views: -0.0 and +0.0 included
+        # views: -0.0 and +0.0 included; d u is taken in every degree
+        # before the export writes the columns, so on a box it slices
         cx = D.build_complex(LAYOUT_DOMAINS[name]())
         rng = np.random.default_rng(7)
         phi = parse("x1^2+0.3*x2", n=cx.n)
@@ -503,41 +508,108 @@ class TestCoboundary:
         def same(a, b):
             return np.array_equal(a.view(np.int64), b.view(np.int64))
 
-        for p in range(cx.n):
+        us = [sample(cx.num_cells(p)) for p in range(cx.n)]
+        sliced = [(D._apply_d(cx, p, u), D._apply_d(cx, p, -0.0 * u))
+                  for p, u in enumerate(us)]
+        assert ("cols" in vars(cx)) == (cx.dom.r is not None)
+        for p, (u, (du, dz)) in enumerate(zip(us, sliced)):
             d = D.coboundary(cx, p)
-            u, v = sample(d.shape[1]), sample(d.shape[0])
-            assert same(D._apply_d(cx, p, u), d @ u)
+            v = sample(d.shape[0])
+            assert same(du, d @ u)
+            assert same(dz, d @ (-0.0 * u))
             unit = D.weighted_adjoint(
                 cx, D.WeightedMass(p, np.ones(d.shape[1])),
                 D.WeightedMass(p + 1, np.ones(d.shape[0])))
             assert same(unit(v), d.T @ v)
-            assert same(D._apply_d(cx, p, -0.0 * u), d @ (-0.0 * u))
             adjoint = D.weighted_adjoint(cx, D.mass(cx, phi, p),
                                          D.mass(cx, phi, p + 1))
             assert same(adjoint(v), O.weighted_adjoint_csr(cx, phi, p + 1) @ v)
 
-    def test_composition_check_catches_a_swapped_column(self):
+    def test_composition_check_catches_a_swapped_column(self, monkeypatch):
+        # the columns a caller receives have passed the check: with a pair
+        # of them swapped as written, every use raises and none is kept
         cx = D.build_complex(LAYOUT_DOMAINS["box-32x32x32"]())
-        D._check_closed(cx)
+        write = D._columns
+        D._check_closed(cx, write(cx))
         for p, row in ((1, 5000), (1, 0), (2, 777), (0, 3000)):
-            cols = cx._cols[p]
-            cols[row, [0, 1]] = cols[row, [1, 0]]
-            with pytest.raises(AssertionError,
-                               match=r"coboundary composition d_\d d_\d != 0"):
-                D._check_closed(cx)
-            cols[row, [0, 1]] = cols[row, [1, 0]]
-        D._check_closed(cx)
+            def swapped(cx, p=p, row=row):
+                cols = write(cx)
+                cols[p][row, [0, 1]] = cols[p][row, [1, 0]]
+                return cols
+
+            monkeypatch.setattr(D, "_columns", swapped)
+            for _ in range(2):
+                with pytest.raises(AssertionError, match=NOT_CLOSED):
+                    cx.cols
+                assert "cols" not in vars(cx)
+        monkeypatch.undo()
+        assert cx.cols is cx.cols
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(cx.cols, write(cx)))
 
     def test_composition_check_catches_a_flipped_sign(self):
+        # on the column path and in the sign tables, one flip at a time
         cx = D.build_complex(LAYOUT_DOMAINS["solid-torus"]())
         for p in range(cx.n):
             for block, slot in itertools.product(
-                    range(len(cx._signs[p])), range(2 * (p + 1))):
-                cx._signs[p][block, slot] *= -1
-                with pytest.raises(AssertionError, match=r"d_\d d_\d != 0"):
-                    D._check_closed(cx)
-                cx._signs[p][block, slot] *= -1
-        D._check_closed(cx)
+                    range(len(cx.signs[p])), range(2 * (p + 1))):
+                cx.signs[p][block, slot] *= -1
+                for _ in range(2):
+                    with pytest.raises(AssertionError, match=NOT_CLOSED):
+                        cx.cols
+                assert "cols" not in vars(cx)
+                with pytest.raises(AssertionError, match=NOT_CLOSED):
+                    D._check_signs(cx)
+                cx.signs[p][block, slot] *= -1
+        D._check_signs(cx)
+        D._check_closed(cx, cx.cols)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sign_check_catches_every_flip_on_a_box(self, n):
+        # the slicing path has no columns to check: the sign tables alone
+        # must catch each flipped slot, and each slot pair flipped together
+        # (which keeps back = -front) wherever a composition reads it
+        cx = box_complex(0.5, n)
+        flips = [[(p, block, slot)]
+                 for p in range(n) for block in range(len(cx.signs[p]))
+                 for slot in range(2 * (p + 1))]
+        if n > 1:
+            flips += [[(p, block, slot), (p, block, slot + 1)]
+                      for p in range(n) for block in range(len(cx.signs[p]))
+                      for slot in range(0, 2 * (p + 1), 2)]
+        for entries in flips:
+            for at in entries:
+                cx.signs[at[0]][at[1:]] *= -1
+            with pytest.raises(AssertionError, match=NOT_CLOSED):
+                D._check_signs(cx)
+            for at in entries:
+                cx.signs[at[0]][at[1:]] *= -1
+        D._check_signs(cx)
+
+    def test_only_the_column_users_build_the_columns(self):
+        # a box p = 1 report and a Betti count read no columns; a solve on
+        # the ring, LSMR at p = 2 and the weighted adjoint build them
+        phi = parse("x1^2+x2^2+x3^2", n=3)
+        cube = D.build_complex(LAYOUT_DOMAINS["box-32x32x32"]())
+        f = S.closed_form_from_potential(cube, 1, [parse("x1*x2^2+x3", n=3)])
+        assert S.hormander_report(cube, f, phi).passed
+        assert "cols" not in vars(cube)
+        ring, twin = annulus_complex(), annulus_complex()
+        assert S.cohomology_rank(ring).ranks == (1, 1, 0)
+        assert "cols" not in vars(ring)
+        v = np.random.default_rng(3).standard_normal(twin.num_cells(0))
+        f = D.Cochain(1, D.coboundary(twin, 0) @ v)
+        S.minimal_solution(ring, f, parse("x1^2+x2^2", n=2))
+        assert "cols" in vars(ring)
+        small = D.build_complex(D.GridDomain(((0.0, 1.0),) * 3, 1 / 8))
+        f = S.closed_form_from_potential(
+            small, 2, [parse("x1*x2^2", n=3), 0.0, 0.0])
+        assert "cols" not in vars(small)
+        assert S.minimal_solution(small, f, phi).method == "lsmr"
+        assert "cols" in vars(small)
+        cube = box_complex()
+        D.weighted_adjoint(cube, D.mass(cube, 0.0, 0), D.mass(cube, 0.0, 1))
+        assert "cols" in vars(cube)
 
     def test_degree_bounds(self):
         cx = box_complex()
